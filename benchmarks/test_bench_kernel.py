@@ -1,22 +1,13 @@
-"""Bench: compiled analysis kernel vs the legacy per-call recompile.
+"""Bench: the compiled analysis kernel under the optimizer move loop.
 
 The kernel's pitch is the section-6 throughput argument: OS/OR reach
 good configurations in minutes only because each analysis evaluation is
-cheap.  This benchmark plays the optimizer access pattern — repeated
-analyses of the same system with small configuration deltas — against
-both implementations and asserts the kernel's speedup, at the small
-smoke scale CI runs:
-
-* ``repeated-solve``: N analyses at fixed ``(π, β)`` (the Fig. 5 inner
-  pattern) — legacy recompiles interference tables every call, the
-  kernel compiles once;
-* ``move-loop``: N priority-swap moves (the OptimizeResources pattern)
-  — the kernel recompiles only the touched rows.
-
-Functional assertions keep it honest: results must agree bit for bit,
-and the kernel must be at least 2x faster on the repeated-solve
-pattern even at smoke scale (the margin at the paper's 160-process
-scale is far larger; see BENCH_kernel.json from ``run_bench.py``).
+cheap.  This benchmark plays the OptimizeResources access pattern — N
+priority-swap moves on one system — and checks that the kernel
+recompiles only the touched rows while staying bit-identical to a
+kernel compiled from scratch at every move.  (Kernel-versus-reference
+equality lives in ``tests/test_kernel_parity.py``; end-to-end timing
+lives in ``perfbench/``.)
 
 Scale knobs: ``REPRO_KERNEL_NODES`` (default 2), ``REPRO_KERNEL_REPS``
 (default 20).
@@ -27,9 +18,7 @@ import time
 
 import pytest
 
-from repro.analysis.holistic import legacy_response_time_analysis
 from repro.analysis.kernel import AnalysisContext
-from repro.io import comparison_table
 from repro.optim import straightforward_configuration
 from repro.schedule import static_schedule
 from repro.synth import WorkloadSpec, generate_workload
@@ -47,53 +36,6 @@ def assert_rho_equal(a, b, tol=0.0, context=""):
 def system():
     nodes = int(os.environ.get("REPRO_KERNEL_NODES", 2))
     return generate_workload(WorkloadSpec(nodes=nodes, seed=0))
-
-
-def test_kernel_speedup(system, capsys):
-    reps = int(os.environ.get("REPRO_KERNEL_REPS", 20))
-    config = straightforward_configuration(system)
-    schedule = static_schedule(system, config.bus)
-    offsets = schedule.offsets
-
-    # Process CPU time and best-of-2 passes: the CI gate below must not
-    # turn red because a noisy shared runner stalled one timed loop.
-    legacy = compiled = None
-    legacy_time = kernel_time = float("inf")
-    for _attempt in range(2):
-        t0 = time.process_time()
-        legacy = [
-            legacy_response_time_analysis(
-                system, offsets, config.priorities, config.bus
-            )
-            for _ in range(reps)
-        ]
-        legacy_time = min(legacy_time, time.process_time() - t0)
-
-        t0 = time.process_time()
-        kernel = AnalysisContext(system, config.priorities, config.bus)
-        compiled = [kernel.solve(offsets)[0] for _ in range(reps)]
-        kernel_time = min(kernel_time, time.process_time() - t0)
-
-    for rho_a, rho_b in zip(legacy, compiled):
-        assert_rho_equal(rho_a, rho_b, tol=0.0, context="bench")
-
-    speedup = legacy_time / max(kernel_time, 1e-9)
-    rows = [
-        ["legacy (recompile per call)", f"{legacy_time:.3f}", "1.0x"],
-        ["kernel (compile once)", f"{kernel_time:.3f}",
-         f"{speedup:.1f}x"],
-    ]
-    with capsys.disabled():
-        print()
-        print(comparison_table(
-            f"{reps} repeated analyses, "
-            f"{system.app.process_count()} processes",
-            ["path", "cpu time [s]", "speedup"],
-            rows,
-        ))
-    # CI smoke gate: the compiled kernel must beat the per-call
-    # recompile by at least 2x even at the small scale.
-    assert speedup >= 2.0, f"kernel speedup {speedup:.2f}x below 2x"
 
 
 def test_kernel_move_loop_incremental(system, capsys):

@@ -47,14 +47,13 @@ Package map (see DESIGN.md for the full inventory):
   tracking (CLI: ``repro explore``);
 * :mod:`repro.io` — JSON serialization and paper-style reports.
 
-The historical flat function surface (``repro.multi_cluster_scheduling``,
-``repro.evaluate``, ``repro.optimize_schedule``, ...) is kept as thin
-deprecation shims over the same engines; new code should go through
-:class:`repro.api.Session`.
+Each layer has one implementation: one compiled analysis kernel
+(:class:`AnalysisContext`) and one compiled simulation kernel
+(:class:`repro.sim.SimContext`).  The module-level functions live in
+their subpackages (:func:`repro.analysis.multi_cluster_scheduling`,
+:func:`repro.optim.optimize_schedule`, :func:`repro.sim.simulate`, ...);
+workflows go through :class:`repro.api.Session`.
 """
-
-import functools as _functools
-import warnings as _warnings
 
 from .analysis import (
     ActivityTiming,
@@ -67,10 +66,8 @@ from .analysis import (
     buffer_bounds,
     degree_of_schedulability,
     graph_response_time,
-    legacy_response_time_analysis,
     response_time_analysis,
 )
-from .analysis import multi_cluster_scheduling as _multi_cluster_scheduling
 from .api import (
     AnalysisBackend,
     EvaluationBackend,
@@ -122,52 +119,12 @@ from .optim import (
     sa_schedule,
     straightforward_configuration,
 )
-from .optim import evaluate as _evaluate
-from .optim import optimize_resources as _optimize_resources
-from .optim import optimize_schedule as _optimize_schedule
 from .schedule import StaticSchedule, static_schedule
 from .sim import SimulationTrace, Simulator
-from .sim import simulate as _simulate
 from .store import ResultStore
 from .system import System
 
 __version__ = "1.1.0"
-
-
-def _deprecated_shim(func, replacement):
-    """Wrap a legacy top-level function with a deprecation warning.
-
-    The submodule originals (e.g.
-    :func:`repro.analysis.multi_cluster_scheduling`) stay warning-free;
-    only the flat ``repro.<name>`` aliases nudge callers to the facade.
-    """
-
-    @_functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        _warnings.warn(
-            f"repro.{func.__name__} is deprecated; use {replacement} "
-            f"(see repro.api)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return func(*args, **kwargs)
-
-    wrapper.__doc__ = (
-        f"Deprecated alias of :func:`{func.__module__}.{func.__name__}`; "
-        f"use {replacement} instead.\n\n{func.__doc__ or ''}"
-    )
-    return wrapper
-
-
-multi_cluster_scheduling = _deprecated_shim(
-    _multi_cluster_scheduling, "Session.evaluate"
-)
-evaluate = _deprecated_shim(_evaluate, "Session.evaluate")
-optimize_schedule = _deprecated_shim(_optimize_schedule, "Session.synthesize")
-optimize_resources = _deprecated_shim(
-    _optimize_resources, "Session.synthesize(minimize_buffers=True)"
-)
-simulate = _deprecated_shim(_simulate, "Session.simulate")
 
 __all__ = [
     "ActivityTiming",
@@ -221,23 +178,17 @@ __all__ = [
     "buffer_bounds",
     "config_hash",
     "degree_of_schedulability",
-    "evaluate",
     "get_backend",
     "graph_response_time",
     "hopa_priorities",
-    "multi_cluster_scheduling",
-    "optimize_resources",
-    "optimize_schedule",
     "register_backend",
     "AnalysisContext",
     "KernelStats",
-    "legacy_response_time_analysis",
     "response_time_analysis",
     "run_straightforward",
     "run_sweep",
     "sa_resources",
     "sa_schedule",
-    "simulate",
     "static_schedule",
     "store_key",
     "straightforward_configuration",

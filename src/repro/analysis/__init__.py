@@ -1,4 +1,10 @@
-"""Multi-cluster schedulability, queueing and buffer analyses (section 4)."""
+"""Multi-cluster schedulability, queueing and buffer analyses (section 4).
+
+The holistic fixed point has one compiled implementation,
+:class:`AnalysisContext`, behind :func:`response_time_analysis` and the
+Fig. 5 loop :func:`multi_cluster_scheduling`; general topologies and
+route overrides take the per-leg solver in :mod:`.multihop`.
+"""
 
 from .buffers import BufferReport, buffer_bounds
 from .can_analysis import can_blocking, can_queuing_delay
@@ -8,7 +14,7 @@ from .degree import (
     graph_response_time,
 )
 from .fixed_point import Interferer, ceil0_hits, solve_busy_window
-from .holistic import legacy_response_time_analysis, response_time_analysis
+from .holistic import response_time_analysis
 from .kernel import AnalysisContext, KernelStats, SolveState
 from .multicluster import MultiClusterResult, multi_cluster_scheduling
 from .sensitivity import ScalingResult, critical_activities, wcet_scaling_margin
@@ -27,7 +33,6 @@ __all__ = [
     "BufferReport",
     "KernelStats",
     "SolveState",
-    "legacy_response_time_analysis",
     "INFEASIBLE",
     "Interferer",
     "MultiClusterResult",

@@ -1,9 +1,10 @@
 """Compiled analysis kernel: the optimizer hot path of the holistic
 response-time analysis.
 
-:func:`repro.analysis.holistic.legacy_response_time_analysis` recompiles
-its full O(n²) interference structure — string-keyed dicts, per-pair
-ancestor queries, relative phases — on **every** call, while the Fig. 5
+The pre-kernel holistic analysis (kept as the parity oracle under
+``tests/oracles``) recompiles its full O(n²) interference structure —
+string-keyed dicts, per-pair ancestor queries, relative phases — on
+**every** call, while the Fig. 5
 multi-cluster loop calls it up to 30 times per evaluation and the
 synthesis heuristics run thousands of evaluations.  Everything but the
 jitters is structurally invariant across those calls (the classic
@@ -44,7 +45,7 @@ Warm starts come in two flavours:
   of the same monotone equations — a safe (possibly pessimistic) upper
   bound, never an unsound one.  It is therefore opt-in
   (``multi_cluster_scheduling(warm_start=True)``); the default path is
-  parity-tested bit for bit against the legacy implementation.
+  parity-tested bit for bit against the pre-kernel implementation.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ registered engines immediately gain memoization and parallel dispatch.
 from __future__ import annotations
 
 import abc
-import time
 from typing import Callable, Dict, List, Union
 
 from ..analysis.buffers import buffer_bounds
@@ -218,24 +217,16 @@ class SimulationBackend(EvaluationBackend):
         max_iterations: int = 30,
         analysis_run: RunResult = None,
         sim_context=None,
-        engine: str = "kernel",
         faults=None,
     ) -> RunResult:
         # ``sim_context`` is a compiled repro.sim.kernel.SimContext for
         # this (system, config, schedule) triple — a Session passes its
         # cached one so repeated simulations of a configuration skip the
-        # compile.  ``engine`` selects the compiled kernel (default) or
-        # the pre-kernel event-by-event engine ("legacy", kept for
-        # parity testing and A/B benchmarks).  ``faults`` injects the
-        # spec's seeded fault processes into the replay (and, through
-        # the analysis pass, its modeled subset into the bounds); a
-        # caller-supplied ``analysis_run`` must have been produced
-        # under the same fault spec (Session.simulate guarantees this).
-        if engine not in ("kernel", "legacy"):
-            raise ConfigurationError(
-                f"unknown simulation engine {engine!r} "
-                "(choose 'kernel' or 'legacy')"
-            )
+        # compile.  ``faults`` injects the spec's seeded fault processes
+        # into the replay (and, through the analysis pass, its modeled
+        # subset into the bounds); a caller-supplied ``analysis_run``
+        # must have been produced under the same fault spec
+        # (Session.simulate guarantees this).
         try:
             fault_spec = FaultSpec.coerce(faults)
         except ConfigurationError as exc:
@@ -264,47 +255,27 @@ class SimulationBackend(EvaluationBackend):
             )
         fault_counters = None
         try:
-            if engine == "legacy":
-                from ..sim.engine import LegacySimulator
+            from ..sim.kernel import SimContext
 
-                started = time.perf_counter()
-                legacy = LegacySimulator(
-                    system,
-                    config,
-                    base.analysis.schedule,
-                    periods=periods,
-                    execution=execution,
-                    faults=fault_spec,
+            if sim_context is None:
+                sim_context = SimContext(
+                    system, config, base.analysis.schedule
                 )
-                trace = legacy.run()
-                sim_profile = {
-                    "engine": "legacy",
-                    "replay_s": time.perf_counter() - started,
+            # The compile cost belongs to the run that first uses the
+            # template (whether the backend or a Session compiled it);
+            # replays of a reused template paid none.
+            first_use = sim_context.stats.replays == 0
+            trace = sim_context.run(
+                periods=periods, execution=execution, faults=fault_spec
+            )
+            sim_profile = sim_context.profile()
+            if not first_use:
+                sim_profile["compile_s"] = 0.0
+            if fault_spec is not None:
+                fault_counters = {
+                    key: sim_context.last_replay.get(key, 0)
+                    for key in ("can_errors", "babble_frames")
                 }
-                if legacy.fault_runtime is not None:
-                    fault_counters = legacy.fault_runtime.summary()
-            else:
-                from ..sim.kernel import SimContext
-
-                if sim_context is None:
-                    sim_context = SimContext(
-                        system, config, base.analysis.schedule
-                    )
-                # The compile cost belongs to the run that first uses
-                # the template (whether the backend or a Session
-                # compiled it); replays of a reused template paid none.
-                first_use = sim_context.stats.replays == 0
-                trace = sim_context.run(
-                    periods=periods, execution=execution, faults=fault_spec
-                )
-                sim_profile = sim_context.profile()
-                if not first_use:
-                    sim_profile["compile_s"] = 0.0
-                if fault_spec is not None:
-                    fault_counters = {
-                        key: sim_context.last_replay.get(key, 0)
-                        for key in ("can_errors", "babble_frames")
-                    }
         except (SimulationError, ConfigurationError) as exc:
             return RunResult(
                 backend=self.name, config=config, error=str(exc)

@@ -475,7 +475,6 @@ class Session:
 
         if (
             "sim_context" in options
-            or options.get("engine", "kernel") != "kernel"
             or not isinstance(resolved, SimulationBackend)
             or not _accepts_option(resolved, "sim_context")
         ):
@@ -660,6 +659,45 @@ class Session:
             config.offsets = cached.config.offsets.copy()
         return self._snapshot(cached, config)
 
+    def _compute(
+        self,
+        resolved: EvaluationBackend,
+        config: SystemConfiguration,
+        options: Dict[str, Any],
+        config_h: Optional[str],
+    ) -> RunResult:
+        """One backend call: the cache-miss path of every evaluation.
+
+        Injects the session kernel (and, when ``config_h`` is given, the
+        cached simulation template), runs the backend, and accounts for
+        it in :meth:`cache_info` and, with obs on, in the
+        ``session.evaluate`` span and the ``repro_session_backend_*``
+        metrics.
+        """
+        self._misses += 1
+        run_options = self._with_kernel(resolved, config, options)
+        if config_h is not None:
+            run_options = self._with_sim_context(
+                resolved, config, run_options, config_h
+            )
+        started = time.perf_counter()
+        if _obs_state.enabled:
+            name = getattr(resolved, "name", type(resolved).__name__)
+            labels = (("backend", name),)
+            with _obs_trace.span("session.evaluate", backend=name):
+                run = resolved.run(self.system, config, **run_options)
+            _obs_metrics.inc("repro_session_backend_calls_total", labels)
+            _obs_metrics.observe(
+                "repro_session_backend_seconds",
+                time.perf_counter() - started,
+                labels,
+            )
+        else:
+            run = resolved.run(self.system, config, **run_options)
+        self._analysis_time += time.perf_counter() - started
+        self.backend_calls += 1
+        return run
+
     # -- single evaluation --------------------------------------------------
 
     def evaluate(
@@ -701,33 +739,10 @@ class Session:
             # caching one for a configuration evaluated once would be
             # pure overhead.
             key = None
-        self._misses += 1
-        resolved = get_backend(backend)
-        run_options = self._with_kernel(resolved, config, options)
-        if key is not None:
-            run_options = self._with_sim_context(
-                resolved, config, run_options, key[2]
-            )
-        started = time.perf_counter()
-        if _obs_state.enabled:
-            backend_name = getattr(resolved, "name", str(backend))
-            with _obs_trace.span(
-                "session.evaluate", backend=backend_name
-            ):
-                run = resolved.run(self.system, config, **run_options)
-            _obs_metrics.inc(
-                "repro_session_backend_calls_total",
-                (("backend", backend_name),),
-            )
-            _obs_metrics.observe(
-                "repro_session_backend_seconds",
-                time.perf_counter() - started,
-                (("backend", backend_name),),
-            )
-        else:
-            run = resolved.run(self.system, config, **run_options)
-        self._analysis_time += time.perf_counter() - started
-        self.backend_calls += 1
+        run = self._compute(
+            get_backend(backend), config, options,
+            None if key is None else key[2],
+        )
         if memoize:
             # Store-addressable provenance: the configuration hash rides
             # in the record so optimizer results (and serialized JSON)
@@ -796,35 +811,11 @@ class Session:
         else:
             runs = None
         if runs is None:
-            runs = []
             resolved = get_backend(backend)
-            for key, config in reps:
-                self._misses += 1
-                run_options = self._with_kernel(resolved, config, options)
-                run_options = self._with_sim_context(
-                    resolved, config, run_options, key[2]
-                )
-                started = time.perf_counter()
-                if _obs_state.enabled:
-                    backend_name = getattr(
-                        resolved, "name", str(backend)
-                    )
-                    with _obs_trace.span(
-                        "session.evaluate", backend=backend_name
-                    ):
-                        runs.append(resolved.run(
-                            self.system, config, **run_options
-                        ))
-                    _obs_metrics.inc(
-                        "repro_session_backend_calls_total",
-                        (("backend", backend_name),),
-                    )
-                else:
-                    runs.append(
-                        resolved.run(self.system, config, **run_options)
-                    )
-                self._analysis_time += time.perf_counter() - started
-                self.backend_calls += 1
+            runs = [
+                self._compute(resolved, config, options, key[2])
+                for key, config in reps
+            ]
 
         for (key, _), run in zip(reps, runs):
             if memoize:

@@ -21,8 +21,7 @@ Commands
 
 ``simulate``
     Synthesize (or load) a configuration and execute the discrete-event
-    simulator (the compiled kernel by default, ``--engine legacy`` for
-    the pre-kernel engine), reporting observed-vs-bound values;
+    simulator (the compiled kernel), reporting observed-vs-bound values;
     ``--stats`` adds compile/replay timings and events/sec plus the
     session's kernel counters.
 
@@ -272,8 +271,7 @@ def _session_stats_payload(session: Session) -> dict:
     """The unified ``--stats`` JSON shape of a session-backed command.
 
     One schema (``repro.obs.metrics.stats_snapshot``) across analyze/
-    simulate/conform/explore; the historical ``session_stats`` key stays
-    next to it for one deprecation cycle.
+    simulate/conform/explore, under the payload's ``stats`` key.
     """
     from .obs.metrics import stats_snapshot
 
@@ -386,7 +384,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if validation is not None:
             payload["validation"] = validation
         if args.stats:
-            payload["session_stats"] = session.cache_info()._asdict()
             payload["stats"] = _session_stats_payload(session)
         print(json.dumps(payload, indent=2))
         return 0 if run.schedulable else 1
@@ -506,7 +503,6 @@ def _cmd_conform(args: argparse.Namespace) -> int:
         processes_per_node=args.processes_per_node,
         shrink=not args.no_shrink,
         fixture_dir=args.out,
-        engine=args.engine,
         faults=_parse_faults(args.faults),
         clusters=args.clusters,
         gateways=args.gateways,
@@ -590,15 +586,10 @@ def _render_conform_report(args: argparse.Namespace, spec, report) -> int:
         print(f"  per-phase: generate {profile['generate_s']:.2f} s, "
               f"analyze {profile['analyze_s']:.2f} s, "
               f"simulate {profile['simulate_s']:.2f} s")
-        if profile["sim_events"]:
-            print(f"  sim kernel: compile {profile['sim_compile_s']:.2f} s, "
-                  f"replay {profile['sim_replay_s']:.2f} s, "
-                  f"{profile['sim_events']} events "
-                  f"({profile['events_per_s']:,.0f} events/s)")
-        else:
-            # The legacy engine reports no event counters — don't print
-            # a misleading "0 events" line for --engine legacy runs.
-            print(f"  sim engine: {spec.engine}")
+        print(f"  sim kernel: compile {profile['sim_compile_s']:.2f} s, "
+              f"replay {profile['sim_replay_s']:.2f} s, "
+              f"{profile['sim_events']} events "
+              f"({profile['events_per_s']:,.0f} events/s)")
     if report.clean:
         verdict = "CLEAN"
     elif report.violating:
@@ -634,16 +625,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = session.synthesize().config
     faults = _parse_faults(args.faults)
     sim_options = {} if faults is None else {"faults": faults}
-    run = session.simulate(
-        config, periods=args.periods, engine=args.engine, **sim_options
-    )
+    run = session.simulate(config, periods=args.periods, **sim_options)
     if args.format == "json":
         # The RunResult record already carries the engine counters in
         # metadata["sim"]; --stats adds the session's cache/kernel/store
         # statistics so dashboards can scrape one payload.
         payload = run_result_to_dict(run)
         if args.stats:
-            payload["session_stats"] = session.cache_info()._asdict()
             payload["stats"] = _session_stats_payload(session)
         print(json.dumps(payload, indent=2))
         if not run.feasible:
@@ -1232,11 +1220,6 @@ def build_parser() -> argparse.ArgumentParser:
              "already machine-readable in the report's 'profile' key",
     )
     conf.add_argument(
-        "--engine", choices=["kernel", "legacy"], default="kernel",
-        help="simulation engine: the compiled kernel (default) or the "
-             "pre-kernel event-by-event engine (A/B benchmarking)",
-    )
-    conf.add_argument(
         "--server", default=None,
         help="evaluation-service URL: run the campaign through "
              "`repro serve` (no fixtures are produced server-side)",
@@ -1271,14 +1254,9 @@ def build_parser() -> argparse.ArgumentParser:
              "events/sec) and the session's kernel counters",
     )
     sim.add_argument(
-        "--engine", choices=["kernel", "legacy"], default="kernel",
-        help="simulation engine: the compiled kernel (default) or the "
-             "pre-kernel event-by-event engine",
-    )
-    sim.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="output format (json emits the RunResult record; with "
-             "--stats it gains a session_stats key)",
+             "--stats it gains a stats key)",
     )
     sim.add_argument(
         "--store", default=None,

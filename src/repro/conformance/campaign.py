@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.session import Session
 from ..buses.ttp import Slot, TTPBusConfig
-from ..exceptions import ReproError
+from ..exceptions import ConfigurationError, ReproError
 from ..model.configuration import SystemConfiguration
 from ..optim.hopa import hopa_priorities
 from ..optim.slots import default_capacities
@@ -90,9 +90,6 @@ class CampaignSpec:
     gateway_messages: Tuple[int, ...] = (2, 4, 8)
     shrink: bool = True
     fixture_dir: Optional[str] = None
-    #: Simulation engine: the compiled kernel (default) or the
-    #: pre-kernel event-by-event engine ("legacy", for A/B benchmarks).
-    engine: str = "kernel"
     #: Optional fault spec injected into every seed, normalized to the
     #: canonical JSON string of :meth:`repro.faults.FaultSpec.canonical`
     #: (``None`` = fault-free).  A *modeled-only* spec keeps the full
@@ -151,7 +148,6 @@ class CampaignSpec:
             "gateway_messages": list(self.gateway_messages),
             "shrink": self.shrink,
             "fixture_dir": self.fixture_dir,
-            "engine": self.engine,
             "faults": self.faults,
             "clusters": self.clusters,
             "gateways": self.gateways,
@@ -161,6 +157,15 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
         kwargs = dict(data)
+        # Campaigns once carried a simulation-engine choice; the
+        # compiled kernel is now the only engine.  Dicts naming it
+        # still load, anything else is refused rather than ignored.
+        named = kwargs.pop("engine", "kernel")
+        if named != "kernel":
+            raise ConfigurationError(
+                f"unknown simulation engine {named!r}: the compiled "
+                "kernel is the only engine"
+            )
         if "utilizations" in kwargs:
             kwargs["utilizations"] = tuple(kwargs["utilizations"])
         if "gateway_messages" in kwargs:
@@ -354,7 +359,6 @@ def evaluate_workload(
     periods: int = 3,
     rounds_per_period: int = 10,
     config: Optional[SystemConfiguration] = None,
-    engine: str = "kernel",
     faults=None,
 ) -> Tuple[str, List[ConformanceViolation], Optional[str], Dict[str, float]]:
     """Analyse + simulate one workload and classify the outcome.
@@ -404,7 +408,7 @@ def evaluate_workload(
     started = time.perf_counter()
     run = session.evaluate(
         config, backend="simulation", memoize=False, periods=periods,
-        analysis_run=analysis, engine=engine, **sim_options,
+        analysis_run=analysis, **sim_options,
     )
     profile["simulate_s"] = time.perf_counter() - started
     if not run.feasible:
@@ -422,7 +426,7 @@ def evaluate_workload(
         started = time.perf_counter()
         second = session.evaluate(
             config, backend="simulation", memoize=False, periods=periods,
-            analysis_run=analysis, engine=engine, **sim_options,
+            analysis_run=analysis, **sim_options,
         )
         profile["determinism_s"] = time.perf_counter() - started
         if not second.feasible:
@@ -467,7 +471,6 @@ def _evaluate_seed_impl(spec: CampaignSpec, seed: int) -> SeedOutcome:
         periods=spec.periods,
         rounds_per_period=spec.rounds_per_period,
         config=config,
-        engine=spec.engine,
         faults=spec.faults,
     )
     profile["generate_s"] = generate_s
@@ -517,17 +520,14 @@ def _pin_counterexample(
     # still bit-exact.
     shrunk = spec.shrink and config is None
     if shrunk:
-        # Shrink under the same engine the violation was observed on:
-        # an engine-divergence counterexample (--engine legacy A/B runs)
-        # must not be re-validated on the other engine.  The same goes
-        # for the fault spec — a fault-found violation must persist
-        # under the same seeded injection at every reduction step.
+        # Shrink under the same fault spec: a fault-found violation
+        # must persist under the same seeded injection at every
+        # reduction step.
         system, violations = shrink_counterexample(
             system,
             violations,
             periods=spec.periods,
             rounds_per_period=spec.rounds_per_period,
-            engine=spec.engine,
             faults=spec.faults,
         )
     path = Path(spec.fixture_dir) / f"seed{seed}.json"

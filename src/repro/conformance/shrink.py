@@ -74,25 +74,22 @@ def _without_process(graph: ProcessGraph, victim: str) -> Optional[ProcessGraph]
 
 
 def _still_violates(
-    system: System, periods: int, rounds_per_period: int,
-    engine: str = "kernel", faults=None,
+    system: System, periods: int, rounds_per_period: int, faults=None,
 ) -> Optional[List[ConformanceViolation]]:
     """Violations of the reduced system, ``None`` when it became clean.
 
     A reduction that makes the system unschedulable, unanalysable or
     structurally invalid does not preserve the counterexample either.
-    ``engine`` must be the engine the campaign observed the violation
-    on — shrinking an engine-divergence counterexample under the other
-    engine would reject every reduction (or worse, keep the wrong one).
-    ``faults`` likewise: a fault-found violation is re-validated under
-    the same seeded injection at every step.
+    ``faults`` must be the spec the campaign observed the violation
+    under: a fault-found violation is re-validated under the same
+    seeded injection at every step.
     """
     from .campaign import evaluate_workload
 
     try:
         status, violations, _error, _profile = evaluate_workload(
             system, periods=periods, rounds_per_period=rounds_per_period,
-            engine=engine, faults=faults,
+            faults=faults,
         )
     except ReproError:
         return None
@@ -104,7 +101,6 @@ def shrink_counterexample(
     violations: List[ConformanceViolation],
     periods: int = 3,
     rounds_per_period: int = 10,
-    engine: str = "kernel",
     faults=None,
 ) -> Tuple[System, List[ConformanceViolation]]:
     """Greedily minimize a violating workload (see module docstring).
@@ -129,7 +125,7 @@ def shrink_counterexample(
             except ReproError:
                 continue
             found = _still_violates(
-                candidate, periods, rounds_per_period, engine, faults
+                candidate, periods, rounds_per_period, faults
             )
             if found is not None:
                 current = candidate
@@ -155,7 +151,7 @@ def shrink_counterexample(
                 except ReproError:
                     continue
                 found = _still_violates(
-                    candidate, periods, rounds_per_period, engine, faults
+                    candidate, periods, rounds_per_period, faults
                 )
                 if found is not None:
                     current = candidate

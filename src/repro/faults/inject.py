@@ -1,13 +1,13 @@
-"""Runtime fault state shared by both simulation engines.
+"""Runtime fault state of a simulation run.
 
 A :class:`FaultRuntime` is instantiated once per simulation run from a
 :class:`~repro.faults.spec.FaultSpec` and consumed *sequentially* by the
-engine: the CAN bus is a single serial resource, so transmissions start
-in one global order and the error-process pointer advances
-monotonically.  Because both engines serialize bus activity the same
-way, sharing this one object (and the seeded ``stable_unit`` stream)
-gives bit-for-bit fault parity between the compiled kernel and the
-legacy event simulator.
+compiled simulation kernel: the CAN bus is a single serial resource, so
+transmissions start in one global order and the error-process pointer
+advances monotonically.  The pre-kernel event simulator kept as the
+parity oracle (``tests/oracles``) serializes bus activity the same way
+and consumes the same object (and the seeded ``stable_unit`` stream),
+which is what makes fault traces bit-for-bit comparable.
 """
 
 from __future__ import annotations

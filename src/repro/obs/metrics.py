@@ -215,9 +215,9 @@ def stats_snapshot(
 
     ``kind`` names the producer (``session`` / ``campaign`` / ``sweep``
     / ``serve``); ``counters`` are monotonic tallies, ``timings`` are
-    seconds, ``derived`` are ratios/rates.  Old ad-hoc keys
-    (``session_stats``, ``profile``) stay in the payloads next to this
-    for one deprecation cycle.
+    seconds, ``derived`` are ratios/rates.  It is the only stats shape:
+    the ad-hoc ``session_stats`` key is gone, and a campaign report's
+    ``profile`` is part of the report record itself.
     """
     return {
         "format": STATS_FORMAT,

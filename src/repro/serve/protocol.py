@@ -83,9 +83,9 @@ SEED_KIND = "conformseed"
 #: (placement), ``campaign``/``seed0`` (range), ``fixture_dir`` and
 #: ``shrink`` (reporting) deliberately do not key — the same seed under
 #: the same semantics must hit the same record however it is batched.
-#: ``faults`` folds in only when set (see :func:`seed_key`), so every
-#: fault-free seed record keyed before fault injection existed stays
-#: addressable.
+#: ``engine`` is a fixed literal: campaigns once chose a simulation
+#: engine, the compiled kernel is the only one left, and the literal
+#: keeps every seed record keyed before then addressable.
 _SEED_KEY_FIELDS = (
     "nodes",
     "processes_per_node",
@@ -93,7 +93,17 @@ _SEED_KEY_FIELDS = (
     "rounds_per_period",
     "utilizations",
     "gateway_messages",
-    "engine",
+)
+_SEED_KEY_FIXED = {"engine": "kernel"}
+#: Fields that fold into a seed key only when they differ from these
+#: canonical defaults, so every record keyed before fault injection and
+#: general topologies existed stays addressable (the rule explore cell
+#: keys follow too).
+_SEED_KEY_DEFAULTS = (
+    ("faults", None),
+    ("clusters", 2),
+    ("gateways", 1),
+    ("route_strategy", "default"),
 )
 
 
@@ -136,11 +146,15 @@ def seed_key(spec_dict: Dict[str, Any], seed: int) -> str:
     """Store address of one conformance seed outcome.
 
     A campaign's fault spec (the canonical ``faults`` string of
-    :class:`repro.conformance.campaign.CampaignSpec`) joins the key
-    only when set: null specs key exactly like pre-fault campaigns.
+    :class:`repro.conformance.campaign.CampaignSpec`) and its topology
+    axes join the key only when they differ from the defaults: a
+    fault-free canonical campaign keys exactly like one from before
+    those fields existed.
     """
     semantics = {name: spec_dict[name] for name in _SEED_KEY_FIELDS}
-    faults = spec_dict.get("faults")
-    if faults:
-        semantics["faults"] = faults
+    semantics.update(_SEED_KEY_FIXED)
+    for name, default in _SEED_KEY_DEFAULTS:
+        value = spec_dict.get(name, default)
+        if value != default:
+            semantics[name] = value
     return content_key(["conform-seed", semantics, seed])

@@ -1,25 +1,19 @@
 """Discrete-event simulation of the two-cluster platform (validation).
 
-Two engines share one trace contract: :class:`Simulator` wraps the
-compiled kernel (:mod:`repro.sim.kernel`) and is the default;
-:func:`legacy_simulate` runs the pre-kernel event-by-event engine kept
-as the parity baseline (``tests/test_sim_parity.py``).
+:class:`Simulator` / :func:`simulate` run the compiled kernel
+(:mod:`repro.sim.kernel`): a :class:`SimContext` compiles a system's
+static timeline once and replays it per run.
 """
 
-from .engine import LegacySimulator, Simulator, legacy_simulate, simulate
-from .events import EventQueue
-from .kernel import SimContext, SimStats, compiled_simulate
+from .engine import Simulator, simulate
+from .kernel import SimContext, SimStats
 from .trace import ScheduleViolation, SimulationTrace
 
 __all__ = [
-    "EventQueue",
-    "LegacySimulator",
     "ScheduleViolation",
     "SimContext",
     "SimStats",
     "SimulationTrace",
     "Simulator",
-    "compiled_simulate",
-    "legacy_simulate",
     "simulate",
 ]

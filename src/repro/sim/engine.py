@@ -19,7 +19,9 @@ The simulator is the reproduction's substitute for the paper's hardware
 platform (see DESIGN.md): analysis bounds are validated by dominance over
 simulated traces.  It is deterministic; execution times default to the
 WCETs (the regime in which the offset-based analysis promises dominance)
-and can be scaled per activation for robustness experiments.
+and can be scaled per activation for robustness experiments.  The
+implementation is the compiled kernel (:mod:`repro.sim.kernel`); this
+module is its entry point.
 
 Restrictions (asserted): all graphs share one period, and that period is
 an integer multiple of the TDMA round length, so the static schedule and
@@ -28,21 +30,15 @@ the TDMA grid tile the timeline consistently.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Optional
 
-from ..exceptions import SimulationError
-from ..model.architecture import MessageRoute
 from ..model.configuration import SystemConfiguration
 from ..schedule.schedule_table import StaticSchedule
-from ..semantics import dispatch_respects_arrival, gateway_transfer_delay
 from ..system import System
-from .events import EventQueue, ORDER_BUS, ORDER_DELIVER, ORDER_DISPATCH
 from .kernel import SimContext
-from .trace import ScheduleViolation, SimulationTrace
+from .trace import SimulationTrace
 
-__all__ = ["LegacySimulator", "Simulator", "legacy_simulate", "simulate"]
+__all__ = ["Simulator", "simulate"]
 
 ExecutionModel = Callable[[str, int], float]
 
@@ -50,12 +46,11 @@ ExecutionModel = Callable[[str, int], float]
 class Simulator:
     """Deterministic discrete-event simulation of the platform.
 
-    Since the compiled kernel landed this class is a thin wrapper over
-    :class:`repro.sim.kernel.SimContext`: construction compiles (or
-    adopts) a context, :meth:`run` replays it.  The pre-kernel
-    event-by-event engine survives as :class:`LegacySimulator` /
-    :func:`legacy_simulate` and the two are trace-parity-tested against
-    each other (``tests/test_sim_parity.py``).
+    A thin wrapper over :class:`repro.sim.kernel.SimContext`:
+    construction compiles (or adopts) a context, :meth:`run` replays
+    it.  The pre-kernel event-by-event engine lives on as a test oracle
+    (``tests/oracles``) that the kernel is trace-parity-tested against
+    (``tests/test_sim_parity.py``).
 
     Parameters
     ----------
@@ -109,671 +104,6 @@ class Simulator:
         )
 
 
-class _Job:
-    """One activation of an ET process on a node CPU."""
-
-    __slots__ = (
-        "name", "instance", "remaining", "priority", "release",
-        "last_resume", "version",
-    )
-
-    def __init__(
-        self, name: str, instance: int, remaining: float, priority: int,
-        release: float,
-    ) -> None:
-        self.name = name
-        self.instance = instance
-        self.remaining = remaining
-        self.priority = priority
-        self.release = release
-        self.last_resume = 0.0
-        self.version = 0
-
-
-class _EtCpu:
-    """Preemptive fixed-priority scheduler of one ET node."""
-
-    def __init__(self, sim: "LegacySimulator", node: str) -> None:
-        self.sim = sim
-        self.node = node
-        self.running: Optional[_Job] = None
-        self.ready: List[Tuple[int, int, _Job]] = []
-        self._seq = 0
-
-    def activate(self, job: _Job) -> None:
-        queue = self.sim.events
-        if self.running is None:
-            # Go through the ready queue even on an idle CPU: a job
-            # activated from a completion callback (same-node successor)
-            # must not jump ahead of higher-priority jobs already
-            # waiting — the scheduler always runs the highest-priority
-            # ready job, never the most recently released one.
-            self._push(job)
-            self._dispatch_next()
-            return
-        if job.priority < self.running.priority:
-            # Preempt: bank the progress of the running job.  The running
-            # job's priority is <= every ready job's, so the preemptor is
-            # the new highest-priority job and may start directly.
-            current = self.running
-            current.remaining -= queue.now - current.last_resume
-            current.version += 1
-            self._push(current)
-            self._start(job)
-        else:
-            self._push(job)
-
-    def _push(self, job: _Job) -> None:
-        self._seq += 1
-        heapq.heappush(self.ready, (job.priority, self._seq, job))
-
-    def _start(self, job: _Job) -> None:
-        queue = self.sim.events
-        self.running = job
-        job.last_resume = queue.now
-        version = job.version
-        queue.schedule(
-            queue.now + job.remaining, lambda: self._complete(job, version)
-        )
-
-    def _complete(self, job: _Job, version: int) -> None:
-        if self.running is not job or job.version != version:
-            return  # stale completion (the job was preempted)
-        self.running = None
-        self.sim.on_et_completion(job)
-        self._dispatch_next()
-
-    def _dispatch_next(self) -> None:
-        if self.running is None and self.ready:
-            _prio, _seq, job = heapq.heappop(self.ready)
-            self._start(job)
-
-
-class _CanBus:
-    """One CAN bus: global priority arbitration, non-preemptive frames.
-
-    General topologies instantiate one per ET cluster; the canonical
-    system's single instance behaves exactly as before.
-    """
-
-    def __init__(self, sim: "LegacySimulator") -> None:
-        self.sim = sim
-        self.pending: List[Tuple[int, int, str, int, str, int]] = []
-        self.busy = False
-        self._seq = 0
-
-    def enqueue(
-        self, msg_name: str, instance: int, queue_name: str, leg_pos: int = 0
-    ) -> None:
-        self._seq += 1
-        priority = self.sim.config.priorities.message_priority(msg_name)
-        heapq.heappush(
-            self.pending,
-            (priority, self._seq, msg_name, instance, queue_name, leg_pos),
-        )
-        self.sim.adjust_queue(queue_name, +self.sim.msg_size[msg_name])
-        # Defer arbitration to the bus phase of this timestamp so that all
-        # messages enqueued at the same instant contend together — CAN
-        # arbitration is simultaneous, and the gateway transfer process
-        # moves a whole frame into the priority-ordered queue atomically.
-        events = self.sim.events
-        events.schedule(events.now, self.try_start, order=ORDER_BUS)
-
-    def try_start(self) -> None:
-        if self.busy or not self.pending:
-            return
-        _prio, _seq, msg_name, instance, queue_name, leg_pos = heapq.heappop(
-            self.pending
-        )
-        self.busy = True
-        events = self.sim.events
-        runtime = self.sim.fault_runtime
-        if msg_name is None:
-            # Phantom babbling-idiot frame: occupies the bus (derated,
-            # error-prone wire time like any other frame) but was never
-            # in a software queue and will deliver nothing.
-            duration = runtime.can_span(
-                events.now, runtime.babble_frame_time
-            )
-        else:
-            # The frame moves from the software queue into the CAN
-            # controller as transmission starts — mirroring the
-            # queue-size semantics of the analysis (a message occupies
-            # Out_* only while *awaiting* transmission).
-            self.sim.adjust_queue(queue_name, -self.sim.msg_size[msg_name])
-            duration = self.sim.system.can_frame_time(msg_name)
-            if runtime is not None:
-                duration = runtime.can_span(
-                    events.now, duration * runtime.bus_factor
-                )
-        events.schedule(
-            events.now + duration,
-            lambda: self._complete(msg_name, instance, leg_pos),
-        )
-
-    def _complete(
-        self, msg_name: Optional[str], instance: int, leg_pos: int
-    ) -> None:
-        self.busy = False
-        if msg_name is not None:
-            self.sim.on_can_delivery(msg_name, instance, leg_pos)
-        self.try_start()
-
-
-class LegacySimulator:
-    """The pre-kernel event-by-event engine (see module docstring).
-
-    Kept as the executable specification the compiled kernel is
-    parity-tested against: it builds per-instance closures and runs
-    every event — static and dynamic alike — through the
-    :class:`EventQueue` heap.  Use :class:`Simulator` (the compiled
-    kernel) everywhere else.
-
-    Parameters
-    ----------
-    system, config:
-        The problem instance and a *complete* configuration (offsets are
-        taken from ``schedule``).
-    schedule:
-        The static schedule produced by the multi-cluster loop for
-        ``config`` (tables + MEDL).
-    periods:
-        How many period instances to simulate.
-    execution:
-        Optional execution-time model ``(process, instance) -> time``;
-        defaults to the WCET.  Values must not exceed the WCET.
-    faults:
-        Optional :class:`repro.faults.FaultSpec`.  The same seeded
-        fault processes as the compiled kernel's — CAN
-        error/retransmission, slow nodes, slow bus, execution jitter
-        and babbling-idiot frames — so fault traces stay
-        parity-testable across engines.
-    """
-
-    def __init__(
-        self,
-        system: System,
-        config: SystemConfiguration,
-        schedule: StaticSchedule,
-        periods: int = 4,
-        execution: Optional[ExecutionModel] = None,
-        faults=None,
-    ) -> None:
-        self.system = system
-        self.config = config
-        self.schedule = schedule
-        self.periods = periods
-        periods_set = {g.period for g in system.app.graphs.values()}
-        if len(periods_set) != 1:
-            raise SimulationError(
-                "the simulator requires a common graph period; combine "
-                "graphs with repro.model.hypergraph.combine first"
-            )
-        self.hyper = periods_set.pop()
-        round_length = config.bus.round_length
-        ratio = self.hyper / round_length
-        if abs(ratio - round(ratio)) > 1e-6:
-            raise SimulationError(
-                f"graph period {self.hyper} is not a multiple of the TDMA "
-                f"round {round_length}; the cyclic schedule would drift"
-            )
-        self.rounds_per_period = int(round(ratio))
-        self.events = EventQueue()
-        self.trace = SimulationTrace()
-        self.msg_size: Dict[str, int] = {
-            m.name: m.size for m in system.app.all_messages()
-        }
-        self.fault_runtime = None
-        if faults is not None:
-            from ..faults import FaultRuntime, faulty_execution
-
-            self.fault_runtime = FaultRuntime(faults, system)
-            execution = faulty_execution(faults, system, execution)
-        self._execution = execution
-        self._queue_occupancy: Dict[str, float] = {}
-        self._cpus: Dict[str, _EtCpu] = {
-            node: _EtCpu(self, node)
-            for node in system.arch.et_node_names()
-        }
-        # Route-aware topology state: one CAN bus per ET cluster, one
-        # Out_TTP FIFO + transfer delay per gateway.  The canonical
-        # two-cluster system reduces to exactly one of each, and every
-        # event is scheduled in the same order as the pre-routing engine
-        # (trace byte-identity is regression-tested).
-        topo = system.topology
-        self._plan = system.routing_for(
-            getattr(config, "routes", None) or None
-        )
-        self._cans: Dict[str, _CanBus] = {
-            cluster: _CanBus(self) for cluster in topo.et_clusters()
-        }
-        self._gateway_set = set(system.arch.gateways())
-        self._out_ttp: Dict[str, List[Tuple[str, int]]] = {
-            g: [] for g in system.arch.gateways()
-        }
-        # AND-join bookkeeping: per (process, instance), how many inputs
-        # are still missing; when each message instance became available
-        # (for the shared dispatch-eligibility check on the TT side).
-        self._missing: Dict[Tuple[str, int], int] = {}
-        self._msg_arrival: Dict[Tuple[str, int], float] = {}
-        # Per message instance, the causal journey through the platform
-        # (producer completion, CAN delivery, FIFO entry, gateway slot):
-        # the context a ScheduleViolation is annotated with.
-        self._journey: Dict[Tuple[str, int], Dict[str, float]] = {}
-        self._transfer = {
-            g: gateway_transfer_delay(system, g)
-            for g in system.arch.gateways()
-        }
-        self._completed: Set[Tuple[str, int]] = set()
-        self._sink_left: Dict[Tuple[str, int], int] = {}
-        self._sink_latest: Dict[Tuple[str, int], float] = {}
-
-    # -- helpers -------------------------------------------------------------
-
-    def exec_time(self, proc_name: str, instance: int) -> float:
-        """Execution time of one activation (defaults to the WCET)."""
-        wcet = self.system.app.process(proc_name).wcet
-        if self._execution is None:
-            return wcet
-        value = self._execution(proc_name, instance)
-        if value > wcet + 1e-9:
-            raise SimulationError(
-                f"execution model exceeded WCET for {proc_name}: "
-                f"{value} > {wcet}"
-            )
-        return max(0.0, value)
-
-    def adjust_queue(self, queue_name: str, delta: float) -> None:
-        """Update a queue's byte occupancy and record the peak."""
-        level = self._queue_occupancy.get(queue_name, 0.0) + delta
-        self._queue_occupancy[queue_name] = level
-        self.trace.note_queue(queue_name, level)
-
-    def _note_journey(self, msg_name: str, instance: int, stage: str) -> None:
-        """Record one stage of a message instance's causal journey."""
-        log = self._journey.setdefault((msg_name, instance), {})
-        log.setdefault(stage, self.events.now)
-
-    # -- setup ---------------------------------------------------------------
-
-    def _seed_events(self) -> None:
-        app = self.system.app
-        arch = self.system.arch
-        horizon_rounds = self.rounds_per_period * self.periods
-        # TT schedule tables, every period instance.
-        for k in range(self.periods):
-            base = k * self.hyper
-            for node, entries in self.schedule.tables.items():
-                for entry in entries:
-                    self.events.schedule(
-                        base + entry.start,
-                        self._make_tt_dispatch(entry.process, k, base + entry.start),
-                        order=ORDER_DISPATCH,
-                    )
-            # ET source processes released at the period start.
-            for graph in app.graphs.values():
-                for proc_name in graph.processes:
-                    if arch.is_tt_node(app.process(proc_name).node):
-                        continue
-                    preds = graph.predecessors(proc_name)
-                    self._missing[(proc_name, k)] = len(preds)
-                    if not preds:
-                        release = base + self.system.release_of(proc_name)
-                        self.events.schedule(
-                            release,
-                            self._make_et_release(proc_name, k, release),
-                            order=ORDER_DISPATCH,
-                        )
-            # Sink bookkeeping for graph response times.
-            for graph in app.graphs.values():
-                self._sink_left[(graph.name, k)] = len(graph.sinks())
-                self._sink_latest[(graph.name, k)] = 0.0
-        # TDMA slots for the whole horizon.
-        bus = self.config.bus
-        for absolute_round in range(horizon_rounds):
-            for slot in bus.slots:
-                start = bus.slot_start(slot.node, absolute_round)
-                if slot.node in self._gateway_set:
-                    self.events.schedule(
-                        start,
-                        self._make_gateway_slot(slot.node, absolute_round),
-                        order=ORDER_BUS,
-                    )
-                else:
-                    self.events.schedule(
-                        start,
-                        self._make_ttp_slot(slot.node, absolute_round),
-                        order=ORDER_BUS,
-                    )
-        # Babbling-idiot frames: seeded last so that on an exact tie a
-        # TDMA slot (seeded above, lower sequence number) fires first —
-        # matching the kernel, where static-timeline events win ties
-        # against heap events — while dynamically scheduled arbitration
-        # (higher sequence numbers) still loses to babble.
-        runtime = self.fault_runtime
-        if runtime is not None and runtime.spec.babble_period is not None:
-            priority = runtime.spec.babble_priority
-            horizon = (self.periods + 1) * self.hyper
-            for t in runtime.babble_times(horizon):
-                self.events.schedule(
-                    t, self._make_babble(priority), order=ORDER_BUS
-                )
-
-    def _babble_bus(self) -> _CanBus:
-        """The CAN bus a babbling idiot jams (a named bus on general
-        topologies, the single bus otherwise)."""
-        target = getattr(self.fault_runtime.spec, "babble_bus", None)
-        if target is None:
-            target = self.system.topology.et_clusters()[0]
-        try:
-            return self._cans[target]
-        except KeyError:
-            raise SimulationError(
-                f"babble_bus {target!r} names no ET cluster "
-                f"(known: {sorted(self._cans)})"
-            ) from None
-
-    def _make_babble(self, priority: int):
-        def babble() -> None:
-            self.fault_runtime.babble_frames += 1
-            can = self._babble_bus()
-            can._seq += 1
-            # Phantom pending entry: ``msg_name``/``queue_name`` are
-            # None, so transmission start skips the queue bookkeeping
-            # and completion delivers nothing.
-            heapq.heappush(
-                can.pending, (priority, can._seq, None, 0, None, 0)
-            )
-            can.try_start()
-
-        return babble
-
-    # -- TT cluster ------------------------------------------------------------
-
-    def _make_tt_dispatch(self, proc_name: str, instance: int, when: float):
-        def dispatch() -> None:
-            graph = self.system.app.graph_of_process(proc_name)
-            duration = self.exec_time(proc_name, instance)
-            for pred, msg_name in graph.predecessors(proc_name):
-                if msg_name is None:
-                    continue
-                arrival = self._msg_arrival.get((msg_name, instance))
-                if not dispatch_respects_arrival(when, arrival):
-                    self.trace.violations.append(
-                        ScheduleViolation(
-                            process=proc_name,
-                            instance=instance,
-                            dispatch_time=when,
-                            missing_message=msg_name,
-                            producer=pred,
-                            consumer_slot_start=when,
-                            consumer_slot_end=when + duration,
-                            route=self.system.route(msg_name).name,
-                        )
-                    )
-            self.events.schedule(
-                when + duration, lambda: self._tt_complete(proc_name, instance)
-            )
-
-        return dispatch
-
-    def _tt_complete(self, proc_name: str, instance: int) -> None:
-        now = self.events.now
-        release = instance * self.hyper
-        self.trace.note_process(proc_name, now - release)
-        self._completed.add((proc_name, instance))
-        self._note_sink(proc_name, instance, now)
-        graph = self.system.app.graph_of_process(proc_name)
-        for _succ, msg_name in graph.successors(proc_name):
-            if msg_name is not None:
-                self._note_journey(msg_name, instance, "producer_finish")
-        # Outgoing same-node dependencies feed other TT processes; the
-        # schedule table already sequences them — nothing to trigger.
-        # Messages are transmitted by the MEDL (TTP slots), not here.
-
-    def _make_ttp_slot(self, node: str, absolute_round: int):
-        def transmit() -> None:
-            instance, base_round = divmod(absolute_round, self.rounds_per_period)
-            frame = self.schedule.medl.get((node, base_round))
-            if frame is None or instance >= self.periods:
-                return
-            end = self.config.bus.slot_end(node, absolute_round)
-            for msg_name in frame.messages:
-                self.events.schedule(
-                    end, self._make_ttp_delivery(msg_name, instance)
-                )
-
-        return transmit
-
-    def _make_ttp_delivery(self, msg_name: str, instance: int):
-        def deliver() -> None:
-            route = self.system.route(msg_name)
-            now = self.events.now
-            if route is MessageRoute.TT_TO_TT:
-                self._msg_arrival.setdefault((msg_name, instance), now)
-                self.trace.note_message(
-                    msg_name, now - instance * self.hyper
-                )
-            elif route is MessageRoute.TT_TO_ET:
-                # Arrived in the first gateway's MBI; its transfer
-                # process T copies the frame into Out_CAN after C_T.
-                leg = self._plan.legs_of(msg_name)[0]
-                bus = self._cans[leg.cluster]
-                self.events.schedule(
-                    now + self._transfer[leg.via],
-                    lambda: bus.enqueue(msg_name, instance, leg.queue, 0),
-                )
-            else:  # pragma: no cover - MEDL only carries TT-sent messages
-                raise SimulationError(
-                    f"unexpected route for MEDL message {msg_name}"
-                )
-
-        return deliver
-
-    def _make_gateway_slot(self, gateway: str, absolute_round: int):
-        def drain() -> None:
-            bus = self.config.bus
-            slot = bus.slot_of(gateway)
-            end = bus.slot_end(gateway, absolute_round)
-            budget = slot.capacity
-            fifo = self._out_ttp[gateway]
-            queue_name = self._fifo_queue_name(gateway)
-            sent: List[Tuple[str, int]] = []
-            while fifo:
-                msg_name, instance = fifo[0]
-                if self.msg_size[msg_name] > budget:
-                    break
-                budget -= self.msg_size[msg_name]
-                sent.append(fifo.pop(0))
-                # Packed into the controller's frame: leaves the FIFO now.
-                self.adjust_queue(queue_name, -self.msg_size[msg_name])
-            for msg_name, instance in sent:
-                log = self._journey.setdefault((msg_name, instance), {})
-                log.setdefault("gateway_slot_start", self.events.now)
-                log.setdefault("gateway_slot_end", end)
-                self.events.schedule(
-                    end, self._make_gateway_delivery(msg_name, instance)
-                )
-
-        return drain
-
-    def _fifo_queue_name(self, gateway: str) -> str:
-        for m in self._plan.fifo_users.get(gateway, ()):
-            leg = self._plan.fifo_leg(m)
-            if leg is not None:
-                return leg.queue
-        return "Out_TTP" if len(self._out_ttp) == 1 else f"Out_TTP@{gateway}"
-
-    def _make_gateway_delivery(self, msg_name: str, instance: int):
-        def deliver() -> None:
-            now = self.events.now
-            legs = self._plan.legs_of(msg_name)
-            pos = next(
-                i for i, leg in enumerate(legs) if leg.is_fifo
-            )
-            if pos == len(legs) - 1:
-                # Delivered to the TT destination at the slot's end.
-                self._msg_arrival.setdefault((msg_name, instance), now)
-                self.trace.note_message(
-                    msg_name, now - instance * self.hyper
-                )
-            else:
-                # Transit: every TTP controller heard the frame; the next
-                # gateway's transfer process relays it onward after C_T.
-                self._advance_leg(msg_name, instance, pos + 1)
-
-        return deliver
-
-    def _advance_leg(self, msg_name: str, instance: int, pos: int) -> None:
-        """Hand a message instance to leg ``pos`` of its route (paying
-        the entry gateway's transfer delay first)."""
-        leg = self._plan.legs_of(msg_name)[pos]
-        now = self.events.now
-        if leg.is_fifo:
-            gateway = leg.sender
-
-            def into_fifo() -> None:
-                self._note_journey(msg_name, instance, "fifo_entry")
-                self._out_ttp[gateway].append((msg_name, instance))
-                self.adjust_queue(leg.queue, +self.msg_size[msg_name])
-
-            self.events.schedule(now + self._transfer[leg.via], into_fifo)
-        else:
-            bus = self._cans[leg.cluster]
-            self.events.schedule(
-                now + self._transfer[leg.via],
-                lambda: bus.enqueue(msg_name, instance, leg.queue, pos),
-            )
-
-    # -- ET cluster ------------------------------------------------------------
-
-    def _make_et_release(self, proc_name: str, instance: int, release: float):
-        def activate() -> None:
-            self._activate_et(proc_name, instance, release)
-
-        return activate
-
-    def _activate_et(self, proc_name: str, instance: int, release: float) -> None:
-        proc = self.system.app.process(proc_name)
-        remaining = self.exec_time(proc_name, instance)
-        runtime = self.fault_runtime
-        if runtime is not None and runtime.node_factor:
-            # Same single post-model multiply as the compiled kernel
-            # (and as the analysis-side WCET derating) — exact parity.
-            remaining = remaining * runtime.speed(proc.node)
-        job = _Job(
-            name=proc_name,
-            instance=instance,
-            remaining=remaining,
-            priority=self.config.priorities.process_priority(proc_name),
-            release=release,
-        )
-        self._cpus[proc.node].activate(job)
-
-    def on_et_completion(self, job: _Job) -> None:
-        now = self.events.now
-        release = job.instance * self.hyper
-        self.trace.note_process(job.name, now - release)
-        self._completed.add((job.name, job.instance))
-        self._note_sink(job.name, job.instance, now)
-        graph = self.system.app.graph_of_process(job.name)
-        for succ, msg_name in graph.successors(job.name):
-            if msg_name is None:
-                self._input_arrived(succ, job.instance)
-            else:
-                self._note_journey(msg_name, job.instance, "producer_finish")
-                leg = self._plan.legs_of(msg_name)[0]
-                self._cans[leg.cluster].enqueue(
-                    msg_name, job.instance, leg.queue, 0
-                )
-
-    def on_can_delivery(
-        self, msg_name: str, instance: int, leg_pos: int = 0
-    ) -> None:
-        now = self.events.now
-        msg = self.system.app.message(msg_name)
-        legs = self._plan.legs_of(msg_name)
-        self._note_journey(msg_name, instance, "can_delivery")
-        if leg_pos < len(legs) - 1:
-            # More legs to go: received by the next gateway's controller;
-            # its transfer process T relays the frame onward after C_T
-            # (into a FIFO for a TT crossing, the canonical ET->TT case,
-            # or the next cluster's Out_CAN queue).
-            self._advance_leg(msg_name, instance, leg_pos + 1)
-            return
-        # Final leg: delivered to the receiving ET process.
-        self._msg_arrival.setdefault((msg_name, instance), now)
-        self.trace.note_message(msg_name, now - instance * self.hyper)
-        self._input_arrived(msg.dst, instance)
-
-    def _input_arrived(self, proc_name: str, instance: int) -> None:
-        key = (proc_name, instance)
-        missing = self._missing.get(key)
-        if missing is None:
-            return
-        missing -= 1
-        self._missing[key] = missing
-        if missing == 0:
-            self._activate_et(proc_name, instance, self.events.now)
-
-    # -- graph bookkeeping -------------------------------------------------------
-
-    def _note_sink(self, proc_name: str, instance: int, now: float) -> None:
-        graph = self.system.app.graph_of_process(proc_name)
-        if proc_name not in graph.sinks():
-            return
-        key = (graph.name, instance)
-        self._sink_latest[key] = max(self._sink_latest[key], now)
-        self._sink_left[key] -= 1
-        if self._sink_left[key] == 0:
-            release = instance * self.hyper
-            self.trace.note_graph(graph.name, self._sink_latest[key] - release)
-            self.trace.completed_instances += 1
-
-    # -- run -----------------------------------------------------------------
-
-    def _violation_context(self, violation: ScheduleViolation) -> ScheduleViolation:
-        """Annotate a violation with the message's full causal journey.
-
-        Called after the horizon has drained, so stages that happened
-        *after* the premature dispatch (the transfer window, the eventual
-        arrival) are visible too; stages the simulation never reached
-        stay ``None``.
-        """
-        key = (violation.missing_message, violation.instance)
-        log = self._journey.get(key, {})
-        return replace(
-            violation,
-            producer_finish=log.get("producer_finish"),
-            can_delivery=log.get("can_delivery"),
-            fifo_entry=log.get("fifo_entry"),
-            gateway_slot_start=log.get("gateway_slot_start"),
-            gateway_slot_end=log.get("gateway_slot_end"),
-            message_arrival=self._msg_arrival.get(key),
-        )
-
-    def run(self) -> SimulationTrace:
-        """Execute the simulation and return the trace."""
-        self._seed_events()
-        # Allow one extra period of drain time for late completions.
-        self.events.run_until((self.periods + 1) * self.hyper)
-        # Confirm the violations flagged at dispatch time against the
-        # now-complete arrival record: a frame whose delivery event
-        # landed within the shared tolerance *after* the dispatch (float
-        # skew between the schedule table and the TDMA grid, e.g.
-        # 59.999999999999986 vs 60.0) counts as present per the
-        # dispatch-eligibility contract.
-        confirmed = []
-        for violation in self.trace.violations:
-            annotated = self._violation_context(violation)
-            if not dispatch_respects_arrival(
-                annotated.dispatch_time, annotated.message_arrival
-            ):
-                confirmed.append(annotated)
-        self.trace.violations = confirmed
-        return self.trace
-
-
 def simulate(
     system: System,
     config: SystemConfiguration,
@@ -787,19 +117,4 @@ def simulate(
     return Simulator(
         system, config, schedule, periods=periods, execution=execution,
         context=context, faults=faults,
-    ).run()
-
-
-def legacy_simulate(
-    system: System,
-    config: SystemConfiguration,
-    schedule: StaticSchedule,
-    periods: int = 4,
-    execution: Optional[ExecutionModel] = None,
-    faults=None,
-) -> SimulationTrace:
-    """One run of the pre-kernel engine (the parity baseline)."""
-    return LegacySimulator(
-        system, config, schedule, periods=periods, execution=execution,
-        faults=faults,
     ).run()

@@ -28,7 +28,8 @@ What gets compiled (see DESIGN.md, "The compiled simulation kernel"):
   ``remaining``/``last_resume``/``version`` indexed by
   ``pid * periods + k``).
 
-Trace parity with the legacy engine is bit-level, which constrains the
+Trace parity with the pre-kernel event-by-event engine (kept as the
+parity oracle under ``tests/oracles``) is bit-level, which constrains the
 arithmetic: schedule-table events live on the period grid
 (``k * hyper + offset``) while TDMA events live on the round grid
 (``absolute_round * round_length + offset``), and the two only agree to
@@ -36,7 +37,7 @@ float epsilon when the round does not divide the period exactly.  Every
 static entry therefore carries its grid and the replay recomputes
 absolute instants with the legacy engine's exact association order.
 The replay merges the static pointer against the dynamic heap under the
-same ordering contract as :class:`repro.sim.events.EventQueue` (time,
+same ordering contract as the legacy engine's event queue (time,
 then DELIVER < BUS < DISPATCH, then insertion order; the static
 timeline — the seeded events of the legacy engine — wins ties against
 dynamically scheduled events, exactly as the legacy engine's lower
@@ -63,9 +64,9 @@ from ..semantics import dispatch_respects_arrival, gateway_transfer_delay
 from ..system import System
 from .trace import ScheduleViolation, SimulationTrace
 
-__all__ = ["SimContext", "SimStats", "compiled_simulate"]
+__all__ = ["SimContext", "SimStats"]
 
-#: Event ordering classes (shared values with repro.sim.events).
+#: Event ordering classes (the legacy engine's values).
 _DELIVER = 0
 _BUS = 1
 _DISPATCH = 2
@@ -1292,18 +1293,3 @@ class SimContext:
             "dynamic_events": self.last_replay.get("dynamic_events", 0),
             "events_per_s": events / replay_s if replay_s > 0 else 0.0,
         }
-
-
-def compiled_simulate(
-    system: System,
-    config: SystemConfiguration,
-    schedule: StaticSchedule,
-    periods: int = 4,
-    execution=None,
-    context: Optional[SimContext] = None,
-    faults=None,
-) -> SimulationTrace:
-    """One compiled simulation run (compiling a context unless given)."""
-    if context is None:
-        context = SimContext(system, config, schedule)
-    return context.run(periods=periods, execution=execution, faults=faults)

@@ -146,14 +146,6 @@ class _Skeleton:
         self.structure = structure
         self.mapping: Dict[int, str] = mapping
 
-    def cross_arcs(self, is_tt) -> int:
-        """Number of arcs whose endpoints sit in different clusters."""
-        count = 0
-        for src, dst in self.structure[1]:
-            if is_tt(self.mapping[src]) != is_tt(self.mapping[dst]):
-                count += 1
-        return count
-
 
 def _steer_gateway_traffic(
     skeletons: List[_Skeleton],
@@ -171,8 +163,8 @@ def _steer_gateway_traffic(
     ``current + degree - 2 * crossing_incident`` — no rescan of any arc
     list.  The decision sequence (and therefore the generated workload)
     is bit-identical to the original full-scan implementation, which
-    survives as :func:`_steer_gateway_traffic_scan` for the benchmark
-    baseline and the equivalence test.
+    survives as a test oracle (``tests/oracles``) for the equivalence
+    test.
     """
     is_tt = arch.is_tt_node
     tt_nodes = arch.tt_node_names()
@@ -231,45 +223,6 @@ def _steer_gateway_traffic(
             skeleton.mapping[index] = other
             skeleton_bits[index] = not bit
             current = new_total
-
-
-def _steer_gateway_traffic_scan(
-    skeletons: List[_Skeleton],
-    arch: Architecture,
-    target: int,
-    rng: random.Random,
-    max_flips: int = 2000,
-) -> None:
-    """The original O(arcs)-per-flip steering (kept as the reference).
-
-    Exists only for ``benchmarks/run_bench.py`` (the pre-kernel campaign
-    baseline) and ``tests/test_workload.py``'s equivalence check; the
-    production path is the incremental :func:`_steer_gateway_traffic`.
-    """
-    is_tt = arch.is_tt_node
-    tt_nodes = arch.tt_node_names()
-    et_nodes = arch.et_node_names()
-
-    def total() -> int:
-        return sum(s.cross_arcs(is_tt) for s in skeletons)
-
-    for _ in range(max_flips):
-        current = total()
-        if current == target:
-            return
-        skeleton = rng.choice(skeletons)
-        index = rng.randrange(skeleton.size)
-        node = skeleton.mapping[index]
-        other = rng.choice(et_nodes if is_tt(node) else tt_nodes)
-        before = skeleton.cross_arcs(is_tt)
-        skeleton.mapping[index] = other
-        after = skeleton.cross_arcs(is_tt)
-        new_total = current - before + after
-        # Keep the flip only if it moves the count toward the target
-        # without overshooting further than the old distance.
-        if abs(new_total - target) < abs(current - target):
-            continue
-        skeleton.mapping[index] = node  # revert
 
 
 def _scale_to_utilization(
@@ -358,7 +311,7 @@ def seeded_routes(system: System, spec: WorkloadSpec):
     ``greedy`` delegates to :func:`repro.optim.routing.greedy_routes`;
     ``random`` picks per message among its candidate routes with a
     :func:`repro.faults.stable_unit` draw keyed by the workload seed —
-    process-stable, so both engines, every worker and every replay see
+    process-stable, so every engine, every worker and every replay see
     the same assignment.  Only non-default decisions are returned.
     """
     if spec.route_strategy == "default":

@@ -1,0 +1,27 @@
+"""Reference oracles: the pre-kernel implementations, kept for parity.
+
+The shipped package has one analysis kernel and one simulation kernel.
+The implementations they replaced live here, unchanged, as executable
+specifications the parity and identity suites compare against:
+
+* :func:`legacy_response_time_analysis` — the holistic analysis that
+  recompiles its interference structure per call;
+* :class:`LegacySimulator` / :func:`legacy_simulate` — the
+  event-by-event simulator over an :class:`EventQueue` heap;
+* :func:`steer_gateway_traffic_scan` — the full-scan workload steering.
+
+Nothing under ``src/`` imports this package.
+"""
+
+from .events import EventQueue
+from .legacy_rta import legacy_response_time_analysis
+from .legacy_sim import LegacySimulator, legacy_simulate
+from .workload_scan import steer_gateway_traffic_scan
+
+__all__ = [
+    "EventQueue",
+    "LegacySimulator",
+    "legacy_response_time_analysis",
+    "legacy_simulate",
+    "steer_gateway_traffic_scan",
+]

@@ -1,4 +1,4 @@
-"""Event queue primitives for the discrete-event simulator."""
+"""Event queue of the pre-kernel simulator (:mod:`oracles.legacy_sim`)."""
 
 from __future__ import annotations
 

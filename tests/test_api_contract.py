@@ -101,16 +101,14 @@ def test_cache_info_counts_sim_kernel_compiles_and_reuses():
     assert payload["sim_reuses"] == 1
 
 
-def test_deprecated_shims_warn_and_delegate():
+def test_deprecated_flat_aliases_are_gone():
+    """The flat ``repro.<function>`` aliases finished their deprecation
+    cycle; the functions live in their subpackages only."""
     import repro
-    from helpers import two_node_config, two_node_system
-    from repro.analysis import multi_cluster_scheduling as original
 
-    assert repro.multi_cluster_scheduling is not original
-    system = two_node_system()
-    config = two_node_config()
-    with pytest.warns(DeprecationWarning):
-        result = repro.multi_cluster_scheduling(
-            system, config.bus, config.priorities
-        )
-    assert result.converged
+    for name in (
+        "multi_cluster_scheduling", "evaluate", "optimize_schedule",
+        "optimize_resources", "simulate", "legacy_response_time_analysis",
+    ):
+        assert name not in repro.__all__
+        assert not callable(getattr(repro, name, None)), name

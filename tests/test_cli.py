@@ -160,14 +160,38 @@ class TestSimulate:
         assert "events/s" in out
         assert "sim kernel: 1 template compiles" in out
 
-    def test_legacy_engine_flag(self, system_file, config_file, capsys):
+    @pytest.mark.parametrize("command", ["simulate", "conform"])
+    def test_engine_flag_is_gone(self, system_file, command, capsys):
+        argv = [command, "--engine", "legacy"]
+        if command == "simulate":
+            argv.insert(1, str(system_file))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2  # argparse usage error
+        assert "--engine" in capsys.readouterr().err
+
+    def test_store_shared_with_session_simulate(
+        self, system_file, config_file, tmp_path, capsys
+    ):
+        """One store address per simulation: a store warmed through
+        ``Session.simulate`` serves ``repro simulate --store``."""
+        from repro.api import Session
+        from repro.io.serialize import config_from_dict
+
+        store = tmp_path / "store"
+        session = Session.from_file(system_file, store=store)
+        config = config_from_dict(json.loads(config_file.read_text()))
+        session.simulate(config, periods=2)
+        assert session.cache_info().store_writes >= 1
         code = main([
             "simulate", str(system_file), "--config", str(config_file),
-            "--periods", "2", "--engine", "legacy", "--stats",
+            "--periods", "2", "--store", str(store),
+            "--stats", "--format", "json",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "engine: legacy" in out
+        data = json.loads(capsys.readouterr().out)
+        assert data["stats"]["counters"]["backend_calls"] == 0
+        assert data["stats"]["counters"]["store_hits"] >= 1
 
 
 class TestJsonFormat:
@@ -267,7 +291,8 @@ class TestStatsJson:
         ])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        stats = data["session_stats"]
+        assert "session_stats" not in data
+        stats = data["stats"]["counters"]
         assert stats["backend_calls"] == 1
         assert {"hits", "misses", "kernel_compiles", "store_hits",
                 "store_writes"} <= set(stats)
@@ -282,7 +307,7 @@ class TestStatsJson:
         assert data["backend"] == "simulation"
         assert data["metadata"]["sim"]["engine"] == "kernel"
         assert data["metadata"]["sim"]["events"] > 0
-        assert data["session_stats"]["sim_compiles"] == 1
+        assert data["stats"]["counters"]["sim_compiles"] == 1
 
     def test_simulate_json_without_stats(
         self, system_file, config_file, capsys
@@ -293,7 +318,7 @@ class TestStatsJson:
         ])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
-        assert "session_stats" not in data
+        assert "stats" not in data
         assert data["metadata"]["violations"] == 0
 
     def test_conform_stats_json_carries_profile(self, capsys):
@@ -340,21 +365,19 @@ class TestStatsJson:
             "--store", store, "--stats", "--format", "json",
         ]) == 0
         cold = json.loads(capsys.readouterr().out)
-        assert cold["session_stats"]["store_writes"] == 1
+        assert cold["stats"]["counters"]["store_writes"] == 1
         assert main([
             "analyze", str(system_file), str(config_file),
             "--store", store, "--stats", "--format", "json",
         ]) == 0
         warm = json.loads(capsys.readouterr().out)
-        assert warm["session_stats"]["store_hits"] == 1
-        assert warm["session_stats"]["backend_calls"] == 0
-        # The unified snapshot rides next to the legacy key.
         assert warm["stats"]["format"] == "repro-stats-v1"
         assert warm["stats"]["counters"]["store_hits"] == 1
-        # Bit-identical record across processes-worth of sessions
-        # (both stats shapes carry wall-times and are stripped).
+        assert warm["stats"]["counters"]["backend_calls"] == 0
+        # Bit-identical record across processes-worth of sessions (the
+        # stats carry wall-times and are stripped).
         for payload in (cold, warm):
-            payload.pop("session_stats"); payload.pop("stats")
+            payload.pop("stats")
         assert cold == warm
 
 

@@ -25,6 +25,7 @@ from repro.conformance import (
     shrink_counterexample,
 )
 from repro.conformance.classify import ConformanceViolation
+from repro.exceptions import ConfigurationError
 from repro.semantics import (
     dispatch_respects_arrival,
     fifo_competitors,
@@ -186,11 +187,15 @@ class TestCampaignProfile:
         # Outcome records stay deterministic: no timings inside.
         assert "profile" not in payload["outcomes"][0]
 
-    def test_legacy_engine_campaign_still_clean(self):
-        report = run_campaign(
-            CampaignSpec(campaign=5, seed0=0, engine="legacy")
-        )
-        assert report.clean
+    def test_engine_field_accepts_kernel_rejects_legacy(self):
+        """Campaign dicts from before the engine option was retired
+        still load when they name the kernel; any other engine fails
+        loudly instead of silently running the kernel."""
+        data = {**CampaignSpec(campaign=5).to_dict(), "engine": "kernel"}
+        assert CampaignSpec.from_dict(data) == CampaignSpec(campaign=5)
+        assert "engine" not in CampaignSpec().to_dict()
+        with pytest.raises(ConfigurationError, match="legacy"):
+            CampaignSpec.from_dict({**data, "engine": "legacy"})
 
 
 class TestClassify:

@@ -10,9 +10,10 @@ Four layers:
   ``FaultSpec`` produces verdicts, traces and store keys bit-identical
   to a fault-free run, on both engines.
 * :class:`TestEngineParity` / :class:`TestInjection` — the kernel and
-  the legacy engine replay the same seeded fault processes trace for
-  trace, the injection actually perturbs observations, and a spec too
-  dense to ever drain the bus is rejected up front.
+  the legacy engine (:mod:`oracles.legacy_sim`) replay the same seeded
+  fault processes trace for trace, the injection actually perturbs
+  observations, and a spec too dense to ever drain the bus is rejected
+  up front.
 * :class:`TestDegradedConformance` / :class:`TestFixtureReplay` — the
   campaign regimes (dominance under modeled faults, seeded determinism
   under unmodeled ones) and fault-carrying fixture replay.
@@ -32,9 +33,10 @@ from repro.conformance.fixtures import replay_fixture, save_fixture
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultRuntime, FaultSpec
 from repro.io import run_result_to_dict
-from repro.sim import legacy_simulate, simulate
+from repro.sim import simulate
 from repro.synth import WorkloadSpec, generate_workload
 
+from oracles import legacy_simulate
 from test_sim_parity import assert_traces_identical
 
 #: A spec of every modeled process: CAN errors, a slow node, a slow

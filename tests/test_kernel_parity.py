@@ -5,10 +5,11 @@ the holistic analysis, so its entire contract is "same numbers, less
 work".  Three layers of evidence:
 
 * a seeded property test comparing :func:`response_time_analysis` (the
-  kernel wrapper) against :func:`legacy_response_time_analysis` (the
-  pre-kernel implementation, kept verbatim) across random
-  ``generate_workload`` instances — processes, CAN legs, TTP legs and
-  convergence flags must agree bit for bit;
+  kernel wrapper) against :func:`oracles.legacy_response_time_analysis`
+  (the pre-kernel implementation, kept verbatim as a test oracle) across
+  random ``generate_workload`` instances — processes, CAN legs, TTP legs
+  and convergence flags must agree bit for bit (seed 0 is the 2-node
+  workload ``benchmarks/test_bench_kernel.py`` replays);
 * an incremental-recompilation test: a kernel dragged through a random
   OptimizeResources-style move sequence (priority swaps, slot resizes,
   slot swaps, TT delays) must produce bit-identical results to a kernel
@@ -23,10 +24,7 @@ import random
 
 import pytest
 
-from repro.analysis.holistic import (
-    legacy_response_time_analysis,
-    response_time_analysis,
-)
+from repro.analysis.holistic import response_time_analysis
 from repro.analysis.kernel import AnalysisContext
 from repro.analysis.multicluster import multi_cluster_scheduling
 from repro.api import Session
@@ -34,6 +32,8 @@ from repro.optim import optimize_resources, straightforward_configuration
 from repro.optim.moves import generate_neighbors
 from repro.schedule import static_schedule
 from repro.synth import WorkloadSpec, generate_workload
+
+from oracles import legacy_response_time_analysis
 
 
 def assert_rho_equal(a, b, tol=0.0, context=""):

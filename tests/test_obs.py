@@ -421,6 +421,49 @@ class TestServiceObs:
             assert service.drain(timeout=60)
 
 
+# -- session telemetry --------------------------------------------------------
+
+
+class TestSessionMetrics:
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_every_backend_call_is_timed(self, obs_on, batch):
+        """``evaluate`` and ``evaluate_many`` share one compute path, so
+        N distinct configurations record N backend-seconds samples and
+        N ``session.evaluate`` spans either way."""
+        from repro.api import Session
+
+        system = _system()
+        configs = [
+            conformance_configuration(system, rounds_per_period=r)
+            for r in (4, 5, 8)
+        ]
+        session = Session(system)
+        if batch:
+            session.evaluate_many(configs)
+        else:
+            for config in configs:
+                session.evaluate(config)
+        snap = obs_metrics.registry().snapshot()
+        hists = {
+            (name, tuple(tuple(p) for p in labels)): data
+            for name, labels, data in snap["hists"]
+        }
+        key = ("repro_session_backend_seconds", (("backend", "analysis"),))
+        assert hists[key]["count"] == len(configs)
+        counters = {
+            (name, tuple(tuple(p) for p in labels)): value
+            for name, labels, value in snap["counters"]
+        }
+        assert counters[
+            ("repro_session_backend_calls_total", key[1])
+        ] == len(configs)
+        spans = [
+            s for s in obs_trace.drain_spans()
+            if s["name"] == "session.evaluate"
+        ]
+        assert len(spans) == len(configs)
+
+
 # -- the zero-cost contract ---------------------------------------------------
 
 

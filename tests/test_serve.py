@@ -101,6 +101,38 @@ class TestProtocol:
         other = {**spec, "processes_per_node": 4}
         assert seed_key(spec, 7) != seed_key(other, 7)
 
+    def test_seed_key_includes_non_default_topology(self):
+        """A topology campaign must not be served the canonical
+        campaign's stored outcomes: each non-default axis keys apart."""
+        canonical = CampaignSpec().to_dict()
+        topo = CampaignSpec(
+            clusters=4, gateways=4, route_strategy="random"
+        ).to_dict()
+        assert seed_key(canonical, 7) != seed_key(topo, 7)
+        for axis, value in (
+            ("clusters", 3), ("gateways", 2), ("route_strategy", "greedy"),
+        ):
+            assert seed_key(canonical, 7) != seed_key(
+                {**canonical, axis: value}, 7
+            ), axis
+        # Defaults spelled out, or missing from an older dict, key alike.
+        bare = {
+            k: v for k, v in canonical.items()
+            if k not in ("clusters", "gateways", "route_strategy", "faults")
+        }
+        assert seed_key(bare, 7) == seed_key(canonical, 7)
+
+    def test_canonical_seed_key_unchanged(self):
+        """Canonical ``conformseed`` addresses are pinned: records
+        stored before the engine option and topology axes were folded
+        stay reachable (a dict still naming the kernel keys alike)."""
+        canonical = CampaignSpec().to_dict()
+        golden = (
+            "65d2bacee75416aac88a5b0de11914146e7f1e580b77da98784564d5e4bd4349"
+        )
+        assert seed_key(canonical, 7) == golden
+        assert seed_key({**canonical, "engine": "kernel"}, 7) == golden
+
 
 @pytest.fixture()
 def inline_service(tmp_path):

@@ -1,4 +1,5 @@
-"""Trace parity: the compiled simulation kernel vs the legacy engine.
+"""Trace parity: the compiled simulation kernel vs the legacy engine
+(:mod:`oracles.legacy_sim`).
 
 The compiled kernel (``repro.sim.kernel.SimContext``) replays a
 precomputed hyperperiod template instead of scheduling every event on a
@@ -8,10 +9,10 @@ engine on every workload class the repository cares about:
 * the paper's Fig. 4 example under all three configurations;
 * the cruise controller;
 * the pinned ``seed1654_gateway_fifo.json`` conformance fixture;
-* a seeded batch of ``synth.workload`` systems (2-node campaign scale
-  *and* the 160-process 4-node bench workload, whose conformance
-  configuration produces dispatch violations — covering the violation
-  path end to end);
+* a seeded batch of ``synth.workload`` systems (2-node campaign scale,
+  the 80-process 2-node smoke workload, *and* the 160-process 4-node
+  bench workload, whose conformance configuration produces dispatch
+  violations — covering the violation path end to end);
 * a sub-WCET execution-time model (exercising ET preemption banking and
   dynamic TT completions).
 
@@ -27,7 +28,7 @@ import pytest
 from repro.analysis import multi_cluster_scheduling
 from repro.conformance import conformance_configuration, load_fixture
 from repro.conformance.campaign import CampaignSpec
-from repro.sim import SimContext, legacy_simulate, simulate
+from repro.sim import SimContext, simulate
 from repro.synth import (
     WorkloadSpec,
     cruise_controller_system,
@@ -36,6 +37,7 @@ from repro.synth import (
     generate_workload,
 )
 
+from oracles import legacy_simulate
 from test_conformance import SEED1654
 
 
@@ -98,6 +100,16 @@ class TestWorkloadBatch:
             )
             legacy, kernel = run_both(system, config, periods=3)
             assert_traces_identical(legacy, kernel, f"seed {seed}")
+
+    @pytest.mark.parametrize("periods", [3, 4])
+    def test_two_node_smoke_workload(self, periods):
+        """The 80-process 2-node system at the default seed, under its
+        conformance configuration: the replay pattern of campaign seeds
+        at the smallest paper dimension."""
+        system = generate_workload(WorkloadSpec(nodes=2, seed=0))
+        config = conformance_configuration(system, 10)
+        legacy, kernel = run_both(system, config, periods=periods)
+        assert_traces_identical(legacy, kernel, f"2-node {periods}")
 
     def test_bench_workload_with_violations(self):
         """160-process 4-node system whose canonical configuration

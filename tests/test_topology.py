@@ -33,8 +33,10 @@ from repro.io.serialize import (
 )
 from repro.model.topology import Cluster, Gateway, Topology
 from repro.optim.routing import greedy_routes, route_candidates, route_moves
-from repro.sim import legacy_simulate, simulate
+from repro.sim import simulate
 from repro.synth.workload import WorkloadSpec, generate_workload, seeded_routes
+
+from oracles import legacy_simulate
 
 
 def multi_system(seed=7, clusters=3, gateways=2):

@@ -23,7 +23,7 @@ from repro.explore.spec import Cell, SweepSpec
 from repro.faults import FaultSpec
 from repro.io.serialize import config_to_dict, system_to_dict
 from repro.serve.protocol import evaluation_key
-from repro.sim import legacy_simulate, simulate
+from repro.sim import simulate
 from repro.store.store import content_key
 from repro.synth import (
     WorkloadSpec,
@@ -33,6 +33,7 @@ from repro.synth import (
     generate_workload,
 )
 
+from oracles import legacy_simulate
 from test_conformance import SEED1654
 
 # Golden values, computed on the pre-topology tree.
@@ -189,6 +190,22 @@ class TestStoreAndServeKeys:
         assert key == (
             "93af97b7eb95fbc18c14a83fd9aab6525e1070695f456ddf9ee86bd856248082",
             "ad45fe1620a909e216ea452d4827154ff9ff64d4f613480912f3e67928b4033f",
+        )
+
+
+class TestSessionStoreKeys:
+    def test_simulation_store_key_unchanged(self):
+        """The simulation option set never carried an engine for
+        ``Session.simulate`` callers; its store address is pinned."""
+        from repro.api import Session
+        from repro.api.session import store_key
+
+        session = Session(fig4_system())
+        config = fig4_configuration("a")
+        key = session._key(config, "simulation", {"periods": 4})
+        assert key[:2] == ("simulation", (("periods", 4),))
+        assert store_key(key) == (
+            "598098b3a82a2f9dc0fe997c17ec0160198af6686d8bd45aead078394eddf94f"
         )
 
 

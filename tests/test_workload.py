@@ -13,6 +13,8 @@ from repro.synth import (
 )
 from repro.analysis.utilization import can_bus_utilization, node_utilization
 
+from oracles import steer_gateway_traffic_scan
+
 
 class TestGraphStructure:
     def test_all_processes_covered(self):
@@ -137,9 +139,7 @@ class TestSteeringEquivalence:
 
         incremental = system_to_dict(generate_workload(spec))
         monkeypatch.setattr(
-            workload_mod,
-            "_steer_gateway_traffic",
-            workload_mod._steer_gateway_traffic_scan,
+            workload_mod, "_steer_gateway_traffic", steer_gateway_traffic_scan
         )
         scan = system_to_dict(generate_workload(spec))
         assert incremental == scan
