@@ -8,7 +8,7 @@ evaluation path through one coherent surface:
 * :meth:`Session.evaluate` — score one configuration with any registered
   backend (``"analysis"``, ``"simulation"``, or a user-registered one);
 * :meth:`Session.evaluate_many` — the batch path: configuration-hash
-  memoization plus optional process-pool parallelism;
+  memoization plus optional parallelism on the local executor;
 * :meth:`Session.synthesize` — the paper's OS/OR pipeline, its analysis
   runs routed through the session cache;
 * :meth:`Session.simulate` / :meth:`Session.sensitivity` — validation and
@@ -27,13 +27,12 @@ import copy
 import hashlib
 import json
 import time
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..exceptions import ConfigurationError, ReproError
+from ..exceptions import ReproError
 from ..model.configuration import SystemConfiguration
 from ..obs import metrics as _obs_metrics
 from ..obs import state as _obs_state
@@ -230,56 +229,20 @@ class SynthesisResult:
         return self.os_result.evaluations
 
 
-# -- process-pool plumbing --------------------------------------------------
-#
-# Workers rebuild the System once (per process) from its serialized form
-# and then evaluate pickled configurations.  With the default ``fork``
-# start method the backend registry is inherited, so user-registered
-# backend names resolve in the children too; under ``spawn`` only
-# importable/picklable backends work across the pool.
+def _evaluate_chunk(payload) -> List[RunResult]:
+    """Executor chunk of :meth:`Session.evaluate_many` (``workers > 1``).
 
-_POOL_STATE: Optional[Tuple[System, Union[str, EvaluationBackend], Dict]] = None
-#: Per-worker compiled analysis kernel, bound to the worker's rebuilt
-#: System: one full interference compile per worker, incremental
-#: re-targets per configuration (mirrors Session._kernel in the parent).
-_POOL_KERNEL = None
-
-
-def _pool_init(
-    system_payload: Dict[str, Any],
-    backend: Union[str, EvaluationBackend],
-    options: Dict[str, Any],
-) -> None:
-    global _POOL_STATE, _POOL_KERNEL
-    from ..io.serialize import system_from_dict
-
-    _POOL_STATE = (system_from_dict(system_payload), backend, options)
-    _POOL_KERNEL = None
-
-
-def _pool_eval(config: SystemConfiguration) -> RunResult:
-    global _POOL_KERNEL
-    assert _POOL_STATE is not None, "worker pool not initialized"
-    system, backend, options = _POOL_STATE
+    Evaluates ``(config_hash, config)`` pairs on a private session over
+    the shipped System copy, so the chunk reuses one compiled kernel
+    exactly as the caller's session would.
+    """
+    system, backend, options, reps = payload
+    session = Session(system)
     resolved = get_backend(backend)
-    if (
-        isinstance(resolved, AnalysisBackend)
-        and "kernel" not in options
-        and _accepts_option(resolved, "kernel")
-    ):
-        if _POOL_KERNEL is None:
-            from ..analysis.kernel import AnalysisContext
-
-            try:
-                _POOL_KERNEL = AnalysisContext(
-                    system, config.priorities, config.bus
-                )
-            except ReproError:
-                return resolved.run(system, config, **options)
-        return resolved.run(
-            system, config, kernel=_POOL_KERNEL, **options
-        )
-    return resolved.run(system, config, **options)
+    return [
+        session._compute(resolved, config, options, config_h)
+        for config_h, config in reps
+    ]
 
 
 class Session:
@@ -767,9 +730,12 @@ class Session:
         Deduplicates by configuration hash first (within the batch *and*
         against the session cache), evaluates one representative per
         distinct configuration, and shares the result across duplicates.
-        ``workers > 1`` dispatches the distinct configurations to a
-        process pool; when a pool cannot be created (restricted
-        environments) the batch silently degrades to serial evaluation.
+        ``workers > 1`` evaluates the distinct configurations in chunks on
+        the local executor's forked workers
+        (:func:`repro.explore.runner.iter_chunked`); the results are the
+        objects a serial batch returns, ``analysis`` payload included.
+        Without ``fork`` the chunks run in this process, with a
+        :class:`RuntimeWarning`.
         """
         backend = backend if backend is not None else self.default_backend
         self._check_kernel_option(options)
@@ -807,10 +773,8 @@ class Session:
 
         reps = [(key, configs[indices[0]]) for key, indices in pending.items()]
         if workers > 1 and len(reps) > 1:
-            runs = self._run_pool(reps, backend, options, workers)
+            runs = self._run_parallel(reps, backend, options, workers)
         else:
-            runs = None
-        if runs is None:
             resolved = get_backend(backend)
             runs = [
                 self._compute(resolved, config, options, key[2])
@@ -827,72 +791,40 @@ class Session:
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
-    def _run_pool(
+    def _run_parallel(
         self,
         reps: List[Tuple[Tuple, SystemConfiguration]],
         backend: Union[str, EvaluationBackend],
         options: Dict[str, Any],
         workers: int,
-    ) -> Optional[List[RunResult]]:
-        """Evaluate representatives on a process pool; None on failure."""
-        import pickle
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+    ) -> List[RunResult]:
+        """Evaluate representatives on the local executor's workers."""
+        from ..explore.runner import iter_chunked, partition_chunks
 
-        from ..io.serialize import system_to_dict
-
-        # Only pool-infrastructure failures degrade to serial; a backend
-        # raising on some configuration is a real error and propagates
-        # (exactly as it would on the serial path).
-        # ConfigurationError is included for spawn-start platforms, where
-        # workers re-import this module with a fresh registry and a
-        # name-registered custom backend fails to resolve; the serial
-        # path in the parent (whose registry has it) still succeeds.
-        pool_failures = (OSError, PermissionError, pickle.PicklingError,
-                         BrokenProcessPool, ConfigurationError)
         # A compiled kernel (or simulation context) is bound to *this*
-        # process's System object; workers rebuild their own System from
-        # the payload, so shipping either would mismatch there (and
-        # their error results would be memoized under plain keys).
-        # Workers compile their own.
+        # process's System object; each chunk evaluates on its own copy,
+        # so shipping either would mismatch there (and the error results
+        # would be memoized under plain keys).  Chunks compile their own.
         options = {
             k: v
             for k, v in options.items()
             if k not in ("kernel", "sim_context")
         }
-        elapsed = 0.0
-        try:
-            payload = system_to_dict(self.system)
-            pickle.dumps(backend)  # fail fast on unpicklable backends
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pool_init,
-                initargs=(payload, backend, options),
-            ) as pool:
-                chunksize = max(1, len(reps) // (workers * 4))
-                # Only the evaluation itself counts as analysis time;
-                # serialization and pool start-up are dispatch overhead.
-                started = time.perf_counter()
-                runs = list(
-                    pool.map(
-                        _pool_eval,
-                        [config for _, config in reps],
-                        chunksize=chunksize,
-                    )
-                )
-                elapsed = time.perf_counter() - started
-        except pool_failures as exc:
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); "
-                "falling back to serial evaluation",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        self._analysis_time += elapsed
+        chunks = [
+            (self.system, backend, options,
+             [(key[2], config) for key, config in chunk])
+            for chunk in partition_chunks(reps, workers)
+        ]
+        started = time.perf_counter()
+        runs = [
+            run
+            for chunk_runs in iter_chunked(chunks, _evaluate_chunk, workers)
+            for run in chunk_runs
+        ]
+        self._analysis_time += time.perf_counter() - started
         self._misses += len(reps)
         self.backend_calls += len(reps)
-        # Workers evaluated pickled copies; re-home each result (and its
+        # Chunks evaluated pickled copies; re-home each result (and its
         # synthesized offsets) onto the caller's configuration objects.
         return [
             self._adapt(run, config)

@@ -22,11 +22,10 @@ Schedulable-and-converged verdicts are the contract's domain — the
 dominance promise of the paper holds in the WCET regime for schedulable
 systems — so unschedulable/non-converged seeds count as covered but are
 not simulated.  Campaigns dispatch deterministic contiguous seed chunks
-(:func:`campaign_chunks`) to warm worker processes and degrade to serial
-execution — over the *same* chunks — where pools are unavailable; serial
-and ``--workers N`` runs of one spec therefore produce identical outcome
-sequences and identical shrunk counterexamples.  Every seed records
-per-phase timings, aggregated into ``CampaignReport.profile`` (events/s,
+(:func:`campaign_chunks`) to warm worker processes, retrying a dead
+worker's chunk on another worker; serial and ``--workers N`` runs of one
+spec therefore produce identical outcome sequences and identical shrunk
+counterexamples.  Every seed records per-phase timings, aggregated into ``CampaignReport.profile`` (events/s,
 seeds/s; ``repro conform --profile``).
 """
 
@@ -438,18 +437,15 @@ def evaluate_workload(
 def _evaluate_seed(payload: Tuple[CampaignSpec, int]) -> SeedOutcome:
     """One seed end to end."""
     from ..obs import metrics as _obs_metrics
-    from ..obs import state as _obs_state
     from ..obs import trace as _obs_trace
 
     spec, seed = payload
-    if _obs_state.enabled:
-        with _obs_trace.span("conform.seed", seed=seed):
-            outcome = _evaluate_seed_impl(spec, seed)
-        _obs_metrics.inc(
-            "repro_conform_seeds_total", (("status", outcome.status),)
-        )
-        return outcome
-    return _evaluate_seed_impl(spec, seed)
+    with _obs_trace.span("conform.seed", seed=seed):
+        outcome = _evaluate_seed_impl(spec, seed)
+    _obs_metrics.inc(
+        "repro_conform_seeds_total", (("status", outcome.status),)
+    )
+    return outcome
 
 
 def _evaluate_seed_impl(spec: CampaignSpec, seed: int) -> SeedOutcome:
@@ -490,7 +486,7 @@ def _evaluate_chunk(
 ) -> List[SeedOutcome]:
     """Worker entry point: one contiguous chunk of seeds (picklable).
 
-    Chunked dispatch amortizes the pool's per-task IPC over many seeds
+    Chunked dispatch amortizes the per-unit IPC over many seeds
     and keeps each worker process warm (imports, allocator, JIT-warmed
     dict/heap internals) across its whole chunk.  Seeds inside a chunk
     run in ascending order, so the concatenation of chunk results is
@@ -560,7 +556,7 @@ def campaign_chunks(spec: CampaignSpec) -> List[List[int]]:
     Delegates to the shared sweep runner
     (:func:`repro.explore.runner.partition_chunks`): contiguous chunks
     of ``ceil(campaign / (workers * 4))`` seeds, a pure function of the
-    spec, never of pool scheduling — so the same spec always produces
+    spec, never of worker scheduling — so the same spec always produces
     the same chunks and (since results are concatenated in chunk order)
     the same outcome order.  Serial runs use the identical partition:
     the worker count only decides *where* a chunk executes, never
@@ -599,10 +595,11 @@ def run_campaign(
 
     Dispatch rides the shared chunked runner of :mod:`repro.explore` —
     the conformance campaign is one sweep kind (cell = seed) with its
-    own classification and fixture pipeline on top.  ``stop``
+    own classification and fixture pipeline on top; parallel outcomes
+    are the serial objects, per-seed ``profile`` included.  ``stop``
     (typically from :func:`repro.explore.runner.trap_signals`) makes
-    the campaign interruptible: the in-flight chunk finishes, the rest
-    is abandoned, and :class:`CampaignInterrupted` carries the partial
+    the campaign interruptible: the in-flight chunks finish, the rest
+    are abandoned, and :class:`CampaignInterrupted` carries the partial
     report plus the seed to resume from.
     """
     from ..explore.runner import RunInterrupted, iter_chunked

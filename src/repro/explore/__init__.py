@@ -24,7 +24,6 @@ from .runner import (
     RunInterrupted,
     iter_chunked,
     partition_chunks,
-    run_chunked,
     trap_signals,
 )
 from .spec import Cell, SweepSpec
@@ -40,7 +39,6 @@ __all__ = [
     "iter_chunked",
     "pareto_front",
     "partition_chunks",
-    "run_chunked",
     "run_sweep",
     "trap_signals",
 ]

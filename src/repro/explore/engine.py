@@ -308,11 +308,7 @@ def evaluate_cell(cell: Cell) -> Dict[str, Any]:
         "error": None,
     }
     try:
-        if _obs_state.enabled:
-            with _obs_trace.span("explore.cell", method=cell.method):
-                state = _state_for(cell)
-                record["metrics"] = _METHODS[cell.method](state, cell)
-        else:
+        with _obs_trace.span("explore.cell", method=cell.method):
             state = _state_for(cell)
             record["metrics"] = _METHODS[cell.method](state, cell)
     except (ReproError, TypeError, ValueError) as exc:
@@ -499,11 +495,11 @@ def run_sweep(
     With ``store`` set, completed cells are looked up first
     (``resume=True``) and every computed cell is appended, so a
     re-issued or crashed-and-restarted campaign pays only for the cells
-    the store does not yet hold.  ``workers > 1`` dispatches cell
-    chunks to a process pool via the shared runner; store I/O stays in
-    the parent, so workers need no store access (and a read-only
-    network filesystem can still back a many-machine sweep through its
-    one writer).
+    the store does not yet hold.  ``workers > 1`` runs cell chunks on
+    the shared runner's forked workers; store I/O stays in the parent,
+    so workers need no store access (and a read-only network
+    filesystem can still back a many-machine sweep through its one
+    writer).
 
     ``stop`` (typically the event of
     :func:`repro.explore.runner.trap_signals`) makes the sweep
@@ -553,7 +549,8 @@ def run_sweep(
     computed = 0
     stream = iter_chunked(payloads, _evaluate_chunk, workers, stop=stop)
     try:
-        for unit, chunk_records in zip(units, stream):
+        # Stream first: it runs to completion (reaping the workers).
+        for chunk_records, unit in zip(stream, units):
             for i, record in zip(unit, chunk_records):
                 records[i] = record
                 computed += 1

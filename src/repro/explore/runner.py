@@ -9,27 +9,33 @@ conformance fuzzing, future workload scans — ride one runner:
   of the work list and the worker count — never of pool scheduling — so
   one spec always produces the same chunks and, since results are
   concatenated in chunk order, the same outcome order.
-* :func:`run_chunked` fans the chunks out to a process pool (warm
-  workers amortize imports and allocator state across a whole chunk)
-  and degrades to serial execution — over the *same* chunks — where
-  pools are unavailable.  Serial and ``workers=N`` runs of one work
-  list therefore produce identical result sequences: the worker count
+* :func:`iter_chunked` runs the chunks serially, or for ``workers > 1``
+  on the serve :class:`~repro.serve.supervisor.Supervisor` over a
+  forked :class:`~repro.serve.workers.LocalFleet` (no HTTP, journal or
+  store), which retries a dead worker's chunk elsewhere and folds the
+  workers' metrics and spans into this process.  Without ``fork`` the
+  chunks run inline, with a :class:`RuntimeWarning`.  The worker count
   only decides *where* a chunk executes, never *what* it contains.
 """
 
 from __future__ import annotations
 
 import contextlib
+import pickle
+import queue
 import signal
 import threading
-import warnings
-from typing import Any, Callable, Iterator, List, Optional, Sequence, TypeVar
+import time
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+)
+
+from ..exceptions import ReproError
 
 __all__ = [
     "RunInterrupted",
     "iter_chunked",
     "partition_chunks",
-    "run_chunked",
     "trap_signals",
 ]
 
@@ -38,6 +44,9 @@ T = TypeVar("T")
 #: Chunks per worker: enough lanes that an unlucky slow chunk cannot
 #: idle the rest of the pool, few enough that per-chunk IPC stays cheap.
 LANES_PER_WORKER = 4
+
+#: Scheduler tick of the local executor's supervisor.
+_TICK_S = 0.005
 
 
 def partition_chunks(
@@ -98,16 +107,6 @@ def trap_signals(
             signal.signal(signum, handler)
 
 
-def _worker_ignores_signals() -> None:
-    """Pool-worker initializer: terminal signals are the dispatcher's
-    business.  A Ctrl-C reaches the whole foreground process group, and
-    a worker that died mid-chunk would break the pool and lose the
-    chunk — the dispatcher traps the signal, drains, and shuts the
-    pool down in an orderly way instead."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-
-
 def iter_chunked(
     chunks: Sequence[Any],
     worker: Callable[[Any], T],
@@ -120,70 +119,101 @@ def iter_chunked(
     available — the property checkpointing consumers (the sweep
     engine's incremental store writes) rely on: everything yielded
     before a crash was already persisted.  ``worker`` must be a
-    module-level (picklable) callable.  With ``workers > 1`` the chunks
-    run on a process pool; pool *infrastructure* failures (sandboxes
-    without fork, unpicklable payloads, broken pools) warn and fall
-    back to serial execution over the not-yet-yielded chunks, while an
-    exception raised by ``worker`` itself propagates — a real
-    evaluation error must not be silently retried on another path.
+    module-level (picklable) callable.  With ``workers > 1`` a dead
+    worker's chunk is retried on another worker, while an exception
+    raised by ``worker`` itself reaches the caller once, with its own
+    type — a real evaluation error is never retried.
 
     ``stop`` (typically from :func:`trap_signals`) requests a graceful
-    interrupt: the run finishes the chunk in flight, abandons the rest
-    (queued chunks are cancelled, pool workers ignore the terminal
-    signals so no chunk dies halfway), and raises
-    :class:`RunInterrupted` carrying the completed count.  Everything
-    yielded before the interrupt was complete — a consumer that
-    checkpoints per chunk can resume exactly there.
+    interrupt: chunks in flight finish, the rest are abandoned, and
+    :class:`RunInterrupted` carries the count of chunks yielded.
+    Everything yielded before the interrupt was complete — a consumer
+    that checkpoints per chunk can resume exactly there.
     """
     chunks = list(chunks)
-    position = 0
-
-    def _interrupted() -> bool:
-        return stop is not None and stop.is_set()
-
-    if _interrupted():
+    if stop is not None and stop.is_set():
         raise RunInterrupted(0, len(chunks))
     if workers > 1 and len(chunks) > 1:
-        import pickle
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_ignores_signals
-            ) as pool:
-                for result in pool.map(worker, chunks, chunksize=1):
-                    yield result
-                    position += 1
-                    if _interrupted() and position < len(chunks):
-                        # Drain: running chunks finish (their results
-                        # are discarded), queued ones never start.
-                        pool.shutdown(wait=True, cancel_futures=True)
-                        raise RunInterrupted(position, len(chunks))
-                return
-        except (OSError, PermissionError, pickle.PicklingError,
-                BrokenProcessPool) as exc:
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); "
-                "running the remaining chunks serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    for chunk in chunks[position:]:
-        if _interrupted():
+        yield from _iter_on_fleet(chunks, worker, workers, stop)
+        return
+    for position, chunk in enumerate(chunks):
+        if stop is not None and stop.is_set():
             raise RunInterrupted(position, len(chunks))
         yield worker(chunk)
-        position += 1
 
 
-def run_chunked(
-    chunks: Sequence[Any],
+def _iter_on_fleet(
+    chunks: List[Any],
     worker: Callable[[Any], T],
     workers: int,
-) -> List[T]:
-    """Apply ``worker`` to every chunk payload, in payload order.
+    stop: Optional[threading.Event],
+) -> Iterator[T]:
+    """The ``workers > 1`` branch of :func:`iter_chunked`."""
+    from types import SimpleNamespace
 
-    The eager form of :func:`iter_chunked` (identical dispatch and
-    fallback semantics), for callers that want the full result list.
-    """
-    return list(iter_chunked(chunks, worker, workers))
+    from ..obs import metrics as _obs_metrics
+    from ..obs import state as _obs_state
+    from ..obs import trace as _obs_trace
+    from ..serve.supervisor import Supervisor, SupervisorConfig
+    from ..serve.workers import CALL_KIND
+
+    delivered: "queue.SimpleQueue" = queue.SimpleQueue()
+    blobs: "queue.SimpleQueue" = queue.SimpleQueue()
+
+    def fold_blobs() -> None:
+        # Worker obs blobs are merged here, on the caller's thread, so
+        # the parent registry never has two writers.
+        while not blobs.empty():
+            blob = blobs.get()
+            _obs_metrics.registry().merge(blob.get("metrics"))
+            _obs_trace.record_spans(blob.get("spans"))
+
+    supervisor = Supervisor(
+        lambda unit_id, status, result: delivered.put(
+            (int(unit_id), status, result)
+        ),
+        local_workers=workers,
+        # The scheduler dispatches on its tick; the serve default of
+        # 50 ms would dominate a run of short chunks.
+        config=SupervisorConfig(tick_s=_TICK_S),
+        obs=SimpleNamespace(fold=blobs.put) if _obs_state.enabled else None,
+    )
+    interrupted = False
+    try:
+        trace = _obs_trace.current_context()
+        for index, chunk in enumerate(chunks):
+            supervisor.submit(
+                str(index), CALL_KIND, pickle.dumps((worker, chunk)),
+                trace=trace,
+            )
+        arrived: Dict[int, Tuple[str, Any]] = {}
+        for position in range(len(chunks)):
+            while position not in arrived:
+                index, status, result = delivered.get()
+                arrived[index] = (status, result)
+            fold_blobs()
+            status, result = arrived.pop(position)
+            if status != "ok":  # the supervisor gave up after its retries
+                raise ReproError(f"chunk {position} failed: {result}")
+            raised, value = pickle.loads(result)
+            if raised:
+                raise value
+            yield value
+            if (stop is not None and stop.is_set()
+                    and position + 1 < len(chunks)):
+                interrupted = True
+                raise RunInterrupted(position + 1, len(chunks))
+    finally:
+        # Queued chunks never start.  On an interrupt the chunks in
+        # flight finish first; otherwise any straggler (a hedge, the
+        # sibling of a failed chunk) holds work nobody waits for.
+        supervisor.abandon_pending()
+        while interrupted and any(
+            w["alive"] and w["in_flight"] for w in supervisor.fleet()
+        ):
+            time.sleep(supervisor.config.tick_s)
+        supervisor.stop(timeout=1.0)
+        fold_blobs()
+        if _obs_state.enabled:
+            for name, value in supervisor.counters.items():
+                _obs_metrics.inc(f"repro_supervisor_{name}_total", value=value)

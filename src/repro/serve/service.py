@@ -702,8 +702,10 @@ class EvaluationService:
                 self._complete_recovery_unit(meta, status, result)
             else:
                 self._complete_batch_unit(meta, status, result)
+            # Compact once nothing is pending — never after a drain
+            # abandoned units, which must stay journaled for a restart.
             if (self.journal is not None and not self._units
-                    and not self._eval_queue):
+                    and not self._eval_queue and not self.abandoned):
                 self.journal.reset()
         if self._obs is not None:
             self._obs.flush_local()

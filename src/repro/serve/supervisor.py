@@ -30,9 +30,11 @@ guarantees **at-least-once dispatch with exactly-once delivery**:
   an empty remote fleet) units execute inline on the supervisor
   thread: a fleet is an optimization, never a requirement.
 
-The supervisor never interprets results; it delivers the first
-terminal outcome of each unit to the service's completion callback and
-drops the rest.  Results are therefore bit-identical to a failure-free
+The library's parallel runs (:func:`repro.explore.runner.iter_chunked`)
+drive the same supervisor in-process over a local fleet.  The
+supervisor never interprets results; it delivers the first terminal
+outcome of each unit to the caller's completion callback and drops the
+rest.  Results are therefore bit-identical to a failure-free
 run under any kill/slow/partition schedule — the standing invariant
 the chaos suite enforces.
 """
@@ -263,8 +265,8 @@ class Supervisor:
     ) -> None:
         self.config = config or SupervisorConfig()
         self._deliver = deliver
-        #: Collector sink (``fold(blob)`` / ``record(spans)``) owned by
-        #: the service; None when obs is off.
+        #: Collector sink (``fold(blob)``) owned by the caller; None
+        #: when obs is off.
         self._obs = obs
         self._lock = threading.RLock()
         self._poll_wake = threading.Condition(self._lock)
@@ -366,6 +368,7 @@ class Supervisor:
         clean = self._fleet.shutdown(timeout=timeout)
         self._scheduler.join(timeout=5)
         if self._pump is not None:
+            self._fleet.result_q.put(None)  # wake the pump to see _stop
             self._pump.join(timeout=5)
         return clean
 
@@ -492,6 +495,8 @@ class Supervisor:
                 continue
             except (OSError, EOFError, ValueError):
                 break
+            if item is None:
+                continue
             worker_id, unit_id, status, result = item[:4]
             obs_blob = item[4] if len(item) > 4 else None
             self._on_attempt_result(
@@ -855,15 +860,10 @@ class Supervisor:
              if a.worker == "<inline>"), None
         )
         try:
-            if _obs_state.enabled:
-                with _obs_trace.span(
-                    "worker.compute", parent=parent,
-                    worker="<inline>", unit=unit.id,
-                ):
-                    result = run_unit(
-                        self._inline_sessions, unit.kind, unit.payload
-                    )
-            else:
+            with _obs_trace.span(
+                "worker.compute", parent=parent,
+                worker="<inline>", unit=unit.id,
+            ):
                 result = run_unit(
                     self._inline_sessions, unit.kind, unit.payload
                 )

@@ -2,8 +2,11 @@
 
 The service dispatches *units* — self-contained, JSON-serializable work
 descriptions (a batch of evaluations sharing one warm session, a chunk
-of sweep cells, a chunk of conformance seeds).  This module owns the
-three places a unit can execute:
+of sweep cells, a chunk of conformance seeds).  The library's local
+executor (:func:`repro.explore.runner.iter_chunked`) adds one more
+kind, :data:`CALL_KIND`: a pickled ``(worker, chunk)`` call that only
+the local fleet runs.  This module owns the three places a unit can
+execute:
 
 * **Inline** — :func:`run_unit` called directly on a service thread
   (the degraded mode when the fleet is empty, and the recovery path).
@@ -28,21 +31,28 @@ is shaped — the supervisor (:mod:`repro.serve.supervisor`) only decides
 
 from __future__ import annotations
 
+import pickle
 import threading
+import warnings
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..exceptions import ReproError
+from ..exceptions import ConfigurationError, ReproError
 from ..obs import reset_process, snapshot_blob
-from ..obs import state as _obs_state
 from ..obs import trace as _obs_trace
 from ..obs.logging import get_logger
 
 __all__ = [
+    "CALL_KIND",
     "LocalFleet",
     "run_unit",
     "run_worker",
 ]
+
+#: Unit kind of the local executor: a pickled ``(worker, chunk)`` call.
+#: It carries code, not data, so it never crosses the HTTP transport —
+#: a remote worker refuses it.
+CALL_KIND = "call"
 
 #: Warm sessions kept per worker process (LRU beyond this).
 SESSION_CACHE_LIMIT = 4
@@ -86,6 +96,8 @@ def run_unit(sessions: OrderedDict, kind: str, payload: Any) -> Any:
         spec = CampaignSpec.from_dict(payload["spec"])
         outcomes = _evaluate_chunk((spec, payload["seeds"]))
         return [outcome.to_dict() for outcome in outcomes]
+    if kind == CALL_KIND:
+        return _run_call_unit(payload)
     raise ReproError(f"unknown dispatch unit kind {kind!r}")
 
 
@@ -118,6 +130,20 @@ def _run_eval_unit(
     return out
 
 
+def _run_call_unit(payload: bytes) -> bytes:
+    """One local-executor unit: ``worker(chunk)``, pickled both ways.
+
+    An exception raised by ``worker`` is the unit's *value*: the
+    supervisor retries failed units, and a real evaluation error must
+    reach the caller once, with its own type.
+    """
+    worker, chunk = pickle.loads(payload)
+    try:
+        return pickle.dumps((False, worker(chunk)))
+    except Exception as exc:  # noqa: BLE001 - raised in the caller
+        return pickle.dumps((True, exc))
+
+
 # -- local fork transport ----------------------------------------------------
 
 
@@ -144,13 +170,10 @@ def _worker_main(worker_id: str, task_q, result_q) -> None:
         unit_id, kind, payload = task[:3]
         trace = task[3] if len(task) > 3 else None
         try:
-            if _obs_state.enabled:
-                with _obs_trace.span(
-                    "worker.compute", parent=trace,
-                    worker=worker_id, unit=unit_id,
-                ):
-                    result = run_unit(sessions, kind, payload)
-            else:
+            with _obs_trace.span(
+                "worker.compute", parent=trace,
+                worker=worker_id, unit=unit_id,
+            ):
                 result = run_unit(sessions, kind, payload)
             result_q.put(
                 (worker_id, unit_id, "ok", result, snapshot_blob())
@@ -173,8 +196,9 @@ class LocalFleet:
     the pool.  Results come back on one shared queue tagged with the
     worker id.
 
-    ``size=0`` (or a platform without ``fork``) yields an empty fleet;
-    the supervisor degrades to inline execution.
+    ``size=0`` yields an empty fleet; the supervisor degrades to
+    inline execution.  So does a platform without ``fork``, with a
+    :class:`RuntimeWarning` naming the cause.
     """
 
     def __init__(self, size: int) -> None:
@@ -193,8 +217,13 @@ class LocalFleet:
             self.result_q = self._ctx.Queue()
             for _ in range(size):
                 self._spawn()
-        except (OSError, PermissionError, ValueError):
-            # No fork available: degrade to an empty fleet (inline).
+        except (OSError, PermissionError, ValueError) as exc:
+            warnings.warn(
+                f"cannot fork local workers ({exc!r}); "
+                "running units inline",
+                RuntimeWarning,
+                stacklevel=3,
+            )
             self._ctx = None
             self.result_q = None
             self._procs = {}
@@ -400,15 +429,15 @@ def _compute_with_heartbeat(
     beater = threading.Thread(target=_beat, daemon=True)
     beater.start()
     try:
-        if _obs_state.enabled:
-            with _obs_trace.span(
-                "worker.compute", parent=unit.get("trace"),
-                worker=worker_id, unit=unit["id"],
-            ):
-                result = run_unit(
-                    sessions, unit["kind"], unit["payload"]
-                )
-        else:
+        if unit["kind"] == CALL_KIND:
+            raise ConfigurationError(
+                f"unit kind {CALL_KIND!r} carries pickled code and runs "
+                "only on the local fleet"
+            )
+        with _obs_trace.span(
+            "worker.compute", parent=unit.get("trace"),
+            worker=worker_id, unit=unit["id"],
+        ):
             result = run_unit(sessions, unit["kind"], unit["payload"])
         return "ok", result
     except BaseException as exc:  # noqa: BLE001 - worker must survive

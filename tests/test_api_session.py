@@ -273,17 +273,34 @@ class TestEvaluateMany:
         assert runs[1].config is configs[1]
 
     def test_parallel_workers_match_serial(self):
+        import warnings
+
         system = two_node_system()
-        configs = _config_grid(16)
+        # Capacity 2 cannot carry the messages: an infeasible result,
+        # which carries no analysis payload.
+        configs = _config_grid(16) + [two_node_config(capacity=2)]
         serial = Session(system).evaluate_many(configs, memoize=False)
         parallel_session = Session(system)
-        parallel = parallel_session.evaluate_many(
-            _config_grid(16), workers=2, memoize=False
-        )
+        parallel_configs = _config_grid(16) + [two_node_config(capacity=2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no silent inline fallback
+            parallel = parallel_session.evaluate_many(
+                parallel_configs, workers=2, memoize=False
+            )
         for a, b in zip(serial, parallel):
             assert a.degree == b.degree
             assert a.total_buffers == b.total_buffers
             assert a.graph_responses == b.graph_responses
+        # The very objects a serial batch returns: the full record, the
+        # in-memory analysis payload exactly when the serial one has it,
+        # re-homed onto the caller's configurations.
+        assert [r.to_dict() for r in parallel] == [
+            r.to_dict() for r in serial
+        ]
+        assert [r.analysis is None for r in parallel] == [
+            r.analysis is None for r in serial
+        ]
+        assert all(r.config is c for r, c in zip(parallel, parallel_configs))
 
     def test_parallel_results_land_in_cache(self):
         session = Session(two_node_system())

@@ -133,14 +133,17 @@ class TestCampaignDeterminism:
         spec_serial = CampaignSpec(campaign=10, seed0=0, workers=1)
         serial = run_campaign(spec_serial)
         with warnings.catch_warnings():
-            # Sandboxes without process pools degrade to serial over
-            # the same chunks — the equality below must hold either way.
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")  # no silent inline fallback
             parallel = run_campaign(
                 CampaignSpec(campaign=10, seed0=0, workers=2)
             )
         assert [o.to_dict() for o in serial.outcomes] == [
             o.to_dict() for o in parallel.outcomes
+        ]
+        # to_dict() drops the per-seed profile that `repro conform
+        # --profile` reads; the parallel outcomes must still carry it.
+        assert [sorted(o.profile) for o in serial.outcomes] == [
+            sorted(o.profile) for o in parallel.outcomes
         ]
 
     def test_serial_equals_parallel_fixtures(self, tmp_path):
@@ -160,7 +163,7 @@ class TestCampaignDeterminism:
             CampaignSpec(campaign=6, workers=1, fixture_dir=str(serial_dir))
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")  # no silent inline fallback
             run_campaign(
                 CampaignSpec(
                     campaign=6, workers=2, fixture_dir=str(parallel_dir)

@@ -18,9 +18,9 @@ from repro.explore import (
     SweepSpec,
     dominates,
     evaluate_cell,
+    iter_chunked,
     pareto_front,
     partition_chunks,
-    run_chunked,
     run_sweep,
 )
 
@@ -163,11 +163,10 @@ class TestRunner:
         import warnings
 
         chunks = partition_chunks(list(range(20)), workers=2)
-        serial = run_chunked(chunks, _square_chunk, workers=1)
+        serial = list(iter_chunked(chunks, _square_chunk, workers=1))
         with warnings.catch_warnings():
-            # Pool-less sandboxes warn and fall back serially: fine.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            parallel = run_chunked(chunks, _square_chunk, workers=2)
+            warnings.simplefilter("error")  # no silent inline fallback
+            parallel = list(iter_chunked(chunks, _square_chunk, workers=2))
         assert serial == parallel
         assert [x for c in serial for x in c] == [i * i for i in range(20)]
 
@@ -257,7 +256,7 @@ class TestRunSweep:
         import warnings
 
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")  # no silent inline fallback
             parallel = run_sweep(spec, workers=2)
         assert _deterministic(serial) == _deterministic(parallel)
 

@@ -273,8 +273,8 @@ class TestSessionKernelContract:
         assert run.feasible
 
     def test_pool_batch_with_own_kernel_stays_clean(self):
-        """workers>1 must not ship the kernel to pool workers (their
-        rebuilt System would mismatch it and poison the cache)."""
+        """workers>1 must not ship the kernel to the executor's workers
+        (their System copy would mismatch it and poison the cache)."""
         import warnings
 
         system = generate_workload(WorkloadSpec(nodes=2, seed=0))
@@ -291,7 +291,7 @@ class TestSessionKernelContract:
             v.priorities.swap_messages(msgs[i], msgs[i + 1])
             variants.append(v)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # pool may be unavailable
+            warnings.simplefilter("error")  # no silent inline fallback
             runs = session.evaluate_many(
                 variants, workers=2, kernel=kernel
             )

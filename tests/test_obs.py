@@ -464,6 +464,71 @@ class TestSessionMetrics:
         assert len(spans) == len(configs)
 
 
+class TestLocalExecutorObs:
+    """Parallel sweeps and campaigns fold their workers' telemetry into
+    the parent exactly as a serial run records it in place."""
+
+    _SERIES = (
+        "repro_explore_cells_total",
+        "repro_session_backend_calls_total",
+        "repro_conform_seeds_total",
+    )
+
+    @staticmethod
+    def _sweep(workers):
+        from repro.explore import SweepSpec, run_sweep
+
+        run_sweep(
+            SweepSpec(
+                name="obs",
+                workload={"nodes": 2, "processes_per_node": 4,
+                          "seed": [0, 1]},
+                methods=("SF", "OS"),
+            ),
+            workers=workers,
+        )
+
+    @staticmethod
+    def _campaign(workers):
+        from repro.conformance import CampaignSpec, run_campaign
+
+        run_campaign(CampaignSpec(campaign=6, seed0=0, workers=workers))
+
+    def _recorded(self, run, workers):
+        from repro.explore import engine
+
+        # The per-process workload cache would let forked workers reuse
+        # the serial run's memoized results and record fewer calls.
+        engine._WORKER_STATE.clear()
+        obs.reset_process()
+        run(workers)
+        snap = obs_metrics.registry().snapshot()
+        counters = {
+            (name, tuple(tuple(p) for p in labels)): value
+            for name, labels, value in snap["counters"]
+            if name in self._SERIES
+        }
+        return counters, {s["name"] for s in obs_trace.drain_spans()}
+
+    @pytest.mark.parametrize(
+        "kind, span_name", [("sweep", "explore.cell"),
+                            ("campaign", "conform.seed")],
+    )
+    def test_workers_two_records_what_workers_one_records(
+        self, obs_on, kind, span_name
+    ):
+        run = self._sweep if kind == "sweep" else self._campaign
+        serial, serial_spans = self._recorded(run, 1)
+        parallel, parallel_spans = self._recorded(run, 2)
+        assert serial, "the serial run must record the series"
+        assert parallel == serial
+        assert span_name in serial_spans
+        assert {span_name, "worker.compute"} <= parallel_spans
+        assert obs_metrics.registry().counters_by_name(
+            "repro_supervisor_dispatched_total"
+        ) >= 2
+
+
 # -- the zero-cost contract ---------------------------------------------------
 
 
