@@ -1,9 +1,11 @@
 """Multi-cluster schedulability, queueing and buffer analyses (section 4).
 
 The holistic fixed point has one compiled implementation,
-:class:`AnalysisContext`, behind :func:`response_time_analysis` and the
-Fig. 5 loop :func:`multi_cluster_scheduling`; general topologies and
-route overrides take the per-leg solver in :mod:`.multihop`.
+:class:`AnalysisContext`, behind :func:`response_time_analysis`, the
+Fig. 5 loop :func:`multi_cluster_scheduling` and
+:func:`.multihop.multihop_response_time_analysis`.  General topologies
+and route overrides compile its rows per leg of the routing plan (the
+per-leg rules are listed in :mod:`.multihop`).
 """
 
 from .buffers import BufferReport, buffer_bounds

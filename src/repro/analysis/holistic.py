@@ -35,15 +35,14 @@ The fixed point is solved by the compiled kernel
 (:mod:`repro.analysis.kernel`), which compiles the per-activity
 interference structure (who interferes with whom, relative phases,
 periods, costs, blocking) once and lets only the jitters evolve across
-the outer iterations.  This module keeps the public wrapper and the
-busy-window primitives the multi-hop and buffer analyses share.
+the outer iterations.  This module keeps the public wrapper and
+:func:`phase_locked_hits`, the phase-locked interference count the
+buffer analysis shares.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Mapping
-
 from ..buses.ttp import TTPBusConfig
 from ..exceptions import AnalysisError
 from ..model.configuration import OffsetTable, PriorityAssignment
@@ -51,9 +50,6 @@ from ..system import System
 from .timing import ResponseTimes
 
 __all__ = ["response_time_analysis"]
-
-_MAX_OUTER_ITERATIONS = 1_000
-_MAX_INNER_ITERATIONS = 50_000
 
 
 def response_time_analysis(
@@ -133,66 +129,3 @@ def phase_locked_hits(
     if is_ancestor and k_min < 0:
         k_min = 0
     return max(0, k_max - k_min + 1)
-
-
-def _solve_window(
-    base: float,
-    own_jitter: float,
-    names: List[str],
-    rels: List[float],
-    periods: List[float],
-    costs: List[float],
-    locked: List[bool],
-    ancestor: List[bool],
-    jitters: Mapping[str, float],
-    residencies: Mapping[str, float],
-    epsilon: float,
-    bound: float,
-) -> float:
-    """Least fixed point of the busy-window equation.
-
-    Phase-locked interferers are counted with :func:`phase_locked_hits`
-    (offset-, jitter- and residency-aware); unlocked interferers use the
-    classic ``ceil((w + J_j)/T_j)`` criterion with the non-preemptive tie
-    epsilon.  Returns ``math.inf`` on divergence.
-    """
-    if not names:
-        return base
-    if (
-        math.isinf(base)
-        or math.isinf(own_jitter)
-        or any(math.isinf(jitters[n]) for n in names)
-    ):
-        return math.inf
-    w = base
-    for _ in range(_MAX_INNER_ITERATIONS):
-        total = base
-        for i in range(len(names)):
-            j = names[i]
-            if locked[i]:
-                n = phase_locked_hits(
-                    w,
-                    own_jitter,
-                    rels[i],
-                    periods[i],
-                    jitters[j],
-                    residencies.get(j, 0.0),
-                    ancestor[i],
-                )
-            else:
-                x = w + jitters[j] + epsilon
-                n = math.ceil(x / periods[i] - 1e-12) if x > 0 else 0
-            total += n * costs[i]
-        if total == w:
-            return w
-        if total > bound or math.isinf(total):
-            return math.inf
-        w = total
-    return math.inf
-
-
-def _rel_offset(offset_j: float, offset_i: float, period: float, locked: bool) -> float:
-    """Phase of activity j relative to i (0 when not phase-locked)."""
-    if not locked:
-        return 0.0
-    return (offset_j - offset_i) % period

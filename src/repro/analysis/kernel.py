@@ -1,30 +1,46 @@
-"""Compiled analysis kernel: the optimizer hot path of the holistic
-response-time analysis.
+"""Compiled analysis kernel: the holistic response-time analysis of every
+topology, and the optimizer hot path.
 
-The pre-kernel holistic analysis (kept as the parity oracle under
-``tests/oracles``) recompiles its full O(n²) interference structure —
+The interpreted analyses it replaced (kept as parity oracles under
+``tests/oracles``) recompile their full O(n²) interference structure —
 string-keyed dicts, per-pair ancestor queries, relative phases — on
-**every** call, while the Fig. 5
-multi-cluster loop calls it up to 30 times per evaluation and the
-synthesis heuristics run thousands of evaluations.  Everything but the
-jitters is structurally invariant across those calls (the classic
-observation behind Tindell & Clark's holistic analysis and Palencia &
-Harbour's offset refinement), which is exactly what a compiled kernel
-exploits.
+**every** call, while the Fig. 5 multi-cluster loop calls the analysis
+up to 30 times per evaluation and the synthesis heuristics run
+thousands of evaluations.  Everything but the jitters is structurally
+invariant across those calls (the classic observation behind Tindell &
+Clark's holistic analysis and Palencia & Harbour's offset refinement),
+which is exactly what a compiled kernel exploits.
 
-:class:`AnalysisContext` splits the work into three tiers:
+The kernel analyses two kinds of interned *slots*: a **CAN slot** per
+bus leg a message crosses and a **FIFO slot** per gateway ``Out_TTP``
+leg.  Two front ends intern them:
 
-* **compile** (once per :class:`~repro.system.System`): intern every
-  activity — ET process, CAN message, ET->TT message — to an integer id
-  and record the id-indexed constants (periods, WCETs, frame times,
-  sizes, precedence arcs).
+* canonical systems (one TTC, one ETC, one gateway, default routes) get
+  one CAN slot per CAN-borne message and one FIFO slot per ET->TT
+  message — the paper's single-hop shape, compiled straight from the
+  :class:`~repro.system.System`;
+* general topologies and route overrides get one slot per
+  :class:`~repro.semantics.routing.Leg` of the
+  :class:`~repro.semantics.routing.RoutingPlan`, and every CAN slot
+  carries a jitter-chain descriptor that threads the legs of a route
+  together (the per-leg rules are listed in
+  :mod:`repro.analysis.multihop`).
+
+:class:`AnalysisContext` then splits the work into three tiers:
+
+* **compile** (once per :class:`~repro.system.System`, and once per
+  routing plan): intern every activity — ET process, CAN slot, FIFO
+  slot — to an integer id and record the id-indexed constants (periods,
+  WCETs, frame times, sizes, precedence arcs, ancestor flags, jitter
+  chains, the priority-blind FIFO competitor rows).
 * **update** (once per ``(π, β)``): flatten the priority-dependent
   interference sets into parallel index/value rows.  When only a few
   activities changed priority (an OptimizeResources swap, an
   OptimizeSchedule slot candidate) only the rows whose *membership*
   could have changed are rebuilt — O(n·|changed|) instead of O(n²) —
   and a ``β`` change touches nothing but a handful of scalars (gateway
-  slot, round length, divergence horizon).
+  slots, round length, divergence horizon).  A route change re-interns
+  the legs and rebuilds every row.
 * **solve** (once per offsets ``φ``): run the global monotone fixed
   point entirely over list indices — no string-dict lookups anywhere on
   the inner loops — optionally **warm-started** from a previous
@@ -45,7 +61,7 @@ Warm starts come in two flavours:
   of the same monotone equations — a safe (possibly pessimistic) upper
   bound, never an unsound one.  It is therefore opt-in
   (``multi_cluster_scheduling(warm_start=True)``); the default path is
-  parity-tested bit for bit against the pre-kernel implementation.
+  parity-tested bit for bit against the interpreted oracles.
 """
 
 from __future__ import annotations
@@ -79,6 +95,17 @@ _MAX_INNER_ITERATIONS = 50_000
 
 _INF = math.inf
 
+# Jitter-chain descriptors of a CAN slot, ``(kind, index, transfer)``:
+#: sent by the ET process ``index``: ``J = r_S - C_S``;
+_SOURCE = 0
+#: entered from the TT side (MBI arrival is the offset): ``J = C_T``;
+_ENTRY = 1
+#: relayed after FIFO slot ``index`` (transit through the TT cluster):
+#: ``J = J_fifo + w_fifo + slot + C_T``;
+_TRANSIT = 2
+#: relayed after CAN slot ``index`` (an ET->ET gateway): ``J = r + C_T``.
+_RELAY = 3
+
 
 @dataclass
 class KernelStats:
@@ -103,7 +130,8 @@ class SolveState:
 
     Pass it back into :meth:`AnalysisContext.solve` to warm-start the
     next solve.  All vectors are parallel to the kernel's interned
-    activity lists.
+    activity lists: ``msg_*`` to the CAN slots, ``ttp_*`` to the FIFO
+    slots (one per message on canonical systems, one per leg otherwise).
     """
 
     proc_jitter: List[float]
@@ -140,7 +168,7 @@ def _solve_row(
 ) -> float:
     """Least fixed point of one busy-window equation over an id row.
 
-    Mirrors :func:`repro.analysis.holistic._solve_window` operation for
+    Mirrors the interpreted oracles' busy-window iteration operation for
     operation (same expressions, same summation order) so results are
     bit-identical; ``start`` seeds the iteration anywhere in
     ``[base, lfp]`` without changing the result (see module docstring).
@@ -181,7 +209,7 @@ def _solve_row(
 
 
 class AnalysisContext:
-    """A holistic analysis compiled once per ``(System, π, β)``.
+    """A holistic analysis compiled once per ``(System, plan, π, β)``.
 
     See the module docstring for the compile/update/solve split.  The
     context is deliberately *not* thread-safe: a :class:`Session` owns
@@ -198,33 +226,27 @@ class AnalysisContext:
     ) -> None:
         self.system = system
         self.stats = KernelStats()
-        # General topologies (or non-default route overrides) run the
-        # route-aware per-leg solver (repro.analysis.multihop) instead
-        # of the interned canonical rows: the canonical compile below
-        # stays byte-for-byte the pre-routing fast path, and multi-hop
-        # systems pay an interpreted solve per call (compiling per-leg
-        # rows for general graphs is tracked in ROADMAP.md).
-        self._multihop = system.multi_topology or bool(routes)
-        self._plan = None
-        if self._multihop:
-            self._plan = system.routing_for(routes)
-            self._route_overrides = dict(routes) if routes else {}
-            self._max_graph_period = max(
-                g.period for g in system.app.graphs.values()
-            )
-        else:
-            self._compile_static()
         # Modeled CAN error process: one virtual unlocked interferer
         # (see repro.analysis.can_analysis.can_error_term) appended to
-        # every CAN row.  Its id is the virtual slot len(can_msgs); its
-        # jitter is a constant held in the extra msg_jitter slot.
-        # Degradation factors (node_slow / bus_slow) are *not* handled
-        # here — callers derate the System before compiling a context.
+        # every CAN row.  Its id is the virtual slot after the last CAN
+        # slot; its jitter is a constant held in the extra msg_jitter
+        # slot.  Degradation factors (node_slow / bus_slow) are *not*
+        # handled here — callers derate the System before compiling.
         self.faults = faults
         self._can_error: Optional[Tuple[float, float, float]] = None
         term = can_error_term(system, faults)
         if term is not None:
             self._can_error = (term.period, term.cost, term.jitter)
+        self._compile_activities()
+        # General topologies (or route overrides) intern one slot per
+        # leg of a RoutingPlan, compiled in update() whenever the routes
+        # change by value; canonical systems keep the single-hop slots,
+        # byte-for-byte the pre-routing fast path.
+        self._multihop = system.multi_topology or bool(routes)
+        self._plan = None
+        self._route_overrides: Optional[dict] = None
+        if not self._multihop:
+            self._compile_canonical()
         self._compiled = False
         self._proc_prio: List[int] = []
         self._msg_prio: List[int] = []
@@ -233,7 +255,8 @@ class AnalysisContext:
 
     # -- static (per-System) compile ----------------------------------------
 
-    def _compile_static(self) -> None:
+    def _compile_activities(self) -> None:
+        """Per-System constants shared by both front ends."""
         system = self.system
         app = system.app
         arch = system.arch
@@ -245,10 +268,6 @@ class AnalysisContext:
         self.can_msgs: List[str] = system.can_messages()
         self.msg_index: Dict[str, int] = {
             name: i for i, name in enumerate(self.can_msgs)
-        }
-        self.ettt_msgs: List[str] = system.et_to_tt_messages()
-        self.ettt_index: Dict[str, int] = {
-            name: i for i, name in enumerate(self.ettt_msgs)
         }
 
         self._wcet = [app.process(p).wcet for p in self.et_procs]
@@ -265,60 +284,32 @@ class AnalysisContext:
         self._msg_size = [
             float(app.message(m).size) for m in self.can_msgs
         ]
-        self._msg_route = [system.route(m) for m in self.can_msgs]
-        self._ettt_can = [self.msg_index[m] for m in self.ettt_msgs]
-        self._ettt_size = [self._msg_size[i] for i in self._ettt_can]
-
-        # Source of each CAN message: the ET sender's id, or -1 for
-        # TT->ET messages (their jitter is the gateway transfer time).
-        self._msg_src: List[int] = []
-        for i, m in enumerate(self.can_msgs):
-            if self._msg_route[i] is MessageRoute.TT_TO_ET:
-                self._msg_src.append(-1)
+        # Every process in packaging order as (name, WCET, ET id), the
+        # id -1 marking a TT process (fixed response = WCET).
+        self._proc_records: List[Tuple[str, float, int]] = []
+        self._tt_pred_wcet: Dict[str, float] = {}
+        for proc in app.all_processes():
+            if arch.is_et_node(proc.node):
+                index = self.proc_index[proc.name]
             else:
-                self._msg_src.append(self.proc_index[app.message(m).src])
-
-        # Incoming arcs of every ET process, for release jitter
-        # propagation: (can message id, -1, "") for message arcs,
-        # (-1, ET predecessor id, "") for same-cluster precedence, and
-        # (-1, -1, name) for a TT predecessor (fixed response = WCET).
-        self._proc_arcs: List[List[Tuple[int, int, str]]] = []
-        for p in self.et_procs:
-            graph = app.graph_of_process(p)
-            arcs: List[Tuple[int, int, str]] = []
-            for pred, msg_name in graph.predecessors(p):
-                if msg_name is not None:
-                    arcs.append((self.msg_index[msg_name], -1, ""))
-                elif pred in self.proc_index:
-                    arcs.append((-1, self.proc_index[pred], ""))
-                else:
-                    arcs.append((-1, -1, pred))
-            self._proc_arcs.append(arcs)
-        self._tt_pred_wcet = {
-            p.name: p.wcet
-            for p in app.all_processes()
-            if not arch.is_et_node(p.node)
-        }
+                index = -1
+                self._tt_pred_wcet[proc.name] = proc.wcet
+            self._proc_records.append((proc.name, proc.wcet, index))
+        self._tt_msgs = [
+            msg.name for msg in app.all_messages()
+            if system.route(msg.name) is MessageRoute.TT_TO_TT
+        ]
 
         self._procs_on_node: Dict[str, List[int]] = {}
         for i, node in enumerate(self._proc_node):
             self._procs_on_node.setdefault(node, []).append(i)
 
-        self._transfer_wcet = gateway_transfer_delay(system)
-        self._gateway = arch.gateway
         self._max_graph_period = max(
             (g.period for g in app.graphs.values()), default=0.0
         )
 
-        # Ancestor flags are priority-independent; precompute the pair
-        # tables once so row rebuilds never re-query the System.
-        self._msg_anc = [
-            [
-                system.message_is_ancestor(j, m)
-                for j in self.can_msgs
-            ]
-            for m in self.can_msgs
-        ]
+        # Ancestor flags are priority-independent; precompute them once
+        # so row rebuilds never re-query the System.
         self._proc_anc_rows: Dict[int, List[bool]] = {}
         for node, members in self._procs_on_node.items():
             for i in members:
@@ -329,51 +320,219 @@ class AnalysisContext:
                     for j in members
                 ]
 
+    def _finish_slots(self, final_slot: Dict[str, int]) -> None:
+        """Derive the slot constants both front ends share.
+
+        A front end interns its slots first: ``_slot_msg`` (message of
+        each CAN slot), ``_slot_entry`` (its jitter-chain descriptor),
+        ``_slot_atomic`` (the gateway relaying it from the TT side —
+        frames relayed together by one transfer process at the same
+        offset never block each other), ``_slot_peers`` (the other
+        messages' slots on the same bus as ``(slot, message,
+        ancestor)``), ``_fifo_msg`` / ``_fifo_prev`` / ``_fifo_transfer``
+        / ``_fifo_gateway`` (each FIFO slot's message, feeding CAN slot,
+        ``C_T`` and gateway) and ``_fifo_rows`` (the priority-blind
+        Out_TTP competitor rows).  ``final_slot`` maps each message to
+        the CAN slot delivering it.  The front end also sets what
+        packaging and the bus snapshot read: ``_report_slot`` (the CAN
+        slot reported as ``can[m]``), ``_hop_slots`` (each multi-leg
+        message's legs as ``(is_fifo, slot)``), ``_transfer_records``
+        (the ``T@<gateway>`` processes) and ``_slot_gateways`` (the
+        gateways whose TDMA slots the solve reads).
+        """
+        self._slot_period = [self._msg_period[k] for k in self._slot_msg]
+        self._slot_frame = [self._frame_time[k] for k in self._slot_msg]
+        self._fifo_names = [self.can_msgs[k] for k in self._fifo_msg]
+        self._fifo_size = [self._msg_size[k] for k in self._fifo_msg]
+        # Largest frame (own message included) pending per FIFO row —
+        # the fragmentation term of the whole-frame drain bound.
+        self._fifo_max_size = [
+            max([self._fifo_size[i]] + [entry[3] for entry in row])
+            for i, row in enumerate(self._fifo_rows)
+        ]
+
+        # Incoming arcs of every ET process, for release jitter
+        # propagation: (delivering CAN slot, -1, "") for message arcs,
+        # (-1, ET predecessor id, "") for same-cluster precedence, and
+        # (-1, -1, name) for a TT predecessor (fixed response = WCET).
+        app = self.system.app
+        self._proc_arcs: List[List[Tuple[int, int, str]]] = []
+        for p in self.et_procs:
+            arcs: List[Tuple[int, int, str]] = []
+            for pred, msg_name in app.graph_of_process(p).predecessors(p):
+                if msg_name is not None:
+                    arcs.append((final_slot[msg_name], -1, ""))
+                elif pred in self.proc_index:
+                    arcs.append((-1, self.proc_index[pred], ""))
+                else:
+                    arcs.append((-1, -1, pred))
+            self._proc_arcs.append(arcs)
+
+    def _compile_canonical(self) -> None:
+        """Single-hop slots: CAN slot ``i`` is CAN message ``i``."""
+        system = self.system
+        app = system.app
+        n_msg = len(self.can_msgs)
+        gateway = system.arch.gateway
+        transfer = gateway_transfer_delay(system)
+        self._slot_msg = list(range(n_msg))
+        self._slot_entry = []
+        self._slot_atomic: List[Optional[str]] = []
+        for m in self.can_msgs:
+            if system.route(m) is MessageRoute.TT_TO_ET:
+                self._slot_entry.append((_ENTRY, -1, transfer))
+                self._slot_atomic.append(gateway)
+            else:
+                src = self.proc_index[app.message(m).src]
+                self._slot_entry.append((_SOURCE, src, 0.0))
+                self._slot_atomic.append(None)
+        is_anc = system.message_is_ancestor
+        self._slot_peers = [
+            [(j, j, is_anc(self.can_msgs[j], m)) for j in range(n_msg) if j != i]
+            for i, m in enumerate(self.can_msgs)
+        ]
         # Out_TTP FIFO competitor rows are priority-*independent* — the
         # FIFO drains in arrival order (repro.semantics contract), so the
         # row of every ET->TT message is all other ET->TT messages and is
         # compiled once per System, never rebuilt on a (π, β) re-target.
-        self._ttp_rows = [
-            self._build_ttp_row(i) for i in range(len(self.ettt_msgs))
+        ettt = system.et_to_tt_messages()
+        self._fifo_msg = [self.msg_index[m] for m in ettt]
+        self._fifo_prev = list(self._fifo_msg)
+        self._fifo_transfer = [transfer] * len(ettt)
+        self._fifo_gateway = [gateway] * len(ettt)
+        self._fifo_rows = []
+        for m, cm in zip(ettt, self._fifo_msg):
+            competitors = set(fifo_competitors(system, m))
+            self._fifo_rows.append([
+                (j, 0.0, self._msg_period[cj], self._msg_size[cj],
+                 self._msg_period[cj] == self._msg_period[cm],
+                 is_anc(self.can_msgs[cj], m))
+                for j, cj in enumerate(self._fifo_msg)
+                if ettt[j] in competitors
+            ])
+        self._finish_slots(self.msg_index)
+        self._slot_gateways = [gateway]
+        self._report_slot = list(range(n_msg))
+        self._hop_slots: List[Tuple[str, tuple]] = []
+        self._transfer_records: List[Tuple[str, float]] = []
+
+    def _compile_plan(self) -> None:
+        """Per-leg slots of ``self._plan`` (once per ``(System, plan)``).
+
+        CAN slots follow ``can_messages()`` order, then leg position;
+        FIFO slots follow message order, which is the sorted order the
+        interpreted oracle iterates.
+        """
+        system = self.system
+        app = system.app
+        arch = system.arch
+        plan = self._plan
+        transfer = {g: arch.transfer_wcet_of(g) for g in arch.gateways()}
+        slot_ids: Dict[Tuple[str, int], int] = {}
+        fifo_ids: Dict[str, int] = {}
+        slot_msg: List[int] = []
+        slot_entry: List[tuple] = []
+        slot_atomic: List[Optional[str]] = []
+        slot_bus: List[str] = []
+        fifo_msg: List[int] = []
+        fifo_prev: List[int] = []
+        fifo_gateway: List[str] = []
+        final_slot: Dict[str, int] = {}
+        report_slot: List[int] = []
+        hop_slots: List[Tuple[str, tuple]] = []
+        for mi, m in enumerate(self.can_msgs):
+            legs = plan.legs_of(m)
+            hops = []
+            for pos, leg in enumerate(legs):
+                if leg.is_fifo:
+                    fifo_ids[m] = len(fifo_msg)
+                    hops.append((True, len(fifo_msg)))
+                    fifo_msg.append(mi)
+                    fifo_prev.append(slot_ids[(m, pos - 1)])
+                    fifo_gateway.append(leg.sender)
+                    continue
+                slot_ids[(m, pos)] = len(slot_msg)
+                hops.append((False, len(slot_msg)))
+                slot_msg.append(mi)
+                slot_bus.append(leg.cluster)
+                via = leg.via
+                if via is None:
+                    src = self.proc_index[app.message(m).src]
+                    slot_entry.append((_SOURCE, src, 0.0))
+                    slot_atomic.append(None)
+                elif pos == 0:
+                    slot_entry.append((_ENTRY, -1, transfer[via]))
+                    slot_atomic.append(via)
+                elif legs[pos - 1].is_fifo:
+                    slot_entry.append((_TRANSIT, fifo_ids[m], transfer[via]))
+                    slot_atomic.append(via)
+                else:
+                    prev = slot_ids[(m, pos - 1)]
+                    slot_entry.append((_RELAY, prev, transfer[via]))
+                    slot_atomic.append(None)
+            if legs and not legs[-1].is_fifo:
+                final_slot[m] = slot_ids[(m, len(legs) - 1)]
+                report_slot.append(final_slot[m])
+            else:
+                # ET->TT: the classic convention reports the source CAN
+                # leg; the FIFO leg is the ttp record.
+                report_slot.append(slot_ids[(m, 0)])
+            if len(legs) > 1:
+                hop_slots.append((m, tuple(hops)))
+
+        is_anc = system.message_is_ancestor
+        names = self.can_msgs
+        on_bus: Dict[str, List[int]] = {}
+        for k, cluster in enumerate(slot_bus):
+            on_bus.setdefault(cluster, []).append(k)
+        self._slot_peers = [
+            [
+                (k, slot_msg[k], is_anc(names[slot_msg[k]], names[mi]))
+                for k in on_bus[slot_bus[i]]
+                if slot_msg[k] != mi
+            ]
+            for i, mi in enumerate(slot_msg)
         ]
-        # Largest frame (own message included) pending per FIFO row —
-        # the fragmentation term of the whole-frame drain bound.
-        self._ttp_max_size = [
-            max(
-                [self._ettt_size[i]]
-                + [entry[3] for entry in self._ttp_rows[i]]
-            )
-            for i in range(len(self.ettt_msgs))
+        self._fifo_rows = []
+        for f, mi in enumerate(fifo_msg):
+            m = names[mi]
+            row = []
+            for j in plan.fifo_users.get(fifo_gateway[f], []):
+                if j == m:
+                    continue
+                k = fifo_ids[j]
+                mj = fifo_msg[k]
+                row.append((
+                    k, 0.0, self._msg_period[mj], self._msg_size[mj],
+                    self._msg_period[mj] == self._msg_period[mi],
+                    is_anc(j, m),
+                ))
+            self._fifo_rows.append(row)
+        self._slot_msg = slot_msg
+        self._slot_entry = slot_entry
+        self._slot_atomic = slot_atomic
+        self._fifo_msg = fifo_msg
+        self._fifo_prev = fifo_prev
+        self._fifo_transfer = [transfer[g] for g in fifo_gateway]
+        self._fifo_gateway = fifo_gateway
+        self._finish_slots(final_slot)
+        self._slot_gateways = sorted(set(fifo_gateway))
+        self._report_slot = report_slot
+        self._hop_slots = hop_slots
+        self._transfer_records = [
+            (f"{GATEWAY_TRANSFER_PROCESS}@{g}", transfer[g])
+            for g in arch.gateways()
         ]
 
     # -- (π, β) compile and incremental update ------------------------------
 
-    def _build_can_row(self, i: int, prio: List[int]) -> List[tuple]:
-        """Higher-priority interferer row of CAN message ``i``.
+    def _build_can_slot(self, i: int, prio: List[int]) -> Tuple[list, tuple]:
+        """Interference row and blocking structure of CAN slot ``i``.
 
-        Entries are ``(id, rel, period, cost, locked, ancestor)`` in the
-        legacy iteration order (sorted message names); ``rel`` is filled
-        by :meth:`_refresh_offsets` (it depends on ``φ``).
-        """
-        own = prio[i]
-        period_i = self._msg_period[i]
-        anc = self._msg_anc[i]
-        row = [
-            (j, 0.0, self._msg_period[j], self._frame_time[j],
-             self._msg_period[j] == period_i, anc[j])
-            for j in range(len(self.can_msgs))
-            if j != i and prio[j] <= own
-        ]
-        if self._can_error is not None:
-            # Error process interferes with every message regardless of
-            # priority; appended last so the legacy summation order
-            # (real interferers first, error term last) is preserved.
-            period, cost, _ = self._can_error
-            row.append((len(self.can_msgs), 0.0, period, cost, False, False))
-        return row
-
-    def _build_can_blocking(self, i: int, prio: List[int]) -> tuple:
-        """Blocking structure of CAN message ``i``.
+        Row entries are ``(id, rel, period, cost, locked, ancestor)``
+        over the higher- and equal-priority slots on the same bus, in
+        the oracles' iteration order; ``rel`` is filled by
+        :meth:`_refresh_offsets` (it depends on ``φ``).
 
         ``B_m`` is the largest lower-priority frame that can already be
         on the wire.  The part contributed by different-period messages
@@ -383,38 +542,30 @@ class AnalysisContext:
         offset/prefix-max table (the per-iteration query is then a
         binary search instead of a scan).
         """
-        own = prio[i]
-        period_i = self._msg_period[i]
+        own = prio[self._slot_msg[i]]
+        periods = self._slot_period
+        frames = self._slot_frame
+        period_i = periods[i]
+        row = []
         diff_const = 0.0
         same: List[int] = []
-        for j in range(len(self.can_msgs)):
-            if j == i or prio[j] <= own:
-                continue
-            if self._msg_period[j] == period_i:
-                same.append(j)
-            elif self._frame_time[j] > diff_const:
-                diff_const = self._frame_time[j]
-        return (diff_const, same)
-
-    def _build_ttp_row(self, i: int) -> List[tuple]:
-        """Out_TTP FIFO competitor row of ET->TT message ``i``.
-
-        Priority-blind by the shared FIFO contract
-        (:func:`repro.semantics.fifo_competitors`): every other ET->TT
-        message can sit ahead of ``i`` in the arrival-ordered queue.
-        """
-        can_i = self._ettt_can[i]
-        period_i = self._msg_period[can_i]
-        anc = self._msg_anc[can_i]
-        competitors = set(
-            fifo_competitors(self.system, self.ettt_msgs[i])
-        )
-        return [
-            (j, 0.0, self._msg_period[cj], self._msg_size[cj],
-             self._msg_period[cj] == period_i, anc[cj])
-            for j, cj in enumerate(self._ettt_can)
-            if self.ettt_msgs[j] in competitors
-        ]
+        for k, mk, anc in self._slot_peers[i]:
+            if prio[mk] <= own:
+                row.append(
+                    (k, 0.0, periods[k], frames[k], periods[k] == period_i,
+                     anc)
+                )
+            elif periods[k] == period_i:
+                same.append(k)
+            elif frames[k] > diff_const:
+                diff_const = frames[k]
+        if self._can_error is not None:
+            # Error process interferes with every message regardless of
+            # priority; appended last so the oracles' summation order
+            # (real interferers first, error term last) is preserved.
+            period, cost, _ = self._can_error
+            row.append((len(self._slot_msg), 0.0, period, cost, False, False))
+        return row, (diff_const, same)
 
     def _build_proc_row(self, i: int, prio: List[int]) -> List[tuple]:
         """Same-node higher-priority interferer row of ET process ``i``."""
@@ -433,11 +584,11 @@ class AnalysisContext:
         # Validate before assigning anything: a bus without a gateway
         # slot must not leave half-updated scalars behind (a retry with
         # the same object would then skip re-validation entirely).
-        gateway_slot = bus.slot_of(self._gateway)
+        slots = {g: bus.slot_of(g) for g in self._slot_gateways}
         self._bus = bus
         self._round_length = bus.round_length
-        self._gateway_capacity = gateway_slot.capacity
-        self._gateway_slot_time = gateway_slot.duration
+        self._fifo_capacity = [slots[g].capacity for g in self._fifo_gateway]
+        self._fifo_slot_time = [slots[g].duration for g in self._fifo_gateway]
         self._horizon = (
             4.0 * max(self._max_graph_period, bus.round_length) + 1.0e4
         )
@@ -449,33 +600,27 @@ class AnalysisContext:
         routes=None,
     ) -> str:
         """Re-target the kernel at a new ``(π, β)`` (and, for general
-        topologies, a new route assignment).
+        topologies, a new route assignment; ``None`` means the
+        topology-default routes).
 
-        Returns ``"compiled"`` on the first (full) build,
-        ``"incremental"`` when only the rows mentioning changed
-        activities were rebuilt, and ``"cached"`` when nothing changed.
-        A ``β`` change alone never rebuilds a row — the TDMA round only
-        enters the analysis through the gateway slot scalars and the
-        divergence horizon.
+        Returns ``"compiled"`` on a full build (the first one, or a
+        route change), ``"incremental"`` when only the rows mentioning
+        changed activities were rebuilt, and ``"cached"`` when nothing
+        changed.  A ``β`` change alone never rebuilds a row — the TDMA
+        round only enters the analysis through the gateway slot scalars
+        and the divergence horizon.
         """
         if self._multihop:
-            # Route-aware solves re-read (π, β, routes) per call; the
-            # only state to refresh here is the plan (a route move from
-            # the optimizer) and the solve inputs.
-            if routes is not None and dict(routes) != getattr(
-                self, "_route_overrides", None
-            ):
-                self._plan = self.system.routing_for(routes)
-                self._route_overrides = dict(routes)
-            self._priorities = priorities
-            self._bus = bus
-            if not self._compiled:
-                self._compiled = True
-                self.stats.compiles += 1
-                return "compiled"
-            self.stats.updates += 1
-            return "incremental"
-        if routes:
+            overrides = dict(routes) if routes else {}
+            if overrides != self._route_overrides:
+                # Cleared first: after a re-target that fails below, the
+                # next update recompiles instead of reusing stale rows.
+                self._compiled = False
+                self._route_overrides = None
+                self._plan = self.system.routing_for(overrides)
+                self._compile_plan()
+                self._route_overrides = overrides
+        elif routes:
             raise AnalysisError(
                 "route overrides require a kernel created with routes= "
                 "(the canonical compiled rows are single-hop)"
@@ -486,15 +631,11 @@ class AnalysisContext:
         msg_prio = [
             priorities.message_priority(m) for m in self.can_msgs
         ]
-        if not self._compiled:  # first build
-            self._can_rows = [
-                self._build_can_row(i, msg_prio)
-                for i in range(len(self.can_msgs))
-            ]
-            self._can_blocking = [
-                self._build_can_blocking(i, msg_prio)
-                for i in range(len(self.can_msgs))
-            ]
+        n_slot = len(self._slot_msg)
+        if not self._compiled:
+            built = [self._build_can_slot(i, msg_prio) for i in range(n_slot)]
+            self._can_rows = [row for row, _ in built]
+            self._can_blocking = [blocking for _, blocking in built]
             self._proc_rows = [
                 self._build_proc_row(i, proc_prio)
                 for i in range(len(self.et_procs))
@@ -513,19 +654,19 @@ class AnalysisContext:
         ]
         if changed_msgs:
             old = self._msg_prio
-            for i in range(len(self.can_msgs)):
-                if i in changed_msgs or any(
-                    (old[j] <= old[i]) != (msg_prio[j] <= msg_prio[i])
+            for i in range(n_slot):
+                mi = self._slot_msg[i]
+                if mi in changed_msgs or any(
+                    (old[j] <= old[mi]) != (msg_prio[j] <= msg_prio[mi])
                     for j in changed_msgs
-                    if j != i
+                    if j != mi
                 ):
-                    self._can_rows[i] = self._build_can_row(i, msg_prio)
-                    self._can_blocking[i] = self._build_can_blocking(
-                        i, msg_prio
+                    self._can_rows[i], self._can_blocking[i] = (
+                        self._build_can_slot(i, msg_prio)
                     )
                     self.stats.rows_recompiled += 1
-            # Out_TTP FIFO rows are priority-blind (built once in
-            # _compile_static) — a π change never touches them.
+            # Out_TTP FIFO rows are priority-blind (built at compile
+            # time) — a π change never touches them.
             self._msg_prio = msg_prio
             changed = True
 
@@ -584,68 +725,50 @@ class AnalysisContext:
         self._proc_off = [
             proc_off_map.get(p, 0.0) for p in self.et_procs
         ]
-        self._msg_off = [
-            msg_off_map.get(m, 0.0) for m in self.can_msgs
-        ]
+        msg_off = [msg_off_map.get(m, 0.0) for m in self.can_msgs]
+        self._slot_off = [msg_off[k] for k in self._slot_msg]
+        self._fifo_off = [msg_off[k] for k in self._fifo_msg]
         self._proc_off_map = proc_off_map
         self._msg_off_map = msg_off_map
 
-        msg_off = self._msg_off
-        proc_off = self._proc_off
+        def _relative(rows: List[List[tuple]], off: List[float]):
+            return [
+                [
+                    (k, (off[k] - off[i]) % period if lck else 0.0,
+                     period, cost, lck, anc)
+                    for k, _, period, cost, lck, anc in row
+                ]
+                for i, row in enumerate(rows)
+            ]
 
-        def _rel(off_j: float, off_i: float, period: float) -> float:
-            return (off_j - off_i) % period
-
-        self._can_rows_z: List[List[tuple]] = []
-        for i, row in enumerate(self._can_rows):
-            off_i = msg_off[i]
-            self._can_rows_z.append([
-                (k,
-                 _rel(msg_off[k], off_i, period) if lck else 0.0,
-                 period, cost, lck, anc)
-                for k, _, period, cost, lck, anc in row
-            ])
-        self._ttp_rows_z: List[List[tuple]] = []
-        for i, row in enumerate(self._ttp_rows):
-            off_i = msg_off[self._ettt_can[i]]
-            self._ttp_rows_z.append([
-                (k,
-                 _rel(msg_off[self._ettt_can[k]], off_i, period)
-                 if lck else 0.0,
-                 period, cost, lck, anc)
-                for k, _, period, cost, lck, anc in row
-            ])
-        self._proc_rows_z: List[List[tuple]] = []
-        for i, row in enumerate(self._proc_rows):
-            off_i = proc_off[i]
-            self._proc_rows_z.append([
-                (k,
-                 _rel(proc_off[k], off_i, period) if lck else 0.0,
-                 period, cost, lck, anc)
-                for k, _, period, cost, lck, anc in row
-            ])
+        self._can_rows_z = _relative(self._can_rows, self._slot_off)
+        self._ttp_rows_z = _relative(self._fifo_rows, self._fifo_off)
+        self._proc_rows_z = _relative(self._proc_rows, self._proc_off)
 
         # Equal-period blocking candidates, sorted by offset with a
         # running prefix maximum of frame times.  A candidate blocks m
         # exactly when its offset lies strictly before O_m + J_m, so the
         # worst blocker among the first bisect(offsets, O_m + J_m)
         # candidates is one prefix-max lookup.  Atomic gateway frames
-        # (both TT->ET, same offset — enqueued together by the transfer
-        # process) can never block and are dropped here.
+        # (both relayed from the TT side by the same gateway at the same
+        # offset — enqueued together by its transfer process) can never
+        # block and are dropped here.
+        slot_off = self._slot_off
+        atomic = self._slot_atomic
         self._blk_offsets: List[List[float]] = []
         self._blk_prefmax: List[List[float]] = []
         for i, (_, same) in enumerate(self._can_blocking):
             pairs = []
-            own_tt = self._msg_route[i] is MessageRoute.TT_TO_ET
-            off_i = msg_off[i]
+            own_gateway = atomic[i]
+            off_i = slot_off[i]
             for j in same:
                 if (
-                    own_tt
-                    and self._msg_route[j] is MessageRoute.TT_TO_ET
-                    and msg_off[j] == off_i
+                    own_gateway is not None
+                    and atomic[j] == own_gateway
+                    and slot_off[j] == off_i
                 ):
                     continue
-                pairs.append((msg_off[j], self._frame_time[j]))
+                pairs.append((slot_off[j], self._slot_frame[j]))
             pairs.sort()
             offs = [p[0] for p in pairs]
             pref: List[float] = []
@@ -658,11 +781,11 @@ class AnalysisContext:
             self._blk_prefmax.append(pref)
 
     def _blocking(self, i: int, own_jitter: float) -> float:
-        """``B_m`` of CAN message ``i`` at the current jitter."""
+        """``B_m`` of CAN slot ``i`` at the current jitter."""
         worst = self._can_blocking[i][0]
         offs = self._blk_offsets[i]
         if offs:
-            bound = self._msg_off[i] + own_jitter
+            bound = self._slot_off[i] + own_jitter
             count = bisect_left(offs, bound)
             if count:
                 pref = self._blk_prefmax[i][count - 1]
@@ -681,9 +804,9 @@ class AnalysisContext:
 
         ``warm`` seeds the state vector from a previous solution (see
         the module docstring for the soundness argument); a seed with
-        non-converged entries is ignored.  Returns the packaged
-        :class:`ResponseTimes` and the raw :class:`SolveState` to pass
-        back in next time.
+        non-converged entries, or one saved for another slot layout, is
+        ignored.  Returns the packaged :class:`ResponseTimes` and the
+        raw :class:`SolveState` to pass back in next time.
         """
         if _obs_state.enabled:
             import time as _time
@@ -705,42 +828,35 @@ class AnalysisContext:
         offsets: OffsetTable,
         warm: Optional[SolveState] = None,
     ) -> Tuple[ResponseTimes, SolveState]:
-        if self._multihop:
-            from .multihop import multihop_response_time_analysis
-
-            self.stats.solves += 1
-            rho = multihop_response_time_analysis(
-                self.system,
-                offsets,
-                self._priorities,
-                self._bus,
-                self._plan,
-                faults=self.faults,
-            )
-            # The interpreted path carries no warm-start vectors; the
-            # Fig. 5 loop treats a None state as a cold solve.
-            return rho, None
         self._refresh_offsets(offsets)
         self.stats.solves += 1
 
         n_proc = len(self.et_procs)
-        n_msg = len(self.can_msgs)
-        n_ttp = len(self.ettt_msgs)
+        n_msg = len(self._slot_msg)
+        n_ttp = len(self._fifo_msg)
         wcet = self._wcet
-        frame_time = self._frame_time
+        frame_time = self._slot_frame
         horizon = self._horizon
-        transfer_response = self._transfer_wcet
         bus = self._bus
         round_length = self._round_length
-        gateway_capacity = self._gateway_capacity
-        gateway = self._gateway
-        msg_off = self._msg_off
+        fifo_off = self._fifo_off
+        fifo_prev = self._fifo_prev
+        fifo_transfer = self._fifo_transfer
+        fifo_gateway = self._fifo_gateway
+        fifo_capacity = self._fifo_capacity
+        fifo_slot_time = self._fifo_slot_time
+        fifo_size = self._fifo_size
+        slot_off = self._slot_off
         proc_off = self._proc_off
-        msg_src = self._msg_src
-        routes = self._msg_route
-        tt_to_et = MessageRoute.TT_TO_ET
+        entries = self._slot_entry
 
-        if warm is not None and warm.finite():
+        if (
+            warm is not None
+            and warm.finite()
+            and len(warm.proc_window) == n_proc
+            and len(warm.msg_queue) == n_msg
+            and len(warm.ttp_queue) == n_ttp
+        ):
             self.stats.warm_starts += 1
             pj = list(warm.proc_jitter)
             pw = list(warm.proc_window)
@@ -772,29 +888,33 @@ class AnalysisContext:
         can_rows = self._can_rows_z
         ttp_rows = self._ttp_rows_z
         proc_rows = self._proc_rows_z
-        ettt_can = self._ettt_can
-        ettt_size = self._ettt_size
         floor = math.floor
         ceil = math.ceil
 
         for _ in range(_MAX_OUTER_ITERATIONS):
             changed = False
 
-            # 1. Message queueing jitters from current process responses.
+            # 1. CAN queueing jitters from the upstream stage of each
+            # slot (see the _SOURCE.._RELAY descriptors).
             for i in range(n_msg):
-                if routes[i] is tt_to_et:
-                    j = transfer_response
-                else:
-                    src = msg_src[i]
-                    j = pr[src] - wcet[src]
+                kind, k, transfer = entries[i]
+                if kind == _SOURCE:
+                    j = pr[k] - wcet[k]
                     if j < 0.0:
                         j = 0.0
+                elif kind == _ENTRY:
+                    j = transfer
+                elif kind == _TRANSIT:
+                    j = tj[k] + tq[k] + fifo_slot_time[k] + transfer
+                else:
+                    j = mr[k] + transfer
                 if j != mj[i]:
                     mj[i] = j
                     changed = True
 
-            # 2. CAN bus queueing delays.  Residency of an interferer on
-            # the wire: its own queueing delay plus its frame time.
+            # 2. Per-bus CAN queueing delays.  Residency of an
+            # interferer on the wire: its own queueing delay plus its
+            # frame time.
             res_can = [
                 (mq[i] if mq[i] != _INF else horizon) + frame_time[i]
                 for i in range(n_msg)
@@ -812,21 +932,21 @@ class AnalysisContext:
                     changed = True
                 mr[i] = mj[i] + w + frame_time[i]
 
-            # 3. Gateway Out_TTP FIFO for ET->TT messages.
+            # 3. Gateway Out_TTP FIFOs.
             for i in range(n_ttp):
-                j = mr[ettt_can[i]] + transfer_response
+                j = mr[fifo_prev[i]] + fifo_transfer[i]
                 if j != tj[i]:
                     tj[i] = j
                     changed = True
             for i in range(n_ttp):
-                instant = ettt_queue_instant(msg_off[ettt_can[i]], tj[i])
+                instant = ettt_queue_instant(fifo_off[i], tj[i])
                 if instant == _INF:
                     if tq[i] != _INF:
                         changed = True
                     tq[i] = _INF
                     ta[i] = _INF
                     continue
-                blocking = bus.waiting_time(gateway, instant)
+                blocking = bus.waiting_time(fifo_gateway[i], instant)
                 row = ttp_rows[i]
                 diverged = False
                 for entry in row:
@@ -840,7 +960,7 @@ class AnalysisContext:
                     ta[i] = _INF
                     continue
                 own_j = tj[i]
-                max_size = self._ttp_max_size[i]
+                max_size = self._fifo_max_size[i]
                 w = blocking
                 ahead = 0.0
                 for _inner in range(_MAX_INNER_ITERATIONS):
@@ -868,10 +988,10 @@ class AnalysisContext:
                         ahead += hits * cost
                         count += hits
                     # Whole-frame drain bound (repro.semantics): mirrors
-                    # the legacy pass operation for operation.
+                    # the oracles' pass operation for operation.
                     rounds = fifo_drain_rounds(
-                        ettt_size[i], ahead, count,
-                        gateway_capacity, max_size,
+                        fifo_size[i], ahead, count,
+                        fifo_capacity[i], max_size,
                     )
                     w_next = blocking + (rounds - 1) * round_length
                     if w_next == w:
@@ -891,9 +1011,9 @@ class AnalysisContext:
             for i in range(n_proc):
                 own_offset = proc_off[i]
                 jitter = 0.0
-                for msg_idx, pred_idx, pred_name in self._proc_arcs[i]:
-                    if msg_idx >= 0:
-                        arrival = msg_off[msg_idx] + mr[msg_idx]
+                for slot, pred_idx, pred_name in self._proc_arcs[i]:
+                    if slot >= 0:
+                        arrival = slot_off[slot] + mr[slot]
                     elif pred_idx >= 0:
                         arrival = proc_off[pred_idx] + pr[pred_idx]
                     else:
@@ -908,7 +1028,7 @@ class AnalysisContext:
 
             # 5. Busy windows of ET processes.  Residency of an
             # interfering process: its whole busy window (snapshot taken
-            # before the sweep, as in the legacy pass).
+            # before the sweep, as in the oracles' pass).
             res_proc = [
                 pw[i] if pw[i] != _INF else horizon
                 for i in range(n_proc)
@@ -944,66 +1064,78 @@ class AnalysisContext:
     # -- packaging -----------------------------------------------------------
 
     def _package(self, state: SolveState) -> ResponseTimes:
-        """Translate a solved state back into the named ``ρ`` record."""
-        system = self.system
-        app = system.app
-        arch = system.arch
+        """Translate a solved state back into the named ``ρ`` record.
+
+        ``can[m]`` is the delivering CAN slot (the source slot of an
+        ET->TT message), ``ttp[m]`` the FIFO slot; per-leg contexts add
+        the ``T@<gateway>`` transfer processes and, for multi-leg
+        routes, ``hops[m]`` in traversal order.
+        """
         proc_off_map = self._proc_off_map
-        msg_off = self._msg_off
+        slot_off = self._slot_off
         result = ResponseTimes()
-        proc_index = self.proc_index
-        for proc in app.all_processes():
-            name = proc.name
-            if arch.is_tt_node(proc.node):
+        for name, wcet, i in self._proc_records:
+            if i < 0:
                 result.processes[name] = ActivityTiming(
                     offset=proc_off_map.get(name, 0.0),
                     jitter=0.0,
                     queuing=0.0,
-                    duration=proc.wcet,
+                    duration=wcet,
                 )
             else:
-                i = proc_index[name]
                 window = state.proc_window[i]
                 jitter = state.proc_jitter[i]
                 converged = window != _INF and jitter != _INF
                 result.processes[name] = ActivityTiming(
                     offset=self._proc_off[i],
                     jitter=jitter if converged else _INF,
-                    queuing=window - proc.wcet if converged else _INF,
-                    duration=proc.wcet,
+                    queuing=window - wcet if converged else _INF,
+                    duration=wcet,
                     converged=converged,
                 )
         result.processes[GATEWAY_TRANSFER_PROCESS] = ActivityTiming(
             offset=0.0, jitter=0.0, queuing=0.0,
-            duration=self._transfer_wcet,
+            duration=self.system.arch.gateway_transfer_wcet,
         )
-        for i, m in enumerate(self.can_msgs):
+        for name, transfer in self._transfer_records:
+            result.processes[name] = ActivityTiming(
+                offset=0.0, jitter=0.0, queuing=0.0, duration=transfer
+            )
+
+        def can_record(i: int) -> ActivityTiming:
             converged = (
                 state.msg_queue[i] != _INF and state.msg_jitter[i] != _INF
             )
-            result.can[m] = ActivityTiming(
-                offset=msg_off[i],
+            return ActivityTiming(
+                offset=slot_off[i],
                 jitter=state.msg_jitter[i] if converged else _INF,
                 queuing=state.msg_queue[i] if converged else _INF,
-                duration=self._frame_time[i],
+                duration=self._slot_frame[i],
                 converged=converged,
             )
-        for i, m in enumerate(self.ettt_msgs):
+
+        def fifo_record(i: int) -> ActivityTiming:
             converged = (
                 state.ttp_queue[i] != _INF and state.ttp_jitter[i] != _INF
             )
-            result.ttp[m] = ActivityTiming(
-                offset=msg_off[self._ettt_can[i]],
+            return ActivityTiming(
+                offset=self._fifo_off[i],
                 jitter=state.ttp_jitter[i] if converged else _INF,
                 queuing=state.ttp_queue[i] if converged else _INF,
-                duration=self._gateway_slot_time,
+                duration=self._fifo_slot_time[i],
                 converged=converged,
             )
-        route = system.route
+
+        for m, i in zip(self.can_msgs, self._report_slot):
+            result.can[m] = can_record(i)
+        for i, m in enumerate(self._fifo_names):
+            result.ttp[m] = fifo_record(i)
+        for m, hops in self._hop_slots:
+            result.hops[m] = tuple(
+                fifo_record(i) if is_fifo else can_record(i)
+                for is_fifo, i in hops
+            )
         msg_off_map = self._msg_off_map
-        for msg in app.all_messages():
-            if route(msg.name) is MessageRoute.TT_TO_TT:
-                result.tt_arrival[msg.name] = msg_off_map.get(
-                    msg.name, 0.0
-                )
+        for name in self._tt_msgs:
+            result.tt_arrival[name] = msg_off_map.get(name, 0.0)
         return result

@@ -31,7 +31,9 @@ is shaped — the supervisor (:mod:`repro.serve.supervisor`) only decides
 
 from __future__ import annotations
 
+import os
 import pickle
+import queue
 import threading
 import warnings
 from collections import OrderedDict
@@ -61,6 +63,10 @@ SESSION_CACHE_LIMIT = 4
 #: to shrug off stray kills, few enough that a deterministic
 #: crash-on-startup cannot fork-bomb the host.
 RESPAWN_LIMIT = 16
+
+#: Seconds an idle local worker blocks on its task queue before it
+#: checks whether its parent is still alive.
+PARENT_POLL_S = 1.0
 
 
 # -- unit execution (shared by every transport) ------------------------------
@@ -147,13 +153,17 @@ def _run_call_unit(payload: bytes) -> bytes:
 # -- local fork transport ----------------------------------------------------
 
 
-def _worker_main(worker_id: str, task_q, result_q) -> None:
+def _worker_main(worker_id: str, task_q, result_q, parent: int) -> None:
     """Forked worker loop: evaluate dispatch units until poisoned.
 
     Terminal signals are ignored — draining is the service's business,
     and a worker dying mid-unit would break the pool and lose the unit.
     A unit that raises reports an error result instead of killing the
-    worker, so one bad request cannot take the pool down.
+    worker, so one bad request cannot take the pool down.  The worker
+    also exits once its parent ``parent`` is gone (checked every
+    :data:`PARENT_POLL_S` while idle): the fork holds both ends of its
+    task pipe, so a SIGKILLed parent would otherwise leave it blocked
+    on the queue forever.
     """
     import signal
 
@@ -164,7 +174,12 @@ def _worker_main(worker_id: str, task_q, result_q) -> None:
     reset_process()
     sessions: OrderedDict[str, Any] = OrderedDict()
     while True:
-        task = task_q.get()
+        try:
+            task = task_q.get(timeout=PARENT_POLL_S)
+        except queue.Empty:
+            if os.getppid() != parent:
+                break
+            continue
         if task is None:
             break
         unit_id, kind, payload = task[:3]
@@ -235,7 +250,7 @@ class LocalFleet:
         task_q = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, task_q, self.result_q),
+            args=(worker_id, task_q, self.result_q, os.getpid()),
             daemon=True,
         )
         proc.start()

@@ -6,6 +6,9 @@ specifications the parity and identity suites compare against:
 
 * :func:`legacy_response_time_analysis` — the holistic analysis that
   recompiles its interference structure per call;
+* :func:`legacy_multihop_response_time_analysis` — the interpreted
+  per-leg analysis of general topologies and route overrides, which
+  rebuilds its name-keyed per-leg rows per call;
 * :class:`LegacySimulator` / :func:`legacy_simulate` — the
   event-by-event simulator over an :class:`EventQueue` heap;
 * :func:`steer_gateway_traffic_scan` — the full-scan workload steering.
@@ -14,6 +17,7 @@ Nothing under ``src/`` imports this package.
 """
 
 from .events import EventQueue
+from .legacy_multihop import legacy_multihop_response_time_analysis
 from .legacy_rta import legacy_response_time_analysis
 from .legacy_sim import LegacySimulator, legacy_simulate
 from .workload_scan import steer_gateway_traffic_scan
@@ -21,6 +25,7 @@ from .workload_scan import steer_gateway_traffic_scan
 __all__ = [
     "EventQueue",
     "LegacySimulator",
+    "legacy_multihop_response_time_analysis",
     "legacy_response_time_analysis",
     "legacy_simulate",
     "steer_gateway_traffic_scan",

@@ -17,13 +17,7 @@ from repro.analysis.can_analysis import (
     can_blocking,
     can_error_term,
 )
-from repro.analysis.holistic import (
-    _MAX_INNER_ITERATIONS,
-    _MAX_OUTER_ITERATIONS,
-    _rel_offset,
-    _solve_window,
-    phase_locked_hits,
-)
+from repro.analysis.holistic import phase_locked_hits
 from repro.analysis.timing import ActivityTiming, ResponseTimes
 from repro.buses.ttp import TTPBusConfig
 from repro.exceptions import AnalysisError
@@ -35,6 +29,13 @@ from repro.semantics import (
     fifo_drain_rounds,
 )
 from repro.system import System
+
+from .busy_window import (
+    _MAX_INNER_ITERATIONS,
+    _MAX_OUTER_ITERATIONS,
+    _rel_offset,
+    _solve_window,
+)
 
 __all__ = ["legacy_response_time_analysis"]
 

@@ -10,13 +10,17 @@ dies or raises, no test sleeps:
   is the serial one, and the retry is counted — never a serial fallback;
 * an exception raised by the chunk worker reaches the caller with its
   own type after exactly one attempt;
-* without ``fork`` the chunks run inline with a :class:`RuntimeWarning`.
+* without ``fork`` the chunks run inline with a :class:`RuntimeWarning`;
+* a worker whose owning process is SIGKILLed exits on its own.
 """
 
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
+import time
 import warnings
 from collections import OrderedDict
 from pathlib import Path
@@ -191,3 +195,56 @@ class TestRemoteRefusal:
         assert status == "error"
         assert result.startswith("ConfigurationError:")
 
+
+
+def _running(pid):
+    """Whether ``pid`` is a live (non-zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+class TestOrphanedWorkers:
+    def test_worker_exits_when_its_owner_is_killed(self):
+        """SIGKILL a process that owns a ``LocalFleet``: its idle worker
+        notices the lost parent and exits instead of blocking on its
+        task queue forever."""
+        script = (
+            "import time\n"
+            "from repro.serve.workers import LocalFleet\n"
+            "fleet = LocalFleet(1)\n"
+            "print(fleet.pid(fleet.worker_ids()[0]), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        owner = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        worker = None
+        try:
+            worker = int(owner.stdout.readline())
+            assert _running(worker)
+            owner.kill()
+            owner.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(worker), "orphaned worker still alive"
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait(timeout=10)
+            owner.stdout.close()
+            if worker is not None and _running(worker):
+                os.kill(worker, signal.SIGKILL)
