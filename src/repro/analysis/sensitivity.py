@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..exceptions import AnalysisError, SchedulingError
 from ..io.serialize import system_from_dict, system_to_dict
 from ..model.configuration import SystemConfiguration
 from ..system import System
@@ -56,8 +57,8 @@ def _schedulable(system: System, config: SystemConfiguration) -> bool:
         result = multi_cluster_scheduling(
             system, config.bus, config.priorities, tt_delays=config.tt_delays
         )
-    except Exception:
-        return False
+    except (SchedulingError, AnalysisError):
+        return False  # infeasible at this scale; any other error is a bug
     if not result.converged:
         return False
     return degree_of_schedulability(system, result.rho).schedulable

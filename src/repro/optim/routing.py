@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..buses.ttp import TTPBusConfig
+from ..exceptions import ConfigurationError
 from ..model.configuration import SystemConfiguration
 from ..system import System
 from .moves import Move
@@ -126,7 +127,7 @@ def _slot_feasible(
             continue
         try:
             slot = bus.slot_of(hop)
-        except Exception:
+        except ConfigurationError:
             return False  # the relaying gateway owns no TTP slot
         if slot.capacity < size:
             return False

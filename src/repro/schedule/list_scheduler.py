@@ -19,11 +19,19 @@ propagation (earliest activation), producing the complete offset table
 ``φ``.  Per-activity extra delays (``tt_delays`` in the system
 configuration) implement the OptimizeResources move "move a TT process or
 message inside its [ASAP, ALAP] interval".
+
+The scheduler is compiled per ``(System, routing plan)`` and memoizes
+schedules on ``(β slots, sorted tt_delays, ET->TT constraint vector)``,
+every input a schedule reads (DESIGN.md, "The compiled scheduler").
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from bisect import insort
+from collections import OrderedDict
+from heapq import heappop, heappush
+from operator import attrgetter
+from typing import Dict, Mapping, Optional
 
 from ..buses.ttp import TTPBusConfig
 from ..exceptions import SchedulingError
@@ -40,6 +48,10 @@ __all__ = ["static_schedule", "downstream_urgency"]
 #: Safety horizon: how many TDMA rounds past the estimated makespan a frame
 #: search may scan before the schedule is declared infeasible.
 _ROUND_SEARCH_MARGIN = 10_000
+#: LRU bounds: compiled contexts per System (one per routing plan), and
+#: memoized schedules per context.
+_MAX_PLANS = 8
+_MEMO_SIZE = 64
 
 
 def downstream_urgency(graph: ProcessGraph) -> Dict[str, float]:
@@ -57,48 +69,202 @@ def downstream_urgency(graph: ProcessGraph) -> Dict[str, float]:
     return urgency
 
 
-class _NodeTimeline:
-    """Busy intervals of one TT node, with first-fit gap search."""
-
-    def __init__(self) -> None:
-        self._busy: List[Tuple[float, float]] = []
-
-    def earliest_start(self, est: float, duration: float) -> float:
-        """First start >= est such that [start, start+duration) is free."""
-        start = est
-        for begin, end in self._busy:
-            if start + duration <= begin + 1e-12:
-                break
-            if end > start:
-                start = end
-        return start
-
-    def reserve(self, start: float, end: float) -> None:
-        self._busy.append((start, end))
-        self._busy.sort()
+def _cached(cache: OrderedDict, key, build, bound: int):
+    """LRU lookup; a miss stores ``build()`` and evicts beyond ``bound``."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = build()
+    if len(cache) > bound:
+        cache.popitem(last=False)
+    return value
 
 
-def _downstream_min_transit(
-    system: System, bus: TTPBusConfig, msg_name: str, legs
-) -> float:
-    """Earliest extra transit of every leg after the first.
+def _frame_for(medl, bus, node: str, msg_name: str, size, ready):
+    """Earliest frame of ``node`` with capacity, starting at/after ready
+    (``TTPBusConfig.next_slot_start``/``slot_start``/``slot_end`` inlined
+    over the bus's per-β slot table: same operations, same order)."""
+    slot = bus.slot_of(node)  # raises when the node owns no TDMA slot
+    capacity, duration = slot.capacity, slot.duration
+    offset, round_length = bus.slot_offset(node), bus.round_length
+    if size > capacity:
+        raise SchedulingError(f"message {msg_name} ({size} B) exceeds the "
+                              f"capacity of {node}'s slot ({capacity} B)")
+    if ready < 0:
+        ready = 0.0
+    rounds_before = (ready - offset) / round_length
+    round_index = int(rounds_before)
+    if round_index < rounds_before:
+        round_index += 1
+    if round_index < 0:
+        round_index = 0
+    while round_index * round_length + offset < ready - 1e-9:
+        round_index += 1
+    for _ in range(_ROUND_SEARCH_MARGIN):
+        frame = medl.get((node, round_index))
+        if frame is None:
+            start = round_index * round_length + offset
+            frame = medl[(node, round_index)] = FrameSlot(
+                node, round_index, start, start + duration, capacity
+            )
+        if frame.capacity - frame.used_bytes >= size:
+            return frame
+        round_index += 1
+    raise SchedulingError(
+        f"no frame with {size} free bytes found for {msg_name} within "
+        f"{_ROUND_SEARCH_MARGIN} rounds — TTP slot of {node} overloaded"
+    )
 
-    Per additional leg the message pays the entry gateway's transfer
-    (the simulator charges exactly ``C_T``) plus the leg's minimal wire
-    time: a full CAN frame, or — for a FIFO leg — the carrying TDMA
-    slot's duration (delivery is at the slot's *end*; zero queue wait
-    is the earliest case).  Used as a sound earliest-arrival offset for
-    downstream consumers; the per-leg jitter chain of the analysis
-    covers everything later than this.
+
+def _transit(system: System, routing, msg_name: str) -> tuple:
+    """Terms of the earliest extra transit of the legs after the first:
+    per leg the entry gateway's ``C_T``, then a CAN frame time or the
+    gateway whose TDMA slot carries the leg (delivery at the slot's end)."""
+    legs = routing.legs_of(msg_name)[1:] if routing is not None else ()
+    return tuple(term for leg in legs for term in (
+        system.arch.transfer_wcet_of(leg.via),
+        leg.sender if leg.is_fifo else system.can_frame_time(msg_name),
+    ))
+
+
+class _ScheduleContext:
+    """The list scheduler compiled for one ``(System, plan)``.
+
+    A TT process starts no earlier than the maximum of its slots in the
+    per-call ``values`` list: TT process ends (by urgency rank), ET->TT
+    constraints, TTP-borne arrivals, and 0.0 (a non-TT dependency).
     """
-    extra = 0.0
-    for leg in legs[1:]:
-        extra += system.arch.transfer_wcet_of(leg.via)
-        if leg.is_fifo:
-            extra += bus.slot_of(leg.sender).duration
-        else:
-            extra += system.can_frame_time(msg_name)
-    return extra
+
+    def __init__(self, system: System, routing) -> None:
+        app, route = system.app, system.route
+        urgency: Dict[str, float] = {}
+        for graph in app.graphs.values():
+            urgency.update(downstream_urgency(graph))
+        names = sorted(system.tt_processes(), key=lambda p: (-urgency[p], p))
+        rank = {name: r for r, name in enumerate(names)}
+        self.ettt = system.et_to_tt_messages()
+        ttp = dict.fromkeys(m.name for m in app.all_messages() if route(m.name) in (
+            MessageRoute.TT_TO_TT, MessageRoute.TT_TO_ET))  # ordered set
+        slot_of = {m: len(names) + i for i, m in enumerate([*self.ettt, *ttp])}
+        zero = len(names) + len(slot_of)  # the constant 0.0 slot
+        self.tail = [0.0] * (len(ttp) + 1)  # arrival slots, then the 0.0
+        self.indeg, self.procs = [], []
+        for name in names:
+            graph = app.graph_of_process(name)
+            preds = graph.predecessors(name)
+            self.indeg.append(sum(pred in rank for pred, _msg in preds))
+            self.procs.append((
+                name, graph.processes[name].node, graph.processes[name].wcet,
+                system.release_of(name),
+                # Every message into a TT process is TT->TT or ET->TT.
+                tuple(rank.get(pred, zero) if msg is None else slot_of[msg]
+                      for pred, msg in preds),
+                tuple((msg, app.message(msg).size, slot_of[msg])
+                      for _succ, msg in sorted(graph.successors(name))
+                      if msg in ttp),
+                tuple(rank[s] for s, _m in graph.successors(name) if s in rank),
+            ))
+        self.nodes = system.arch.tt_node_names()
+        # ET offsets (earliest activations, calibrated on the paper's Fig. 4
+        # example): a same-node predecessor's earliest completion O_S + C_S;
+        # a TT->ET frame's arrival at the gateway MBI (its jitter covers
+        # transfer and CAN); O_S + C_S + C_m after an ET->ET message; plus
+        # the earliest transit of every further leg.  Preds are (pred, C_S,
+        # message or None, C_m or None for a TT->ET frame, transit terms).
+        self.et_plan = [
+            (name, system.release_of(name), [
+                (pred, graph.processes[pred].wcet, msg,
+                 None if msg is None or route(msg) is MessageRoute.TT_TO_ET
+                 else system.can_frame_time(msg),
+                 _transit(system, routing, msg) if msg is not None else ())
+                for pred, msg in graph.predecessors(name)
+            ])
+            for graph in app.graphs.values()
+            for name in graph.topological_order() if name not in rank
+        ]
+        self.msg_plan = [
+            (m.name, None, 0.0) if m.name in ttp
+            else (m.name, m.src, app.process(m.src).wcet)
+            for m in app.all_messages()
+        ]
+        self.memo: OrderedDict = OrderedDict()
+
+    def schedule(self, bus, rho, delays, floors) -> StaticSchedule:
+        constraints = tuple(et_to_tt_constraint(m, rho, floors) for m in self.ettt)
+        offsets, messages, tables, medl, arrival, makespan = _cached(
+            self.memo, (bus.slots, tuple(sorted(delays.items())), constraints),
+            lambda: self._run(bus, delays, constraints), _MEMO_SIZE
+        )
+        return StaticSchedule(OffsetTable(offsets, messages), tables, medl,
+                              arrival, makespan)
+
+    def _run(self, bus, delays, constraints):
+        count = len(self.procs)
+        values = [0.0] * count + list(constraints) + self.tail
+        indeg = list(self.indeg)
+        ready = [r for r, waiting in enumerate(indeg) if not waiting]
+        busy = {node: [] for node in self.nodes}
+        tables = {node: [] for node in self.nodes}
+        medl, arrival, offsets, finish = {}, {}, {}, []
+        while ready:
+            r = heappop(ready)
+            name, node, wcet, release, preds, out, succs = self.procs[r]
+            start = release + delays.get(name, 0.0)
+            for i in preds:
+                if values[i] > start:
+                    start = values[i]
+            timeline = busy[node]  # first fit on sorted busy intervals
+            for begin, stop in timeline:
+                if start + wcet <= begin + 1e-12:
+                    break
+                if stop > start:
+                    start = stop
+            end = start + wcet
+            insort(timeline, (start, end))
+            tables[node].append(ScheduleEntry(name, start, end))
+            offsets[name] = start
+            values[r] = end
+            finish.append(end)
+            for msg, size, slot in out:
+                frame = _frame_for(medl, bus, node, msg, size,
+                                   end + delays.get(msg, 0.0))
+                frame.messages.append(msg)
+                frame.used_bytes += size
+                values[slot] = arrival[msg] = frame.end
+            for succ in succs:
+                indeg[succ] -= 1
+                if not indeg[succ]:
+                    heappush(ready, succ)
+        if len(finish) != count:
+            raise SchedulingError(
+                "static scheduler could not order all TT processes (cycle "
+                "through the ETC is not supported by list scheduling)"
+            )
+        for node_table in tables.values():
+            node_table.sort(key=attrgetter("start"))
+        for name, earliest, preds in self.et_plan:
+            for pred, wcet, msg, wire, transit in preds:
+                if msg is None:
+                    value = offsets.get(pred, 0.0) + wcet
+                elif wire is None:
+                    value = arrival[msg]
+                else:
+                    value = offsets.get(pred, 0.0) + wcet + wire
+                if transit:
+                    extra = 0.0
+                    for term in transit:  # a gateway name: its slot length
+                        extra += (bus.slot_of(term).duration
+                                  if isinstance(term, str) else term)
+                    value += extra
+                if value > earliest:
+                    earliest = value
+            offsets[name] = earliest
+        messages = {
+            name: arrival[name] if src is None else offsets[src] + wcet
+            for name, src, wcet in self.msg_plan
+        }
+        return (offsets, messages, tables, medl, arrival,
+                max(finish, default=0.0))
 
 
 def static_schedule(
@@ -112,186 +278,12 @@ def static_schedule(
     """Build schedule tables, the MEDL and the full offset table ``φ``.
 
     ``routing`` (a :class:`repro.semantics.routing.RoutingPlan`) supplies
-    the leg list of every inter-cluster message on general topologies;
-    canonical two-cluster systems ignore it (their single-hop
-    conventions are hard-wired below, byte-identical to the paper
-    calibration).
+    the legs of every inter-cluster message on general topologies; each
+    leg after the first delays the ET consumer's earliest activation.
     """
-    app = system.app
-    arch = system.arch
-    delays = dict(tt_delays or {})
     if routing is None and system.multi_topology:
         routing = system.default_routing()
-
-    urgency: Dict[str, float] = {}
-    for graph in app.graphs.values():
-        urgency.update(downstream_urgency(graph))
-
-    timelines: Dict[str, _NodeTimeline] = {
-        node: _NodeTimeline() for node in arch.tt_node_names()
-    }
-    tables: Dict[str, List[ScheduleEntry]] = {
-        node: [] for node in arch.tt_node_names()
-    }
-    medl: Dict[Tuple[str, int], FrameSlot] = {}
-    message_arrival: Dict[str, float] = {}
-    proc_start: Dict[str, float] = {}
-    proc_end: Dict[str, float] = {}
-
-    def frame_for(node: str, msg_name: str, ready: float) -> FrameSlot:
-        """Earliest frame of ``node`` with capacity, starting at/after ready."""
-        size = app.message(msg_name).size
-        slot = bus.slot_of(node)
-        if size > slot.capacity:
-            raise SchedulingError(
-                f"message {msg_name} ({size} B) exceeds the capacity of "
-                f"{node}'s slot ({slot.capacity} B)"
-            )
-        round_index, start = bus.next_slot_start(node, ready)
-        for _ in range(_ROUND_SEARCH_MARGIN):
-            frame = medl.get((node, round_index))
-            if frame is None:
-                frame = FrameSlot(
-                    node=node,
-                    round_index=round_index,
-                    start=bus.slot_start(node, round_index),
-                    end=bus.slot_end(node, round_index),
-                    capacity=slot.capacity,
-                )
-                medl[(node, round_index)] = frame
-            if frame.free_bytes >= size:
-                return frame
-            round_index += 1
-        raise SchedulingError(
-            f"no frame with {size} free bytes found for {msg_name} within "
-            f"{_ROUND_SEARCH_MARGIN} rounds — TTP slot of {node} overloaded"
-        )
-
-    # -- schedule the TT processes, graph set jointly -----------------------
-    tt_procs = set(system.tt_processes())
-    remaining_preds: Dict[str, int] = {}
-    for name in tt_procs:
-        graph = app.graph_of_process(name)
-        count = 0
-        for pred, _msg in graph.predecessors(name):
-            if pred in tt_procs:
-                count += 1
-        remaining_preds[name] = count
-    ready = sorted(
-        (p for p in tt_procs if remaining_preds[p] == 0),
-        key=lambda p: (-urgency[p], p),
-    )
-    scheduled_count = 0
-    while ready:
-        current = ready.pop(0)
-        graph = app.graph_of_process(current)
-        proc = app.process(current)
-        est = system.release_of(current) + delays.get(current, 0.0)
-        for pred, msg_name in graph.predecessors(current):
-            if msg_name is None:
-                est = max(est, proc_end.get(pred, 0.0))
-                continue
-            route = system.route(msg_name)
-            if route is MessageRoute.TT_TO_TT:
-                est = max(est, message_arrival[msg_name])
-            elif route is MessageRoute.ET_TO_TT:
-                # Shared dispatch-eligibility contract: the consumer may
-                # not start before the message's worst-case availability
-                # (repro.semantics; the floors are the Fig. 5 ratchet).
-                est = max(
-                    est, et_to_tt_constraint(msg_name, rho, arrival_floors)
-                )
-        start = timelines[proc.node].earliest_start(est, proc.wcet)
-        end = start + proc.wcet
-        timelines[proc.node].reserve(start, end)
-        tables[proc.node].append(ScheduleEntry(current, start, end))
-        proc_start[current] = start
-        proc_end[current] = end
-        scheduled_count += 1
-
-        # Pack this process's outgoing cross-node messages into frames.
-        for succ, msg_name in sorted(graph.successors(current)):
-            if msg_name is None:
-                continue
-            route = system.route(msg_name)
-            if route not in (MessageRoute.TT_TO_TT, MessageRoute.TT_TO_ET):
-                continue
-            ready_time = end + delays.get(msg_name, 0.0)
-            frame = frame_for(proc.node, msg_name, ready_time)
-            frame.messages.append(msg_name)
-            frame.used_bytes += app.message(msg_name).size
-            message_arrival[msg_name] = frame.end
-
-        for succ, _msg in graph.successors(current):
-            if succ in tt_procs:
-                remaining_preds[succ] -= 1
-                if remaining_preds[succ] == 0:
-                    ready.append(succ)
-        ready.sort(key=lambda p: (-urgency[p], p))
-    if scheduled_count != len(tt_procs):
-        raise SchedulingError(
-            "static scheduler could not order all TT processes (cycle "
-            "through the ETC is not supported by list scheduling)"
-        )
-
-    for node_table in tables.values():
-        node_table.sort(key=lambda entry: entry.start)
-
-    # -- propagate ET-side offsets (earliest activations) -------------------
-    # Conventions (calibrated against the paper's Fig. 4/ section 4.2
-    # example; see DESIGN.md):
-    #   * ET-sent message:   O_m = O_S + C_S  (earliest sender completion);
-    #   * ET process fed by a TT->ET message: O_D = frame arrival at the
-    #     gateway MBI (the jitter J_D = r_m covers transfer + CAN);
-    #   * ET process fed by an ET->ET message: O_D = O_m + C_m (earliest
-    #     possible arrival over CAN);
-    #   * same-node dependency: O_D = earliest completion of the
-    #     predecessor, O_S + C_S.
-    process_offsets: Dict[str, float] = dict(proc_start)
-    message_offsets: Dict[str, float] = {}
-    for graph in app.graphs.values():
-        for proc_name in graph.topological_order():
-            if proc_name in tt_procs:
-                continue
-            earliest = system.release_of(proc_name)
-            for pred, msg_name in graph.predecessors(proc_name):
-                if msg_name is None:
-                    pred_done = process_offsets.get(pred, 0.0) + app.process(pred).wcet
-                    earliest = max(earliest, pred_done)
-                    continue
-                route = system.route(msg_name)
-                if route is MessageRoute.TT_TO_ET:
-                    arrival = message_arrival[msg_name]
-                else:  # ET_TO_ET: earliest send + earliest wire time.
-                    sent = process_offsets.get(pred, 0.0) + app.process(pred).wcet
-                    arrival = sent + system.can_frame_time(msg_name)
-                if routing is not None:
-                    # Multi-hop routes: the canonical anchor above covers
-                    # the first leg only; add the minimal transit of every
-                    # further leg (still a lower bound on the true
-                    # arrival — the analysis jitter covers the rest).
-                    legs = routing.legs_of(msg_name)
-                    if legs is not None and len(legs) > 1:
-                        arrival += _downstream_min_transit(
-                            system, bus, msg_name, legs
-                        )
-                earliest = max(earliest, arrival)
-            process_offsets[proc_name] = earliest
-    for msg in app.all_messages():
-        route = system.route(msg.name)
-        if route in (MessageRoute.TT_TO_TT, MessageRoute.TT_TO_ET):
-            message_offsets[msg.name] = message_arrival[msg.name]
-        else:
-            message_offsets[msg.name] = (
-                process_offsets[msg.src] + app.process(msg.src).wcet
-            )
-
-    makespan = max(proc_end.values(), default=0.0)
-    offsets = OffsetTable(process_offsets, message_offsets)
-    return StaticSchedule(
-        offsets=offsets,
-        tables=tables,
-        medl=medl,
-        message_arrival=message_arrival,
-        makespan=makespan,
-    )
+    key = None if routing is None else routing.key()
+    context = _cached(system._schedulers, key,
+                      lambda: _ScheduleContext(system, routing), _MAX_PLANS)
+    return context.schedule(bus, rho, tt_delays or {}, arrival_floors)

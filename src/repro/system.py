@@ -13,7 +13,7 @@ and worst-case CAN frame times ``C_m``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .buses.can import CanBusSpec
@@ -141,6 +141,12 @@ class System:
             dst = topo.cluster_of_node(app.process(msg.dst).node)
             self._msg_clusters[msg.name] = (src, dst)
         self._default_routing = None
+        # Compiled schedulers per routing plan (repro.schedule.list_scheduler).
+        self._schedulers: OrderedDict = OrderedDict()
+
+    def __getstate__(self):
+        # A cache: copies and pickles rebuild it rather than carry it.
+        return {**self.__dict__, "_schedulers": OrderedDict()}
 
     # -- topology -----------------------------------------------------------
 

@@ -1,14 +1,18 @@
 """Reference oracles: the pre-kernel implementations, kept for parity.
 
-The shipped package has one analysis kernel and one simulation kernel.
-The implementations they replaced live here, unchanged, as executable
-specifications the parity and identity suites compare against:
+The shipped package has one analysis kernel, one compiled static
+scheduler and one simulation kernel.  The implementations they replaced
+live here, unchanged, as executable specifications the parity and
+identity suites compare against:
 
 * :func:`legacy_response_time_analysis` — the holistic analysis that
   recompiles its interference structure per call;
 * :func:`legacy_multihop_response_time_analysis` — the interpreted
   per-leg analysis of general topologies and route overrides, which
   rebuilds its name-keyed per-leg rows per call;
+* :func:`legacy_static_schedule` — the interpreted list scheduler,
+  which re-derives urgencies, predecessor routes and slot arithmetic
+  per call;
 * :class:`LegacySimulator` / :func:`legacy_simulate` — the
   event-by-event simulator over an :class:`EventQueue` heap;
 * :func:`steer_gateway_traffic_scan` — the full-scan workload steering.
@@ -19,6 +23,7 @@ Nothing under ``src/`` imports this package.
 from .events import EventQueue
 from .legacy_multihop import legacy_multihop_response_time_analysis
 from .legacy_rta import legacy_response_time_analysis
+from .legacy_schedule import legacy_static_schedule
 from .legacy_sim import LegacySimulator, legacy_simulate
 from .workload_scan import steer_gateway_traffic_scan
 
@@ -28,5 +33,6 @@ __all__ = [
     "legacy_multihop_response_time_analysis",
     "legacy_response_time_analysis",
     "legacy_simulate",
+    "legacy_static_schedule",
     "steer_gateway_traffic_scan",
 ]

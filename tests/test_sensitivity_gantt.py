@@ -7,6 +7,8 @@ from repro.analysis import (
     multi_cluster_scheduling,
     wcet_scaling_margin,
 )
+from repro.analysis import sensitivity
+from repro.exceptions import SchedulingError
 from repro.io import render_schedule
 from repro.synth import fig4_configuration, fig4_system
 
@@ -42,6 +44,25 @@ class TestScalingMargin:
         assert not _schedulable(
             _scaled_copy(system, result.factor + 0.05), config
         )
+
+    def test_analysis_bug_propagates(self, monkeypatch):
+        """Only infeasibility counts as unschedulable: a defect in the
+        analysis must not masquerade as a smaller margin."""
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("defect in the analysis")
+
+        monkeypatch.setattr(sensitivity, "multi_cluster_scheduling", broken)
+        with pytest.raises(RuntimeError, match="defect in the analysis"):
+            wcet_scaling_margin(two_node_system(), two_node_config())
+
+    def test_scheduling_error_counts_as_unschedulable(self, monkeypatch):
+        def infeasible(*_args, **_kwargs):
+            raise SchedulingError("TTP slot overloaded")
+
+        monkeypatch.setattr(sensitivity, "multi_cluster_scheduling", infeasible)
+        result = wcet_scaling_margin(two_node_system(), two_node_config())
+        assert result.factor == 1.0
+        assert not result.schedulable_at_factor
 
     def test_original_system_not_mutated(self):
         system = two_node_system()

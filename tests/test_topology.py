@@ -20,6 +20,7 @@ import pytest
 
 from repro.analysis import multi_cluster_scheduling
 from repro.analysis.utilization import node_utilization, ttp_bus_demand
+from repro.buses import TTPBusConfig
 from repro.conformance import conformance_configuration
 from repro.conformance.campaign import evaluate_workload
 from repro.exceptions import ConfigurationError, ModelError
@@ -32,7 +33,12 @@ from repro.io.serialize import (
     system_to_dict,
 )
 from repro.model.topology import Cluster, Gateway, Topology
-from repro.optim.routing import greedy_routes, route_candidates, route_moves
+from repro.optim.routing import (
+    _slot_feasible,
+    greedy_routes,
+    route_candidates,
+    route_moves,
+)
 from repro.sim import simulate
 from repro.synth.workload import WorkloadSpec, generate_workload, seeded_routes
 
@@ -233,6 +239,28 @@ class TestRoutingOptimizer:
             system.arch.topology.validate_route(
                 src, dst, tuple(move.route)
             )
+
+    def test_slot_feasibility_catches_only_slotless_gateways(self):
+        system = multi_system(gateways=3)
+        bus = conformance_configuration(system, 10).bus
+        msg = next(
+            m for m in system.et_to_tt_messages()
+            if route_candidates(system, m)
+        )
+        route = route_candidates(system, msg)[0]
+        assert _slot_feasible(system, bus, msg, route)
+        # The TT-entering gateway owns no slot: infeasible, not an error.
+        slotless = TTPBusConfig(
+            [s for s in bus.slots if s.node != route[-1]]
+        )
+        assert not _slot_feasible(system, slotless, msg, route)
+
+        class BrokenBus:
+            def slot_of(self, node):
+                raise RuntimeError(f"defect looking up {node}")
+
+        with pytest.raises(RuntimeError, match="defect looking up"):
+            _slot_feasible(system, BrokenBus(), msg, route)
 
     def test_candidates_shortest_first(self):
         system = multi_system(gateways=3)
