@@ -721,7 +721,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = EvaluationService(
         store,
         workers=args.workers,
-        batch_window_s=args.batch_window,
         max_pending=args.max_pending,
         journal=not args.no_journal,
         supervisor=policy,
@@ -1333,11 +1332,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--socket", default=None,
         help="serve on a unix socket at this path instead of TCP "
              "(clients use unix:/path URLs)",
-    )
-    srv.add_argument(
-        "--batch-window", type=float, default=0.02,
-        help="seconds the dispatcher lets requests accumulate before "
-             "cutting dispatch units (default 0.02)",
     )
     srv.add_argument(
         "--listen", default=None, metavar="HOST:PORT",

@@ -25,7 +25,6 @@ import pickle
 import queue
 import signal
 import threading
-import time
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar,
 )
@@ -44,9 +43,6 @@ T = TypeVar("T")
 #: Chunks per worker: enough lanes that an unlucky slow chunk cannot
 #: idle the rest of the pool, few enough that per-chunk IPC stays cheap.
 LANES_PER_WORKER = 4
-
-#: Scheduler tick of the local executor's supervisor.
-_TICK_S = 0.005
 
 
 def partition_chunks(
@@ -154,7 +150,7 @@ def _iter_on_fleet(
     from ..obs import metrics as _obs_metrics
     from ..obs import state as _obs_state
     from ..obs import trace as _obs_trace
-    from ..serve.supervisor import Supervisor, SupervisorConfig
+    from ..serve.supervisor import Supervisor
     from ..serve.workers import CALL_KIND
 
     delivered: "queue.SimpleQueue" = queue.SimpleQueue()
@@ -173,9 +169,6 @@ def _iter_on_fleet(
             (int(unit_id), status, result)
         ),
         local_workers=workers,
-        # The scheduler dispatches on its tick; the serve default of
-        # 50 ms would dominate a run of short chunks.
-        config=SupervisorConfig(tick_s=_TICK_S),
         obs=SimpleNamespace(fold=blobs.put) if _obs_state.enabled else None,
     )
     interrupted = False
@@ -208,10 +201,8 @@ def _iter_on_fleet(
         # flight finish first; otherwise any straggler (a hedge, the
         # sibling of a failed chunk) holds work nobody waits for.
         supervisor.abandon_pending()
-        while interrupted and any(
-            w["alive"] and w["in_flight"] for w in supervisor.fleet()
-        ):
-            time.sleep(supervisor.config.tick_s)
+        if interrupted:
+            supervisor.wait_quiet()
         supervisor.stop(timeout=1.0)
         fold_blobs()
         if _obs_state.enabled:

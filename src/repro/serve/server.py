@@ -293,16 +293,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
-        remaining = list(jobs)
-        while remaining:
-            for job in list(remaining):
-                if job.done.wait(timeout=0.05):
-                    line = json.dumps(
-                        self._job_payload(job, include_result=True)
-                    )
-                    self.wfile.write(line.encode("utf-8") + b"\n")
-                    self.wfile.flush()
-                    remaining.remove(job)
+        for job in self.service.as_completed(jobs):
+            line = json.dumps(self._job_payload(job, include_result=True))
+            self.wfile.write(line.encode("utf-8") + b"\n")
+            self.wfile.flush()
 
     def _get_stats(self) -> None:
         self._send_json(self.service.stats())

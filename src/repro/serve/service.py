@@ -16,6 +16,9 @@ shell over it).  One request flows through five stages:
    share a warm :class:`repro.api.Session` — and splits each group
    into dispatch units with the same
    :func:`repro.explore.runner.partition_chunks` the sweep engine uses.
+   It cuts at once while a worker is free; while the whole fleet is
+   busy, requests wait and coalesce until the supervisor signals a
+   free worker, so batch size follows the backlog.
 4. **Compute.**  Units go to the :class:`repro.serve.supervisor.
    Supervisor`, which owns the worker fleet — local forked processes
    and/or remote HTTP workers (``repro worker --connect``) — plus
@@ -52,7 +55,7 @@ import uuid
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from ..exceptions import ReproError
 from ..explore.runner import partition_chunks
@@ -226,10 +229,6 @@ class EvaluationService:
         the service computes inline until remote workers connect
         (``repro worker --connect URL``), and degrades back to inline
         whenever the fleet empties.
-    batch_window_s:
-        How long the dispatcher lets queued requests accumulate before
-        cutting dispatch units — the knob trading latency for batch
-        size (and thus warm-session locality).
     max_pending:
         Bound on queued evaluations + in-flight dispatch units; beyond
         it submissions raise :class:`ServiceOverloaded` (HTTP 429).
@@ -245,7 +244,6 @@ class EvaluationService:
         self,
         store: Union[str, Path, ResultStore],
         workers: int = 2,
-        batch_window_s: float = 0.02,
         max_pending: int = 1024,
         journal: bool = True,
         supervisor: Optional[SupervisorConfig] = None,
@@ -254,7 +252,6 @@ class EvaluationService:
             store = ResultStore(store)
         self.store = store
         self.workers = max(0, int(workers))
-        self.batch_window_s = batch_window_s
         self.max_pending = max(1, int(max_pending))
         self._lock = threading.RLock()
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
@@ -262,6 +259,9 @@ class EvaluationService:
         self._inflight: Dict[str, Job] = {}
         #: Eval jobs awaiting batching.
         self._eval_queue: deque = deque()
+        #: Earliest deadline among the queued eval jobs: the latest
+        #: instant the dispatcher may hold them back.
+        self._queue_deadline: Optional[float] = None
         #: unit_id -> unit bookkeeping for completion.
         self._units: Dict[str, Dict[str, Any]] = {}
         self._unit_counter = itertools.count()
@@ -285,7 +285,12 @@ class EvaluationService:
             "unit_compute_s": 0.0,
             "units": 0.0,
         }
+        #: Dispatcher wakeups: a submit, a free worker, stop.
         self._wake = threading.Condition(self._lock)
+        #: Notified whenever a job finishes (``/results`` streams).
+        self._finished = threading.Condition(self._lock)
+        #: Notified when no work is left (``drain``).
+        self._settled = threading.Condition(self._lock)
         self.journal: Optional[UnitJournal] = (
             UnitJournal(Path(self.store.root) / _JOURNAL_NAME)
             if journal else None
@@ -298,6 +303,7 @@ class EvaluationService:
             local_workers=self.workers,
             config=supervisor,
             obs=self._obs,
+            on_idle=self._on_fleet_idle,
         )
         if self._supervisor.local_workers < self.workers:
             # fork unavailable: the fleet degraded to empty (inline).
@@ -366,7 +372,7 @@ class EvaluationService:
                     job.status = "done"
                     job.result = payload
                     job.finished = job.started = time.monotonic()
-                    job.done.set()
+                    self._mark_done(job)
                     self.counters["store_hits"] += 1
                     return self._submit_envelope(
                         job, deduplicated=False, store_hit=True
@@ -393,7 +399,12 @@ class EvaluationService:
             if serve_key is not None:
                 self._inflight[serve_key] = job
             self._eval_queue.append(job)
-            self._wake.notify_all()
+            if job.deadline is not None and (
+                self._queue_deadline is None
+                or job.deadline < self._queue_deadline
+            ):
+                self._queue_deadline = job.deadline
+            self._wake.notify()
             return self._submit_envelope(
                 job, deduplicated=False, store_hit=False
             )
@@ -617,20 +628,39 @@ class EvaluationService:
     def _dispatch_loop(self) -> None:
         """Batch queued eval jobs into units for the supervisor.
 
-        Runs until the service stops.  The batch window lets racing
-        clients' requests coalesce into fewer, larger units (more
-        warm-session locality per dispatch).
+        Runs until the service stops, one pass per wakeup: a submit,
+        the supervisor's signal that a worker is free, or the earliest
+        queued deadline.  While every worker is busy, racing clients'
+        requests coalesce into fewer, larger units (more warm-session
+        locality per dispatch).
         """
-        while not self._stop.is_set():
-            with self._wake:
-                if not self._eval_queue:
-                    self._wake.wait(timeout=0.1)
-                    continue
-            time.sleep(self.batch_window_s)
-            with self._lock:
-                batch = list(self._eval_queue)
-                self._eval_queue.clear()
-                self._cut_eval_units(batch)
+        with self._wake:
+            while not self._stop.is_set():
+                self._wake.wait(self._dispatch_pass())
+
+    def _dispatch_pass(self) -> Optional[float]:
+        """Cut the queue into units when a worker can take one now
+        (lock held).  Returns how long the dispatcher may wait before
+        a queued deadline forces the cut (None: until signalled) — the
+        supervisor enforces deadlines only on units it holds."""
+        if not self._eval_queue:
+            return None
+        deadline = self._queue_deadline
+        now = time.monotonic()
+        if (self._supervisor.has_capacity()
+                or (deadline is not None and now >= deadline)):
+            batch = list(self._eval_queue)
+            self._eval_queue.clear()
+            self._queue_deadline = None
+            self._cut_eval_units(batch)
+            return None
+        return None if deadline is None else deadline - now
+
+    def _on_fleet_idle(self) -> None:
+        """Supervisor callback: a worker is free for new work."""
+        with self._wake:
+            if self._eval_queue:
+                self._wake.notify()
 
     def _cut_eval_units(self, batch: List[Job]) -> None:
         """Group queued eval jobs into dispatch units (lock held)."""
@@ -702,11 +732,13 @@ class EvaluationService:
                 self._complete_recovery_unit(meta, status, result)
             else:
                 self._complete_batch_unit(meta, status, result)
-            # Compact once nothing is pending — never after a drain
-            # abandoned units, which must stay journaled for a restart.
-            if (self.journal is not None and not self._units
-                    and not self._eval_queue and not self.abandoned):
-                self.journal.reset()
+            if not self._units and not self._eval_queue:
+                self._settled.notify_all()
+                # Compact once nothing is pending — never after a drain
+                # abandoned units, which must stay journaled for a
+                # restart.
+                if self.journal is not None and not self.abandoned:
+                    self.journal.reset()
         if self._obs is not None:
             self._obs.flush_local()
 
@@ -741,7 +773,7 @@ class EvaluationService:
         self._close_job_span(job, job.status)
         if job.key is not None:
             self._inflight.pop(job.key, None)
-        job.done.set()
+        self._mark_done(job)
 
     def _complete_batch_unit(
         self, meta: Dict[str, Any], status: str, result: Any
@@ -757,7 +789,7 @@ class EvaluationService:
             job.pending_units -= 1
             job.finished = time.monotonic()
             self._close_job_span(job, "error")
-            job.done.set()
+            self._mark_done(job)
             return
         cell_kind = meta["persist"].get("mode") == "cells"
         for position, record in zip(positions, result):
@@ -805,7 +837,12 @@ class EvaluationService:
                 "wall_s": wall_s,
             }
         self._close_job_span(job, "done")
+        self._mark_done(job)
+
+    def _mark_done(self, job: Job) -> None:
+        """Resolve a job's waiters (lock held)."""
         job.done.set()
+        self._finished.notify_all()
 
     # -- journal recovery ----------------------------------------------------
 
@@ -906,6 +943,26 @@ class EvaluationService:
             raise KeyError(job_id)
         job.done.wait(timeout=timeout)
         return job
+
+    def as_completed(self, jobs: List[Job]) -> Iterator[Job]:
+        """Yield ``jobs`` as they finish, in completion order.
+
+        One wait per wakeup covers the whole set; jobs found finished
+        together come out by finish time (ties in the given order).
+        """
+        pending = list(jobs)
+        while pending:
+            with self._lock:
+                self._finished.wait_for(
+                    lambda: any(job.done.is_set() for job in pending)
+                )
+                ready = sorted(
+                    (job for job in pending if job.done.is_set()),
+                    key=lambda job: job.finished,
+                )
+            for job in ready:
+                pending.remove(job)
+                yield job
 
     def census(self) -> Dict[str, Any]:
         """The ``GET /status`` (no id) payload: fleet + liveness."""
@@ -1032,21 +1089,11 @@ class EvaluationService:
         crash-safety contract — they stay in the journal, so the next
         start re-dispatches them.
         """
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
         with self._lock:
             self._accepting = False
-        clean = True
-        while True:
-            with self._lock:
-                idle = not self._eval_queue and not self._units
-            if idle:
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                clean = False
-                break
-            time.sleep(0.02)
+            clean = self._settled.wait_for(
+                lambda: not self._eval_queue and not self._units, timeout
+            )
         if not clean:
             self._abandon_remaining()
         self._stop.set()
@@ -1093,7 +1140,7 @@ class EvaluationService:
                         job.status = "error"
                         job.error = message
                         job.finished = time.monotonic()
-                        job.done.set()
+                        self._mark_done(job)
 
     def close(self) -> None:
         """Hard stop (tests): no drain wait, work abandoned visibly."""

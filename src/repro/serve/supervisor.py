@@ -7,10 +7,10 @@ guarantees **at-least-once dispatch with exactly-once delivery**:
 
 * **Leases.**  Every dispatched attempt carries a deadline.  Local
   attempts are backed by process liveness (a SIGKILLed worker is
-  detected on the next tick); remote attempts are kept alive by
-  heartbeats (``POST /worker/heartbeat`` while the worker computes) —
-  a worker that stops beating past its lease (killed, partitioned, or
-  SIGSTOPped) forfeits the unit.
+  detected the moment its process sentinel fires); remote attempts are
+  kept alive by heartbeats (``POST /worker/heartbeat`` while the worker
+  computes) — a worker that stops beating past its lease (killed,
+  partitioned, or SIGSTOPped) forfeits the unit.
 * **Retries.**  A failed or expired attempt re-dispatches with bounded
   exponential backoff, preferring a worker that has not yet touched the
   unit.  A unit that keeps failing resolves as an error after
@@ -29,6 +29,14 @@ guarantees **at-least-once dispatch with exactly-once delivery**:
 * **Degradation.**  With no live workers at all (``--workers 0`` and
   an empty remote fleet) units execute inline on the supervisor
   thread: a fleet is an optimization, never a requirement.
+* **Signalled scheduling.**  The scheduler runs a pass only when
+  something happened: a submit, an attempt result, a worker
+  registering, ``abandon_pending``, ``stop``, a local worker's process
+  exiting, or the earliest pending timer falling due.  Job deadlines and
+  retry backoffs sit in a timer heap; leases, hedge thresholds and
+  remote-worker timeouts belong to the in-flight attempts and the
+  fleet, which are bounded by the fleet size, so each pass recomputes
+  them.  With nothing pending the scheduler sleeps without a timeout.
 
 The library's parallel runs (:func:`repro.explore.runner.iter_chunked`)
 drive the same supervisor in-process over a local fleet.  The
@@ -41,6 +49,8 @@ the chaos suite enforces.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import os
 import threading
@@ -48,8 +58,9 @@ import time
 import uuid
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _wait_ready
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import state as _obs_state
 from ..obs import trace as _obs_trace
@@ -191,8 +202,6 @@ class SupervisorConfig:
     hedge_factor: float = 4.0
     #: Long-poll window advertised to remote workers.
     poll_s: float = 10.0
-    #: Scheduler tick (lease checks, retries, hedges).
-    tick_s: float = 0.05
 
 
 @dataclass
@@ -224,10 +233,6 @@ class _Unit:
     #: serve.unit span; parent of every attempt span.
     trace: Optional[Dict[str, str]] = None
 
-    def resolve(self) -> None:
-        self.resolved = True
-        self.resolved_at = time.monotonic()
-
 
 @dataclass
 class _Worker:
@@ -250,8 +255,11 @@ class Supervisor:
 
     ``deliver(unit_id, status, result)`` is invoked exactly once per
     unit (never under the supervisor lock), with the first terminal
-    outcome.  ``local_workers`` forks the local fleet; remote workers
-    join and leave at runtime through the ``/worker/*`` endpoints
+    outcome.  ``on_idle()``, when given, is invoked (also outside the
+    lock) after every scheduling pass that leaves a worker free for new
+    work — the service's dispatcher cuts its next batch on it.
+    ``local_workers`` forks the local fleet; remote workers join and
+    leave at runtime through the ``/worker/*`` endpoints
     (:meth:`register_worker` / :meth:`poll` / :meth:`heartbeat` /
     :meth:`submit_result`).
     """
@@ -262,16 +270,31 @@ class Supervisor:
         local_workers: int = 0,
         config: Optional[SupervisorConfig] = None,
         obs: Optional[Any] = None,
+        on_idle: Optional[Callable[[], None]] = None,
     ) -> None:
         self.config = config or SupervisorConfig()
         self._deliver = deliver
+        self._on_idle = on_idle
         #: Collector sink (``fold(blob)``) owned by the caller; None
         #: when obs is off.
         self._obs = obs
         self._lock = threading.RLock()
         self._poll_wake = threading.Condition(self._lock)
+        #: Notified after every scheduling pass (see :meth:`wait_quiet`).
+        self._passed = threading.Condition(self._lock)
         self._units: Dict[str, _Unit] = {}
         self._queue: deque = deque()  # unit ids awaiting (re-)dispatch
+        #: Units submitted since the last assignment pass.
+        self._unplaced = 0
+        #: Resolved units in resolution order (pruned from the front).
+        self._resolved: deque = deque()
+        #: Timer heap of ``(when, seq, unit_id, what)`` — ``what`` is
+        #: "deadline" (job deadline) or "due" (retry backoff).  Entries
+        #: are never removed early; a stale one is skipped on sight.
+        self._timers: List[Tuple[float, int, str, str]] = []
+        self._timer_seq = itertools.count()
+        #: An inline unit is running on the scheduler thread.
+        self._inline_busy = False
         #: Terminal outcomes produced while holding the lock; the
         #: scheduler delivers them outside it (lock-ordering rule:
         #: ``deliver`` is never called under the supervisor lock).
@@ -298,6 +321,11 @@ class Supervisor:
                 id=worker_id, transport="local"
             )
         self._inline_sessions: OrderedDict = OrderedDict()
+        # Self-pipe the scheduler waits on beside the workers' process
+        # sentinels; every signal writes one byte (see _signal).
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        self._signalled = False
         self._pump = None
         if self._fleet.result_q is not None:
             self._pump = threading.Thread(
@@ -331,6 +359,10 @@ class Supervisor:
                 trace=trace,
             )
             self._queue.append(unit_id)
+            self._unplaced += 1
+            if deadline is not None:
+                self._arm(deadline, unit_id, "deadline")
+            self._signal()
 
     def abandon_pending(self) -> List[Dict[str, str]]:
         """Resolve nothing, drop everything: the drain-timeout path.
@@ -344,16 +376,36 @@ class Supervisor:
         with self._lock:
             for unit in self._units.values():
                 if not unit.resolved:
-                    unit.resolve()
+                    self._resolve(unit)
                     abandoned.append({"id": unit.id, "kind": unit.kind})
             self._queue.clear()
+            self._unplaced = 0
+            self._signal()
         return abandoned
 
-    def idle(self) -> bool:
+    def has_capacity(self) -> bool:
+        """Would a unit submitted now start at once?
+
+        True when a live worker is free beyond the units already
+        waiting for one — or, with an empty fleet, when the inline
+        executor is free and nothing is queued.
+        """
         with self._lock:
-            return not any(
-                not unit.resolved for unit in self._units.values()
-            )
+            if not any(not w.lost for w in self._workers.values()):
+                return not self._queue and not self._inline_busy
+            return len(self._idle_workers()) > self._unplaced
+
+    def wait_quiet(self) -> None:
+        """Block until no live worker holds a unit.
+
+        Re-checked after every scheduling pass: a result or a worker's
+        death — the two ways a worker lets go of a unit — each wake the
+        scheduler.
+        """
+        with self._lock:
+            self._passed.wait_for(lambda: not any(
+                w.inflight for w in self._workers.values() if not w.lost
+            ))
 
     def retire_workers(self) -> None:
         """Tell polling remote workers to exit (the drain path)."""
@@ -364,12 +416,20 @@ class Supervisor:
     def stop(self, timeout: float = 10.0) -> bool:
         self._stop.set()
         with self._lock:
+            self._signal()
             self._poll_wake.notify_all()
-        clean = self._fleet.shutdown(timeout=timeout)
+        # The scheduler goes first, so no pass can mistake a retiring
+        # worker for a dead one and respawn it.
         self._scheduler.join(timeout=5)
+        clean = self._fleet.shutdown(timeout=timeout)
         if self._pump is not None:
-            self._fleet.result_q.put(None)  # wake the pump to see _stop
+            self._fleet.result_q.put(None)  # the pump's stop sentinel
             self._pump.join(timeout=5)
+        with self._lock:
+            if self._wake_w is not None and not self._scheduler.is_alive():
+                os.close(self._wake_r)
+                os.close(self._wake_w)
+                self._wake_w = None
         return clean
 
     def fleet(self) -> List[Dict[str, Any]]:
@@ -408,6 +468,7 @@ class Supervisor:
             self._workers[worker_id] = _Worker(
                 id=worker_id, transport="remote", label=label
             )
+            self._signal()
         return {
             "worker": worker_id,
             "lease_s": self.config.lease_s,
@@ -486,17 +547,13 @@ class Supervisor:
 
     def _pump_loop(self) -> None:
         """Drain the local fleet's shared result queue."""
-        import queue as _queue
-
-        while not self._stop.is_set():
+        while True:
             try:
-                item = self._fleet.result_q.get(timeout=0.1)
-            except _queue.Empty:
-                continue
+                item = self._fleet.result_q.get()
             except (OSError, EOFError, ValueError):
                 break
-            if item is None:
-                continue
+            if item is None:  # stop() enqueues it
+                break
             worker_id, unit_id, status, result = item[:4]
             obs_blob = item[4] if len(item) > 4 else None
             self._on_attempt_result(
@@ -520,6 +577,8 @@ class Supervisor:
             if worker is not None:
                 worker.last_seen = time.monotonic()
                 worker.inflight.discard(unit_id)
+            # The worker is free again (and a retry may be queued).
+            self._signal()
             unit = self._units.get(unit_id)
             if unit is None or unit.resolved:
                 if unit is not None:
@@ -545,11 +604,11 @@ class Supervisor:
                     worker.failed += 1
                 self._register_failure(unit, f"worker error: {result}")
                 return False
-            unit.resolve()
+            self._resolve(unit)
             if worker is not None:
                 worker.completed += 1
             if attempt is not None:
-                latency = time.monotonic() - attempt.started
+                latency = unit.resolved_at - attempt.started
                 previous = self._ewma.get(unit.kind)
                 self._ewma[unit.kind] = (
                     latency if previous is None
@@ -598,7 +657,7 @@ class Supervisor:
         unit.failures += 1
         self.counters["retries"] += 1
         if unit.failures > self.config.unit_retries:
-            unit.resolve()
+            self._resolve(unit)
             self._dead_letters.append((
                 unit.id, "error",
                 f"unit failed after {unit.failures} attempt(s): {reason}",
@@ -609,6 +668,7 @@ class Supervisor:
             self.config.retry_base_s * (2 ** (unit.failures - 1)),
         )
         unit.next_due = time.monotonic() + backoff
+        self._arm(unit.next_due, unit.id, "due")
         if unit.id not in self._queue:
             self._queue.append(unit.id)
 
@@ -623,25 +683,121 @@ class Supervisor:
             return max(self.config.hedge_min_s, self.config.lease_s)
         return max(self.config.hedge_min_s, self.config.hedge_factor * ewma)
 
+    # -- the signalled scheduler ---------------------------------------------
+
+    def _signal(self) -> None:
+        """Wake the scheduler for a pass (lock held).
+
+        The flag says a byte is in the pipe; both change only under
+        the lock, and a pass drains the pipe before it reads any state,
+        so a signal that finds the flag set is covered by that pass.
+        """
+        if not self._signalled and self._wake_w is not None:
+            self._signalled = True
+            os.write(self._wake_w, b"!")
+
+    def _arm(self, when: float, unit_id: str, what: str) -> None:
+        heapq.heappush(
+            self._timers, (when, next(self._timer_seq), unit_id, what)
+        )
+
+    def _timer_unit(
+        self, entry: Tuple[float, int, str, str]
+    ) -> Optional[_Unit]:
+        """The unit a timer still applies to, or None when stale."""
+        when, _, unit_id, what = entry
+        unit = self._units.get(unit_id)
+        if unit is None or unit.resolved:
+            return None
+        armed = unit.deadline if what == "deadline" else unit.next_due
+        return unit if armed == when else None
+
+    def _resolve(self, unit: _Unit) -> None:
+        unit.resolved = True
+        unit.resolved_at = time.monotonic()
+        self._resolved.append(unit)
+
     def _schedule_loop(self) -> None:
+        timeout: Optional[float] = 0.0
         while not self._stop.is_set():
-            inline_unit = None
-            deliveries: List = []
-            with self._lock:
-                now = time.monotonic()
-                self._check_workers(now)
-                self._check_leases(now, deliveries)
-                inline_unit = self._assign_queued(now)
-                self._check_hedges(now)
-                self._prune_resolved(now)
-                while self._dead_letters:
-                    deliveries.append(self._dead_letters.popleft())
-            for args in deliveries:
-                self._deliver(*args)
-            if inline_unit is not None:
-                self._run_inline(inline_unit)
-                continue  # drain the queue before sleeping
-            self._stop.wait(self.config.tick_s)
+            if timeout is None or timeout > 0:
+                with self._lock:
+                    sentinels = self._fleet.sentinels()
+                # A dead local worker's sentinel wakes the scheduler
+                # like a signal does.
+                _wait_ready([self._wake_r, *sentinels], timeout)
+            if self._stop.is_set():
+                break
+            timeout = self._schedule_pass()
+
+    def _schedule_pass(self) -> Optional[float]:
+        """One scheduling pass; returns how long the scheduler may
+        sleep before the next timer falls due (None: until signalled)."""
+        deliveries: List = []
+        with self._lock:
+            if self._signalled:
+                os.read(self._wake_r, 1)
+                self._signalled = False
+            now = time.monotonic()
+            self._check_workers(now)
+            self._fire_timers(now, deliveries)
+            self._check_leases(now)
+            inline_unit = self._assign_queued(now)
+            self._inline_busy = inline_unit is not None
+            self._check_hedges(now)
+            self._prune_resolved(now)
+            while self._dead_letters:
+                deliveries.append(self._dead_letters.popleft())
+            wake_at = self._next_wake()
+            idle = self._on_idle is not None and self.has_capacity()
+            self._passed.notify_all()
+        for args in deliveries:
+            self._deliver(*args)
+        if inline_unit is not None:
+            self._run_inline(inline_unit)
+            self._inline_busy = False
+            return 0.0  # drain the queue before sleeping
+        if idle:
+            self._on_idle()
+        if wake_at is None:
+            return None
+        return max(0.0, wake_at - time.monotonic())
+
+    def _next_wake(self) -> Optional[float]:
+        """The earliest instant a pass has timed work (lock held).
+
+        The heap's first live entry (a job deadline or a retry
+        backoff) competes with the fleet's own timers: each remote
+        worker's silence timeout and each in-flight attempt's remote
+        lease and — only while a worker is free to take a hedge — its
+        hedge threshold.  None when nothing is pending.
+        """
+        while self._timers and self._timer_unit(self._timers[0]) is None:
+            heapq.heappop(self._timers)
+        wake = [self._timers[0][0]] if self._timers else []
+        can_hedge = bool(self._idle_workers())
+        for worker in self._workers.values():
+            if worker.lost:
+                continue
+            remote = worker.transport == "remote"
+            if remote:
+                wake.append(worker.last_seen + self.config.worker_timeout_s)
+            for unit_id in worker.inflight:
+                unit = self._units.get(unit_id)
+                if unit is None or unit.resolved:
+                    continue
+                live = self._live_attempts(unit)
+                for attempt in live:
+                    if attempt.worker != worker.id:
+                        continue
+                    if remote:
+                        wake.append(attempt.deadline)
+                    if can_hedge and unit.hedges == 0 and len(live) == 1:
+                        wake.append(
+                            attempt.started
+                            + self._hedge_threshold(unit.kind)
+                        )
+        return min(wake, default=None)
 
     def _check_workers(self, now: float) -> None:
         """Detect dead local workers and silent remote ones."""
@@ -684,37 +840,43 @@ class Supervisor:
                 )
         self._poll_wake.notify_all()
 
-    def _check_leases(self, now: float, deliveries: List) -> None:
-        """Expire job deadlines and remote leases (lock held)."""
-        for unit in self._units.values():
-            if unit.resolved:
-                continue
-            if unit.deadline is not None and now > unit.deadline:
-                unit.resolve()
+    def _fire_timers(self, now: float, deliveries: List) -> None:
+        """Pop every due timer; expire job deadlines (lock held).
+
+        A due backoff needs no action here: its unit is in the queue
+        and :meth:`_assign_queued` dispatches it in this same pass.
+        """
+        while self._timers and self._timers[0][0] <= now:
+            entry = heapq.heappop(self._timers)
+            unit = self._timer_unit(entry)
+            if unit is not None and entry[3] == "deadline":
+                self._resolve(unit)
                 self.counters["deadline_expired"] += 1
-                deliveries.append(
-                    (unit.id, "error", "deadline exceeded")
-                )
+                deliveries.append((unit.id, "error", "deadline exceeded"))
+
+    def _check_leases(self, now: float) -> None:
+        """Expire remote leases that ran out without a heartbeat
+        (lock held)."""
+        for worker in self._workers.values():
+            if worker.lost or worker.transport != "remote":
                 continue
-            for attempt in self._live_attempts(unit):
-                worker = self._workers.get(attempt.worker)
-                if worker is None or worker.lost:
-                    attempt.failed = True
+            for unit_id in list(worker.inflight):
+                unit = self._units.get(unit_id)
+                if unit is None or unit.resolved:
                     continue
-                if (worker.transport == "remote"
-                        and now > attempt.deadline):
-                    # The lease ran out without a heartbeat: the worker
-                    # is wedged or partitioned.  Forfeit the attempt
-                    # (its result, should it ever arrive while the unit
-                    # is still unresolved, is still accepted — first
-                    # result wins).
-                    attempt.failed = True
-                    _obs_trace.end_span(attempt.span, "expired")
-                    worker.inflight.discard(unit.id)
-                    self.counters["expired_leases"] += 1
-            if (unit.attempts and not self._live_attempts(unit)
-                    and unit.id not in self._queue):
-                self._register_failure(unit, "lease expired")
+                for attempt in self._live_attempts(unit):
+                    if attempt.worker == worker.id and now > attempt.deadline:
+                        # The worker is wedged or partitioned.  Forfeit
+                        # the attempt (its result, should it ever
+                        # arrive while the unit is still unresolved, is
+                        # still accepted — first result wins).
+                        attempt.failed = True
+                        _obs_trace.end_span(attempt.span, "expired")
+                        worker.inflight.discard(unit.id)
+                        self.counters["expired_leases"] += 1
+                if (not self._live_attempts(unit)
+                        and unit.id not in self._queue):
+                    self._register_failure(unit, "lease expired")
 
     def _prune_resolved(self, now: float) -> None:
         """Forget resolved units once stragglers can no longer report.
@@ -726,12 +888,10 @@ class Supervisor:
         grow with its history (lock held).
         """
         horizon = now - 2.0 * self.config.lease_s
-        stale = [
-            unit_id for unit_id, unit in self._units.items()
-            if unit.resolved and (unit.resolved_at or 0.0) < horizon
-        ]
-        for unit_id in stale:
-            del self._units[unit_id]
+        while self._resolved and self._resolved[0].resolved_at < horizon:
+            unit = self._resolved.popleft()
+            if self._units.get(unit.id) is unit:
+                del self._units[unit.id]
 
     def _idle_workers(self) -> List[_Worker]:
         return [
@@ -745,6 +905,7 @@ class Supervisor:
         Returns a unit to execute inline when the fleet is empty —
         executed by the caller *outside* the lock.
         """
+        self._unplaced = 0
         if not self._queue:
             return None
         fleet_empty = not any(
@@ -753,7 +914,9 @@ class Supervisor:
         idle = self._idle_workers()
         requeue: List[str] = []
         inline_unit: Optional[_Unit] = None
-        while self._queue:
+        # Stop at the first unit nothing can take: the rest of the
+        # queue keeps its order and waits for the next signal.
+        while self._queue and (idle or (fleet_empty and inline_unit is None)):
             unit_id = self._queue.popleft()
             unit = self._units.get(unit_id)
             if unit is None or unit.resolved:
@@ -762,19 +925,13 @@ class Supervisor:
                 requeue.append(unit_id)
                 continue
             if fleet_empty:
-                if inline_unit is None:
-                    self._start_attempt(unit, worker=None)
-                    inline_unit = unit
-                else:
-                    requeue.append(unit_id)
+                self._start_attempt(unit, worker=None)
+                inline_unit = unit
                 continue
             chosen = self._choose_worker(idle, unit)
-            if chosen is None:
-                requeue.append(unit_id)
-                continue
             idle.remove(chosen)
             self._start_attempt(unit, chosen)
-        self._queue.extend(requeue)
+        self._queue.extendleft(reversed(requeue))
         return inline_unit
 
     def _choose_worker(
@@ -832,22 +989,27 @@ class Supervisor:
             self._poll_wake.notify_all()
 
     def _check_hedges(self, now: float) -> None:
-        """Speculatively duplicate straggling units (lock held)."""
+        """Speculatively duplicate straggling units (lock held).
+
+        Only units leased to a worker can straggle, so the scan covers
+        the fleet's in-flight sets, oldest attempt first.
+        """
         idle = self._idle_workers()
         if not idle:
             return
-        for unit in self._units.values():
-            if unit.resolved or unit.hedges >= 1:
-                continue
-            live = self._live_attempts(unit)
-            if len(live) != 1 or live[0].worker == "<inline>":
-                continue
-            age = now - live[0].started
-            if age < self._hedge_threshold(unit.kind):
-                continue
+        stragglers = []
+        for worker in self._workers.values():
+            for unit_id in worker.inflight:
+                unit = self._units.get(unit_id)
+                if unit is None or unit.resolved or unit.hedges >= 1:
+                    continue
+                live = self._live_attempts(unit)
+                if len(live) != 1 or live[0].worker != worker.id:
+                    continue
+                if now - live[0].started >= self._hedge_threshold(unit.kind):
+                    stragglers.append((live[0].started, unit_id, unit))
+        for _, _, unit in sorted(stragglers, key=lambda s: s[:2]):
             chosen = self._choose_worker(idle, unit)
-            if chosen is None:
-                return
             idle.remove(chosen)
             self._start_attempt(unit, chosen, hedge=True)
             if not idle:

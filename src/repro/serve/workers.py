@@ -268,6 +268,10 @@ class LocalFleet:
         proc = self._procs.get(worker_id)
         return proc is not None and proc.is_alive()
 
+    def sentinels(self) -> List[int]:
+        """Process sentinels: each becomes ready when its worker exits."""
+        return [proc.sentinel for proc in self._procs.values()]
+
     def pid(self, worker_id: str) -> Optional[int]:
         proc = self._procs.get(worker_id)
         return proc.pid if proc is not None else None

@@ -225,7 +225,7 @@ class TestSpans:
 def _fast_config(**overrides):
     base = dict(
         lease_s=5.0, worker_timeout_s=10.0, retry_base_s=0.01,
-        retry_max_s=0.05, poll_s=0.2, tick_s=0.01,
+        retry_max_s=0.05, poll_s=0.2,
     )
     base.update(overrides)
     return SupervisorConfig(**base)

@@ -327,6 +327,44 @@ class TestServiceHTTP:
         assert "evals_per_s" in stats and "queue_depth" in stats
         assert stats["store"]["shards"] >= 1
 
+    def test_results_stream_in_completion_order(self, http_server):
+        """``/results`` yields each job when it finishes: a finished job
+        never waits behind an earlier-listed running one, and jobs
+        already finished come out in the order they finished."""
+        service, url, thread = http_server
+        system = _system()
+        sd = system_to_dict(system)
+        slow_cd, *finished_cds = [
+            config_to_dict(c) for c in _configs(system, 3)
+        ]
+        client = ServeClient(url, timeout=60)
+        first, second = [
+            client.evaluate(sd, cd)["id"] for cd in finished_cds
+        ]
+        for job_id in (first, second):
+            assert client.result(job_id, timeout=60)["status"] == "done"
+        streamed = [entry["id"] for entry in client.results([second, first])]
+        assert streamed == [first, second]
+
+        pids = [
+            w["pid"] for w in service.supervisor.fleet()
+            if w["transport"] == "local" and w["alive"]
+        ]
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        try:
+            slow = client.evaluate(sd, slow_cd)["id"]
+            fast = client.evaluate(sd, finished_cds[0])["id"]  # store hit
+            stream = client.results([slow, fast])
+            assert next(stream)["id"] == fast
+            assert service.job(slow).status != "done"
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGCONT)
+        last = next(stream)
+        assert (last["id"], last["status"]) == (slow, "done")
+        assert list(stream) == []
+
     def test_shutdown_drains_and_persists(self, http_server, tmp_path):
         service, url, thread = http_server
         system = _system()

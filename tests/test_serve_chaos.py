@@ -72,7 +72,7 @@ def _configs(system, count):
 def _fast_config(**overrides):
     """Production-shaped policy with test-sized timers."""
     defaults = dict(
-        lease_s=2.0, worker_timeout_s=4.0, tick_s=0.02,
+        lease_s=2.0, worker_timeout_s=4.0,
         retry_base_s=0.05, retry_max_s=0.5, poll_s=1.0,
     )
     defaults.update(overrides)
@@ -243,6 +243,18 @@ class TestLocalChaos:
             assert job.status == "error"
             assert "deadline" in job.error
             assert service.supervisor.counters["deadline_expired"] == 1
+            # The wedged worker still holds that unit, so the next job
+            # waits in the dispatcher's queue; its deadline must still
+            # reach the supervisor and expire it.
+            queued = service.submit_evaluation(
+                system_to_dict(system),
+                config_to_dict(_configs(system, 2)[1]),
+                deadline_s=0.4,
+            )
+            job = service.wait(queued["id"], timeout=30)
+            assert job.status == "error"
+            assert "deadline" in job.error
+            assert service.supervisor.counters["deadline_expired"] == 2
         finally:
             if victim_pid is not None:
                 with _noop():
@@ -568,7 +580,6 @@ class TestChaosEndToEnd:
             "serve", "--store", str(tmp_path / "store"),
             "--workers", "0", "--listen", "127.0.0.1:0",
             "--lease", "1.5", "--hedge-after", "2.0",
-            "--batch-window", "0.01",
         ])
         workers = []
         try:
@@ -640,7 +651,12 @@ class TestChaosEndToEnd:
     def test_server_restart_mid_sweep_recovers_journal(self, tmp_path):
         """Kill -9 the daemon mid-sweep; a restarted daemon on the same
         store replays the journal and re-dispatches the in-flight
-        units — zero lost cells."""
+        units — zero lost cells.
+
+        The first daemon's only worker is SIGSTOPped before the sweep
+        is submitted, so the kill finds journaled in-flight units
+        whatever the dispatch speed: a stopped worker is still alive,
+        its lease never expires, and with one worker nothing hedges."""
         store = str(tmp_path / "store")
         spec = SweepSpec(
             name="chaos-restart",
@@ -656,10 +672,17 @@ class TestChaosEndToEnd:
             "--listen", "127.0.0.1:0",
         ])
         second = None
+        frozen = None
         try:
             line = first.stdout.readline()
             url = line.split("serving on ")[1].strip()
             client = ServeClient(url, timeout=30)
+            (local,) = [
+                w for w in client.census()["fleet"]
+                if w["transport"] == "local"
+            ]
+            frozen = local["pid"]
+            os.kill(frozen, signal.SIGSTOP)
             client.submit_sweep(spec.to_dict())
             # SIGKILL mid-sweep: no drain, no checkpoint — only the
             # journal knows what was in flight.
@@ -688,6 +711,10 @@ class TestChaosEndToEnd:
             client2.shutdown()
             assert second.wait(timeout=60) == 0
         finally:
+            if frozen is not None:
+                # Orphaned by the kill, and stopped: it cannot notice.
+                with _noop():
+                    os.kill(frozen, signal.SIGKILL)
             for proc in (first, second):
                 if proc is not None and proc.poll() is None:
                     proc.kill()
