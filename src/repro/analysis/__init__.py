@@ -3,9 +3,9 @@
 The holistic fixed point has one compiled implementation,
 :class:`AnalysisContext`, behind :func:`response_time_analysis`, the
 Fig. 5 loop :func:`multi_cluster_scheduling` and
-:func:`.multihop.multihop_response_time_analysis`.  General topologies
-and route overrides compile its rows per leg of the routing plan (the
-per-leg rules are listed in :mod:`.multihop`).
+:func:`.multihop.multihop_response_time_analysis`.  Every system, the
+canonical one-gateway shape included, compiles its rows per leg of its
+routing plan (the per-leg rules are listed in :mod:`.multihop`).
 """
 
 from .buffers import BufferReport, buffer_bounds

@@ -23,9 +23,8 @@ For the FIFO ``Out_TTP`` the bound is ``max over m of (S_m + I_m)`` with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict
 
 from ..model.configuration import PriorityAssignment
 from ..semantics import fifo_competitors
@@ -58,25 +57,14 @@ class BufferReport:
 def _priority_queue_bound(
     system: System,
     priorities: PriorityAssignment,
-    members: List[str],
-    rho: ResponseTimes,
-) -> float:
-    """Worst-case size of one priority-ordered CAN queue."""
-    return _priority_queue_bound_timed(
-        system, priorities, [(m, rho.can[m]) for m in members]
-    )
-
-
-def _priority_queue_bound_timed(
-    system: System,
-    priorities: PriorityAssignment,
     members,
 ) -> float:
-    """Queue bound over explicit ``(message, leg timing)`` residents.
+    """Worst-case size of one priority-ordered CAN queue, over its
+    ``(message, leg timing)`` residents.
 
-    The general-topology entry point: a message's residency in a queue is
-    governed by the timing of the *leg* that goes through it, which for
-    multi-hop routes is not the ``rho.can`` record.
+    A message's residency in a queue is governed by the timing of the
+    *leg* that goes through it, which for multi-hop routes is not the
+    ``rho.can`` record.
     """
     worst = 0.0
     app = system.app
@@ -124,11 +112,12 @@ def _priority_queue_bound_timed(
     return worst
 
 
-def _leg_timing(rho: ResponseTimes, msg: str, pos: int, n_legs: int):
-    """Timing record of leg ``pos`` of ``msg`` (multi-hop aware)."""
-    if n_legs > 1:
-        return rho.hops[msg][pos]
-    return rho.can[msg]
+def _leg_timing(rho: ResponseTimes, msg: str, pos: int):
+    """Timing record of CAN leg ``pos`` of ``msg``: its ``hops`` entry,
+    or ``rho.can[m]`` for a message without one (a single CAN leg, or
+    the source leg of an ET->TT message on a one-gateway plan)."""
+    hops = rho.hops.get(msg)
+    return hops[pos] if hops else rho.can[msg]
 
 
 def buffer_bounds(
@@ -139,77 +128,41 @@ def buffer_bounds(
 ) -> BufferReport:
     """Compute all queue bounds for an analysed configuration.
 
-    ``plan`` (a :class:`repro.semantics.routing.RoutingPlan`) supplies the
-    queue membership on general topologies — one ``Out_CAN``/``Out_TTP``
-    pair per gateway, transit legs included; ``out_can``/``out_ttp`` then
-    report the *sum* over the per-gateway queues (distinct memories).
-    Canonical two-cluster systems take the original single-gateway path
-    unchanged.
+    ``plan`` (a :class:`repro.semantics.routing.RoutingPlan`, the
+    system's default plan when ``None``) supplies the queue membership —
+    one ``Out_CAN``/``Out_TTP`` pair per gateway, transit legs included;
+    ``out_can``/``out_ttp`` report the *sum* over the per-gateway queues
+    (distinct memories).  The canonical topology is the one-gateway
+    plan: one ``Out_CAN`` and one ``Out_TTP``.
     """
-    if plan is None and system.multi_topology:
+    if plan is None:
         plan = system.default_routing()
-    if plan is not None and not system.multi_topology:
-        plan = None  # canonical routes are forced-default; classic path.
-    if plan is not None:
-        return _buffer_bounds_general(system, priorities, rho, plan)
-    out_can = _priority_queue_bound(
-        system, priorities, system.tt_to_et_messages(), rho
-    )
-    out_node: Dict[str, float] = {}
-    for node in system.arch.et_node_names():
-        members = system.et_to_et_messages_from(node)
-        if members:
-            out_node[node] = _priority_queue_bound(
-                system, priorities, members, rho
-            )
-        else:
-            out_node[node] = 0.0
-    out_ttp = 0.0
-    for m in system.et_to_tt_messages():
-        timing = rho.ttp[m]
-        if not timing.converged:
-            out_ttp = UNBOUNDED_PENALTY
-            break
-        ahead = ttp_resident_bytes(system, priorities, m, timing, rho)
-        out_ttp = max(out_ttp, system.app.message(m).size + ahead)
-    return BufferReport(out_can=out_can, out_ttp=out_ttp, out_node=out_node)
-
-
-def _buffer_bounds_general(
-    system: System,
-    priorities: PriorityAssignment,
-    rho: ResponseTimes,
-    plan,
-) -> BufferReport:
-    """Plan-aware queue bounds for arbitrary cluster graphs."""
     app = system.app
     gw_can: Dict[str, list] = {}
     src_can: Dict[str, list] = {}
-    for m in sorted(plan.legs):
-        legs = plan.legs_of(m)
+    for m, legs in sorted(plan.legs.items()):
         for pos, leg in enumerate(legs):
             if leg.is_fifo:
                 continue
-            timing = _leg_timing(rho, m, pos, len(legs))
+            timing = _leg_timing(rho, m, pos)
             if leg.via is not None:
                 gw_can.setdefault(leg.via, []).append((m, timing))
             else:
                 # Source-node queue: every frame leaving an ET node —
                 # ET->ET and the first leg of crossing messages alike —
-                # waits in that node's CAN controller queue, the same
-                # membership the canonical path takes from
-                # ``et_to_et_messages_from``.
+                # waits in that node's CAN controller queue
+                # (``et_to_et_messages_from``).
                 src_can.setdefault(leg.sender, []).append((m, timing))
     out_can = 0.0
     for gateway in sorted(gw_can):
-        out_can += _priority_queue_bound_timed(
+        out_can += _priority_queue_bound(
             system, priorities, gw_can[gateway]
         )
     out_node: Dict[str, float] = {}
     for node in system.arch.et_node_names():
         members = src_can.get(node)
         out_node[node] = (
-            _priority_queue_bound_timed(system, priorities, members)
+            _priority_queue_bound(system, priorities, members)
             if members
             else 0.0
         )

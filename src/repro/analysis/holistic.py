@@ -35,18 +35,20 @@ The fixed point is solved by the compiled kernel
 (:mod:`repro.analysis.kernel`), which compiles the per-activity
 interference structure (who interferes with whom, relative phases,
 periods, costs, blocking) once and lets only the jitters evolve across
-the outer iterations.  This module keeps the public wrapper and
-:func:`phase_locked_hits`, the phase-locked interference count the
-buffer analysis shares.
+the outer iterations.  These rules are the one-gateway case of the
+per-leg rules of :mod:`repro.analysis.multihop`: the kernel compiles
+every system from its routing plan.  This module keeps the public
+wrapper and :func:`phase_locked_hits`, the phase-locked interference
+count the buffer analysis shares.
 """
 
 from __future__ import annotations
 
 import math
 from ..buses.ttp import TTPBusConfig
-from ..exceptions import AnalysisError
 from ..model.configuration import OffsetTable, PriorityAssignment
 from ..system import System
+from .kernel import retarget
 from .timing import ResponseTimes
 
 __all__ = ["response_time_analysis"]
@@ -64,7 +66,10 @@ def response_time_analysis(
 
     Since the compiled kernel (:mod:`repro.analysis.kernel`) became the
     hot path this is a thin wrapper: it compiles (or re-targets) an
-    :class:`~repro.analysis.kernel.AnalysisContext` and solves once.
+    :class:`~repro.analysis.kernel.AnalysisContext` on the default
+    routes and solves once, exactly as
+    :func:`~repro.analysis.multihop.multihop_response_time_analysis`
+    does on a plan's routes.
     Pass ``kernel`` to reuse a compiled context across calls.  The
     pre-kernel implementation is kept as a test oracle
     (``tests/oracles``) and the parity suite asserts the two agree.
@@ -74,20 +79,7 @@ def response_time_analysis(
     factors (slow node / slow bus) are *not* interpreted here: derate
     the ``system`` first (``FaultSpec.derate_system``).
     """
-    from .kernel import AnalysisContext
-
-    if kernel is None:
-        kernel = AnalysisContext(system, priorities, bus, faults=faults)
-    else:
-        if kernel.system is not system:
-            raise AnalysisError(
-                "analysis kernel was compiled for a different System"
-            )
-        if kernel.faults != faults:
-            raise AnalysisError(
-                "analysis kernel was compiled for a different FaultSpec"
-            )
-        kernel.update(priorities, bus)
+    kernel = retarget(kernel, system, priorities, bus, faults)
     rho, _ = kernel.solve(offsets)
     return rho
 

@@ -13,18 +13,14 @@ which is exactly what a compiled kernel exploits.
 
 The kernel analyses two kinds of interned *slots*: a **CAN slot** per
 bus leg a message crosses and a **FIFO slot** per gateway ``Out_TTP``
-leg.  Two front ends intern them:
-
-* canonical systems (one TTC, one ETC, one gateway, default routes) get
-  one CAN slot per CAN-borne message and one FIFO slot per ET->TT
-  message — the paper's single-hop shape, compiled straight from the
-  :class:`~repro.system.System`;
-* general topologies and route overrides get one slot per
-  :class:`~repro.semantics.routing.Leg` of the
-  :class:`~repro.semantics.routing.RoutingPlan`, and every CAN slot
-  carries a jitter-chain descriptor that threads the legs of a route
-  together (the per-leg rules are listed in
-  :mod:`repro.analysis.multihop`).
+leg.  One front end interns them, one slot per
+:class:`~repro.semantics.routing.Leg` of the system's
+:class:`~repro.semantics.routing.RoutingPlan`, and every CAN slot
+carries a jitter-chain descriptor that threads the legs of a route
+together (the per-leg rules are listed in
+:mod:`repro.analysis.multihop`).  The paper's canonical shape — one
+TTC, one ETC, one gateway — is simply the one-gateway plan: one CAN
+slot per CAN-borne message and one FIFO slot per ET->TT message.
 
 :class:`AnalysisContext` then splits the work into three tiers:
 
@@ -39,8 +35,8 @@ leg.  Two front ends intern them:
   OptimizeSchedule slot candidate) only the rows whose *membership*
   could have changed are rebuilt — O(n·|changed|) instead of O(n²) —
   and a ``β`` change touches nothing but a handful of scalars (gateway
-  slots, round length, divergence horizon).  A route change re-interns
-  the legs and rebuilds every row.
+  slots, round length, divergence horizon).  A new routing plan
+  re-interns the legs and rebuilds every row.
 * **solve** (once per offsets ``φ``): run the global monotone fixed
   point entirely over list indices — no string-dict lookups anywhere on
   the inner loops — optionally **warm-started** from a previous
@@ -78,12 +74,7 @@ from ..model.configuration import OffsetTable, PriorityAssignment
 from ..obs import metrics as _obs_metrics
 from ..obs import state as _obs_state
 from ..obs import trace as _obs_trace
-from ..semantics import (
-    ettt_queue_instant,
-    fifo_competitors,
-    fifo_drain_rounds,
-    gateway_transfer_delay,
-)
+from ..semantics import ettt_queue_instant, fifo_drain_rounds
 from ..system import System
 from .can_analysis import TIE_EPSILON, can_error_term
 from .timing import ActivityTiming, ResponseTimes
@@ -131,7 +122,7 @@ class SolveState:
     Pass it back into :meth:`AnalysisContext.solve` to warm-start the
     next solve.  All vectors are parallel to the kernel's interned
     activity lists: ``msg_*`` to the CAN slots, ``ttp_*`` to the FIFO
-    slots (one per message on canonical systems, one per leg otherwise).
+    slots (one per FIFO leg, so at most one per message).
     """
 
     proc_jitter: List[float]
@@ -238,15 +229,9 @@ class AnalysisContext:
         if term is not None:
             self._can_error = (term.period, term.cost, term.jitter)
         self._compile_activities()
-        # General topologies (or route overrides) intern one slot per
-        # leg of a RoutingPlan, compiled in update() whenever the routes
-        # change by value; canonical systems keep the single-hop slots,
-        # byte-for-byte the pre-routing fast path.
-        self._multihop = system.multi_topology or bool(routes)
+        # The per-leg slots of a RoutingPlan, compiled in update()
+        # whenever the plan object changes.
         self._plan = None
-        self._route_overrides: Optional[dict] = None
-        if not self._multihop:
-            self._compile_canonical()
         self._compiled = False
         self._proc_prio: List[int] = []
         self._msg_prio: List[int] = []
@@ -256,7 +241,7 @@ class AnalysisContext:
     # -- static (per-System) compile ----------------------------------------
 
     def _compile_activities(self) -> None:
-        """Per-System constants shared by both front ends."""
+        """Per-System constants (every routing plan shares them)."""
         system = self.system
         app = system.app
         arch = system.arch
@@ -266,9 +251,6 @@ class AnalysisContext:
             name: i for i, name in enumerate(self.et_procs)
         }
         self.can_msgs: List[str] = system.can_messages()
-        self.msg_index: Dict[str, int] = {
-            name: i for i, name in enumerate(self.can_msgs)
-        }
 
         self._wcet = [app.process(p).wcet for p in self.et_procs]
         self._proc_period = [
@@ -320,104 +302,8 @@ class AnalysisContext:
                     for j in members
                 ]
 
-    def _finish_slots(self, final_slot: Dict[str, int]) -> None:
-        """Derive the slot constants both front ends share.
-
-        A front end interns its slots first: ``_slot_msg`` (message of
-        each CAN slot), ``_slot_entry`` (its jitter-chain descriptor),
-        ``_slot_atomic`` (the gateway relaying it from the TT side —
-        frames relayed together by one transfer process at the same
-        offset never block each other), ``_slot_peers`` (the other
-        messages' slots on the same bus as ``(slot, message,
-        ancestor)``), ``_fifo_msg`` / ``_fifo_prev`` / ``_fifo_transfer``
-        / ``_fifo_gateway`` (each FIFO slot's message, feeding CAN slot,
-        ``C_T`` and gateway) and ``_fifo_rows`` (the priority-blind
-        Out_TTP competitor rows).  ``final_slot`` maps each message to
-        the CAN slot delivering it.  The front end also sets what
-        packaging and the bus snapshot read: ``_report_slot`` (the CAN
-        slot reported as ``can[m]``), ``_hop_slots`` (each multi-leg
-        message's legs as ``(is_fifo, slot)``), ``_transfer_records``
-        (the ``T@<gateway>`` processes) and ``_slot_gateways`` (the
-        gateways whose TDMA slots the solve reads).
-        """
-        self._slot_period = [self._msg_period[k] for k in self._slot_msg]
-        self._slot_frame = [self._frame_time[k] for k in self._slot_msg]
-        self._fifo_names = [self.can_msgs[k] for k in self._fifo_msg]
-        self._fifo_size = [self._msg_size[k] for k in self._fifo_msg]
-        # Largest frame (own message included) pending per FIFO row —
-        # the fragmentation term of the whole-frame drain bound.
-        self._fifo_max_size = [
-            max([self._fifo_size[i]] + [entry[3] for entry in row])
-            for i, row in enumerate(self._fifo_rows)
-        ]
-
-        # Incoming arcs of every ET process, for release jitter
-        # propagation: (delivering CAN slot, -1, "") for message arcs,
-        # (-1, ET predecessor id, "") for same-cluster precedence, and
-        # (-1, -1, name) for a TT predecessor (fixed response = WCET).
-        app = self.system.app
-        self._proc_arcs: List[List[Tuple[int, int, str]]] = []
-        for p in self.et_procs:
-            arcs: List[Tuple[int, int, str]] = []
-            for pred, msg_name in app.graph_of_process(p).predecessors(p):
-                if msg_name is not None:
-                    arcs.append((final_slot[msg_name], -1, ""))
-                elif pred in self.proc_index:
-                    arcs.append((-1, self.proc_index[pred], ""))
-                else:
-                    arcs.append((-1, -1, pred))
-            self._proc_arcs.append(arcs)
-
-    def _compile_canonical(self) -> None:
-        """Single-hop slots: CAN slot ``i`` is CAN message ``i``."""
-        system = self.system
-        app = system.app
-        n_msg = len(self.can_msgs)
-        gateway = system.arch.gateway
-        transfer = gateway_transfer_delay(system)
-        self._slot_msg = list(range(n_msg))
-        self._slot_entry = []
-        self._slot_atomic: List[Optional[str]] = []
-        for m in self.can_msgs:
-            if system.route(m) is MessageRoute.TT_TO_ET:
-                self._slot_entry.append((_ENTRY, -1, transfer))
-                self._slot_atomic.append(gateway)
-            else:
-                src = self.proc_index[app.message(m).src]
-                self._slot_entry.append((_SOURCE, src, 0.0))
-                self._slot_atomic.append(None)
-        is_anc = system.message_is_ancestor
-        self._slot_peers = [
-            [(j, j, is_anc(self.can_msgs[j], m)) for j in range(n_msg) if j != i]
-            for i, m in enumerate(self.can_msgs)
-        ]
-        # Out_TTP FIFO competitor rows are priority-*independent* — the
-        # FIFO drains in arrival order (repro.semantics contract), so the
-        # row of every ET->TT message is all other ET->TT messages and is
-        # compiled once per System, never rebuilt on a (π, β) re-target.
-        ettt = system.et_to_tt_messages()
-        self._fifo_msg = [self.msg_index[m] for m in ettt]
-        self._fifo_prev = list(self._fifo_msg)
-        self._fifo_transfer = [transfer] * len(ettt)
-        self._fifo_gateway = [gateway] * len(ettt)
-        self._fifo_rows = []
-        for m, cm in zip(ettt, self._fifo_msg):
-            competitors = set(fifo_competitors(system, m))
-            self._fifo_rows.append([
-                (j, 0.0, self._msg_period[cj], self._msg_size[cj],
-                 self._msg_period[cj] == self._msg_period[cm],
-                 is_anc(self.can_msgs[cj], m))
-                for j, cj in enumerate(self._fifo_msg)
-                if ettt[j] in competitors
-            ])
-        self._finish_slots(self.msg_index)
-        self._slot_gateways = [gateway]
-        self._report_slot = list(range(n_msg))
-        self._hop_slots: List[Tuple[str, tuple]] = []
-        self._transfer_records: List[Tuple[str, float]] = []
-
-    def _compile_plan(self) -> None:
-        """Per-leg slots of ``self._plan`` (once per ``(System, plan)``).
+    def _compile_plan(self, plan) -> None:
+        """Per-leg slots of ``plan`` (once per ``(System, plan)``).
 
         CAN slots follow ``can_messages()`` order, then leg position;
         FIFO slots follow message order, which is the sorted order the
@@ -426,7 +312,6 @@ class AnalysisContext:
         system = self.system
         app = system.app
         arch = system.arch
-        plan = self._plan
         transfer = {g: arch.transfer_wcet_of(g) for g in arch.gateways()}
         slot_ids: Dict[Tuple[str, int], int] = {}
         fifo_ids: Dict[str, int] = {}
@@ -510,19 +395,55 @@ class AnalysisContext:
             self._fifo_rows.append(row)
         self._slot_msg = slot_msg
         self._slot_entry = slot_entry
+        # The gateway relaying each CAN slot from the TT side: frames
+        # relayed together by one transfer process at the same offset
+        # never block each other.
         self._slot_atomic = slot_atomic
+        self._slot_period = [self._msg_period[k] for k in slot_msg]
+        self._slot_frame = [self._frame_time[k] for k in slot_msg]
         self._fifo_msg = fifo_msg
         self._fifo_prev = fifo_prev
         self._fifo_transfer = [transfer[g] for g in fifo_gateway]
         self._fifo_gateway = fifo_gateway
-        self._finish_slots(final_slot)
+        self._fifo_names = [names[k] for k in fifo_msg]
+        self._fifo_size = [self._msg_size[k] for k in fifo_msg]
+        # Largest frame (own message included) pending per FIFO row —
+        # the fragmentation term of the whole-frame drain bound.
+        self._fifo_max_size = [
+            max([self._fifo_size[i]] + [entry[3] for entry in row])
+            for i, row in enumerate(self._fifo_rows)
+        ]
+
+        # Incoming arcs of every ET process, for release jitter
+        # propagation: (delivering CAN slot, -1, "") for message arcs,
+        # (-1, ET predecessor id, "") for same-cluster precedence, and
+        # (-1, -1, name) for a TT predecessor (fixed response = WCET).
+        self._proc_arcs: List[List[Tuple[int, int, str]]] = []
+        for p in self.et_procs:
+            arcs: List[Tuple[int, int, str]] = []
+            for pred, msg_name in app.graph_of_process(p).predecessors(p):
+                if msg_name is not None:
+                    arcs.append((final_slot[msg_name], -1, ""))
+                elif pred in self.proc_index:
+                    arcs.append((-1, self.proc_index[pred], ""))
+                else:
+                    arcs.append((-1, -1, pred))
+            self._proc_arcs.append(arcs)
+
         self._slot_gateways = sorted(set(fifo_gateway))
         self._report_slot = report_slot
-        self._hop_slots = hop_slots
-        self._transfer_records = [
-            (f"{GATEWAY_TRANSFER_PROCESS}@{g}", transfer[g])
-            for g in arch.gateways()
-        ]
+        # One gateway (the paper's canonical shape) keeps the classic
+        # record set, as it keeps the bare queue names: no per-gateway
+        # transfer process and no hops (its only multi-leg messages are
+        # ET->TT, reported as can[m] and ttp[m]).
+        self._hop_slots: List[Tuple[str, tuple]] = []
+        self._transfer_records: List[Tuple[str, float]] = []
+        if len(transfer) > 1:
+            self._hop_slots = hop_slots
+            self._transfer_records = [
+                (f"{GATEWAY_TRANSFER_PROCESS}@{g}", transfer[g])
+                for g in arch.gateways()
+            ]
 
     # -- (π, β) compile and incremental update ------------------------------
 
@@ -599,32 +520,25 @@ class AnalysisContext:
         bus: TTPBusConfig,
         routes=None,
     ) -> str:
-        """Re-target the kernel at a new ``(π, β)`` (and, for general
-        topologies, a new route assignment; ``None`` means the
-        topology-default routes).
+        """Re-target the kernel at a new ``(π, β)`` and route overrides
+        (``None`` means the topology-default routes).
 
-        Returns ``"compiled"`` on a full build (the first one, or a
-        route change), ``"incremental"`` when only the rows mentioning
+        Returns ``"compiled"`` on a full build (the first one, or a new
+        routing plan), ``"incremental"`` when only the rows mentioning
         changed activities were rebuilt, and ``"cached"`` when nothing
         changed.  A ``β`` change alone never rebuilds a row — the TDMA
         round only enters the analysis through the gateway slot scalars
         and the divergence horizon.
         """
-        if self._multihop:
-            overrides = dict(routes) if routes else {}
-            if overrides != self._route_overrides:
-                # Cleared first: after a re-target that fails below, the
-                # next update recompiles instead of reusing stale rows.
-                self._compiled = False
-                self._route_overrides = None
-                self._plan = self.system.routing_for(overrides)
-                self._compile_plan()
-                self._route_overrides = overrides
-        elif routes:
-            raise AnalysisError(
-                "route overrides require a kernel created with routes= "
-                "(the canonical compiled rows are single-hop)"
-            )
+        previous, self._plan = self._plan, None
+        plan = self.system.routing_for(routes)
+        if plan is not previous:
+            # A new plan re-interns the legs and rebuilds every row.
+            self._compiled = False
+            self._compile_plan(plan)
+        # Set last: after a re-target that fails above, the next update
+        # recompiles instead of reusing stale rows.
+        self._plan = plan
         proc_prio = [
             priorities.process_priority(p) for p in self.et_procs
         ]
@@ -1067,8 +981,8 @@ class AnalysisContext:
         """Translate a solved state back into the named ``ρ`` record.
 
         ``can[m]`` is the delivering CAN slot (the source slot of an
-        ET->TT message), ``ttp[m]`` the FIFO slot; per-leg contexts add
-        the ``T@<gateway>`` transfer processes and, for multi-leg
+        ET->TT message), ``ttp[m]`` the FIFO slot; multi-gateway plans
+        add the ``T@<gateway>`` transfer processes and, for multi-leg
         routes, ``hops[m]`` in traversal order.
         """
         proc_off_map = self._proc_off_map
@@ -1139,3 +1053,30 @@ class AnalysisContext:
         for name in self._tt_msgs:
             result.tt_arrival[name] = msg_off_map.get(name, 0.0)
         return result
+
+
+def retarget(
+    kernel: Optional[AnalysisContext],
+    system: System,
+    priorities: PriorityAssignment,
+    bus: TTPBusConfig,
+    faults=None,
+    routes=None,
+) -> AnalysisContext:
+    """``kernel`` re-targeted at ``(π, β, routes)``, or a fresh compile
+    when ``kernel`` is ``None`` — the entry of every one-shot analysis
+    and of the Fig. 5 loop."""
+    if kernel is None:
+        return AnalysisContext(
+            system, priorities, bus, faults=faults, routes=routes
+        )
+    if kernel.system is not system:
+        raise AnalysisError(
+            "analysis kernel was compiled for a different System"
+        )
+    if kernel.faults != faults:
+        raise AnalysisError(
+            "analysis kernel was compiled for a different FaultSpec"
+        )
+    kernel.update(priorities, bus, routes=routes)
+    return kernel

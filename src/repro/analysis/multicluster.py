@@ -33,13 +33,12 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..buses.ttp import TTPBusConfig
-from ..exceptions import AnalysisError
 from ..model.configuration import OffsetTable, PriorityAssignment
 from ..schedule.list_scheduler import static_schedule
 from ..schedule.schedule_table import StaticSchedule
 from ..semantics import ratchet_arrival_floors
 from ..system import System
-from .kernel import AnalysisContext
+from .kernel import AnalysisContext, retarget
 from .timing import ResponseTimes
 
 __all__ = ["MultiClusterResult", "multi_cluster_scheduling"]
@@ -99,22 +98,8 @@ def multi_cluster_scheduling(
     ``system`` (the :class:`repro.api.backends.AnalysisBackend` does
     both).
     """
-    if kernel is None:
-        kernel = AnalysisContext(
-            system, priorities, bus, faults=faults, routes=routes
-        )
-    else:
-        if kernel.system is not system:
-            raise AnalysisError(
-                "analysis kernel was compiled for a different System"
-            )
-        if kernel.faults != faults:
-            raise AnalysisError(
-                "analysis kernel was compiled for a different FaultSpec"
-            )
-        kernel.update(priorities, bus, routes=routes)
-
-    routing = system.routing_for(routes) if system.multi_topology else None
+    kernel = retarget(kernel, system, priorities, bus, faults, routes)
+    routing = system.routing_for(routes)
     schedule = static_schedule(
         system, bus, rho=None, tt_delays=tt_delays, routing=routing
     )

@@ -28,11 +28,15 @@ gateway*: all messages routed through the same ``Out_TTP`` compete
 byte-wise, priority-blind, including ET->ET messages transiting the TT
 cluster (:func:`repro.semantics.fifo_competitors` with a plan).
 
-The compiled kernel (:class:`repro.analysis.kernel.AnalysisContext`)
-implements these rules on per-leg index rows; this module keeps the
-public one-shot entry point, the counterpart of
-:func:`repro.analysis.holistic.response_time_analysis`.  The interpreted
-implementation it replaced is kept as a parity oracle
+On the canonical topology (one TTC, one ETC, one gateway) every rule
+above reduces to the classic single-hop rule of
+:mod:`repro.analysis.holistic`; the paper's shape is simply the
+one-gateway plan.  The compiled kernel
+(:class:`repro.analysis.kernel.AnalysisContext`) implements these rules
+on per-leg index rows for every system; this module keeps the public
+one-shot entry point over an explicit plan, which shares its
+implementation with :func:`repro.analysis.holistic.response_time_analysis`.
+The interpreted implementation it replaced is kept as a parity oracle
 (``tests/oracles``).
 """
 
@@ -42,6 +46,7 @@ from ..buses.ttp import TTPBusConfig
 from ..model.configuration import OffsetTable, PriorityAssignment
 from ..semantics.routing import RoutingPlan
 from ..system import System
+from .kernel import retarget
 from .timing import ResponseTimes
 
 __all__ = ["multihop_response_time_analysis"]
@@ -61,16 +66,12 @@ def multihop_response_time_analysis(
     message.  The result's ``can``/``ttp`` records keep their classic
     meaning — ``can[m]`` is the *delivering* (final) CAN leg, ``ttp[m]``
     the unique FIFO leg — and ``hops[m]`` lists every leg's timing in
-    traversal order for multi-leg messages.  Compiles a fresh kernel
-    for the plan and solves once; reuse an
-    :class:`~repro.analysis.kernel.AnalysisContext` across calls instead.
-    A canonical system whose plan routes no message is answered by the
-    canonical rows (no ``T@<gateway>`` record).
+    traversal order for multi-leg messages (multi-gateway plans only:
+    a one-gateway plan keeps the classic records, without ``hops`` or
+    ``T@<gateway>``).  Compiles a fresh kernel for the plan and solves
+    once; reuse an :class:`~repro.analysis.kernel.AnalysisContext`
+    across calls instead.
     """
-    from .kernel import AnalysisContext
-
-    kernel = AnalysisContext(
-        system, priorities, bus, faults=faults, routes=plan.routes
-    )
+    kernel = retarget(None, system, priorities, bus, faults, plan.routes)
     rho, _ = kernel.solve(offsets)
     return rho

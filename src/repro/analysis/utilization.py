@@ -55,26 +55,24 @@ def ttp_bus_demand(system: System) -> Dict[str, float]:
     """Bytes per time unit each TTP transmitter must move, per node.
 
     For node ``N`` this is ``sum s_m / T_m`` over the TT->TT and TT->ET
-    messages sent from ``N`` plus, for the gateway, the relayed ET->TT
-    messages.  Comparing against ``slot_capacity / round_length`` bounds
+    messages sent from ``N`` plus, for a gateway, the messages whose
+    ``Out_TTP`` leg it holds on their default routes.  Comparing against ``slot_capacity / round_length`` bounds
     the TTP load.
     """
     demand: Dict[str, float] = {n: 0.0 for n in system.arch.ttp_slot_owners()}
-    plan = system.default_routing() if system.multi_topology else None
+    plan = system.default_routing()
     for msg in system.app.all_messages():
         route = system.route(msg.name)
         period = system.app.period_of_message(msg.name)
         if route in (MessageRoute.TT_TO_TT, MessageRoute.TT_TO_ET):
             demand[system.app.process(msg.src).node] += msg.size / period
-        elif plan is not None:
+        else:
             # The TDMA transmitter of a relayed message is the gateway
             # holding its FIFO leg (if any; pure ET->ET routes never
             # touch the TT bus).
             leg = plan.fifo_leg(msg.name)
             if leg is not None:
                 demand[leg.via] += msg.size / period
-        elif route is MessageRoute.ET_TO_TT:
-            demand[system.arch.gateway] += msg.size / period
     return demand
 
 

@@ -117,13 +117,10 @@ class AnalysisBackend(EvaluationBackend):
             if kernel is not None and (
                 kernel.system is not run_system
                 or kernel.faults != analysis_faults
-                or (config.routes and not getattr(kernel, "_multihop", False))
             ):
                 # The session's shared kernel is compiled for fault-free
-                # evaluation of the original system (and, on canonical
-                # topologies, for single-hop routes); a faulted or
-                # route-overridden run gets its own compile instead of a
-                # wrong (or refused) reuse.
+                # evaluation of the original system; a faulted run gets
+                # its own compile instead of a wrong (or refused) reuse.
                 kernel = None
             validate_configuration(run_system.app, run_system.arch, config)
             result = multi_cluster_scheduling(
@@ -142,13 +139,9 @@ class AnalysisBackend(EvaluationBackend):
             )
         config.offsets = result.offsets
         report = degree_of_schedulability(run_system, result.rho)
-        plan = (
-            run_system.routing_for(config.routes or None)
-            if run_system.multi_topology
-            else None
-        )
         buffers = buffer_bounds(
-            run_system, config.priorities, result.rho, plan=plan
+            run_system, config.priorities, result.rho,
+            plan=run_system.routing_for(config.routes),
         )
         if not result.converged:
             # Non-converged outer loop: unschedulable with a large but

@@ -385,14 +385,12 @@ class Session:
         if self._kernel is None:
             from ..analysis.kernel import AnalysisContext
 
-            # General topologies compile their per-leg rows for the
-            # first configuration's routes; canonical kernels stay
-            # single-hop (a routed config gets its own compile).
-            routes = config.routes if self.system.multi_topology else None
+            # Compiled for the first configuration's routes; later ones
+            # re-target it (a new routing plan recompiles the rows).
             try:
                 self._kernel = AnalysisContext(
                     self.system, config.priorities, config.bus,
-                    routes=routes or None,
+                    routes=config.routes,
                 )
             except ReproError:
                 return None

@@ -216,9 +216,10 @@ class Topology:
     def is_canonical(self) -> bool:
         """One TT + one ET cluster bridged by a single gateway.
 
-        Canonical topologies take the legacy single-gateway code paths
-        (and legacy queue names ``Out_CAN``/``Out_TTP``) so every
-        existing two-cluster artefact is byte-identical.
+        The engines run a canonical topology as the one-gateway routing
+        plan; the flag picks the legacy artefact format and display
+        (and the plan keeps the bare queue names ``Out_CAN``/``Out_TTP``)
+        so every existing two-cluster artefact is byte-identical.
         """
         return (
             len(self.clusters) == 2

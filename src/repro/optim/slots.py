@@ -29,24 +29,22 @@ __all__ = [
 def messages_sent_over_ttp(system: System, node: str) -> List[int]:
     """Sizes of the messages ``node`` transmits in its TDMA slot.
 
-    For a TTC node: its TT->TT and TT->ET messages.  For the gateway: the
-    relayed ET->TT messages.
+    For a TTC node: its TT->TT and TT->ET messages.  For a gateway: the
+    messages whose ``Out_TTP`` leg it holds on their default routes.
     """
     sizes: List[int] = []
-    plan = system.default_routing() if system.multi_topology else None
+    plan = system.default_routing()
     for msg in system.app.all_messages():
         route = system.route(msg.name)
         if route in (MessageRoute.TT_TO_TT, MessageRoute.TT_TO_ET):
             if system.app.process(msg.src).node == node:
                 sizes.append(msg.size)
-        elif plan is not None:
+        else:
             # A relayed message occupies the slot of the gateway that
             # holds its FIFO leg (the TDMA transmitter on its route).
             leg = plan.fifo_leg(msg.name)
             if leg is not None and leg.via == node:
                 sizes.append(msg.size)
-        elif route is MessageRoute.ET_TO_TT and node == system.arch.gateway:
-            sizes.append(msg.size)
     return sizes
 
 

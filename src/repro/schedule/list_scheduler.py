@@ -39,7 +39,7 @@ from ..model.application import ProcessGraph
 from ..model.architecture import MessageRoute
 from ..model.configuration import OffsetTable
 from ..semantics import et_to_tt_constraint
-from ..system import System
+from ..system import System, lru_lookup
 from ..analysis.timing import ResponseTimes
 from .schedule_table import FrameSlot, ScheduleEntry, StaticSchedule
 
@@ -67,17 +67,6 @@ def downstream_urgency(graph: ProcessGraph) -> Dict[str, float]:
             best_tail = max(best_tail, urgency[succ])
         urgency[proc_name] = graph.processes[proc_name].wcet + best_tail
     return urgency
-
-
-def _cached(cache: OrderedDict, key, build, bound: int):
-    """LRU lookup; a miss stores ``build()`` and evicts beyond ``bound``."""
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
-    value = cache[key] = build()
-    if len(cache) > bound:
-        cache.popitem(last=False)
-    return value
 
 
 def _frame_for(medl, bus, node: str, msg_name: str, size, ready):
@@ -120,7 +109,7 @@ def _transit(system: System, routing, msg_name: str) -> tuple:
     """Terms of the earliest extra transit of the legs after the first:
     per leg the entry gateway's ``C_T``, then a CAN frame time or the
     gateway whose TDMA slot carries the leg (delivery at the slot's end)."""
-    legs = routing.legs_of(msg_name)[1:] if routing is not None else ()
+    legs = routing.legs_of(msg_name)[1:]
     return tuple(term for leg in legs for term in (
         system.arch.transfer_wcet_of(leg.via),
         leg.sender if leg.is_fifo else system.can_frame_time(msg_name),
@@ -191,7 +180,7 @@ class _ScheduleContext:
 
     def schedule(self, bus, rho, delays, floors) -> StaticSchedule:
         constraints = tuple(et_to_tt_constraint(m, rho, floors) for m in self.ettt)
-        offsets, messages, tables, medl, arrival, makespan = _cached(
+        offsets, messages, tables, medl, arrival, makespan = lru_lookup(
             self.memo, (bus.slots, tuple(sorted(delays.items())), constraints),
             lambda: self._run(bus, delays, constraints), _MEMO_SIZE
         )
@@ -277,13 +266,14 @@ def static_schedule(
 ) -> StaticSchedule:
     """Build schedule tables, the MEDL and the full offset table ``φ``.
 
-    ``routing`` (a :class:`repro.semantics.routing.RoutingPlan`) supplies
-    the legs of every inter-cluster message on general topologies; each
-    leg after the first delays the ET consumer's earliest activation.
+    ``routing`` (a :class:`repro.semantics.routing.RoutingPlan`, the
+    system's default plan when ``None``) supplies the legs of every
+    inter-cluster message; each leg after the first delays the ET
+    consumer's earliest activation.
     """
-    if routing is None and system.multi_topology:
+    if routing is None:
         routing = system.default_routing()
-    key = None if routing is None else routing.key()
-    context = _cached(system._schedulers, key,
-                      lambda: _ScheduleContext(system, routing), _MAX_PLANS)
+    context = lru_lookup(system._schedulers, routing.key(),
+                         lambda: _ScheduleContext(system, routing),
+                         _MAX_PLANS)
     return context.schedule(bus, rho, tt_delays or {}, arrival_floors)

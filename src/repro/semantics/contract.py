@@ -96,15 +96,14 @@ def fifo_competitors(
     This is the interference set every byte-ahead bound of the FIFO
     (queue delay and buffer occupancy alike) must charge.
 
-    Without a routing ``plan`` (every pre-generalization call site) the
-    competitors are all other ET->TT messages — exactly the single
-    FIFO of the canonical topology.  With a plan, the set is the other
-    users of ``gateway``'s FIFO (``gateway=None`` resolves to the FIFO
-    leg of ``msg`` itself), which includes ET->ET messages transiting
-    the TT cluster.
+    The set is the other users of ``gateway``'s FIFO in the routing
+    ``plan`` (the system's default plan when ``None``; ``gateway=None``
+    resolves to the FIFO leg of ``msg`` itself), which includes ET->ET
+    messages transiting the TT cluster.  On the canonical topology that
+    is every other ET->TT message — its single FIFO.
     """
     if plan is None:
-        return [other for other in system.et_to_tt_messages() if other != msg]
+        plan = system.default_routing()
     if gateway is None:
         leg = plan.fifo_leg(msg)
         if leg is None:

@@ -136,8 +136,8 @@ class RoutingPlan:
     """Resolved routes plus every per-leg index the engines consume.
 
     Construction is cheap (linear in messages × hops) and deterministic;
-    a :class:`repro.system.System` caches the all-defaults plan
-    (:meth:`repro.system.System.default_routing`).
+    a :class:`repro.system.System` builds one per distinct route
+    overrides and caches it (:meth:`repro.system.System.routing_for`).
     """
 
     def __init__(

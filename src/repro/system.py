@@ -25,6 +25,21 @@ from .model.validation import validate_system
 
 __all__ = ["System"]
 
+#: LRU bound of the routing plans a System keeps (one per distinct
+#: route overrides).
+_MAX_PLANS = 16
+
+
+def lru_lookup(cache: OrderedDict, key, build, bound: int):
+    """LRU lookup; a miss stores ``build()`` and evicts beyond ``bound``."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = build()
+    if len(cache) > bound:
+        cache.popitem(last=False)
+    return value
+
 
 class System:
     """An analysis/synthesis problem instance.
@@ -140,13 +155,15 @@ class System:
             src = topo.cluster_of_node(app.process(msg.src).node)
             dst = topo.cluster_of_node(app.process(msg.dst).node)
             self._msg_clusters[msg.name] = (src, dst)
-        self._default_routing = None
-        # Compiled schedulers per routing plan (repro.schedule.list_scheduler).
+        # Routing plans per route overrides, and compiled schedulers per
+        # routing plan (repro.schedule.list_scheduler).
+        self._plans: OrderedDict = OrderedDict()
         self._schedulers: OrderedDict = OrderedDict()
 
     def __getstate__(self):
-        # A cache: copies and pickles rebuild it rather than carry it.
-        return {**self.__dict__, "_schedulers": OrderedDict()}
+        # Caches: copies and pickles rebuild them rather than carry them.
+        return {**self.__dict__, "_plans": OrderedDict(),
+                "_schedulers": OrderedDict()}
 
     # -- topology -----------------------------------------------------------
 
@@ -154,16 +171,6 @@ class System:
     def topology(self):
         """The architecture's cluster/gateway graph."""
         return self.arch.topology
-
-    @property
-    def multi_topology(self) -> bool:
-        """True off the canonical one-TTC/one-ETC/one-gateway shape.
-
-        Canonical systems take the exact pre-generalization code paths
-        (bit-for-bit); only multi-cluster/multi-gateway systems pay for
-        the per-leg machinery.
-        """
-        return not self.arch.topology.is_canonical
 
     def clusters_of_message(self, msg_name: str) -> Tuple[str, str]:
         """(source cluster, destination cluster) of a message."""
@@ -185,24 +192,25 @@ class System:
         return self.arch.topology.default_route(src, dst)
 
     def default_routing(self):
-        """The cached all-defaults :class:`~repro.semantics.routing.RoutingPlan`."""
-        if self._default_routing is None:
-            from .semantics.routing import RoutingPlan
-
-            self._default_routing = RoutingPlan(self)
-        return self._default_routing
+        """The all-defaults :class:`~repro.semantics.routing.RoutingPlan`."""
+        return self.routing_for()
 
     def routing_for(self, overrides=None):
-        """A routing plan for a configuration's ``routes`` overrides.
+        """The routing plan of a configuration's ``routes`` overrides.
 
-        Falls back to the cached default plan when there are no
-        overrides, which is every canonical evaluation.
+        Built once per distinct overrides and kept in a bounded LRU, so
+        every engine evaluating a configuration shares one plan object
+        (the analysis kernel re-targets when that object changes).
         """
-        if not overrides:
-            return self.default_routing()
-        from .semantics.routing import RoutingPlan
+        def build():
+            from .semantics.routing import RoutingPlan
 
-        return RoutingPlan(self, overrides)
+            return RoutingPlan(self, overrides)
+
+        key = tuple(sorted(
+            (name, tuple(route)) for name, route in overrides.items()
+        )) if overrides else ()
+        return lru_lookup(self._plans, key, build, _MAX_PLANS)
 
     # -- routing ------------------------------------------------------------
 

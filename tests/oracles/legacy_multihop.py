@@ -35,7 +35,9 @@ byte-wise, priority-blind, including ET->ET messages transiting the TT
 cluster (:func:`repro.semantics.fifo_competitors` with a plan).
 
 On the canonical two-cluster topology every rule above degenerates to
-the classic one; the kernel still takes its canonical rows there.
+the classic one; the kernel compiles it from the one-gateway plan like
+any other topology, and packages the classic records (no ``hops``, no
+``T@<gateway>``).
 """
 
 from __future__ import annotations

@@ -91,7 +91,7 @@ def legacy_static_schedule(
     app = system.app
     arch = system.arch
     delays = dict(tt_delays or {})
-    if routing is None and system.multi_topology:
+    if routing is None and not system.arch.topology.is_canonical:
         routing = system.default_routing()
 
     urgency: Dict[str, float] = {}

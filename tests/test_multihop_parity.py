@@ -92,8 +92,8 @@ def oracle_solve(kernel, offsets, priorities):
 
 @pytest.fixture
 def oracle_checked(monkeypatch):
-    """Re-solve every per-leg kernel solve on the oracle; yields the
-    list of checked solves."""
+    """Re-solve every kernel solve on the oracle; yields the list of
+    checked solves."""
     checked = []
     update = AnalysisContext.update
     solve = AnalysisContext.solve
@@ -104,10 +104,9 @@ def oracle_checked(monkeypatch):
 
     def checked_solve(self, offsets, warm=None):
         rho, state = solve(self, offsets, warm)
-        if self._multihop:
-            expected = oracle_solve(self, offsets, self.parity_priorities)
-            assert_bit_identical(rho, expected, f"solve {len(checked)}")
-            checked.append(self._plan)
+        expected = oracle_solve(self, offsets, self.parity_priorities)
+        assert_bit_identical(rho, expected, f"solve {len(checked)}")
+        checked.append(self._plan)
         return rho, state
 
     monkeypatch.setattr(AnalysisContext, "update", recording_update)

@@ -130,7 +130,7 @@ class TestMultiClusterWorkload:
         topo = system.arch.topology
         assert sorted(topo.clusters) == ["ETC1", "ETC2", "TTC"]
         assert sorted(topo.gateways) == ["NG1", "NG2"]
-        assert system.multi_topology
+        assert not topo.is_canonical
 
     def test_gateway_floor_is_et_cluster_count(self):
         with pytest.raises(ConfigurationError):
