@@ -40,7 +40,24 @@ slot per CAN-borne message and one FIFO slot per ET->TT message.
 * **solve** (once per offsets ``φ``): run the global monotone fixed
   point entirely over list indices — no string-dict lookups anywhere on
   the inner loops — optionally **warm-started** from a previous
-  solution.
+  solution.  The solve does only the work whose answer it does not
+  already know:
+
+  - *active set*: a sweep re-solves a CAN, FIFO or process row (and
+    recomputes a jitter) only when one of its inputs changed since it
+    was last solved, and the fixed point stops as soon as nothing is
+    dirty.  A row is a deterministic function of its inputs, so a
+    skipped row would have returned the value it already holds;
+  - *exact reuse*: a small LRU of cold solutions, keyed on everything a
+    solve reads — ``π``, the ``β`` slots, the ET-process and CAN-message
+    offsets and the offsets of the TT predecessors the release jitters
+    read — answers a repeated solve without iterating.  A re-schedule
+    that moved only TT activities the ET analysis never reads repeats
+    the previous solve exactly;
+  - ``ttp_only=True`` packages just the gateway FIFO records, the only
+    part of ``ρ`` the Fig. 5 loop reads between passes; the loop
+    packages the full ``ρ`` once, from its last state
+    (:meth:`AnalysisContext.package`).
 
 Warm starts come in two flavours:
 
@@ -56,14 +73,16 @@ Warm starts come in two flavours:
   and a seed above the least fixed point converges to *a* fixed point
   of the same monotone equations — a safe (possibly pessimistic) upper
   bound, never an unsound one.  It is therefore opt-in
-  (``multi_cluster_scheduling(warm_start=True)``); the default path is
-  parity-tested bit for bit against the interpreted oracles.
+  (``multi_cluster_scheduling(warm_start=True)``), and such solves
+  bypass the reuse LRU; the default path is parity-tested bit for bit
+  against the interpreted oracles.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -75,7 +94,7 @@ from ..obs import metrics as _obs_metrics
 from ..obs import state as _obs_state
 from ..obs import trace as _obs_trace
 from ..semantics import ettt_queue_instant, fifo_drain_rounds
-from ..system import System
+from ..system import System, lru_lookup
 from .can_analysis import TIE_EPSILON, can_error_term
 from .timing import ActivityTiming, ResponseTimes
 
@@ -83,6 +102,8 @@ __all__ = ["AnalysisContext", "KernelStats", "SolveState"]
 
 _MAX_OUTER_ITERATIONS = 1_000
 _MAX_INNER_ITERATIONS = 50_000
+#: Cold solutions kept per kernel for exact reuse.
+_MAX_SOLVED = 16
 
 _INF = math.inf
 
@@ -104,8 +125,12 @@ class KernelStats:
 
     ``compiles`` counts full interference-table builds, ``updates`` the
     incremental row rebuilds that replaced one, ``solves`` the fixed
-    points run and ``warm_starts`` the solves seeded from a previous
-    solution instead of from zero jitter.
+    points asked for and ``warm_starts`` the solves seeded from a
+    previous solution instead of from zero jitter.  ``reused_solves``
+    counts solves answered from the kernel's cache of identical earlier
+    solves; of the others, ``rows_solved`` counts the busy-window rows
+    (CAN, FIFO and process) re-solved and ``rows_skipped`` the rows a
+    sweep left alone because none of their inputs had changed.
     """
 
     compiles: int = 0
@@ -113,6 +138,9 @@ class KernelStats:
     rows_recompiled: int = 0
     solves: int = 0
     warm_starts: int = 0
+    reused_solves: int = 0
+    rows_solved: int = 0
+    rows_skipped: int = 0
 
 
 @dataclass
@@ -122,7 +150,8 @@ class SolveState:
     Pass it back into :meth:`AnalysisContext.solve` to warm-start the
     next solve.  All vectors are parallel to the kernel's interned
     activity lists: ``msg_*`` to the CAN slots, ``ttp_*`` to the FIFO
-    slots (one per FIFO leg, so at most one per message).
+    slots (one per FIFO leg, so at most one per message).  The kernel
+    keeps cold states for reuse, so treat a returned state as read-only.
     """
 
     proc_jitter: List[float]
@@ -133,7 +162,6 @@ class SolveState:
     msg_resp: List[float]
     ttp_jitter: List[float]
     ttp_queue: List[float]
-    ttp_ahead: List[float]
 
     def finite(self) -> bool:
         """Whether every component converged (safe to warm-start from)."""
@@ -199,6 +227,26 @@ def _solve_row(
     return _INF
 
 
+def _readers(rows: List[List[tuple]], n: int) -> Tuple[list, list]:
+    """Reverse dependencies of ``n`` activities' busy-window ``rows``.
+
+    Per activity ``k``: the rows that read its jitter (its own row
+    first, then every row it interferes in) and the rows that read its
+    residency (the locked entries).  The CAN error process's virtual
+    slot (id ``n``) is constant and has no readers.
+    """
+    jitter = [[k] for k in range(n)]
+    residency: List[List[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for entry in row:
+            k = entry[0]
+            if k < n:
+                jitter[k].append(i)
+                if entry[4]:
+                    residency[k].append(i)
+    return jitter, residency
+
+
 class AnalysisContext:
     """A holistic analysis compiled once per ``(System, plan, π, β)``.
 
@@ -229,6 +277,9 @@ class AnalysisContext:
         if term is not None:
             self._can_error = (term.period, term.cost, term.jitter)
         self._compile_activities()
+        # Cold solutions by everything a solve reads (see solve()); one
+        # plan's solutions at a time.
+        self._solved: OrderedDict = OrderedDict()
         # The per-leg slots of a RoutingPlan, compiled in update()
         # whenever the plan object changes.
         self._plan = None
@@ -429,6 +480,35 @@ class AnalysisContext:
                 else:
                     arcs.append((-1, -1, pred))
             self._proc_arcs.append(arcs)
+        # The TT processes whose offsets the release jitters read.
+        self._tt_preds = sorted({
+            name for arcs in self._proc_arcs for _, _, name in arcs if name
+        })
+
+        # Reverse dependencies of the jitter steps (the active set of
+        # solve()): per CAN slot, the relayed slots, FIFO legs and ET
+        # processes whose jitter reads its response; per ET process, the
+        # slots it sends and the processes it releases; per FIFO slot,
+        # the slots relayed after it.
+        self._mr_readers = [([], [], []) for _ in slot_msg]
+        self._pr_readers = [([], []) for _ in self.et_procs]
+        self._fifo_relays: List[List[int]] = [[] for _ in fifo_msg]
+        for i, (kind, k, _) in enumerate(slot_entry):
+            if kind == _SOURCE:
+                self._pr_readers[k][0].append(i)
+            elif kind == _TRANSIT:
+                self._fifo_relays[k].append(i)
+            elif kind == _RELAY:
+                self._mr_readers[k][0].append(i)
+        for f, k in enumerate(fifo_prev):
+            self._mr_readers[k][1].append(f)
+        for i, arcs in enumerate(self._proc_arcs):
+            for slot, pred, _ in arcs:
+                if slot >= 0:
+                    self._mr_readers[slot][2].append(i)
+                elif pred >= 0:
+                    self._pr_readers[pred][1].append(i)
+        self._fifo_deps = _readers(self._fifo_rows, len(fifo_msg))
 
         self._slot_gateways = sorted(set(fifo_gateway))
         self._report_slot = report_slot
@@ -507,6 +587,9 @@ class AnalysisContext:
         # the same object would then skip re-validation entirely).
         slots = {g: bus.slot_of(g) for g in self._slot_gateways}
         self._bus = bus
+        self._beta_key = tuple(
+            (slot.node, slot.capacity, slot.duration) for slot in bus.slots
+        )
         self._round_length = bus.round_length
         self._fifo_capacity = [slots[g].capacity for g in self._fifo_gateway]
         self._fifo_slot_time = [slots[g].duration for g in self._fifo_gateway]
@@ -535,6 +618,7 @@ class AnalysisContext:
         if plan is not previous:
             # A new plan re-interns the legs and rebuilds every row.
             self._compiled = False
+            self._solved.clear()
             self._compile_plan(plan)
         # Set last: after a re-target that fails above, the next update
         # recompiles instead of reusing stale rows.
@@ -554,6 +638,8 @@ class AnalysisContext:
                 self._build_proc_row(i, proc_prio)
                 for i in range(len(self.et_procs))
             ]
+            self._can_deps = _readers(self._can_rows, n_slot)
+            self._proc_deps = _readers(self._proc_rows, len(self.et_procs))
             self._proc_prio = proc_prio
             self._msg_prio = msg_prio
             self._snapshot_bus(bus)
@@ -579,6 +665,7 @@ class AnalysisContext:
                         self._build_can_slot(i, msg_prio)
                     )
                     self.stats.rows_recompiled += 1
+            self._can_deps = _readers(self._can_rows, n_slot)
             # Out_TTP FIFO rows are priority-blind (built at compile
             # time) — a π change never touches them.
             self._msg_prio = msg_prio
@@ -605,6 +692,7 @@ class AnalysisContext:
                             i, proc_prio
                         )
                         self.stats.rows_recompiled += 1
+            self._proc_deps = _readers(self._proc_rows, len(self.et_procs))
             self._proc_prio = proc_prio
             changed = True
 
@@ -630,10 +718,11 @@ class AnalysisContext:
 
     # -- per-solve (φ-dependent) refresh ------------------------------------
 
-    def _refresh_offsets(self, offsets: OffsetTable) -> None:
-        """Fill the offset-dependent pieces: relative phases and the
-        equal-period blocking tables.  O(row entries), no priority or
-        ancestor queries."""
+    def _set_offsets(self, offsets: OffsetTable) -> tuple:
+        """Point the kernel at ``φ``: the offset vectors every solve and
+        :meth:`package` read.  Returns the part of ``φ`` a solve reads —
+        the ET-process offsets, the CAN-message offsets and the offsets
+        of the TT predecessors of ET processes — as the reuse key."""
         proc_off_map = offsets.process_offsets
         msg_off_map = offsets.message_offsets
         self._proc_off = [
@@ -644,6 +733,16 @@ class AnalysisContext:
         self._fifo_off = [msg_off[k] for k in self._fifo_msg]
         self._proc_off_map = proc_off_map
         self._msg_off_map = msg_off_map
+        return (
+            tuple(self._proc_off),
+            tuple(msg_off),
+            tuple(proc_off_map.get(p, 0.0) for p in self._tt_preds),
+        )
+
+    def _refresh_offsets(self) -> None:
+        """Fill the offset-dependent pieces: relative phases and the
+        equal-period blocking tables.  O(row entries), no priority or
+        ancestor queries."""
 
         def _relative(rows: List[List[tuple]], off: List[float]):
             return [
@@ -713,6 +812,7 @@ class AnalysisContext:
         self,
         offsets: OffsetTable,
         warm: Optional[SolveState] = None,
+        ttp_only: bool = False,
     ) -> Tuple[ResponseTimes, SolveState]:
         """Run the holistic fixed point for one offset table ``φ``.
 
@@ -721,6 +821,14 @@ class AnalysisContext:
         non-converged entries, or one saved for another slot layout, is
         ignored.  Returns the packaged :class:`ResponseTimes` and the
         raw :class:`SolveState` to pass back in next time.
+        ``ttp_only=True`` packages only the gateway FIFO records
+        (``ρ.ttp``); :meth:`package` gives the full ``ρ`` of the latest
+        solve later.
+
+        A cold solve whose inputs — ``π``, the ``β`` slots and the
+        offsets it reads — equal those of one of the last
+        :data:`_MAX_SOLVED` cold solves of the current plan returns that
+        solve's state instead of iterating.
         """
         if _obs_state.enabled:
             import time as _time
@@ -729,22 +837,52 @@ class AnalysisContext:
             with _obs_trace.span(
                 "kernel.solve", warm=warm is not None
             ):
-                out = self._solve_impl(offsets, warm)
+                out = self._solve_impl(offsets, warm, ttp_only)
             _obs_metrics.observe(
                 "repro_kernel_solve_seconds",
                 _time.perf_counter() - started,
             )
             return out
-        return self._solve_impl(offsets, warm)
+        return self._solve_impl(offsets, warm, ttp_only)
 
     def _solve_impl(
         self,
         offsets: OffsetTable,
-        warm: Optional[SolveState] = None,
+        warm: Optional[SolveState],
+        ttp_only: bool,
     ) -> Tuple[ResponseTimes, SolveState]:
-        self._refresh_offsets(offsets)
         self.stats.solves += 1
+        read = self._set_offsets(offsets)
+        if warm is not None:
+            # A warm-started solve also depends on its seed: not cached.
+            state = self._fixed_point(warm)
+        else:
+            key = (
+                tuple(self._proc_prio), tuple(self._msg_prio),
+                self._beta_key,
+            ) + read
+            if key in self._solved:
+                self.stats.reused_solves += 1
+            state = lru_lookup(
+                self._solved, key, lambda: self._fixed_point(None),
+                _MAX_SOLVED,
+            )
+        return self.package(state, ttp_only), state
 
+    def _fixed_point(self, warm: Optional[SolveState]) -> SolveState:
+        """The active-set holistic fixed point at the current ``φ``.
+
+        The sweep order (steps 1–5) and the per-sweep residency
+        snapshots are those of a full Gauss-Seidel sweep; an entry is
+        recomputed only when it is *dirty*, i.e. one of its inputs
+        changed since it was last computed.  A changed value marks its
+        readers at once when they read it in place, and after the step
+        when they read a snapshot taken before the step.  The one input
+        a dirty flag cannot see is a row's warm start: a row that
+        diverged from a start above its base is re-solved next sweep,
+        as a full sweep would re-solve it from the base.
+        """
+        self._refresh_offsets()
         n_proc = len(self.et_procs)
         n_msg = len(self._slot_msg)
         n_ttp = len(self._fifo_msg)
@@ -760,9 +898,19 @@ class AnalysisContext:
         fifo_capacity = self._fifo_capacity
         fifo_slot_time = self._fifo_slot_time
         fifo_size = self._fifo_size
+        fifo_max_size = self._fifo_max_size
         slot_off = self._slot_off
         proc_off = self._proc_off
+        proc_off_map = self._proc_off_map
+        tt_pred_wcet = self._tt_pred_wcet
         entries = self._slot_entry
+        proc_arcs = self._proc_arcs
+        mr_readers = self._mr_readers
+        pr_readers = self._pr_readers
+        fifo_relays = self._fifo_relays
+        can_jit_readers, can_res_readers = self._can_deps
+        fifo_jit_readers, fifo_q_readers = self._fifo_deps
+        proc_jit_readers, proc_res_readers = self._proc_deps
 
         if (
             warm is not None
@@ -780,7 +928,6 @@ class AnalysisContext:
             mr = list(warm.msg_resp)
             tj = list(warm.ttp_jitter)
             tq = list(warm.ttp_queue)
-            ta = list(warm.ttp_ahead)
         else:
             pj = [0.0] * n_proc
             pw = list(wcet)
@@ -790,7 +937,6 @@ class AnalysisContext:
             mr = list(frame_time)
             tj = [0.0] * n_ttp
             tq = [0.0] * n_ttp
-            ta = [0.0] * n_ttp
 
         if self._can_error is not None:
             # Virtual error slot: constant jitter at index n_msg.  The
@@ -805,12 +951,26 @@ class AnalysisContext:
         floor = math.floor
         ceil = math.ceil
 
-        for _ in range(_MAX_OUTER_ITERATIONS):
-            changed = False
+        # Dirty flags, one list per step; the first sweep computes all.
+        can_jit_dirty = [True] * n_msg
+        can_dirty = [True] * n_msg
+        fifo_jit_dirty = [True] * n_ttp
+        fifo_dirty = [True] * n_ttp
+        proc_jit_dirty = [True] * n_proc
+        proc_dirty = [True] * n_proc
+        # Slot wait B of each FIFO row at the instant it was taken.
+        fifo_instant = [None] * n_ttp
+        fifo_blocking = [0.0] * n_ttp
+        solved = 0
+        sweeps = 0
 
+        for sweeps in range(1, _MAX_OUTER_ITERATIONS + 1):
             # 1. CAN queueing jitters from the upstream stage of each
             # slot (see the _SOURCE.._RELAY descriptors).
             for i in range(n_msg):
+                if not can_jit_dirty[i]:
+                    continue
+                can_jit_dirty[i] = False
                 kind, k, transfer = entries[i]
                 if kind == _SOURCE:
                     j = pr[k] - wcet[k]
@@ -824,143 +984,196 @@ class AnalysisContext:
                     j = mr[k] + transfer
                 if j != mj[i]:
                     mj[i] = j
-                    changed = True
+                    for r in can_jit_readers[i]:
+                        can_dirty[r] = True
 
             # 2. Per-bus CAN queueing delays.  Residency of an
             # interferer on the wire: its own queueing delay plus its
-            # frame time.
-            res_can = [
-                (mq[i] if mq[i] != _INF else horizon) + frame_time[i]
-                for i in range(n_msg)
-            ]
-            for i in range(n_msg):
-                base = self._blocking(i, mj[i])
-                prev = mq[i]
-                start = prev if base < prev < _INF else base
-                w = _solve_row(
-                    base, mj[i], can_rows[i], mj, res_can,
-                    TIE_EPSILON, horizon, start,
-                )
-                if w != mq[i]:
-                    mq[i] = w
-                    changed = True
-                mr[i] = mj[i] + w + frame_time[i]
+            # frame time, snapshotted before the step.
+            if True in can_dirty:
+                res_can = [
+                    (mq[i] if mq[i] != _INF else horizon) + frame_time[i]
+                    for i in range(n_msg)
+                ]
+                moved = []
+                for i in range(n_msg):
+                    if not can_dirty[i]:
+                        continue
+                    can_dirty[i] = False
+                    solved += 1
+                    base = self._blocking(i, mj[i])
+                    prev = mq[i]
+                    start = prev if base < prev < _INF else base
+                    w = _solve_row(
+                        base, mj[i], can_rows[i], mj, res_can,
+                        TIE_EPSILON, horizon, start,
+                    )
+                    if w != prev:
+                        mq[i] = w
+                        moved.append(i)
+                    if w == _INF and start != base:
+                        can_dirty[i] = True
+                    r = mj[i] + w + frame_time[i]
+                    if r != mr[i]:
+                        mr[i] = r
+                        relays, fifos, procs = mr_readers[i]
+                        for k in relays:
+                            can_jit_dirty[k] = True
+                        for k in fifos:
+                            fifo_jit_dirty[k] = True
+                        for k in procs:
+                            proc_jit_dirty[k] = True
+                for k in moved:
+                    for r in can_res_readers[k]:
+                        can_dirty[r] = True
 
-            # 3. Gateway Out_TTP FIFOs.
+            # 3. Gateway Out_TTP FIFOs.  Rows read the competitors'
+            # queueing delays in place.
             for i in range(n_ttp):
+                if not fifo_jit_dirty[i]:
+                    continue
+                fifo_jit_dirty[i] = False
                 j = mr[fifo_prev[i]] + fifo_transfer[i]
                 if j != tj[i]:
                     tj[i] = j
-                    changed = True
+                    for r in fifo_jit_readers[i]:
+                        fifo_dirty[r] = True
+                    for k in fifo_relays[i]:
+                        can_jit_dirty[k] = True
             for i in range(n_ttp):
-                instant = ettt_queue_instant(fifo_off[i], tj[i])
-                if instant == _INF:
-                    if tq[i] != _INF:
-                        changed = True
-                    tq[i] = _INF
-                    ta[i] = _INF
+                if not fifo_dirty[i]:
                     continue
-                blocking = bus.waiting_time(fifo_gateway[i], instant)
+                fifo_dirty[i] = False
+                solved += 1
+                w = _INF
+                instant = ettt_queue_instant(fifo_off[i], tj[i])
                 row = ttp_rows[i]
-                diverged = False
                 for entry in row:
                     if tj[entry[0]] == _INF:
-                        diverged = True
+                        instant = _INF
                         break
-                if diverged:
-                    if tq[i] != _INF:
-                        changed = True
-                    tq[i] = _INF
-                    ta[i] = _INF
-                    continue
-                own_j = tj[i]
-                max_size = self._fifo_max_size[i]
-                w = blocking
-                ahead = 0.0
-                for _inner in range(_MAX_INNER_ITERATIONS):
-                    ahead = 0.0
-                    count = 0
-                    for k, rel, period, cost, lck, anc in row:
-                        if lck:
-                            k_max = floor(
-                                (own_j + w - rel) / period + 1e-9
-                            )
-                            resid = tq[k] if tq[k] != _INF else horizon
-                            k_min = ceil(
-                                (-(tj[k] + resid) - rel) / period - 1e-9
-                            )
-                            if anc and k_min < 0:
-                                k_min = 0
-                            hits = k_max - k_min + 1
-                            if hits < 0:
-                                hits = 0
-                        else:
-                            x = w + tj[k]
-                            hits = (
-                                ceil(x / period - 1e-12) if x > 0 else 0
-                            )
-                        ahead += hits * cost
-                        count += hits
-                    # Whole-frame drain bound (repro.semantics): mirrors
-                    # the oracles' pass operation for operation.
-                    rounds = fifo_drain_rounds(
-                        fifo_size[i], ahead, count,
-                        fifo_capacity[i], max_size,
-                    )
-                    w_next = blocking + (rounds - 1) * round_length
-                    if w_next == w:
-                        break
-                    if w_next > horizon:
+                if instant != _INF:
+                    if instant != fifo_instant[i]:
+                        fifo_instant[i] = instant
+                        fifo_blocking[i] = bus.waiting_time(
+                            fifo_gateway[i], instant
+                        )
+                    blocking = fifo_blocking[i]
+                    own_j = tj[i]
+                    w = blocking
+                    for _inner in range(_MAX_INNER_ITERATIONS):
+                        ahead = 0.0
+                        count = 0
+                        for k, rel, period, cost, lck, anc in row:
+                            if lck:
+                                k_max = floor(
+                                    (own_j + w - rel) / period + 1e-9
+                                )
+                                resid = tq[k] if tq[k] != _INF else horizon
+                                k_min = ceil(
+                                    (-(tj[k] + resid) - rel) / period - 1e-9
+                                )
+                                if anc and k_min < 0:
+                                    k_min = 0
+                                hits = k_max - k_min + 1
+                                if hits < 0:
+                                    hits = 0
+                            else:
+                                x = w + tj[k]
+                                hits = (
+                                    ceil(x / period - 1e-12) if x > 0 else 0
+                                )
+                            ahead += hits * cost
+                            count += hits
+                        # Whole-frame drain bound (repro.semantics):
+                        # mirrors the oracles' pass operation for
+                        # operation.
+                        rounds = fifo_drain_rounds(
+                            fifo_size[i], ahead, count,
+                            fifo_capacity[i], fifo_max_size[i],
+                        )
+                        w_next = blocking + (rounds - 1) * round_length
+                        if w_next == w:
+                            break
+                        if w_next > horizon:
+                            w = _INF
+                            break
+                        w = w_next
+                    else:
                         w = _INF
-                        break
-                    w = w_next
-                else:
-                    w = _INF
                 if w != tq[i]:
                     tq[i] = w
-                    ta[i] = ahead
-                    changed = True
+                    for r in fifo_q_readers[i]:
+                        fifo_dirty[r] = True
+                    for k in fifo_relays[i]:
+                        can_jit_dirty[k] = True
 
             # 4. Release jitters of ET processes from incoming arcs.
             for i in range(n_proc):
+                if not proc_jit_dirty[i]:
+                    continue
+                proc_jit_dirty[i] = False
                 own_offset = proc_off[i]
                 jitter = 0.0
-                for slot, pred_idx, pred_name in self._proc_arcs[i]:
+                for slot, pred_idx, pred_name in proc_arcs[i]:
                     if slot >= 0:
                         arrival = slot_off[slot] + mr[slot]
                     elif pred_idx >= 0:
                         arrival = proc_off[pred_idx] + pr[pred_idx]
                     else:
-                        arrival = self._proc_off_map.get(
+                        arrival = proc_off_map.get(
                             pred_name, 0.0
-                        ) + self._tt_pred_wcet[pred_name]
+                        ) + tt_pred_wcet[pred_name]
                     if arrival - own_offset > jitter:
                         jitter = arrival - own_offset
                 if jitter != pj[i]:
                     pj[i] = jitter
-                    changed = True
+                    for r in proc_jit_readers[i]:
+                        proc_dirty[r] = True
 
             # 5. Busy windows of ET processes.  Residency of an
-            # interfering process: its whole busy window (snapshot taken
-            # before the sweep, as in the oracles' pass).
-            res_proc = [
-                pw[i] if pw[i] != _INF else horizon
-                for i in range(n_proc)
-            ]
-            for i in range(n_proc):
-                base = wcet[i]
-                prev = pw[i]
-                start = prev if base < prev < _INF else base
-                window = _solve_row(
-                    base, pj[i], proc_rows[i], pj, res_proc,
-                    0.0, horizon, start,
-                )
-                if window != pw[i]:
-                    pw[i] = window
-                    changed = True
-                pr[i] = pj[i] + window
+            # interfering process: its whole busy window, snapshotted
+            # before the step.
+            if True in proc_dirty:
+                res_proc = [
+                    pw[i] if pw[i] != _INF else horizon
+                    for i in range(n_proc)
+                ]
+                moved = []
+                for i in range(n_proc):
+                    if not proc_dirty[i]:
+                        continue
+                    proc_dirty[i] = False
+                    solved += 1
+                    base = wcet[i]
+                    prev = pw[i]
+                    start = prev if base < prev < _INF else base
+                    window = _solve_row(
+                        base, pj[i], proc_rows[i], pj, res_proc,
+                        0.0, horizon, start,
+                    )
+                    if window != prev:
+                        pw[i] = window
+                        moved.append(i)
+                    if window == _INF and start != base:
+                        proc_dirty[i] = True
+                    r = pj[i] + window
+                    if r != pr[i]:
+                        pr[i] = r
+                        slots, procs = pr_readers[i]
+                        for k in slots:
+                            can_jit_dirty[k] = True
+                        for k in procs:
+                            proc_jit_dirty[k] = True
+                for k in moved:
+                    for r in proc_res_readers[k]:
+                        proc_dirty[r] = True
 
-            if not changed:
+            if not (
+                True in can_jit_dirty or True in can_dirty
+                or True in fifo_jit_dirty or True in fifo_dirty
+                or True in proc_jit_dirty or True in proc_dirty
+            ):
                 break
         else:
             raise AnalysisError(
@@ -968,26 +1181,50 @@ class AnalysisContext:
                 f"{_MAX_OUTER_ITERATIONS} iterations"
             )
 
-        state = SolveState(
+        self.stats.rows_solved += solved
+        self.stats.rows_skipped += sweeps * (n_msg + n_ttp + n_proc) - solved
+        return SolveState(
             proc_jitter=pj, proc_window=pw, proc_resp=pr,
             msg_jitter=mj, msg_queue=mq, msg_resp=mr,
-            ttp_jitter=tj, ttp_queue=tq, ttp_ahead=ta,
+            ttp_jitter=tj, ttp_queue=tq,
         )
-        return self._package(state), state
 
     # -- packaging -----------------------------------------------------------
 
-    def _package(self, state: SolveState) -> ResponseTimes:
+    def package(
+        self, state: SolveState, ttp_only: bool = False
+    ) -> ResponseTimes:
         """Translate a solved state back into the named ``ρ`` record.
 
+        ``state`` must come from the kernel's latest :meth:`solve`: the
+        records take their offsets from that solve's ``φ``.
         ``can[m]`` is the delivering CAN slot (the source slot of an
         ET->TT message), ``ttp[m]`` the FIFO slot; multi-gateway plans
         add the ``T@<gateway>`` transfer processes and, for multi-leg
-        routes, ``hops[m]`` in traversal order.
+        routes, ``hops[m]`` in traversal order.  ``ttp_only=True``
+        fills ``ttp`` alone.
         """
+        result = ResponseTimes()
+
+        def fifo_record(i: int) -> ActivityTiming:
+            converged = (
+                state.ttp_queue[i] != _INF and state.ttp_jitter[i] != _INF
+            )
+            return ActivityTiming(
+                offset=self._fifo_off[i],
+                jitter=state.ttp_jitter[i] if converged else _INF,
+                queuing=state.ttp_queue[i] if converged else _INF,
+                duration=self._fifo_slot_time[i],
+                converged=converged,
+            )
+
+        for i, m in enumerate(self._fifo_names):
+            result.ttp[m] = fifo_record(i)
+        if ttp_only:
+            return result
+
         proc_off_map = self._proc_off_map
         slot_off = self._slot_off
-        result = ResponseTimes()
         for name, wcet, i in self._proc_records:
             if i < 0:
                 result.processes[name] = ActivityTiming(
@@ -1028,22 +1265,8 @@ class AnalysisContext:
                 converged=converged,
             )
 
-        def fifo_record(i: int) -> ActivityTiming:
-            converged = (
-                state.ttp_queue[i] != _INF and state.ttp_jitter[i] != _INF
-            )
-            return ActivityTiming(
-                offset=self._fifo_off[i],
-                jitter=state.ttp_jitter[i] if converged else _INF,
-                queuing=state.ttp_queue[i] if converged else _INF,
-                duration=self._fifo_slot_time[i],
-                converged=converged,
-            )
-
         for m, i in zip(self.can_msgs, self._report_slot):
             result.can[m] = can_record(i)
-        for i, m in enumerate(self._fifo_names):
-            result.ttp[m] = fifo_record(i)
         for m, hops in self._hop_slots:
             result.hops[m] = tuple(
                 fifo_record(i) if is_fifo else can_record(i)

@@ -19,7 +19,9 @@ The analysis runs on the compiled kernel
 structure is compiled once per call (or reused across calls when the
 caller — typically a :class:`repro.api.session.Session` — hands a kernel
 in), and every analysis pass warm-starts its busy-window equations from
-the previous outer iteration *within* the pass, which is exact.
+the previous outer iteration *within* the pass, which is exact.  A pass
+packages only the gateway FIFO records the next schedule reads; the
+full ``ρ`` is packaged once, from the last pass.
 ``warm_start=True`` additionally seeds each Fig. 5 iteration's whole
 jitter vector from the previous iteration's solution — fast and always a
 *safe* (upper) bound, but possibly pessimistic when re-scheduling moves
@@ -104,7 +106,9 @@ def multi_cluster_scheduling(
         system, bus, rho=None, tt_delays=tt_delays, routing=routing
     )
     offsets = schedule.offsets
-    rho, state = kernel.solve(offsets)
+    # Between passes the loop reads only ρ.ttp (the ET->TT arrivals);
+    # the full ρ is packaged once, from the last pass.
+    rho, state = kernel.solve(offsets, ttp_only=True)
     iterations = 1
     converged = False
     floors: dict = {}
@@ -125,12 +129,12 @@ def multi_cluster_scheduling(
         schedule = new_schedule
         offsets = new_schedule.offsets
         rho, state = kernel.solve(
-            offsets, warm=state if warm_start else None
+            offsets, warm=state if warm_start else None, ttp_only=True
         )
         iterations += 1
     return MultiClusterResult(
         offsets=offsets,
-        rho=rho,
+        rho=kernel.package(state),
         schedule=schedule,
         iterations=iterations,
         converged=converged,

@@ -159,6 +159,8 @@ class System:
         # routing plan (repro.schedule.list_scheduler).
         self._plans: OrderedDict = OrderedDict()
         self._schedulers: OrderedDict = OrderedDict()
+        # Default route per (source, destination) cluster pair.
+        self._default_routes: Dict[Tuple[str, str], Tuple[str, ...]] = {}
 
     def __getstate__(self):
         # Caches: copies and pickles rebuild them rather than carry them.
@@ -189,7 +191,11 @@ class System:
         src, dst = self.clusters_of_message(msg_name)
         if src == dst:
             return ()
-        return self.arch.topology.default_route(src, dst)
+        route = self._default_routes.get((src, dst))
+        if route is None:
+            route = self.arch.topology.default_route(src, dst)
+            self._default_routes[(src, dst)] = route
+        return route
 
     def default_routing(self):
         """The all-defaults :class:`~repro.semantics.routing.RoutingPlan`."""
@@ -198,17 +204,21 @@ class System:
     def routing_for(self, overrides=None):
         """The routing plan of a configuration's ``routes`` overrides.
 
-        Built once per distinct overrides and kept in a bounded LRU, so
+        Built once per distinct route set and kept in a bounded LRU, so
         every engine evaluating a configuration shares one plan object
-        (the analysis kernel re-targets when that object changes).
+        (the analysis kernel re-targets when that object changes).  An
+        override spelling out a message's default route is the same
+        route set as no override.
         """
         def build():
             from .semantics.routing import RoutingPlan
 
-            return RoutingPlan(self, overrides)
+            return RoutingPlan(self, dict(key))
 
         key = tuple(sorted(
             (name, tuple(route)) for name, route in overrides.items()
+            if name not in self._msg_clusters
+            or tuple(route) != self.default_route(name)
         )) if overrides else ()
         return lru_lookup(self._plans, key, build, _MAX_PLANS)
 

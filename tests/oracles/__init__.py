@@ -10,6 +10,9 @@ identity suites compare against:
 * :func:`legacy_multihop_response_time_analysis` — the interpreted
   per-leg analysis of general topologies and route overrides, which
   rebuilds its name-keyed per-leg rows per call;
+* :func:`full_sweep_solve` — the kernel's holistic fixed point run by
+  full sweeps (every row re-solved every sweep, no reuse of earlier
+  solves);
 * :func:`legacy_static_schedule` — the interpreted list scheduler,
   which re-derives urgencies, predecessor routes and slot arithmetic
   per call;
@@ -21,6 +24,7 @@ Nothing under ``src/`` imports this package.
 """
 
 from .events import EventQueue
+from .full_sweep import full_sweep_solve
 from .legacy_multihop import legacy_multihop_response_time_analysis
 from .legacy_rta import legacy_response_time_analysis
 from .legacy_schedule import legacy_static_schedule
@@ -30,6 +34,7 @@ from .workload_scan import steer_gateway_traffic_scan
 __all__ = [
     "EventQueue",
     "LegacySimulator",
+    "full_sweep_solve",
     "legacy_multihop_response_time_analysis",
     "legacy_response_time_analysis",
     "legacy_simulate",

@@ -13,8 +13,9 @@ observable moved:
   evaluates exactly like one without routes, on one kernel compile per
   :class:`~repro.api.Session`.
 
-A system builds each routing plan once per distinct route overrides
-and shares it between the engines.
+A system builds each routing plan once per distinct route set and
+shares it between the engines, whichever way a configuration spells
+its default routes.
 """
 
 import copy
@@ -165,7 +166,8 @@ def test_plans_are_built_once_per_overrides():
     assert system.routing_for(None) is default
     assert system.routing_for({}) is default
     explicit = system.routing_for({message: system.default_route(message)})
-    assert explicit is not default
+    # Spelling out a default route is the same route set.
+    assert explicit is default
     assert explicit.routes == default.routes
     assert system.routing_for(
         {message: list(system.default_route(message))}
@@ -174,3 +176,29 @@ def test_plans_are_built_once_per_overrides():
         assert not clone._plans
         assert clone.default_routing().routes == default.routes
     assert system._plans
+
+
+def test_session_alternating_route_spellings_compiles_once(monkeypatch):
+    system = generate_workload(WorkloadSpec(nodes=4, seed=0))
+    explicit = {
+        m.name: system.default_route(m.name)
+        for m in system.app.all_messages()
+        if system.is_intercluster(m.name)
+    }
+    assert explicit
+    outcomes = []
+    update = AnalysisContext.update
+
+    def recording_update(self, priorities, bus, routes=None):
+        outcomes.append(update(self, priorities, bus, routes=routes))
+        return outcomes[-1]
+
+    monkeypatch.setattr(AnalysisContext, "update", recording_update)
+    session = Session(system)
+    configs = _configs(system)
+    for i, config in enumerate(configs):
+        config.routes = dict(explicit) if i % 2 else {}
+    runs = [session.evaluate(config) for config in configs]
+    assert all(run.error is None for run in runs)
+    assert outcomes.count("compiled") == 1
+    assert session.cache_info().kernel_compiles == 1
