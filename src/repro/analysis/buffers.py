@@ -54,6 +54,45 @@ class BufferReport:
         return self.out_can + self.out_ttp + sum(self.out_node.values())
 
 
+def _resident_hits(
+    system: System, msg: str, timing, j: str, other, epsilon: float
+) -> int:
+    """Activations of ``j`` (timing ``other``) that can co-reside with
+    ``msg`` (timing ``timing``) in a queue during ``msg``'s waiting
+    window.
+
+    Phase-locked (equal-period) messages use the interval count of
+    ``j``'s activations whose queue residency (jitter + queueing delay)
+    can overlap the window; ancestors of ``msg`` cannot co-reside (their
+    same-instance transmission precedes its birth).  Other messages use
+    ``ceil0`` arrivals, with ``epsilon`` counting a same-instant arrival
+    (the priority queues' tie; 0 for the FIFO).
+    """
+    app = system.app
+    period = app.period_of_message(j)
+    if period == app.period_of_message(msg):
+        rel = (other.offset - timing.offset) % period
+        return phase_locked_hits(
+            timing.queuing,
+            timing.jitter,
+            rel,
+            period,
+            other.jitter,
+            other.queuing,
+            system.message_is_ancestor(j, msg),
+        )
+    return ceil0_hits(
+        timing.queuing,
+        Interferer(
+            jitter=other.jitter,
+            rel_offset=0.0,
+            period=period,
+            cost=float(app.message(j).size),
+        ),
+        epsilon=epsilon,
+    )
+
+
 def _priority_queue_bound(
     system: System,
     priorities: PriorityAssignment,
@@ -78,35 +117,9 @@ def _priority_queue_bound(
                 continue
             if not other.converged:
                 return UNBOUNDED_PENALTY
-            period = app.period_of_message(j)
-            if period == app.period_of_message(m):
-                # Phase-locked: interval count of j's activations whose
-                # queue residency (jitter + queueing delay) can overlap
-                # m's waiting window; ancestors of m cannot co-reside
-                # (their same-instance transmission precedes m's birth).
-                rel = (other.offset - timing.offset) % period
-                hits = phase_locked_hits(
-                    timing.queuing,
-                    timing.jitter,
-                    rel,
-                    period,
-                    other.jitter,
-                    other.queuing,
-                    system.message_is_ancestor(j, m),
-                )
-            else:
-                hits = ceil0_hits(
-                    timing.queuing,
-                    Interferer(
-                        jitter=other.jitter,
-                        rel_offset=0.0,
-                        period=period,
-                        cost=float(app.message(j).size),
-                    ),
-                    # A same-instant higher-priority arrival co-resides in
-                    # the queue, so the tie counts.
-                    epsilon=1e-9,
-                )
+            # A same-instant higher-priority arrival co-resides in the
+            # queue, so the tie counts.
+            hits = _resident_hits(system, m, timing, j, other, 1e-9)
             occupancy += hits * app.message(j).size
         worst = max(worst, occupancy)
     return worst
@@ -174,9 +187,7 @@ def buffer_bounds(
             if not timing.converged:
                 queue_worst = UNBOUNDED_PENALTY
                 break
-            ahead = ttp_resident_bytes(
-                system, priorities, m, timing, rho, plan=plan
-            )
+            ahead = ttp_resident_bytes(system, m, timing, rho, plan=plan)
             queue_worst = max(queue_worst, app.message(m).size + ahead)
         out_ttp += queue_worst
     return BufferReport(out_can=out_can, out_ttp=out_ttp, out_node=out_node)
@@ -184,7 +195,6 @@ def buffer_bounds(
 
 def ttp_resident_bytes(
     system: System,
-    priorities: PriorityAssignment,
     msg: str,
     timing,
     rho: ResponseTimes,
@@ -194,37 +204,14 @@ def ttp_resident_bytes(
 
     ``Out_TTP`` is a FIFO: every other ET->TT message can co-reside ahead
     of ``msg`` regardless of CAN priority (the shared contract of
-    :func:`repro.semantics.fifo_competitors`); ``priorities`` is kept for
-    signature symmetry with the priority-ordered queue bounds.
+    :func:`repro.semantics.fifo_competitors`).
     """
-    del priorities  # FIFO ordering ignores CAN priorities.
     app = system.app
     total = 0.0
     for j in fifo_competitors(system, msg, plan=plan):
         other = rho.ttp[j]
         if not other.converged:
             return UNBOUNDED_PENALTY
-        period = app.period_of_message(j)
-        if period == app.period_of_message(msg):
-            rel = (other.offset - timing.offset) % period
-            hits = phase_locked_hits(
-                timing.queuing,
-                timing.jitter,
-                rel,
-                period,
-                other.jitter,
-                other.queuing,
-                system.message_is_ancestor(j, msg),
-            )
-        else:
-            hits = ceil0_hits(
-                timing.queuing,
-                Interferer(
-                    jitter=other.jitter,
-                    rel_offset=0.0,
-                    period=period,
-                    cost=float(app.message(j).size),
-                ),
-            )
+        hits = _resident_hits(system, msg, timing, j, other, 0.0)
         total += hits * app.message(j).size
     return total

@@ -16,17 +16,22 @@ with the blocking term ``B_m = max over k in lp(m) of C_k`` (a lower
 priority frame already on the wire cannot be preempted).  ``hp``/``lp``
 range over **all** CAN-borne messages, including those relayed by the
 gateway.
+
+The equation is solved by the CAN rows of the compiled kernel
+(:mod:`repro.analysis.kernel`), together with the phase-locked and
+ancestor refinements of DESIGN.md.  This module keeps the two pieces
+the kernel and the test oracles share: the arbitration tie epsilon and
+the CAN error term.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Optional
 
-from ..model.configuration import PriorityAssignment
 from ..system import System
-from .fixed_point import Interferer, solve_busy_window
+from .fixed_point import Interferer
 
-__all__ = ["can_blocking", "can_error_term", "can_queuing_delay"]
+__all__ = ["can_error_term"]
 
 #: Tie-break epsilon: a higher-priority frame queued at the same instant
 #: (zero jitter, equal offset) wins arbitration, so it must count as one
@@ -34,74 +39,6 @@ __all__ = ["can_blocking", "can_error_term", "can_queuing_delay"]
 #: ``tau_bit``); an infinitesimal value restores soundness without
 #: perturbing any other case.
 TIE_EPSILON = 1e-9
-
-
-def can_blocking(
-    system: System,
-    priorities: PriorityAssignment,
-    msg: str,
-    message_offsets: Mapping[str, float],
-    message_jitters: Optional[Mapping[str, float]] = None,
-) -> float:
-    """Blocking ``B_m``: largest frame among lower-priority messages that
-    can already be on the wire when ``m`` is queued.
-
-    Offset-aware exclusions (calibrated on the paper's worked example,
-    which computes ``w_m1 = 0`` although m2 and m3 have lower priority):
-
-    * a phase-locked (equal-period) lower-priority TT->ET message with the
-      *same offset* arrives in the same gateway frame: the transfer
-      process enqueues the whole frame atomically into the
-      priority-ordered ``Out_CAN``, so it can never start ahead of ``m``;
-    * a phase-locked lower-priority message whose earliest queueing
-      ``O_k`` lies at or after ``m``'s *latest* queueing ``O_m + J_m``
-      cannot have started transmitting before ``m`` was queued.
-
-    Everything else (different periods, or earliest start inside ``m``'s
-    queueing window) can be mid-frame when ``m`` arrives and blocks.
-    """
-    from ..model.architecture import MessageRoute
-
-    own = priorities.message_priority(msg)
-    own_period = system.app.period_of_message(msg)
-    own_offset = message_offsets.get(msg, 0.0)
-    own_jitter = (message_jitters or {}).get(msg, 0.0)
-    own_route = system.route(msg)
-    worst = 0.0
-    for other in system.can_messages():
-        if other == msg:
-            continue
-        if priorities.message_priority(other) <= own:
-            continue
-        if system.app.period_of_message(other) == own_period:
-            other_offset = message_offsets.get(other, 0.0)
-            atomic_frame = (
-                own_route is MessageRoute.TT_TO_ET
-                and system.route(other) is MessageRoute.TT_TO_ET
-                and other_offset == own_offset
-            )
-            if atomic_frame or other_offset >= own_offset + own_jitter:
-                continue
-        worst = max(worst, system.can_frame_time(other))
-    return worst
-
-
-def _relative_offset(
-    system: System, of: str, against: str, offsets: Mapping[str, float]
-) -> float:
-    """``O_mj``: phase of message ``of`` relative to ``against``.
-
-    Messages with equal periods are phase-locked (all process graphs
-    release together at every multiple of the common period, and the TTC
-    side is driven by one global schedule): the phase is the offset
-    difference wrapped into the period, ``(O_j - O_i) mod T_j``, as in
-    Tindell's offset analysis.  Messages with different periods have no
-    fixed phase and get 0 (classic analysis).
-    """
-    period = system.app.period_of_message(of)
-    if period != system.app.period_of_message(against):
-        return 0.0
-    return (offsets.get(of, 0.0) - offsets.get(against, 0.0)) % period
 
 
 def can_error_term(system: System, faults) -> Optional[Interferer]:
@@ -144,47 +81,3 @@ def can_error_term(system: System, faults) -> Optional[Interferer]:
         period=faults.can_error_interval,
         cost=faults.can_error_overhead + max_frame,
     )
-
-
-def can_queuing_delay(
-    system: System,
-    priorities: PriorityAssignment,
-    msg: str,
-    message_offsets: Mapping[str, float],
-    message_jitters: Mapping[str, float],
-    faults=None,
-) -> "tuple[float, bool]":
-    """Worst-case CAN queueing delay ``w_m`` of one message.
-
-    ``message_jitters`` must hold the current queueing jitter ``J_j`` of
-    every CAN message (sender response time for ET-sent messages, gateway
-    transfer response for TT->ET messages).  Returns ``(w_m, converged)``.
-
-    This is the paper's literal per-message equation (section 4.1.1).
-    The holistic analysis (:mod:`repro.analysis.holistic`) additionally
-    applies the backward-overlap and precedence-aware refinements of
-    DESIGN.md when iterating the whole system — use it for sound
-    system-level bounds; this function is the building block and the
-    equation-level reference.
-
-    ``faults`` (optional) folds the retransmission term of a modeled
-    CAN error process into the window (:func:`can_error_term`).
-    """
-    own = priorities.message_priority(msg)
-    interferers = []
-    for other in system.can_messages():
-        if other == msg or priorities.message_priority(other) > own:
-            continue
-        interferers.append(
-            Interferer(
-                jitter=message_jitters.get(other, 0.0),
-                rel_offset=_relative_offset(system, other, msg, message_offsets),
-                period=system.app.period_of_message(other),
-                cost=system.can_frame_time(other),
-            )
-        )
-    error_term = can_error_term(system, faults)
-    if error_term is not None:
-        interferers.append(error_term)
-    base = can_blocking(system, priorities, msg, message_offsets)
-    return solve_busy_window(base, interferers, epsilon=TIE_EPSILON)

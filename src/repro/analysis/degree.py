@@ -42,10 +42,6 @@ class SchedulabilityReport:
     schedulable: bool
     graph_responses: Dict[str, float]
 
-    def response_of(self, graph_name: str) -> float:
-        """``R_G`` of one graph."""
-        return self.graph_responses[graph_name]
-
 
 def graph_response_time(
     system: System, rho: ResponseTimes, graph_name: str

@@ -1,4 +1,4 @@
-"""Fixed-point primitives shared by all response-time equations.
+"""Interference primitives of the section 4.1 busy-window equations.
 
 Both the process interference equation and the message queueing equations
 of section 4.1 have the shape
@@ -7,21 +7,17 @@ of section 4.1 have the shape
 
 where ``ceil0(x) = max(0, ceil(x))`` clamps windows that open after the
 busy period (the offset-aware clamping of Tindell's analysis, which the
-paper builds on).  The map is monotone in ``w`` so iterating from ``w = B``
-reaches the least fixed point; if the interferer utilization is at or above
-1 the iteration diverges and the activity is reported non-converged.
+paper builds on).  The compiled kernel (:mod:`repro.analysis.kernel`)
+solves these equations; this module keeps the interferer record and the
+activation count that the buffer bounds and the CAN error term share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
 
-__all__ = ["Interferer", "ceil0_hits", "solve_busy_window", "interferer_utilization"]
-
-#: Iteration safety cap; the analytic divergence bound normally fires first.
-_MAX_ITERATIONS = 100_000
+__all__ = ["Interferer", "ceil0_hits"]
 
 
 @dataclass(frozen=True)
@@ -54,45 +50,3 @@ def ceil0_hits(window: float, interferer: Interferer, epsilon: float = 0.0) -> i
     if x <= 0:
         return 0
     return math.ceil(x / interferer.period - 1e-12)
-
-
-def interferer_utilization(interferers: Sequence[Interferer]) -> float:
-    """Total utilization ``sum C_j / T_j`` of an interferer set."""
-    return sum(i.cost / i.period for i in interferers)
-
-
-def solve_busy_window(
-    base: float,
-    interferers: Sequence[Interferer],
-    epsilon: float = 0.0,
-    divergence_bound: float = math.inf,
-) -> Tuple[float, bool]:
-    """Least fixed point of ``w = base + sum(hits(w) * C_j)``.
-
-    Returns ``(w, converged)``.  Divergence is detected analytically: when
-    the interferer utilization is >= 1 the equation has no finite fixed
-    point; otherwise the fixed point is bounded by
-    ``(base + sum((J_j/T_j + 1) * C_j)) / (1 - U)`` and the iteration is
-    additionally stopped if it crosses ``divergence_bound``.
-    """
-    if not interferers:
-        return base, True
-    utilization = interferer_utilization(interferers)
-    if utilization >= 1.0:
-        return math.inf, False
-    analytic_bound = (
-        base
-        + sum((max(0.0, i.jitter) / i.period + 1.0) * i.cost for i in interferers)
-    ) / (1.0 - utilization)
-    bound = min(analytic_bound + 1.0, divergence_bound)
-    w = base
-    for _ in range(_MAX_ITERATIONS):
-        w_next = base + sum(
-            ceil0_hits(w, i, epsilon) * i.cost for i in interferers
-        )
-        if w_next == w:
-            return w, True
-        if w_next > bound:
-            return math.inf, False
-        w = w_next
-    return math.inf, False

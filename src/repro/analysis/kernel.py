@@ -39,16 +39,15 @@ slot per CAN-borne message and one FIFO slot per ET->TT message.
   re-interns the legs and rebuilds every row.
 * **solve** (once per offsets ``φ``): run the global monotone fixed
   point entirely over list indices — no string-dict lookups anywhere on
-  the inner loops — optionally **warm-started** from a previous
-  solution.  The solve does only the work whose answer it does not
-  already know:
+  the inner loops.  The solve does only the work whose answer it does
+  not already know:
 
   - *active set*: a sweep re-solves a CAN, FIFO or process row (and
     recomputes a jitter) only when one of its inputs changed since it
     was last solved, and the fixed point stops as soon as nothing is
     dirty.  A row is a deterministic function of its inputs, so a
     skipped row would have returned the value it already holds;
-  - *exact reuse*: a small LRU of cold solutions, keyed on everything a
+  - *exact reuse*: a small LRU of solutions, keyed on everything a
     solve reads — ``π``, the ``β`` slots, the ET-process and CAN-message
     offsets and the offsets of the TT predecessors the release jitters
     read — answers a repeated solve without iterating.  A re-schedule
@@ -59,23 +58,16 @@ slot per CAN-borne message and one FIFO slot per ET->TT message.
     packages the full ``ρ`` once, from its last state
     (:meth:`AnalysisContext.package`).
 
-Warm starts come in two flavours:
-
-* *Within one solve*, each activity's busy-window equation is seeded
-  with its window from the previous outer iteration.  This is exact:
-  the outer Gauss-Seidel state ratchets monotonically upward from
-  bottom, so the previous window is ≤ the new least fixed point, and a
-  monotone busy-window iteration started anywhere at or below its least
-  fixed point converges to exactly that fixed point.
-* *Across solves* (``warm=``), the previous solution seeds the whole
-  state vector.  This is **not** exact in general: re-scheduling can
-  move offsets so that an activity's true least fixed point shrinks,
-  and a seed above the least fixed point converges to *a* fixed point
-  of the same monotone equations — a safe (possibly pessimistic) upper
-  bound, never an unsound one.  It is therefore opt-in
-  (``multi_cluster_scheduling(warm_start=True)``), and such solves
-  bypass the reuse LRU; the default path is parity-tested bit for bit
-  against the interpreted oracles.
+Every solve starts from zero jitter.  Within it, each activity's
+busy-window equation is warm-started from its window of the previous
+outer iteration.  This is exact: the outer Gauss-Seidel state ratchets
+monotonically upward from bottom, so the previous window is ≤ the new
+least fixed point, and a monotone busy-window iteration started anywhere
+at or below its least fixed point converges to exactly that fixed point.
+The one exception is a row that diverged from such a start: it stays
+dirty for one more sweep, which re-solves it from its base as a full
+sweep would.  Every solve is parity-tested bit for bit against the
+interpreted oracles.
 """
 
 from __future__ import annotations
@@ -102,7 +94,7 @@ __all__ = ["AnalysisContext", "KernelStats", "SolveState"]
 
 _MAX_OUTER_ITERATIONS = 1_000
 _MAX_INNER_ITERATIONS = 50_000
-#: Cold solutions kept per kernel for exact reuse.
+#: Solutions kept per kernel for exact reuse.
 _MAX_SOLVED = 16
 
 _INF = math.inf
@@ -125,19 +117,17 @@ class KernelStats:
 
     ``compiles`` counts full interference-table builds, ``updates`` the
     incremental row rebuilds that replaced one, ``solves`` the fixed
-    points asked for and ``warm_starts`` the solves seeded from a
-    previous solution instead of from zero jitter.  ``reused_solves``
-    counts solves answered from the kernel's cache of identical earlier
-    solves; of the others, ``rows_solved`` counts the busy-window rows
-    (CAN, FIFO and process) re-solved and ``rows_skipped`` the rows a
-    sweep left alone because none of their inputs had changed.
+    points asked for.  ``reused_solves`` counts solves answered from the
+    kernel's cache of identical earlier solves; of the others,
+    ``rows_solved`` counts the busy-window rows (CAN, FIFO and process)
+    re-solved and ``rows_skipped`` the rows a sweep left alone because
+    none of their inputs had changed.
     """
 
     compiles: int = 0
     updates: int = 0
     rows_recompiled: int = 0
     solves: int = 0
-    warm_starts: int = 0
     reused_solves: int = 0
     rows_solved: int = 0
     rows_skipped: int = 0
@@ -147,11 +137,10 @@ class KernelStats:
 class SolveState:
     """One solved fixed point, in kernel (id-indexed) coordinates.
 
-    Pass it back into :meth:`AnalysisContext.solve` to warm-start the
-    next solve.  All vectors are parallel to the kernel's interned
-    activity lists: ``msg_*`` to the CAN slots, ``ttp_*`` to the FIFO
-    slots (one per FIFO leg, so at most one per message).  The kernel
-    keeps cold states for reuse, so treat a returned state as read-only.
+    All vectors are parallel to the kernel's interned activity lists:
+    ``msg_*`` to the CAN slots, ``ttp_*`` to the FIFO slots (one per
+    FIFO leg, so at most one per message).  The kernel keeps its states
+    for reuse, so treat a returned state as read-only.
     """
 
     proc_jitter: List[float]
@@ -162,17 +151,6 @@ class SolveState:
     msg_resp: List[float]
     ttp_jitter: List[float]
     ttp_queue: List[float]
-
-    def finite(self) -> bool:
-        """Whether every component converged (safe to warm-start from)."""
-        for vec in (
-            self.proc_jitter, self.proc_window, self.msg_jitter,
-            self.msg_queue, self.ttp_jitter, self.ttp_queue,
-        ):
-            for value in vec:
-                if value == _INF:
-                    return False
-        return True
 
 
 def _solve_row(
@@ -277,7 +255,7 @@ class AnalysisContext:
         if term is not None:
             self._can_error = (term.period, term.cost, term.jitter)
         self._compile_activities()
-        # Cold solutions by everything a solve reads (see solve()); one
+        # Solutions by everything a solve reads (see solve()); one
         # plan's solutions at a time.
         self._solved: OrderedDict = OrderedDict()
         # The per-leg slots of a RoutingPlan, compiled in update()
@@ -811,65 +789,49 @@ class AnalysisContext:
     def solve(
         self,
         offsets: OffsetTable,
-        warm: Optional[SolveState] = None,
         ttp_only: bool = False,
     ) -> Tuple[ResponseTimes, SolveState]:
         """Run the holistic fixed point for one offset table ``φ``.
 
-        ``warm`` seeds the state vector from a previous solution (see
-        the module docstring for the soundness argument); a seed with
-        non-converged entries, or one saved for another slot layout, is
-        ignored.  Returns the packaged :class:`ResponseTimes` and the
-        raw :class:`SolveState` to pass back in next time.
-        ``ttp_only=True`` packages only the gateway FIFO records
-        (``ρ.ttp``); :meth:`package` gives the full ``ρ`` of the latest
-        solve later.
+        Returns the packaged :class:`ResponseTimes` and the raw
+        :class:`SolveState`.  ``ttp_only=True`` packages only the
+        gateway FIFO records (``ρ.ttp``); :meth:`package` gives the full
+        ``ρ`` of the latest solve later.
 
-        A cold solve whose inputs — ``π``, the ``β`` slots and the
-        offsets it reads — equal those of one of the last
-        :data:`_MAX_SOLVED` cold solves of the current plan returns that
-        solve's state instead of iterating.
+        A solve whose inputs — ``π``, the ``β`` slots and the offsets it
+        reads — equal those of one of the last :data:`_MAX_SOLVED`
+        solves of the current plan returns that solve's state instead of
+        iterating.
         """
         if _obs_state.enabled:
             import time as _time
 
             started = _time.perf_counter()
-            with _obs_trace.span(
-                "kernel.solve", warm=warm is not None
-            ):
-                out = self._solve_impl(offsets, warm, ttp_only)
+            with _obs_trace.span("kernel.solve"):
+                out = self._solve_impl(offsets, ttp_only)
             _obs_metrics.observe(
                 "repro_kernel_solve_seconds",
                 _time.perf_counter() - started,
             )
             return out
-        return self._solve_impl(offsets, warm, ttp_only)
+        return self._solve_impl(offsets, ttp_only)
 
     def _solve_impl(
-        self,
-        offsets: OffsetTable,
-        warm: Optional[SolveState],
-        ttp_only: bool,
+        self, offsets: OffsetTable, ttp_only: bool
     ) -> Tuple[ResponseTimes, SolveState]:
         self.stats.solves += 1
         read = self._set_offsets(offsets)
-        if warm is not None:
-            # A warm-started solve also depends on its seed: not cached.
-            state = self._fixed_point(warm)
-        else:
-            key = (
-                tuple(self._proc_prio), tuple(self._msg_prio),
-                self._beta_key,
-            ) + read
-            if key in self._solved:
-                self.stats.reused_solves += 1
-            state = lru_lookup(
-                self._solved, key, lambda: self._fixed_point(None),
-                _MAX_SOLVED,
-            )
+        key = (
+            tuple(self._proc_prio), tuple(self._msg_prio), self._beta_key,
+        ) + read
+        if key in self._solved:
+            self.stats.reused_solves += 1
+        state = lru_lookup(
+            self._solved, key, self._fixed_point, _MAX_SOLVED
+        )
         return self.package(state, ttp_only), state
 
-    def _fixed_point(self, warm: Optional[SolveState]) -> SolveState:
+    def _fixed_point(self) -> SolveState:
         """The active-set holistic fixed point at the current ``φ``.
 
         The sweep order (steps 1–5) and the per-sweep residency
@@ -878,9 +840,9 @@ class AnalysisContext:
         changed since it was last computed.  A changed value marks its
         readers at once when they read it in place, and after the step
         when they read a snapshot taken before the step.  The one input
-        a dirty flag cannot see is a row's warm start: a row that
-        diverged from a start above its base is re-solved next sweep,
-        as a full sweep would re-solve it from the base.
+        a dirty flag cannot see is a row's within-solve warm start: a
+        row that diverged from a start above its base is re-solved next
+        sweep, as a full sweep would re-solve it from the base.
         """
         self._refresh_offsets()
         n_proc = len(self.et_procs)
@@ -912,38 +874,19 @@ class AnalysisContext:
         fifo_jit_readers, fifo_q_readers = self._fifo_deps
         proc_jit_readers, proc_res_readers = self._proc_deps
 
-        if (
-            warm is not None
-            and warm.finite()
-            and len(warm.proc_window) == n_proc
-            and len(warm.msg_queue) == n_msg
-            and len(warm.ttp_queue) == n_ttp
-        ):
-            self.stats.warm_starts += 1
-            pj = list(warm.proc_jitter)
-            pw = list(warm.proc_window)
-            pr = list(warm.proc_resp)
-            mj = list(warm.msg_jitter)
-            mq = list(warm.msg_queue)
-            mr = list(warm.msg_resp)
-            tj = list(warm.ttp_jitter)
-            tq = list(warm.ttp_queue)
-        else:
-            pj = [0.0] * n_proc
-            pw = list(wcet)
-            pr = list(wcet)
-            mj = [0.0] * n_msg
-            mq = [0.0] * n_msg
-            mr = list(frame_time)
-            tj = [0.0] * n_ttp
-            tq = [0.0] * n_ttp
-
+        pj = [0.0] * n_proc
+        pw = list(wcet)
+        pr = list(wcet)
+        mj = [0.0] * n_msg
+        mq = [0.0] * n_msg
+        mr = list(frame_time)
+        tj = [0.0] * n_ttp
+        tq = [0.0] * n_ttp
         if self._can_error is not None:
             # Virtual error slot: constant jitter at index n_msg.  The
             # step-1 jitter sweep only writes indices < n_msg, so the
-            # slot survives every outer iteration; slicing first makes
-            # warm states valid whichever shape they were saved with.
-            mj = mj[:n_msg] + [self._can_error[2]]
+            # slot survives every outer iteration.
+            mj.append(self._can_error[2])
 
         can_rows = self._can_rows_z
         ttp_rows = self._ttp_rows_z

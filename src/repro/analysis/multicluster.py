@@ -18,15 +18,11 @@ The analysis runs on the compiled kernel
 (:class:`repro.analysis.kernel.AnalysisContext`): the interference
 structure is compiled once per call (or reused across calls when the
 caller — typically a :class:`repro.api.session.Session` — hands a kernel
-in), and every analysis pass warm-starts its busy-window equations from
-the previous outer iteration *within* the pass, which is exact.  A pass
-packages only the gateway FIFO records the next schedule reads; the
-full ``ρ`` is packaged once, from the last pass.
-``warm_start=True`` additionally seeds each Fig. 5 iteration's whole
-jitter vector from the previous iteration's solution — fast and always a
-*safe* (upper) bound, but possibly pessimistic when re-scheduling moves
-an offset so that an activity's true fixed point shrinks, so it is
-opt-in; see :mod:`repro.analysis.kernel` for the soundness analysis.
+in).  Every pass solves from zero jitter; within a pass each busy-window
+equation is warm-started from the previous outer iteration, which is
+exact (see :mod:`repro.analysis.kernel`).  A pass packages only the
+gateway FIFO records the next schedule reads; the full ``ρ`` is packaged
+once, from the last pass.
 """
 
 from __future__ import annotations
@@ -76,7 +72,6 @@ def multi_cluster_scheduling(
     tt_delays: Optional[Mapping[str, float]] = None,
     max_iterations: int = 30,
     kernel: Optional[AnalysisContext] = None,
-    warm_start: bool = False,
     faults=None,
     routes: Optional[Mapping[str, tuple]] = None,
 ) -> MultiClusterResult:
@@ -90,10 +85,8 @@ def multi_cluster_scheduling(
     bound only delays TT consumers further.
 
     ``kernel`` reuses a compiled :class:`AnalysisContext` (it is
-    re-targeted at ``(π, β)`` incrementally).  ``warm_start=True`` seeds
-    each iteration's fixed point from the previous solution — a safe but
-    potentially pessimistic accelerator (see module docstring); the
-    default reproduces the pre-kernel results bit for bit.
+    re-targeted at ``(π, β)`` incrementally); the results equal the
+    pre-kernel analysis bit for bit.
 
     ``faults`` adds a modeled CAN error process to every bus window;
     slow-node/slow-bus degradation must already be derated into
@@ -128,9 +121,7 @@ def multi_cluster_scheduling(
             break
         schedule = new_schedule
         offsets = new_schedule.offsets
-        rho, state = kernel.solve(
-            offsets, warm=state if warm_start else None, ttp_only=True
-        )
+        rho, state = kernel.solve(offsets, ttp_only=True)
         iterations += 1
     return MultiClusterResult(
         offsets=offsets,

@@ -48,13 +48,12 @@ __all__ = [
 #: Memoization and hot-path statistics of a session.  The first four
 #: fields are the original cache counters; then the analysis-kernel
 #: instrumentation: total wall-time spent inside evaluation backends,
-#: full kernel compiles, incremental kernel recompiles, solves that
-#: were warm-started from a previous solution, solves answered from the
-#: kernel's cache of identical solves, and the busy-window rows the
-#: fixed point re-solved and skipped (:class:`repro.analysis.kernel.
-#: KernelStats`); then the
-#: simulation-kernel counters: compiled :class:`repro.sim.kernel.
-#: SimContext` templates and cache hits that reused one; and finally
+#: full kernel compiles, incremental kernel recompiles, solves answered
+#: from the kernel's cache of identical solves, and the busy-window rows
+#: the fixed point re-solved and skipped (:class:`repro.analysis.kernel.
+#: KernelStats`); then the simulation-kernel counters: compiled
+#: :class:`repro.sim.kernel.SimContext` templates and cache hits that
+#: reused one; and finally
 #: the persistent-store tier: results served from the on-disk
 #: :class:`repro.store.ResultStore` and results written into it.
 CacheInfo = namedtuple(
@@ -62,7 +61,7 @@ CacheInfo = namedtuple(
     [
         "hits", "misses", "size", "backend_calls",
         "analysis_time", "kernel_compiles", "kernel_updates",
-        "warm_starts", "reused_solves", "rows_solved", "rows_skipped",
+        "reused_solves", "rows_solved", "rows_skipped",
         "sim_compiles", "sim_reuses",
         "store_hits", "store_writes",
     ],
@@ -371,7 +370,6 @@ class Session:
             analysis_time=self._analysis_time,
             kernel_compiles=stats.compiles if stats else 0,
             kernel_updates=stats.updates if stats else 0,
-            warm_starts=stats.warm_starts if stats else 0,
             reused_solves=stats.reused_solves if stats else 0,
             rows_solved=stats.rows_solved if stats else 0,
             rows_skipped=stats.rows_skipped if stats else 0,

@@ -259,7 +259,6 @@ def _print_session_stats(session: Session) -> None:
           f"{info.size} entries")
     print(f"  kernel: {info.kernel_compiles} full compiles, "
           f"{info.kernel_updates} incremental recompiles, "
-          f"{info.warm_starts} warm-started solves, "
           f"{info.reused_solves} reused solves, "
           f"{info.rows_solved} rows solved, "
           f"{info.rows_skipped} skipped")

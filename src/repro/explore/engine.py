@@ -49,6 +49,7 @@ from ..optim.optimize_schedule import optimize_schedule
 from ..optim.straightforward import straightforward_configuration
 from ..store import ResultStore
 from ..synth.workload import generate_workload
+from ..system import lru_lookup
 from .pareto import pareto_front
 from .runner import RunInterrupted, iter_chunked
 from .spec import KNOWN_OPTIONS, Cell, SweepSpec
@@ -75,17 +76,12 @@ def _state_for(cell: Cell) -> Dict[str, Any]:
     """The worker's cached (system, session, pipeline) for a workload."""
     import json
 
-    key = json.dumps(cell.workload, sort_keys=True, separators=(",", ":"))
-    state = _WORKER_STATE.get(key)
-    if state is None:
+    def build() -> Dict[str, Any]:
         system = generate_workload(cell.workload_spec())
-        state = {"system": system, "session": Session(system), "os": {}}
-        _WORKER_STATE[key] = state
-        while len(_WORKER_STATE) > _WORKER_STATE_LIMIT:
-            _WORKER_STATE.popitem(last=False)
-    else:
-        _WORKER_STATE.move_to_end(key)
-    return state
+        return {"system": system, "session": Session(system), "os": {}}
+
+    key = json.dumps(cell.workload, sort_keys=True, separators=(",", ":"))
+    return lru_lookup(_WORKER_STATE, key, build, _WORKER_STATE_LIMIT)
 
 
 def _os_result(state: Dict[str, Any], cell: Cell):

@@ -164,16 +164,6 @@ class Cell:
             options=dict(data["options"]),
         )
 
-    def axis_value(self, name: str) -> Any:
-        """The value of a named axis ("method", workload or option)."""
-        if name == "method":
-            return self.method
-        if name in self.workload:
-            return self.workload[name]
-        if name in self.options:
-            return self.options[name]
-        return None
-
 
 @dataclass(frozen=True)
 class SweepSpec:

@@ -18,7 +18,8 @@ Modeled (the analysis accounts for them, so the dominance contract must
   bus-error process: at most one frame corruption every ``interval``
   time units, each costing ``overhead`` of error signalling before the
   corrupted frame is retransmitted.  The analysis side is the classical
-  retransmission term (:func:`repro.analysis.can_analysis.can_error_term`).
+  retransmission term (:func:`repro.analysis.can_analysis.can_error_term`),
+  one more interferer in every CAN row of the analysis kernel.
 * ``node_slow`` — per-ET-node degradation factors (>= 1): the *limplock*
   scenario, a CPU that is slow rather than dead.  The analysis runs on
   a derated system (WCETs scaled by the factor).

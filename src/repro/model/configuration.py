@@ -222,9 +222,3 @@ class SystemConfiguration:
             tt_delays=dict(self.tt_delays),
             routes={name: tuple(hops) for name, hops in self.routes.items()},
         )
-
-    def route_overrides(self) -> Dict[str, Tuple[str, ...]]:
-        """The non-default route decisions, in canonical (sorted) form."""
-        return {
-            name: tuple(hops) for name, hops in sorted(self.routes.items())
-        }

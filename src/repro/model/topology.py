@@ -243,14 +243,6 @@ class Topology:
         except KeyError:
             raise ModelError(f"node {node} is not on any cluster") from None
 
-    def gateways_between(self, a: str, b: str) -> List[str]:
-        """Gateways directly bridging clusters ``a`` and ``b``, sorted."""
-        return sorted(
-            gw.node
-            for gw in self.gateways.values()
-            if gw.touches(a) and gw.touches(b)
-        )
-
     def gateways_on(self, cluster: str) -> List[str]:
         """Gateways with a controller on ``cluster``'s bus, sorted."""
         return sorted(

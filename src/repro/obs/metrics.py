@@ -166,9 +166,6 @@ class MetricsRegistry:
 
     # -- plain views ---------------------------------------------------------
 
-    def counter_value(self, name: str, labels: Iterable = ()) -> float:
-        return self._counters.get((name, _labels_key(labels)), 0.0)
-
     def counters_by_name(self, name: str) -> float:
         """Sum of a counter across all label sets."""
         return sum(

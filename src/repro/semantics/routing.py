@@ -248,11 +248,6 @@ class RoutingPlan:
                 return leg
         return None
 
-    def final_leg(self, name: str) -> Optional[Leg]:
-        """The leg that delivers to the destination cluster."""
-        legs = self.legs.get(name, ())
-        return legs[-1] if legs else None
-
     def is_default(self) -> bool:
         """True when every message takes its topology-default route."""
         topo = self.system.arch.topology

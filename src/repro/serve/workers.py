@@ -76,16 +76,13 @@ def _session_for(sessions: OrderedDict, system_h: str, system_dict):
     """The executor's warm session for a system (LRU-bounded)."""
     from ..api.session import Session
     from ..io.serialize import system_from_dict
+    from ..system import lru_lookup
 
-    session = sessions.get(system_h)
-    if session is None:
-        session = Session(system_from_dict(system_dict))
-        sessions[system_h] = session
-        while len(sessions) > SESSION_CACHE_LIMIT:
-            sessions.popitem(last=False)
-    else:
-        sessions.move_to_end(system_h)
-    return session
+    return lru_lookup(
+        sessions, system_h,
+        lambda: Session(system_from_dict(system_dict)),
+        SESSION_CACHE_LIMIT,
+    )
 
 
 def run_unit(sessions: OrderedDict, kind: str, payload: Any) -> Any:

@@ -13,7 +13,7 @@ same :class:`~repro.analysis.kernel.SolveState`, bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.analysis import kernel as _kernel
 from repro.analysis.can_analysis import TIE_EPSILON
@@ -29,7 +29,6 @@ _INF = math.inf
 def full_sweep_solve(
     kernel: AnalysisContext,
     offsets: OffsetTable,
-    warm: Optional[SolveState] = None,
 ) -> Tuple[ResponseTimes, SolveState]:
     """Solve ``kernel`` at ``offsets`` by full sweeps; returns the full
     packaged ``ρ`` and the state.  Re-points the kernel at ``offsets``
@@ -57,30 +56,14 @@ def full_sweep_solve(
     proc_off = kernel._proc_off
     entries = kernel._slot_entry
 
-    if (
-        warm is not None
-        and warm.finite()
-        and len(warm.proc_window) == n_proc
-        and len(warm.msg_queue) == n_msg
-        and len(warm.ttp_queue) == n_ttp
-    ):
-        pj = list(warm.proc_jitter)
-        pw = list(warm.proc_window)
-        pr = list(warm.proc_resp)
-        mj = list(warm.msg_jitter)
-        mq = list(warm.msg_queue)
-        mr = list(warm.msg_resp)
-        tj = list(warm.ttp_jitter)
-        tq = list(warm.ttp_queue)
-    else:
-        pj = [0.0] * n_proc
-        pw = list(wcet)
-        pr = list(wcet)
-        mj = [0.0] * n_msg
-        mq = [0.0] * n_msg
-        mr = list(frame_time)
-        tj = [0.0] * n_ttp
-        tq = [0.0] * n_ttp
+    pj = [0.0] * n_proc
+    pw = list(wcet)
+    pr = list(wcet)
+    mj = [0.0] * n_msg
+    mq = [0.0] * n_msg
+    mr = list(frame_time)
+    tj = [0.0] * n_ttp
+    tq = [0.0] * n_ttp
 
     if kernel._can_error is not None:
         mj = mj[:n_msg] + [kernel._can_error[2]]

@@ -509,7 +509,7 @@ def _leg_blocking(
     frame_time,
     msg_period,
 ) -> float:
-    """Per-bus blocking ``B`` of one CAN leg (cf. ``can_blocking``).
+    """Per-bus blocking ``B`` of one CAN leg (cf. ``legacy_rta.can_blocking``).
 
     Same offset-aware exclusions as the canonical rule, generalized:
     two frames relayed out of the *same* gateway from the TT side with

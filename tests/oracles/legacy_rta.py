@@ -10,13 +10,9 @@ implements are listed in :mod:`repro.analysis.holistic`.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.analysis.can_analysis import (
-    TIE_EPSILON,
-    can_blocking,
-    can_error_term,
-)
+from repro.analysis.can_analysis import TIE_EPSILON, can_error_term
 from repro.analysis.holistic import phase_locked_hits
 from repro.analysis.timing import ActivityTiming, ResponseTimes
 from repro.buses.ttp import TTPBusConfig
@@ -38,6 +34,54 @@ from .busy_window import (
 )
 
 __all__ = ["legacy_response_time_analysis"]
+
+
+def can_blocking(
+    system: System,
+    priorities: PriorityAssignment,
+    msg: str,
+    message_offsets: Mapping[str, float],
+    message_jitters: Optional[Mapping[str, float]] = None,
+) -> float:
+    """Blocking ``B_m``: largest frame among lower-priority messages that
+    can already be on the wire when ``m`` is queued.
+
+    Offset-aware exclusions (calibrated on the paper's worked example,
+    which computes ``w_m1 = 0`` although m2 and m3 have lower priority):
+
+    * a phase-locked (equal-period) lower-priority TT->ET message with the
+      *same offset* arrives in the same gateway frame: the transfer
+      process enqueues the whole frame atomically into the
+      priority-ordered ``Out_CAN``, so it can never start ahead of ``m``;
+    * a phase-locked lower-priority message whose earliest queueing
+      ``O_k`` lies at or after ``m``'s *latest* queueing ``O_m + J_m``
+      cannot have started transmitting before ``m`` was queued.
+
+    Everything else (different periods, or earliest start inside ``m``'s
+    queueing window) can be mid-frame when ``m`` arrives and blocks.
+    """
+    own = priorities.message_priority(msg)
+    own_period = system.app.period_of_message(msg)
+    own_offset = message_offsets.get(msg, 0.0)
+    own_jitter = (message_jitters or {}).get(msg, 0.0)
+    own_route = system.route(msg)
+    worst = 0.0
+    for other in system.can_messages():
+        if other == msg:
+            continue
+        if priorities.message_priority(other) <= own:
+            continue
+        if system.app.period_of_message(other) == own_period:
+            other_offset = message_offsets.get(other, 0.0)
+            atomic_frame = (
+                own_route is MessageRoute.TT_TO_ET
+                and system.route(other) is MessageRoute.TT_TO_ET
+                and other_offset == own_offset
+            )
+            if atomic_frame or other_offset >= own_offset + own_jitter:
+                continue
+        worst = max(worst, system.can_frame_time(other))
+    return worst
 
 
 def legacy_response_time_analysis(

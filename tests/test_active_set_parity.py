@@ -1,7 +1,7 @@
 """Parity suite for the active-set holistic fixed point.
 
 The kernel's solve skips every row whose inputs have not changed since
-it was last solved, answers a repeated cold solve from its cache of
+it was last solved, answers a repeated solve from its cache of
 earlier solves, and, inside the Fig. 5 loop, packages only the FIFO
 records of ``ρ`` per pass.  Its contract is "same numbers, less work":
 the reference is :func:`oracles.full_sweep_solve`, the same fixed point
@@ -18,7 +18,6 @@ import pytest
 from helpers import two_node_config
 from repro.analysis import kernel as kernel_module
 from repro.analysis.kernel import AnalysisContext
-from repro.analysis.multicluster import multi_cluster_scheduling
 from repro.conformance import CampaignSpec
 from repro.conformance.campaign import run_campaign
 from repro.buses import CanBusSpec
@@ -61,16 +60,16 @@ def assert_bit_identical(actual, expected, context=""):
 @pytest.fixture
 def oracle_checked(monkeypatch):
     """Re-solve every kernel solve by full sweeps; yields per-solve
-    records ``(warm, reused)``."""
+    records: whether the solve was reused."""
     checked = []
     solve = AnalysisContext.solve
 
-    def checked_solve(self, offsets, warm=None, ttp_only=False):
+    def checked_solve(self, offsets, ttp_only=False):
         reused = self.stats.reused_solves
-        rho, state = solve(self, offsets, warm, ttp_only)
+        rho, state = solve(self, offsets, ttp_only)
         full = self.package(state)
         label = f"solve {len(checked)}"
-        expected_rho, expected_state = full_sweep_solve(self, offsets, warm)
+        expected_rho, expected_state = full_sweep_solve(self, offsets)
         assert_bit_identical(full, expected_rho, label)
         assert repr(state) == repr(expected_state), label
         if ttp_only:
@@ -79,7 +78,7 @@ def oracle_checked(monkeypatch):
                         or rho.tt_arrival), label
         else:
             assert_bit_identical(rho, full, label)
-        checked.append((warm is not None, self.stats.reused_solves > reused))
+        checked.append(self.stats.reused_solves > reused)
         return rho, state
 
     monkeypatch.setattr(AnalysisContext, "solve", checked_solve)
@@ -99,19 +98,7 @@ def test_synth_heuristics_match_full_sweeps(oracle_checked):
     assert not report.errored
     assert len(oracle_checked) > 200
     # The runs exercised the cache of identical solves.
-    assert any(reused for _, reused in oracle_checked)
-
-
-def test_warm_started_passes_match_full_sweeps(oracle_checked):
-    system = generate_workload(WorkloadSpec(nodes=2, seed=0))
-    config = straightforward_configuration(system)
-    result = multi_cluster_scheduling(
-        system, config.bus, config.priorities, warm_start=True,
-    )
-    assert result.iterations > 1
-    assert any(warm for warm, _ in oracle_checked)
-    # Warm-started solves never come from the cache.
-    assert not any(warm and reused for warm, reused in oracle_checked)
+    assert any(oracle_checked)
 
 
 CAN_ERRORS = {
@@ -164,10 +151,6 @@ def test_counters_on_the_fig4_fixture():
     ).solve(offsets)
     assert_bit_identical(again, fresh, "reused solve")
     assert repr(again_state) == repr(fresh_state)
-    # A warm-started solve bypasses the cache.
-    kernel.solve(offsets, warm=state)
-    assert (stats.solves, stats.reused_solves) == (3, 1)
-    assert stats.warm_starts == 1
 
 
 def test_reuse_keys_on_the_offsets_the_solve_reads():

@@ -4,7 +4,8 @@ Covers the pinned seed=1654 regression fixture (the gateway
 message-availability divergence this subsystem was built around), the
 campaign smoke run that tier-1 contributes to CI, violation
 classification, fixture round-tripping, counterexample shrinking and the
-schedule-table dispatch audit.
+schedule-table dispatch audit (on the pinned fixture, on property-test
+chain systems and on routed 4-cluster workloads).
 """
 
 import math
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis import multi_cluster_scheduling
 from repro.api import Session
 from repro.conformance import (
     CampaignSpec,
@@ -26,12 +28,13 @@ from repro.conformance import (
 )
 from repro.conformance.classify import ConformanceViolation
 from repro.exceptions import ConfigurationError
+from repro.optim.routing import fit_bus_to_routes
 from repro.semantics import (
     dispatch_respects_arrival,
     fifo_competitors,
     fifo_drain_rounds,
 )
-from repro.synth.workload import generate_workload
+from repro.synth.workload import generate_workload, seeded_routes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SEED1654 = FIXTURES / "seed1654_gateway_fifo.json"
@@ -458,3 +461,42 @@ class TestSharedSemantics:
         assert math.isinf(
             graph_response_time(fixture.system, rho, graph)
         )
+
+
+class TestDispatchAudit:
+    """Schedules of the Fig. 5 loop pass the static dispatch audit on
+    the property-test chain systems and on routed topologies."""
+
+    @pytest.mark.parametrize("seed", [1654, 24])
+    def test_chain_schedules_respect_dispatch_contract(self, seed):
+        from test_properties import build_random_system
+
+        system, config = build_random_system(seed, n_graphs=3, chain_len=5)
+        result = multi_cluster_scheduling(
+            system, config.bus, config.priorities
+        )
+        if not (result.converged and result.rho.all_converged()):
+            pytest.skip("outside the contract's domain (overload)")
+        assert result.schedule.audit_dispatch_eligibility(
+            system, result.rho
+        ) == []
+
+    # 4-cluster, 4-gateway seeds whose random routes override a default
+    # and whose Fig. 5 loop runs more than one analysis pass.
+    @pytest.mark.parametrize("seed", [7, 13, 17, 25, 26])
+    def test_routed_schedules_respect_dispatch_contract(self, seed):
+        spec = CampaignSpec(clusters=4, gateways=4, nodes=6,
+                            route_strategy="random")
+        system = generate_workload(spec.workload_spec(seed))
+        config = conformance_configuration(system)
+        config.routes.update(seeded_routes(system, spec.workload_spec(seed)))
+        assert config.routes
+        config.bus = fit_bus_to_routes(system, config.bus, config.routes)
+        result = multi_cluster_scheduling(
+            system, config.bus, config.priorities, routes=config.routes
+        )
+        assert result.iterations > 1
+        assert result.converged and result.rho.all_converged()
+        assert result.schedule.audit_dispatch_eligibility(
+            system, result.rho
+        ) == []

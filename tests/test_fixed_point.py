@@ -1,11 +1,10 @@
-"""Unit tests for the busy-window fixed-point primitives."""
+"""Unit tests for the busy-window primitives: the interference count
+and the kernel's row solver."""
 
 import math
 
-import pytest
-
-from repro.analysis import Interferer, ceil0_hits, solve_busy_window
-from repro.analysis.fixed_point import interferer_utilization
+from repro.analysis import Interferer, ceil0_hits
+from repro.analysis.kernel import _solve_row
 
 
 def make(jitter=0.0, rel=0.0, period=100.0, cost=10.0):
@@ -29,35 +28,40 @@ class TestCeil0Hits:
         assert ceil0_hits(95.0, make(jitter=10.0)) == 2
 
 
+def solve(base, interferers, bound=math.inf):
+    """The kernel's busy-window row solver on unlocked interferers."""
+    row = [
+        (k, i.rel_offset, i.period, i.cost, False, False)
+        for k, i in enumerate(interferers)
+    ]
+    jitters = [i.jitter for i in interferers]
+    residencies = [0.0] * len(interferers)
+    return _solve_row(base, 0.0, row, jitters, residencies, 0.0, bound, base)
+
+
 class TestSolveBusyWindow:
     def test_no_interferers_returns_base(self):
-        w, ok = solve_busy_window(7.0, [])
-        assert (w, ok) == (7.0, True)
+        assert solve(7.0, []) == 7.0
 
     def test_single_interferer_fixed_point(self):
         # w = 5 + ceil((w+1)/100)*10 -> w = 15.
-        w, ok = solve_busy_window(5.0, [make(jitter=1.0)])
-        assert ok and w == 15.0
+        assert solve(5.0, [make(jitter=1.0)]) == 15.0
 
     def test_two_activations(self):
         # Window grows past one period: w = 5 + ceil((w+96)/100)*10 -> 25.
-        w, ok = solve_busy_window(5.0, [make(jitter=96.0)])
-        assert ok and w == 25.0
+        assert solve(5.0, [make(jitter=96.0)]) == 25.0
 
     def test_overload_diverges(self):
+        # U = 1.2: the window crosses any bound.
         heavy = [make(cost=60.0), make(cost=60.0)]
-        w, ok = solve_busy_window(1.0, heavy)
-        assert not ok and math.isinf(w)
+        assert math.isinf(solve(1.0, heavy, bound=10_000.0))
 
     def test_near_saturation_converges(self):
         # U = 0.9: still converges.
-        w, ok = solve_busy_window(1.0, [make(cost=90.0, jitter=1.0)])
-        assert ok and math.isfinite(w)
-
-    def test_utilization_helper(self):
-        assert interferer_utilization([make(cost=10.0), make(cost=30.0)]) == pytest.approx(0.4)
+        w = solve(1.0, [make(cost=90.0, jitter=1.0)], bound=10_000.0)
+        assert math.isfinite(w)
 
     def test_monotone_in_base(self):
-        low, _ = solve_busy_window(1.0, [make(jitter=1.0)])
-        high, _ = solve_busy_window(9.0, [make(jitter=1.0)])
+        low = solve(1.0, [make(jitter=1.0)])
+        high = solve(9.0, [make(jitter=1.0)])
         assert high >= low

@@ -16,8 +16,7 @@ work".  Three layers of evidence:
   compiled from scratch at every step, with zero additional full
   compiles;
 * session-level assertions for the optimizer contract: an OR run
-  through a session performs exactly one full kernel compile, and the
-  warm-start accelerator stays opt-in.
+  through a session performs exactly one full kernel compile.
 """
 
 import random
@@ -200,28 +199,6 @@ class TestSessionKernelContract:
         assert info.kernel_updates >= 1
         assert info.analysis_time > 0.0
 
-    def test_warm_start_is_opt_in_and_a_safe_bound(self):
-        """warm_start=True may only ever *increase* reported bounds."""
-        system = generate_workload(
-            WorkloadSpec(nodes=4, seed=0, target_utilization=0.5)
-        )
-        config = straightforward_configuration(system)
-        cold = multi_cluster_scheduling(
-            system, config.bus, config.priorities
-        )
-        warm = multi_cluster_scheduling(
-            system, config.bus, config.priorities, warm_start=True
-        )
-        for coll in ("processes", "can", "ttp"):
-            cold_t = getattr(cold.rho, coll)
-            warm_t = getattr(warm.rho, coll)
-            for key, timing in cold_t.items():
-                if key not in warm_t:
-                    continue
-                assert (
-                    warm_t[key].response >= timing.response - 1e-9
-                ), (coll, key)
-
     def test_replacement_analysis_backend_gets_no_kernel_kwarg(self):
         """A user backend registered over "analysis" (replace=True) may
         not accept ``kernel=``; the session must not inject it.  Covers
@@ -299,14 +276,3 @@ class TestSessionKernelContract:
         # And the memo cache holds the good results, not errors.
         again = session.evaluate(variants[0].copy())
         assert again.feasible
-
-    def test_session_stats_count_warm_starts(self):
-        system = generate_workload(WorkloadSpec(nodes=2, seed=0))
-        config = straightforward_configuration(system)
-        kernel = AnalysisContext(system, config.priorities, config.bus)
-        multi_cluster_scheduling(
-            system, config.bus, config.priorities, kernel=kernel,
-            warm_start=True,
-        )
-        # Every analysis pass after the first is warm-started.
-        assert kernel.stats.warm_starts == kernel.stats.solves - 1

@@ -102,8 +102,8 @@ def oracle_checked(monkeypatch):
         self.parity_priorities = priorities
         return update(self, priorities, bus, routes=routes)
 
-    def checked_solve(self, offsets, warm=None, ttp_only=False):
-        rho, state = solve(self, offsets, warm, ttp_only)
+    def checked_solve(self, offsets, ttp_only=False):
+        rho, state = solve(self, offsets, ttp_only)
         expected = oracle_solve(self, offsets, self.parity_priorities)
         # The Fig. 5 loop asks for the FIFO records only; check the
         # full ρ of every pass all the same.

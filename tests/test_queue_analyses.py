@@ -1,21 +1,22 @@
-"""Unit tests for the CAN and Out_TTP queue analyses (section 4.1)."""
+"""The section 4.1 queueing rules, asserted through the holistic analysis.
+
+Each rule of the CAN ``Out_Ni``/``Out_CAN`` equation (section 4.1.1) and
+of the gateway ``Out_TTP`` FIFO (section 4.1.2) is checked on the
+compiled kernel via :func:`response_time_analysis`.  Every message has
+its own ET sender node, so no sender's busy window delays another and
+each message's CAN queueing jitter is 0: the expected values follow by
+hand from the rules alone (frame time 2, no gateway transfer time).
+"""
 
 import math
 
-import pytest
-
-from repro.analysis import (
-    can_blocking,
-    can_queuing_delay,
-    ttp_blocking,
-    ttp_bytes_ahead,
-    ttp_queue_delay,
-)
+from repro.analysis import response_time_analysis
 from repro.buses import CanBusSpec, Slot, TTPBusConfig
 from repro.model import (
     Application,
     Architecture,
     Message,
+    OffsetTable,
     PriorityAssignment,
     Process,
     ProcessGraph,
@@ -23,110 +24,113 @@ from repro.model import (
 from repro.system import System
 
 
-def can_system(n_messages=3, period=100.0, frame_time=2.0, periods=None):
-    """n ET->ET messages between two ET nodes, one per small graph."""
+def one_sender_per_node(n_messages, receiver, periods=None, period=100.0):
+    """Messages ``m<i>`` from ``s<i>`` on ET node ``E<i>`` to ``d<i>`` on
+    ``receiver``, one small graph each (``R`` is an extra ET node)."""
     graphs = []
     for i in range(n_messages):
+        graph_period = periods[i] if periods else period
         graphs.append(
             ProcessGraph(
                 name=f"g{i}",
-                period=periods[i] if periods else period,
-                deadline=periods[i] if periods else period,
+                period=graph_period,
+                deadline=graph_period,
                 processes=[
-                    Process(f"s{i}", wcet=1.0, node="ET1"),
-                    Process(f"d{i}", wcet=1.0, node="ET2"),
+                    Process(f"s{i}", wcet=1.0, node=f"E{i}"),
+                    Process(f"d{i}", wcet=1.0, node=receiver),
                 ],
                 messages=[Message(f"m{i}", src=f"s{i}", dst=f"d{i}", size=8)],
             )
         )
-    app = Application(graphs)
-    arch = Architecture(tt_nodes=["TT1"], et_nodes=["ET1", "ET2"], gateway="NG")
-    return System(app, arch, can_spec=CanBusSpec(fixed_frame_time=frame_time))
+    et_nodes = [f"E{i}" for i in range(n_messages)]
+    if receiver == "R":
+        et_nodes.append("R")
+    arch = Architecture(tt_nodes=["TT1"], et_nodes=et_nodes, gateway="NG")
+    return System(
+        Application(graphs), arch, can_spec=CanBusSpec(fixed_frame_time=2.0)
+    )
+
+
+def can_system(periods=None, period=100.0):
+    """Three ET->ET messages, m0 highest priority."""
+    return one_sender_per_node(3, "R", periods=periods, period=period)
+
+
+def ettt_system(n_messages, periods=None):
+    """ET->TT messages through the gateway ``Out_TTP`` FIFO."""
+    return one_sender_per_node(n_messages, "TT1", periods=periods)
+
+
+def analyse(system, message_offsets, bus=None):
+    """ρ at the given message offsets (every process at offset 0)."""
+    n = len(system.app.graphs)
+    priorities = PriorityAssignment(
+        {f"{kind}{i}": 2 * i + (kind == "d") + 1
+         for i in range(n) for kind in "sd"},
+        {f"m{i}": i + 1 for i in range(n)},
+    )
+    return response_time_analysis(
+        system, OffsetTable({}, message_offsets), priorities,
+        bus or gw_bus(),
+    )
+
+
+def queuing(rho, msg):
+    return rho.can[msg].queuing
+
+
+ZERO = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
 
 
 class TestCanBlocking:
+    """m0 has no higher-priority interferer: its CAN queueing delay is
+    its blocking ``B_m`` alone (m2, the lowest, has no blocking)."""
+
     def test_lowest_priority_has_no_blocking(self):
-        system = can_system()
-        pa = PriorityAssignment({}, {"m0": 1, "m1": 2, "m2": 3})
-        offsets = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
-        assert can_blocking(system, pa, "m2", offsets) == 0.0
+        # m0/m1 are released half a period after m2: they neither block
+        # nor interfere, and nothing has a lower priority than m2.
+        rho = analyse(can_system(), {"m0": 50.0, "m1": 50.0, "m2": 0.0})
+        assert queuing(rho, "m2") == 0.0
 
     def test_phase_locked_later_sibling_does_not_block(self):
-        system = can_system()
-        pa = PriorityAssignment({}, {"m0": 1, "m1": 2, "m2": 3})
         # m1/m2 are queued at or after m0's offset: no blocking for m0.
-        offsets = {"m0": 0.0, "m1": 0.0, "m2": 5.0}
-        assert can_blocking(system, pa, "m0", offsets) == 0.0
+        rho = analyse(can_system(), {"m0": 0.0, "m1": 0.0, "m2": 5.0})
+        assert queuing(rho, "m0") == 0.0
 
     def test_phase_locked_earlier_sibling_blocks(self):
-        system = can_system()
-        pa = PriorityAssignment({}, {"m0": 1, "m1": 2, "m2": 3})
-        offsets = {"m0": 10.0, "m1": 0.0, "m2": 10.0}
-        assert can_blocking(system, pa, "m0", offsets) == 2.0
+        # m1 is queued 10 before m0 and can be on the wire: B = C = 2.
+        rho = analyse(can_system(), {"m0": 10.0, "m1": 0.0, "m2": 10.0})
+        assert queuing(rho, "m0") == 2.0
 
     def test_unlocked_message_always_blocks(self):
-        system = can_system(periods=[100.0, 150.0, 100.0])
-        pa = PriorityAssignment({}, {"m0": 1, "m1": 2, "m2": 3})
-        offsets = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
         # m1 has a different period: it can be mid-flight at any phase.
-        assert can_blocking(system, pa, "m0", offsets) == 2.0
+        rho = analyse(can_system(periods=[100.0, 150.0, 100.0]), ZERO)
+        assert queuing(rho, "m0") == 2.0
 
 
 class TestCanQueueing:
     def test_simultaneous_higher_priority_counts_once(self):
-        system = can_system()
-        pa = PriorityAssignment({}, {"m0": 1, "m1": 2, "m2": 3})
-        offsets = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
-        jitters = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
-        w, ok = can_queuing_delay(system, pa, "m1", offsets, jitters)
-        assert ok and w == pytest.approx(2.0)
+        # m0 released at the same instant wins arbitration: one frame.
+        rho = analyse(can_system(), ZERO)
+        assert rho.can["m1"].converged and queuing(rho, "m1") == 2.0
 
     def test_top_priority_zero_delay_when_alone_first(self):
-        system = can_system()
-        pa = PriorityAssignment({}, {"m0": 1, "m1": 2, "m2": 3})
-        offsets = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
-        jitters = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
-        w, ok = can_queuing_delay(system, pa, "m0", offsets, jitters)
-        assert ok and w == 0.0
+        rho = analyse(can_system(), ZERO)
+        assert queuing(rho, "m0") == 0.0
 
     def test_bus_overload_diverges(self):
-        system = can_system(n_messages=3, period=5.0, frame_time=2.0)
-        pa = PriorityAssignment({}, {"m0": 1, "m1": 2, "m2": 3})
-        offsets = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
-        jitters = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
-        # hp utilization for m2: 2*2/5 = 0.8 -> converges; add jitter churn
-        w, ok = can_queuing_delay(system, pa, "m2", offsets, jitters)
-        assert ok
+        # hp utilization for m2: 2*2/5 = 0.8 -> converges (one m0 and
+        # one m1 frame ahead).
+        rho = analyse(can_system(period=5.0), ZERO)
+        assert rho.can["m2"].converged and queuing(rho, "m2") == 4.0
         # Shrink the period below sustainability: 2 frames of 2 in 3.9.
-        system2 = can_system(n_messages=3, period=3.9, frame_time=2.0)
-        w2, ok2 = can_queuing_delay(system2, pa, "m2", offsets, jitters)
-        assert not ok2 and math.isinf(w2)
-
-
-def ettt_system(sizes, period=100.0):
-    """ET->TT messages through the gateway FIFO, one per graph."""
-    graphs = []
-    for i, size in enumerate(sizes):
-        graphs.append(
-            ProcessGraph(
-                name=f"g{i}",
-                period=period,
-                deadline=period,
-                processes=[
-                    Process(f"s{i}", wcet=1.0, node="ET1"),
-                    Process(f"d{i}", wcet=1.0, node="TT1"),
-                ],
-                messages=[
-                    Message(f"m{i}", src=f"s{i}", dst=f"d{i}", size=size)
-                ],
-            )
-        )
-    app = Application(graphs)
-    arch = Architecture(tt_nodes=["TT1"], et_nodes=["ET1"], gateway="NG")
-    return System(app, arch, can_spec=CanBusSpec(fixed_frame_time=2.0))
+        rho = analyse(can_system(period=3.9), ZERO)
+        assert not rho.can["m2"].converged
+        assert math.isinf(queuing(rho, "m2"))
 
 
 def gw_bus(capacity=8):
+    """Round 20: TT1's slot [0, 10), the gateway slot [10, 20)."""
     return TTPBusConfig(
         [
             Slot("TT1", capacity=16, duration=10.0),
@@ -136,52 +140,53 @@ def gw_bus(capacity=8):
 
 
 class TestTtpQueue:
+    """An ET->TT message enters ``Out_TTP`` at ``O_m + r_m^CAN``; its
+    CAN response is ``w + C``, so 2 for m0, 4 for m1 and 6 for m2 when
+    all three are released together."""
+
     def test_blocking_is_wait_to_gateway_slot(self):
-        bus = gw_bus()
-        # Gateway slot spans [10, 20) each round of 20.
-        assert ttp_blocking(bus, "NG", 0.0) == 10.0
-        assert ttp_blocking(bus, "NG", 10.0) == 0.0
-        assert ttp_blocking(bus, "NG", 12.0) == 18.0
+        system = ettt_system(1)
+        # Queue instants 20, 10 and 12 (offset + 2).
+        for offset, wait in ((18.0, 10.0), (8.0, 0.0), (10.0, 18.0)):
+            rho = analyse(system, {"m0": offset})
+            assert rho.ttp["m0"].queuing == wait
 
     def test_fits_next_slot_no_extra_round(self):
-        system = ettt_system([8])
-        pa = PriorityAssignment({}, {"m0": 1})
-        w, ahead, ok = ttp_queue_delay(
-            system, pa, gw_bus(), "m0", 0.0, {"m0": 0.0}, {"m0": 0.0}
-        )
-        assert ok and ahead == 0.0
-        assert w == 10.0  # just the wait until the slot
+        rho = analyse(ettt_system(1), {"m0": 0.0})
+        # Queued at 2, nothing ahead: just the wait until the slot at 10.
+        assert rho.ttp["m0"].queuing == 8.0
 
     def test_bytes_ahead_force_extra_rounds(self):
-        system = ettt_system([8, 8, 8])
-        pa = PriorityAssignment({}, {"m0": 1, "m1": 2, "m2": 3})
-        offsets = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
-        jitters = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
-        w, ahead, ok = ttp_queue_delay(
-            system, pa, gw_bus(capacity=8), "m2", 0.0, offsets, jitters
-        )
-        # Two 8-byte messages ahead, 8-byte slot: two extra rounds.
-        assert ok and ahead == 16.0
-        assert w == 10.0 + 2 * 20.0
+        rho = analyse(ettt_system(3), ZERO, gw_bus(capacity=8))
+        # m2 is queued at 6; m0 and m1 (8 bytes each) are ahead of it in
+        # the FIFO and an 8-byte slot takes one whole frame per round:
+        # two extra rounds.
+        assert rho.ttp["m2"].queuing == 4.0 + 2 * 20.0
 
     def test_larger_slot_drains_faster(self):
-        system = ettt_system([8, 8, 8])
-        pa = PriorityAssignment({}, {"m0": 1, "m1": 2, "m2": 3})
-        offsets = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
-        jitters = {"m0": 0.0, "m1": 0.0, "m2": 0.0}
-        w_small, _, _ = ttp_queue_delay(
-            system, pa, gw_bus(capacity=8), "m2", 0.0, offsets, jitters
-        )
-        w_big, _, _ = ttp_queue_delay(
-            system, pa, gw_bus(capacity=24), "m2", 0.0, offsets, jitters
-        )
-        assert w_big < w_small
+        system = ettt_system(3)
+        small = analyse(system, ZERO, gw_bus(capacity=8))
+        big = analyse(system, ZERO, gw_bus(capacity=24))
+        # All three frames ride one 24-byte slot.
+        assert big.ttp["m2"].queuing == 4.0
+        assert big.ttp["m2"].queuing < small.ttp["m2"].queuing
 
     def test_bytes_ahead_window_scaling(self):
-        system = ettt_system([8, 8])
-        pa = PriorityAssignment({}, {"m0": 1, "m1": 2})
-        offsets = {"m0": 0.0, "m1": 0.0}
-        jitters = {"m0": 5.0, "m1": 0.0}
-        # Window of 150 spans two periods of m0 (with jitter 5).
-        ahead = ttp_bytes_ahead(system, pa, "m1", 150.0, offsets, jitters)
-        assert ahead == 16.0
+        # Round 100 with the gateway slot first, one frame per slot.  m0
+        # (period 200) is unlocked from m1 (period 400): within m1's
+        # window w it is counted ceil((w + J_m0) / 200) times, J_m0 = 4.
+        system = ettt_system(2, periods=[200.0, 400.0])
+        bus = TTPBusConfig(
+            [
+                Slot("NG", capacity=8, duration=10.0),
+                Slot("TT1", capacity=16, duration=90.0),
+            ]
+        )
+        # Queued at 4: wait 96, one m0 frame ahead, one extra round;
+        # w + J_m0 = 200 spans a single m0 period.
+        rho = analyse(system, {"m0": 0.0, "m1": 0.0}, bus)
+        assert rho.ttp["m1"].queuing == 96.0 + 100.0
+        # Queued at 103: wait 97, and the window 197 + 4 reaches m0's
+        # second release: two frames ahead, two extra rounds.
+        rho = analyse(system, {"m0": 0.0, "m1": 99.0}, bus)
+        assert rho.ttp["m1"].queuing == 97.0 + 2 * 100.0

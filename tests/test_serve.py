@@ -338,11 +338,14 @@ class TestServiceHTTP:
             config_to_dict(c) for c in _configs(system, 3)
         ]
         client = ServeClient(url, timeout=60)
-        first, second = [
-            client.evaluate(sd, cd)["id"] for cd in finished_cds
-        ]
-        for job_id in (first, second):
+        # One job at a time: two jobs in flight at once run on both
+        # workers and may finish in either order.
+        finished = []
+        for cd in finished_cds:
+            job_id = client.evaluate(sd, cd)["id"]
             assert client.result(job_id, timeout=60)["status"] == "done"
+            finished.append(job_id)
+        first, second = finished
         streamed = [entry["id"] for entry in client.results([second, first])]
         assert streamed == [first, second]
 
