@@ -48,7 +48,7 @@ import math
 from ..buses.ttp import TTPBusConfig
 from ..model.configuration import OffsetTable, PriorityAssignment
 from ..system import System
-from .kernel import retarget
+from .kernel import kernel_for
 from .timing import ResponseTimes
 
 __all__ = ["response_time_analysis"]
@@ -59,28 +59,26 @@ def response_time_analysis(
     offsets: OffsetTable,
     priorities: PriorityAssignment,
     bus: TTPBusConfig,
-    kernel=None,
     faults=None,
 ) -> ResponseTimes:
     """Run the holistic analysis; see module docstring.
 
     Since the compiled kernel (:mod:`repro.analysis.kernel`) became the
-    hot path this is a thin wrapper: it compiles (or re-targets) an
-    :class:`~repro.analysis.kernel.AnalysisContext` on the default
+    hot path this is a thin wrapper: it re-targets the System's
+    :class:`~repro.analysis.kernel.AnalysisContext` (compiled on first
+    use, :func:`~repro.analysis.kernel.kernel_for`) at the default
     routes and solves once, exactly as
     :func:`~repro.analysis.multihop.multihop_response_time_analysis`
-    does on a plan's routes.
-    Pass ``kernel`` to reuse a compiled context across calls.  The
-    pre-kernel implementation is kept as a test oracle
-    (``tests/oracles``) and the parity suite asserts the two agree.
+    does on a plan's routes.  The pre-kernel implementation is kept as
+    a test oracle (``tests/oracles``) and the parity suite asserts the
+    two agree.
 
     ``faults`` folds a modeled CAN error process into every bus window
     (:func:`repro.analysis.can_analysis.can_error_term`).  Degradation
     factors (slow node / slow bus) are *not* interpreted here: derate
     the ``system`` first (``FaultSpec.derate_system``).
     """
-    kernel = retarget(kernel, system, priorities, bus, faults)
-    rho, _ = kernel.solve(offsets)
+    rho, _ = kernel_for(system, priorities, bus, faults).solve(offsets)
     return rho
 
 

@@ -24,11 +24,13 @@ slot per CAN-borne message and one FIFO slot per ET->TT message.
 
 :class:`AnalysisContext` then splits the work into three tiers:
 
-* **compile** (once per :class:`~repro.system.System`, and once per
-  routing plan): intern every activity — ET process, CAN slot, FIFO
-  slot — to an integer id and record the id-indexed constants (periods,
-  WCETs, frame times, sizes, precedence arcs, ancestor flags, jitter
-  chains, the priority-blind FIFO competitor rows).
+* **compile** (once per :class:`~repro.system.System` and modeled
+  fault spec — the System caches its kernels, see :func:`kernel_for` —
+  and once per routing plan): intern every activity — ET process, CAN
+  slot, FIFO slot — to an integer id and record the id-indexed
+  constants (periods, WCETs, frame times, sizes, precedence arcs,
+  ancestor flags, jitter chains, the priority-blind FIFO competitor
+  rows).
 * **update** (once per ``(π, β)``): flatten the priority-dependent
   interference sets into parallel index/value rows.  When only a few
   activities changed priority (an OptimizeResources swap, an
@@ -73,6 +75,7 @@ interpreted oracles.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -90,12 +93,14 @@ from ..system import System, lru_lookup
 from .can_analysis import TIE_EPSILON, can_error_term
 from .timing import ActivityTiming, ResponseTimes
 
-__all__ = ["AnalysisContext", "KernelStats", "SolveState"]
+__all__ = ["AnalysisContext", "KernelStats", "SolveState", "kernel_for"]
 
 _MAX_OUTER_ITERATIONS = 1_000
 _MAX_INNER_ITERATIONS = 50_000
 #: Solutions kept per kernel for exact reuse.
 _MAX_SOLVED = 16
+#: Kernels kept per System (one per modeled fault spec).
+_MAX_KERNELS = 8
 
 _INF = math.inf
 
@@ -229,8 +234,8 @@ class AnalysisContext:
     """A holistic analysis compiled once per ``(System, plan, π, β)``.
 
     See the module docstring for the compile/update/solve split.  The
-    context is deliberately *not* thread-safe: a :class:`Session` owns
-    one and serializes access.
+    context is deliberately *not* thread-safe: its System caches it
+    (:func:`kernel_for`) and every caller on that System shares it.
     """
 
     def __init__(
@@ -241,7 +246,9 @@ class AnalysisContext:
         faults=None,
         routes=None,
     ) -> None:
-        self.system = system
+        # Weak: the System caches its kernels (kernel_for), and a
+        # dropped System must not wait for the cycle collector.
+        self._system = weakref.ref(system)
         self.stats = KernelStats()
         # Modeled CAN error process: one virtual unlocked interferer
         # (see repro.analysis.can_analysis.can_error_term) appended to
@@ -266,6 +273,11 @@ class AnalysisContext:
         self._msg_prio: List[int] = []
         self._bus: Optional[TTPBusConfig] = None
         self.update(priorities, bus, routes=routes)
+
+    @property
+    def system(self) -> System:
+        """The System the kernel was compiled for (held weakly)."""
+        return self._system()
 
     # -- static (per-System) compile ----------------------------------------
 
@@ -1221,28 +1233,28 @@ class AnalysisContext:
         return result
 
 
-def retarget(
-    kernel: Optional[AnalysisContext],
+def kernel_for(
     system: System,
     priorities: PriorityAssignment,
     bus: TTPBusConfig,
     faults=None,
     routes=None,
 ) -> AnalysisContext:
-    """``kernel`` re-targeted at ``(π, β, routes)``, or a fresh compile
-    when ``kernel`` is ``None`` — the entry of every one-shot analysis
-    and of the Fig. 5 loop."""
-    if kernel is None:
-        return AnalysisContext(
+    """The System's kernel for ``faults``, re-targeted at ``(π, β,
+    routes)`` — the entry of every analysis and of the Fig. 5 loop.
+
+    Kernels are cached on the System, one per modeled fault spec (keyed
+    by its canonical form, ``None`` when fault-free), so every caller
+    analysing one System shares one compile and then updates it
+    incrementally.  A compile that raises caches nothing.
+    """
+    key = None if faults is None else faults.canonical()
+    kernel = lru_lookup(
+        system._kernels, key,
+        lambda: AnalysisContext(
             system, priorities, bus, faults=faults, routes=routes
-        )
-    if kernel.system is not system:
-        raise AnalysisError(
-            "analysis kernel was compiled for a different System"
-        )
-    if kernel.faults != faults:
-        raise AnalysisError(
-            "analysis kernel was compiled for a different FaultSpec"
-        )
+        ),
+        _MAX_KERNELS,
+    )
     kernel.update(priorities, bus, routes=routes)
     return kernel

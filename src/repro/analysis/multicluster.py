@@ -15,10 +15,10 @@ deadlines do not exceed periods (section 4); an iteration cap converts
 pathological cases into a non-converged result instead of a hang.
 
 The analysis runs on the compiled kernel
-(:class:`repro.analysis.kernel.AnalysisContext`): the interference
-structure is compiled once per call (or reused across calls when the
-caller — typically a :class:`repro.api.session.Session` — hands a kernel
-in).  Every pass solves from zero jitter; within a pass each busy-window
+(:class:`repro.analysis.kernel.AnalysisContext`) the System caches for
+the modeled fault spec: the interference structure is compiled once per
+System and re-targeted incrementally at each call's ``(π, β)``.  Every
+pass solves from zero jitter; within a pass each busy-window
 equation is warm-started from the previous outer iteration, which is
 exact (see :mod:`repro.analysis.kernel`).  A pass packages only the
 gateway FIFO records the next schedule reads; the full ``ρ`` is packaged
@@ -36,7 +36,7 @@ from ..schedule.list_scheduler import static_schedule
 from ..schedule.schedule_table import StaticSchedule
 from ..semantics import ratchet_arrival_floors
 from ..system import System
-from .kernel import AnalysisContext, retarget
+from .kernel import kernel_for
 from .timing import ResponseTimes
 
 __all__ = ["MultiClusterResult", "multi_cluster_scheduling"]
@@ -71,7 +71,6 @@ def multi_cluster_scheduling(
     priorities: PriorityAssignment,
     tt_delays: Optional[Mapping[str, float]] = None,
     max_iterations: int = 30,
-    kernel: Optional[AnalysisContext] = None,
     faults=None,
     routes: Optional[Mapping[str, tuple]] = None,
 ) -> MultiClusterResult:
@@ -84,16 +83,15 @@ def multi_cluster_scheduling(
     shifts the offset back — while preserving soundness: a larger arrival
     bound only delays TT consumers further.
 
-    ``kernel`` reuses a compiled :class:`AnalysisContext` (it is
-    re-targeted at ``(π, β)`` incrementally); the results equal the
-    pre-kernel analysis bit for bit.
+    The System's kernel is re-targeted at ``(π, β)`` incrementally; the
+    results equal a fresh compile bit for bit.
 
     ``faults`` adds a modeled CAN error process to every bus window;
     slow-node/slow-bus degradation must already be derated into
     ``system`` (the :class:`repro.api.backends.AnalysisBackend` does
     both).
     """
-    kernel = retarget(kernel, system, priorities, bus, faults, routes)
+    kernel = kernel_for(system, priorities, bus, faults, routes)
     routing = system.routing_for(routes)
     schedule = static_schedule(
         system, bus, rho=None, tt_delays=tt_delays, routing=routing

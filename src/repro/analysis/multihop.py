@@ -46,7 +46,7 @@ from ..buses.ttp import TTPBusConfig
 from ..model.configuration import OffsetTable, PriorityAssignment
 from ..semantics.routing import RoutingPlan
 from ..system import System
-from .kernel import retarget
+from .kernel import kernel_for
 from .timing import ResponseTimes
 
 __all__ = ["multihop_response_time_analysis"]
@@ -68,10 +68,9 @@ def multihop_response_time_analysis(
     the unique FIFO leg — and ``hops[m]`` lists every leg's timing in
     traversal order for multi-leg messages (multi-gateway plans only:
     a one-gateway plan keeps the classic records, without ``hops`` or
-    ``T@<gateway>``).  Compiles a fresh kernel for the plan and solves
-    once; reuse an :class:`~repro.analysis.kernel.AnalysisContext`
-    across calls instead.
+    ``T@<gateway>``).  Re-targets the System's kernel at the plan and
+    solves once.
     """
-    kernel = retarget(None, system, priorities, bus, faults, plan.routes)
+    kernel = kernel_for(system, priorities, bus, faults, plan.routes)
     rho, _ = kernel.solve(offsets)
     return rho

@@ -17,7 +17,7 @@ input system (WCETs are scaled on a deep model copy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..exceptions import AnalysisError, SchedulingError
 from ..io.serialize import system_from_dict, system_to_dict

@@ -19,8 +19,8 @@ The response time is ``r = J + w + C`` and the worst-case *absolute* end
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from ..model.architecture import MessageRoute
 

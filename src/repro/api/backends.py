@@ -88,15 +88,11 @@ class AnalysisBackend(EvaluationBackend):
         system: System,
         config: SystemConfiguration,
         max_iterations: int = 30,
-        kernel=None,
         faults=None,
     ) -> RunResult:
         # No **options catch-all: a misspelled option should raise a
         # TypeError, not silently evaluate with defaults (and fragment
         # the session cache under the typo'd key).
-        # ``kernel`` is a compiled repro.analysis.kernel.AnalysisContext
-        # (a Session passes its cached one); the multi-cluster loop
-        # re-targets it incrementally instead of recompiling.
         # ``faults`` (a FaultSpec, its dict, or its canonical JSON) adds
         # the *modeled* fault processes to the analysis: slow nodes and
         # a slow bus derate the system before the fixed point runs, a
@@ -114,14 +110,6 @@ class AnalysisBackend(EvaluationBackend):
                     analysis_faults = None
                 else:
                     run_system = analysis_faults.derate_system(system)
-            if kernel is not None and (
-                kernel.system is not run_system
-                or kernel.faults != analysis_faults
-            ):
-                # The session's shared kernel is compiled for fault-free
-                # evaluation of the original system; a faulted run gets
-                # its own compile instead of a wrong (or refused) reuse.
-                kernel = None
             validate_configuration(run_system.app, run_system.arch, config)
             result = multi_cluster_scheduling(
                 run_system,
@@ -129,7 +117,6 @@ class AnalysisBackend(EvaluationBackend):
                 config.priorities,
                 tt_delays=config.tt_delays,
                 max_iterations=max_iterations,
-                kernel=kernel,
                 faults=analysis_faults,
                 routes=config.routes or None,
             )
@@ -209,17 +196,13 @@ class SimulationBackend(EvaluationBackend):
         execution=None,
         max_iterations: int = 30,
         analysis_run: RunResult = None,
-        sim_context=None,
         faults=None,
     ) -> RunResult:
-        # ``sim_context`` is a compiled repro.sim.kernel.SimContext for
-        # this (system, config, schedule) triple — a Session passes its
-        # cached one so repeated simulations of a configuration skip the
-        # compile.  ``faults`` injects the spec's seeded fault processes
-        # into the replay (and, through the analysis pass, its modeled
-        # subset into the bounds); a caller-supplied ``analysis_run``
-        # must have been produced under the same fault spec
-        # (Session.simulate guarantees this).
+        # ``faults`` injects the spec's seeded fault processes into the
+        # replay (and, through the analysis pass, its modeled subset
+        # into the bounds); a caller-supplied ``analysis_run`` must have
+        # been produced under the same fault spec (Session.simulate
+        # guarantees this).
         try:
             fault_spec = FaultSpec.coerce(faults)
         except ConfigurationError as exc:
@@ -248,25 +231,26 @@ class SimulationBackend(EvaluationBackend):
             )
         fault_counters = None
         try:
-            from ..sim.kernel import SimContext
+            from ..sim.kernel import SimContext, sim_template
 
-            if sim_context is None:
-                sim_context = SimContext(
-                    system, config, base.analysis.schedule
-                )
+            if base is analysis_run:
+                # The caller's schedule object can recur (a memoized
+                # analysis run), so its template is the System's to keep.
+                template = sim_template(system, config, base.analysis.schedule)
+            else:
+                template = SimContext(system, config, base.analysis.schedule)
             # The compile cost belongs to the run that first uses the
-            # template (whether the backend or a Session compiled it);
-            # replays of a reused template paid none.
-            first_use = sim_context.stats.replays == 0
-            trace = sim_context.run(
+            # template; replays of a reused template paid none.
+            first_use = template.stats.replays == 0
+            trace = template.run(
                 periods=periods, execution=execution, faults=fault_spec
             )
-            sim_profile = sim_context.profile()
+            sim_profile = template.profile()
             if not first_use:
                 sim_profile["compile_s"] = 0.0
             if fault_spec is not None:
                 fault_counters = {
-                    key: sim_context.last_replay.get(key, 0)
+                    key: template.last_replay.get(key, 0)
                     for key in ("can_errors", "babble_frames")
                 }
         except (SimulationError, ConfigurationError) as exc:

@@ -2,7 +2,8 @@
 simulate/batch-evaluate workflows.
 
 A session owns a :class:`repro.system.System` (and therefore all of its
-derived caches — routes, frame times, ancestor sets) and exposes every
+derived caches — routes, frame times, ancestor sets, and the compiled
+kernels and templates every session on it shares) and exposes every
 evaluation path through one coherent surface:
 
 * :meth:`Session.evaluate` — score one configuration with any registered
@@ -32,13 +33,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..exceptions import ReproError
 from ..model.configuration import SystemConfiguration
 from ..obs import metrics as _obs_metrics
 from ..obs import state as _obs_state
 from ..obs import trace as _obs_trace
 from ..system import System
-from .backends import AnalysisBackend, EvaluationBackend, get_backend
+from .backends import EvaluationBackend, get_backend
 from .result import RunResult
 
 __all__ = [
@@ -46,16 +46,18 @@ __all__ = [
 ]
 
 #: Memoization and hot-path statistics of a session.  The first four
-#: fields are the original cache counters; then the analysis-kernel
-#: instrumentation: total wall-time spent inside evaluation backends,
-#: full kernel compiles, incremental kernel recompiles, solves answered
-#: from the kernel's cache of identical solves, and the busy-window rows
-#: the fixed point re-solved and skipped (:class:`repro.analysis.kernel.
-#: KernelStats`); then the simulation-kernel counters: compiled
-#: :class:`repro.sim.kernel.SimContext` templates and cache hits that
-#: reused one; and finally
-#: the persistent-store tier: results served from the on-disk
-#: :class:`repro.store.ResultStore` and results written into it.
+#: fields are the original cache counters; then the total wall-time
+#: spent inside evaluation backends; then the analysis-kernel
+#: instrumentation of the session's System (summed over the kernels it
+#: holds): full kernel compiles, incremental kernel recompiles, solves
+#: answered from the kernel's cache of identical solves, and the
+#: busy-window rows the fixed point re-solved and skipped
+#: (:class:`repro.analysis.kernel.KernelStats`); then the System's
+#: simulation-template counters: compiled
+#: :class:`repro.sim.kernel.SimContext` templates it holds and cache
+#: hits that reused one; and finally the persistent-store tier: results
+#: served from the on-disk :class:`repro.store.ResultStore` and results
+#: written into it.
 CacheInfo = namedtuple(
     "CacheInfo",
     [
@@ -100,13 +102,7 @@ def config_hash(config: SystemConfiguration) -> str:
 
 #: Backend options that carry derived inputs rather than evaluation
 #: parameters; excluded from cache keys so equal evaluations still hit.
-#: ``kernel`` is the session's compiled analysis context and
-#: ``sim_context`` its compiled simulation template — evaluation
-#: plumbing, not evaluation parameters.
-_NON_KEY_OPTIONS = frozenset({"analysis_run", "kernel", "sim_context"})
-
-#: Per-(backend type, option) memo of "run() accepts this keyword".
-_OPTION_CAPABLE: Dict[Tuple[type, str], bool] = {}
+_NON_KEY_OPTIONS = frozenset({"analysis_run"})
 
 #: Minimum seconds between store segment re-scans triggered by
 #: single-evaluation misses (see Session._store_fetch).
@@ -139,30 +135,6 @@ def store_key(key: Tuple) -> Optional[str]:
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _accepts_option(resolved: "EvaluationBackend", option: str) -> bool:
-    """Whether a backend's ``run`` takes a given plumbing kwarg.
-
-    Checked by signature, not only by type: a user subclass of
-    :class:`AnalysisBackend`/:class:`SimulationBackend` may override
-    ``run`` with an older signature and must not receive an unexpected
-    keyword.  Memoized per backend type — this sits on the
-    per-evaluation hot path.
-    """
-    kind = type(resolved)
-    key = (kind, option)
-    cached = _OPTION_CAPABLE.get(key)
-    if cached is None:
-        import inspect
-
-        try:
-            parameters = inspect.signature(kind.run).parameters
-            cached = option in parameters
-        except (TypeError, ValueError):  # uninspectable callable
-            cached = False
-        _OPTION_CAPABLE[key] = cached
-    return cached
 
 
 def _normalize_fault_option(options: Dict[str, Any]) -> None:
@@ -235,17 +207,14 @@ class SynthesisResult:
 def _evaluate_chunk(payload) -> List[RunResult]:
     """Executor chunk of :meth:`Session.evaluate_many` (``workers > 1``).
 
-    Evaluates ``(config_hash, config)`` pairs on a private session over
-    the shipped System copy, so the chunk reuses one compiled kernel
-    exactly as the caller's session would.
+    Evaluates configurations on a private session over the shipped
+    System copy, so the chunk shares that copy's compiled kernel
+    exactly as the caller's session shares its System's.
     """
-    system, backend, options, reps = payload
+    system, backend, options, configs = payload
     session = Session(system)
     resolved = get_backend(backend)
-    return [
-        session._compute(resolved, config, options, config_h)
-        for config_h, config in reps
-    ]
+    return [session._compute(resolved, config, options) for config in configs]
 
 
 class Session:
@@ -301,22 +270,9 @@ class Session:
         #: cache hits excluded) — the observable the memoization tests
         #: and throughput benchmarks assert on.
         self.backend_calls = 0
-        #: The compiled analysis kernel shared by every ``"analysis"``
-        #: evaluation of this session.  Compiled on first use and then
-        #: re-targeted incrementally as optimizer moves flip priorities
-        #: or reshape the TDMA round (see repro.analysis.kernel).
-        self._kernel = None
         #: Wall-clock seconds spent inside backend invocations (cache
         #: hits cost nothing and are excluded).
         self._analysis_time = 0.0
-        #: Compiled simulation templates, keyed by configuration hash:
-        #: ``hash -> (schedule, SimContext)``.  The schedule object is
-        #: kept for an identity check — a context is only valid for the
-        #: exact StaticSchedule it was compiled from (memoized analysis
-        #: runs keep that object stable across evaluations).
-        self._sim_cache: Dict[str, Tuple[Any, Any]] = {}
-        self._sim_compiles = 0
-        self._sim_reuses = 0
 
     # -- constructors -------------------------------------------------------
 
@@ -360,123 +316,33 @@ class Session:
     # -- caching ------------------------------------------------------------
 
     def cache_info(self) -> CacheInfo:
-        """Memoization and hot-path statistics of this session."""
-        stats = self._kernel.stats if self._kernel is not None else None
+        """Memoization and hot-path statistics of this session.
+
+        The kernel and simulation counters describe the compiled state
+        of the session's System, which every session (and session-less
+        evaluation) on that System shares.
+        """
+        kernels = [kernel.stats for kernel in self.system._kernels.values()]
+        templates = [
+            template.stats
+            for _, template in self.system._sim_templates.values()
+        ]
         return CacheInfo(
             hits=self._hits,
             misses=self._misses,
             size=len(self._cache),
             backend_calls=self.backend_calls,
             analysis_time=self._analysis_time,
-            kernel_compiles=stats.compiles if stats else 0,
-            kernel_updates=stats.updates if stats else 0,
-            reused_solves=stats.reused_solves if stats else 0,
-            rows_solved=stats.rows_solved if stats else 0,
-            rows_skipped=stats.rows_skipped if stats else 0,
-            sim_compiles=self._sim_compiles,
-            sim_reuses=self._sim_reuses,
+            kernel_compiles=sum(k.compiles for k in kernels),
+            kernel_updates=sum(k.updates for k in kernels),
+            reused_solves=sum(k.reused_solves for k in kernels),
+            rows_solved=sum(k.rows_solved for k in kernels),
+            rows_skipped=sum(k.rows_skipped for k in kernels),
+            sim_compiles=sum(t.compiles for t in templates),
+            sim_reuses=sum(t.reuses for t in templates),
             store_hits=self._store_hits,
             store_writes=self._store_writes,
         )
-
-    def _kernel_for(self, config: SystemConfiguration):
-        """The session's compiled analysis kernel, building it lazily.
-
-        Returns ``None`` when the configuration cannot even be compiled
-        (e.g. incomplete priorities): the backend then runs kernel-less
-        and reports the failure as an error result, exactly as the
-        uncached path would.
-        """
-        if self._kernel is None:
-            from ..analysis.kernel import AnalysisContext
-
-            # Compiled for the first configuration's routes; later ones
-            # re-target it (a new routing plan recompiles the rows).
-            try:
-                self._kernel = AnalysisContext(
-                    self.system, config.priorities, config.bus,
-                    routes=config.routes,
-                )
-            except ReproError:
-                return None
-        return self._kernel
-
-    def _with_kernel(
-        self,
-        resolved: EvaluationBackend,
-        config: SystemConfiguration,
-        options: Dict[str, Any],
-    ) -> Dict[str, Any]:
-        """Inject the session kernel into analysis-backend options.
-
-        ``resolved`` is the backend *instance* about to run; the check
-        is by type, not by registry name, because a user backend
-        registered over ``"analysis"`` (``replace=True``) may not take a
-        ``kernel`` argument and must not receive one.
-        """
-        if "kernel" in options or not isinstance(
-            resolved, AnalysisBackend
-        ) or not _accepts_option(resolved, "kernel"):
-            return options
-        kernel = self._kernel_for(config)
-        if kernel is None:
-            return options
-        return {**options, "kernel": kernel}
-
-    def _with_sim_context(
-        self,
-        resolved: EvaluationBackend,
-        config: SystemConfiguration,
-        options: Dict[str, Any],
-        config_h: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Inject the session's compiled simulation template.
-
-        Only when the resolved backend is the built-in simulation
-        engine (checked by type and signature, like :meth:`_with_kernel`)
-        *and* the caller supplied a feasible ``analysis_run`` — the
-        template is compiled against that run's schedule, so without it
-        the backend would re-derive a schedule the cache cannot vouch
-        for.  Contexts are cached per configuration hash and re-checked
-        by schedule identity: memoized analysis runs keep the schedule
-        object stable, so repeated simulations of one configuration
-        compile once (``cache_info().sim_compiles`` / ``sim_reuses``).
-        """
-        from .backends import SimulationBackend
-
-        if (
-            "sim_context" in options
-            or not isinstance(resolved, SimulationBackend)
-            or not _accepts_option(resolved, "sim_context")
-        ):
-            return options
-        analysis_run = options.get("analysis_run")
-        if (
-            analysis_run is None
-            or not analysis_run.feasible
-            or analysis_run.analysis is None
-        ):
-            return options
-        schedule = analysis_run.analysis.schedule
-        if config_h is None:
-            config_h = config_hash(config)
-        entry = self._sim_cache.get(config_h)
-        if entry is not None and entry[0] is schedule:
-            self._sim_reuses += 1
-            return {**options, "sim_context": entry[1]}
-        from ..sim.kernel import SimContext
-
-        try:
-            context = SimContext(self.system, config, schedule)
-        except ReproError:
-            # Not simulatable (e.g. misaligned period): let the backend
-            # raise the same error and report it as an error RunResult.
-            return options
-        self._sim_compiles += 1
-        if len(self._sim_cache) >= 64:
-            self._sim_cache.pop(next(iter(self._sim_cache)))
-        self._sim_cache[config_h] = (schedule, context)
-        return {**options, "sim_context": context}
 
     def clear_cache(self, store: bool = False) -> None:
         """Drop all memoized results (statistics are kept).
@@ -545,32 +411,6 @@ class Session:
             # evaluation itself; the result simply stays process-local.
             pass
 
-    def _check_kernel_option(self, options: Dict[str, Any]) -> None:
-        """Reject a caller-supplied kernel compiled for another System.
-
-        ``kernel`` is excluded from cache keys (it is plumbing, not an
-        evaluation parameter), so a mismatched one must fail loudly
-        *before* the cache: letting the backend turn it into an error
-        RunResult would memoize that error under the plain key and
-        poison every later evaluation of the same configuration.
-        """
-        kernel = options.get("kernel")
-        if kernel is not None and kernel.system is not self.system:
-            raise ValueError(
-                "kernel was compiled for a different System than this "
-                "session wraps; pass a kernel built from session.system"
-            )
-        sim_context = options.get("sim_context")
-        if (
-            sim_context is not None
-            and sim_context.system is not self.system
-        ):
-            raise ValueError(
-                "sim_context was compiled for a different System than "
-                "this session wraps; pass a context built from "
-                "session.system"
-            )
-
     def _key(
         self,
         config: SystemConfiguration,
@@ -635,28 +475,20 @@ class Session:
         resolved: EvaluationBackend,
         config: SystemConfiguration,
         options: Dict[str, Any],
-        config_h: Optional[str],
     ) -> RunResult:
         """One backend call: the cache-miss path of every evaluation.
 
-        Injects the session kernel (and, when ``config_h`` is given, the
-        cached simulation template), runs the backend, and accounts for
-        it in :meth:`cache_info` and, with obs on, in the
-        ``session.evaluate`` span and the ``repro_session_backend_*``
-        metrics.
+        Runs the backend and accounts for it in :meth:`cache_info` and,
+        with obs on, in the ``session.evaluate`` span and the
+        ``repro_session_backend_*`` metrics.
         """
         self._misses += 1
-        run_options = self._with_kernel(resolved, config, options)
-        if config_h is not None:
-            run_options = self._with_sim_context(
-                resolved, config, run_options, config_h
-            )
         started = time.perf_counter()
         if _obs_state.enabled:
             name = getattr(resolved, "name", type(resolved).__name__)
             labels = (("backend", name),)
             with _obs_trace.span("session.evaluate", backend=name):
-                run = resolved.run(self.system, config, **run_options)
+                run = resolved.run(self.system, config, **options)
             _obs_metrics.inc("repro_session_backend_calls_total", labels)
             _obs_metrics.observe(
                 "repro_session_backend_seconds",
@@ -664,7 +496,7 @@ class Session:
                 labels,
             )
         else:
-            run = resolved.run(self.system, config, **run_options)
+            run = resolved.run(self.system, config, **options)
         self._analysis_time += time.perf_counter() - started
         self.backend_calls += 1
         return run
@@ -685,7 +517,6 @@ class Session:
         both tiers on the way out.
         """
         backend = backend if backend is not None else self.default_backend
-        self._check_kernel_option(options)
         _normalize_fault_option(options)
         skey = None
         if memoize:
@@ -705,15 +536,9 @@ class Session:
                     return self._adapt(stored, config)
         else:
             # No cache interaction: skip the config hash entirely (it
-            # is throughput-relevant on campaign-style one-shot sweeps)
-            # and let the backend compile its own simulation context —
-            # caching one for a configuration evaluated once would be
-            # pure overhead.
+            # is throughput-relevant on campaign-style one-shot sweeps).
             key = None
-        run = self._compute(
-            get_backend(backend), config, options,
-            None if key is None else key[2],
-        )
+        run = self._compute(get_backend(backend), config, options)
         if memoize:
             # Store-addressable provenance: the configuration hash rides
             # in the record so optimizer results (and serialized JSON)
@@ -746,7 +571,6 @@ class Session:
         :class:`RuntimeWarning`.
         """
         backend = backend if backend is not None else self.default_backend
-        self._check_kernel_option(options)
         _normalize_fault_option(options)
         configs = list(configs)
         results: List[Optional[RunResult]] = [None] * len(configs)
@@ -785,8 +609,8 @@ class Session:
         else:
             resolved = get_backend(backend)
             runs = [
-                self._compute(resolved, config, options, key[2])
-                for key, config in reps
+                self._compute(resolved, config, options)
+                for _, config in reps
             ]
 
         for (key, _), run in zip(reps, runs):
@@ -809,18 +633,11 @@ class Session:
         """Evaluate representatives on the local executor's workers."""
         from ..explore.runner import iter_chunked, partition_chunks
 
-        # A compiled kernel (or simulation context) is bound to *this*
-        # process's System object; each chunk evaluates on its own copy,
-        # so shipping either would mismatch there (and the error results
-        # would be memoized under plain keys).  Chunks compile their own.
-        options = {
-            k: v
-            for k, v in options.items()
-            if k not in ("kernel", "sim_context")
-        }
+        # Each chunk evaluates on a pickled copy of the System, which
+        # ships without compiled state: chunks compile their own.
         chunks = [
             (self.system, backend, options,
-             [(key[2], config) for key, config in chunk])
+             [config for _, config in chunk])
             for chunk in partition_chunks(reps, workers)
         ]
         started = time.perf_counter()

@@ -18,7 +18,7 @@ static scheduler (:mod:`repro.schedule.schedule_table`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
 

@@ -31,6 +31,7 @@ seeds/s; ``repro conform --profile``).
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -402,8 +403,7 @@ def evaluate_workload(
     if not (analysis.schedulable and analysis.converged):
         return "unschedulable", [], None, profile
     # Hand the analysis pass over so the simulation backend does not
-    # re-run the Fig. 5 fixed point (analysis_run is cache-neutral — it
-    # is in the session's non-key options).
+    # re-run the Fig. 5 fixed point.
     started = time.perf_counter()
     run = session.evaluate(
         config, backend="simulation", memoize=False, periods=periods,
@@ -421,9 +421,12 @@ def evaluate_workload(
     else:
         # Unmodeled faults: dominance is explicitly scoped out, so a
         # bound excess is not a violation — but a second replay of the
-        # same seeded spec must reproduce the first bit for bit.
+        # same seeded spec must reproduce the first bit for bit.  It
+        # runs on a pickled copy of the System, which carries no
+        # compiled state: the two replays are compiled independently.
         started = time.perf_counter()
-        second = session.evaluate(
+        replica = Session(pickle.loads(pickle.dumps(system)))
+        second = replica.evaluate(
             config, backend="simulation", memoize=False, periods=periods,
             analysis_run=analysis, **sim_options,
         )

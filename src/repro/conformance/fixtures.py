@@ -126,7 +126,9 @@ def replay_fixture(
         # re-check the same property the campaign checked — two
         # replays of the seeded spec must agree bit for bit.  The
         # second run bypasses the memo tiers, otherwise it would be
-        # the cached first run comparing equal to itself.
+        # the cached first run comparing equal to itself; its fresh
+        # analysis pass yields a new schedule object, so its replay
+        # template is compiled anew too.
         from .classify import determinism_violations
 
         second = session.simulate(

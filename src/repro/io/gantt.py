@@ -9,7 +9,7 @@ Purely presentational — handy in examples, docs and debugging sessions.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..buses.ttp import TTPBusConfig
 from ..schedule.schedule_table import StaticSchedule

@@ -14,12 +14,12 @@ assumes a specific node count.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..exceptions import MappingError, ModelError
 from .application import Application, Message
-from .topology import Cluster, Gateway, Topology
+from .topology import Topology
 
 __all__ = [
     "ClusterKind",

@@ -19,14 +19,13 @@ each arbitration domain (per CPU for processes, bus-wide for messages).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..buses.ttp import TTPBusConfig
 from ..exceptions import ConfigurationError
 from .application import Application
-from .architecture import Architecture, GATEWAY_TRANSFER_PROCESS, MessageRoute
+from .architecture import Architecture, MessageRoute
 
 __all__ = ["PriorityAssignment", "OffsetTable", "SystemConfiguration"]
 

@@ -26,7 +26,7 @@ fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..exceptions import ModelError

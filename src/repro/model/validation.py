@@ -8,8 +8,6 @@ missing a slot for a transmitting node, and incomplete priority tables.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..exceptions import ConfigurationError, MappingError
 from .application import Application
 from .architecture import Architecture, MessageRoute

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from . import state
 

@@ -60,6 +60,7 @@ __all__ = [
     "route_candidates",
     "route_moves",
     "run_straightforward",
+    "straightforward_configuration",
     "sa_resources",
     "sa_schedule",
     "simulated_annealing",

@@ -103,15 +103,14 @@ def evaluate(
 
     ``session`` (a :class:`repro.api.session.Session`) is optional; when
     given, the run is memoized by configuration hash so optimizers that
-    revisit a configuration pay for it once, and all analysis passes
-    share the session's compiled kernel
+    revisit a configuration pay for it once.  The session must wrap the
+    same :class:`System` instance — evaluating against a different
+    system than the one the heuristic planned for would silently score
+    the wrong problem.  With or without a session, every analysis pass
+    runs on the System's compiled kernel
     (:class:`repro.analysis.kernel.AnalysisContext`) — one full
-    interference-table compile per session, incremental recompiles per
-    move.  The session must wrap the same :class:`System` instance —
-    evaluating against a different system than the one the heuristic
-    planned for would silently score the wrong problem.  Session-less
-    calls still run on a kernel compiled for the single evaluation (the
-    multi-cluster loop reuses it across its up-to-30 analysis passes).
+    interference-table compile per System, incremental recompiles per
+    move.
     """
     if session is not None:
         if session.system is not system:

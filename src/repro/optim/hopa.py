@@ -26,13 +26,13 @@ loop; larger counts give the full HOPA refinement.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..buses.ttp import TTPBusConfig
 from ..model.architecture import MessageRoute
 from ..model.configuration import PriorityAssignment
 from ..system import System
-from .common import Evaluation, evaluate
+from .common import evaluate
 from ..model.configuration import SystemConfiguration
 
 __all__ = ["hopa_priorities", "local_deadlines"]

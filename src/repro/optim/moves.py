@@ -17,18 +17,17 @@ moves cost nothing).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..model.architecture import MessageRoute
 from ..model.configuration import SystemConfiguration
 from ..model.validation import minimum_slot_capacity
-from ..schedule.asap_alap import slack_of_message, slack_of_process
+from ..schedule.asap_alap import slack_of_message
 from ..system import System
 from .common import Evaluation
-from .slots import build_bus, recommended_capacities
+from .slots import recommended_capacities
 
 __all__ = [
     "Move",

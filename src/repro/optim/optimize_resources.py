@@ -13,8 +13,8 @@ across all climbs is returned.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..exceptions import UnschedulableError
 from ..system import System

@@ -18,7 +18,6 @@ schedulability ``δΓ``:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 

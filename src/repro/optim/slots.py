@@ -11,7 +11,7 @@ useful break points).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from ..buses.ttp import Slot, TTPBusConfig
 from ..model.architecture import MessageRoute

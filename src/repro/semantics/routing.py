@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import ConfigurationError, ModelError
-from ..model.architecture import MessageRoute
 from ..system import System
 
 __all__ = [
@@ -137,7 +136,8 @@ class RoutingPlan:
 
     Construction is cheap (linear in messages × hops) and deterministic;
     a :class:`repro.system.System` builds one per distinct route
-    overrides and caches it (:meth:`repro.system.System.routing_for`).
+    overrides and caches it (:meth:`repro.system.System.routing_for`),
+    so a plan holds no reference back to its System.
     """
 
     def __init__(
@@ -145,12 +145,15 @@ class RoutingPlan:
         system: System,
         overrides: Optional[Mapping[str, Tuple[str, ...]]] = None,
     ) -> None:
-        self.system = system
         self.routes = resolve_routes(system, overrides)
+        self._default = all(
+            route == system.default_route(name)
+            for name, route in self.routes.items()
+        )
         self.legs: Dict[str, Tuple[Leg, ...]] = {}
         topo = system.arch.topology
         for name, route in self.routes.items():
-            self.legs[name] = self._build_legs(name, route)
+            self.legs[name] = self._build_legs(system, name, route)
         # Intra-cluster ET->ET messages have a single source CAN leg.
         for name in system.can_messages():
             if name not in self.legs:
@@ -183,8 +186,10 @@ class RoutingPlan:
                 else:
                     self.can_legs_on[leg.cluster].append((name, pos))
 
-    def _build_legs(self, name: str, route: Tuple[str, ...]) -> Tuple[Leg, ...]:
-        system = self.system
+    @staticmethod
+    def _build_legs(
+        system: System, name: str, route: Tuple[str, ...]
+    ) -> Tuple[Leg, ...]:
         topo = system.arch.topology
         msg = system.app.message(name)
         src_node = system.app.process(msg.src).node
@@ -250,12 +255,7 @@ class RoutingPlan:
 
     def is_default(self) -> bool:
         """True when every message takes its topology-default route."""
-        topo = self.system.arch.topology
-        for name, route in self.routes.items():
-            src, dst = self.system.clusters_of_message(name)
-            if route != topo.default_route(src, dst):
-                return False
-        return True
+        return self._default
 
     def key(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
         """Canonical hashable form (for kernel/cache invalidation)."""

@@ -49,6 +49,7 @@ seed-time counters did).  All shared timing semantics still come from
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
@@ -61,10 +62,13 @@ from ..obs import state as _obs_state
 from ..obs import trace as _obs_trace
 from ..schedule.schedule_table import StaticSchedule
 from ..semantics import dispatch_respects_arrival, gateway_transfer_delay
-from ..system import System
+from ..system import System, lru_lookup
 from .trace import ScheduleViolation, SimulationTrace
 
-__all__ = ["SimContext", "SimStats"]
+__all__ = ["SimContext", "SimStats", "sim_template"]
+
+#: Compiled templates kept per System.
+_MAX_TEMPLATES = 64
 
 #: Event ordering classes (the legacy engine's values).
 _DELIVER = 0
@@ -110,9 +114,14 @@ _INF = float("inf")
 
 @dataclass
 class SimStats:
-    """Cumulative instrumentation of one :class:`SimContext`."""
+    """Cumulative instrumentation of one :class:`SimContext`.
+
+    ``reuses`` counts the lookups its System's template cache answered
+    with it (:func:`sim_template`).
+    """
 
     compiles: int = 0
+    reuses: int = 0
     replays: int = 0
     compile_s: float = 0.0
     replay_s: float = 0.0
@@ -136,7 +145,9 @@ class SimContext:
         schedule: StaticSchedule,
     ) -> None:
         started = time.perf_counter()
-        self.system = system
+        # Weak: the System caches its templates (sim_template), and a
+        # dropped System must not wait for the cycle collector.
+        self._system = weakref.ref(system)
         self.config = config
         self.schedule = schedule
         app = system.app
@@ -471,6 +482,11 @@ class SimContext:
         self.stats.compiles += 1
         self.stats.compile_s += time.perf_counter() - started
         self.last_replay: Dict[str, float] = {}
+
+    @property
+    def system(self) -> System:
+        """The System the template was compiled for (held weakly)."""
+        return self._system()
 
     # -- replay --------------------------------------------------------------
 
@@ -1293,3 +1309,42 @@ class SimContext:
             "dynamic_events": self.last_replay.get("dynamic_events", 0),
             "events_per_s": events / replay_s if replay_s > 0 else 0.0,
         }
+
+
+def _compiled_from(config: SystemConfiguration) -> tuple:
+    """What a template reads from its configuration: ``β``, ``π`` and
+    the route overrides, as comparable copies."""
+    priorities = config.priorities
+    return (
+        config.bus.slots,
+        dict(priorities.process_priorities),
+        dict(priorities.message_priorities),
+        dict(config.routes),
+    )
+
+
+def sim_template(
+    system: System, config: SystemConfiguration, schedule: StaticSchedule
+) -> SimContext:
+    """The System's compiled template for ``(config, schedule)``.
+
+    Templates are cached on the System per ``StaticSchedule`` object (a
+    template keeps its schedule alive, so the object's id cannot be
+    reused while it is cached) and reused only while the configuration
+    content they were compiled from is unchanged.  A compile that raises
+    caches nothing.
+    """
+    compiled_from = _compiled_from(config)
+    templates = system._sim_templates
+    key = id(schedule)
+    entry = templates.get(key)
+    if entry is not None:
+        if entry[0] == compiled_from:
+            entry[1].stats.reuses += 1
+        else:
+            del templates[key]
+    return lru_lookup(
+        templates, key,
+        lambda: (compiled_from, SimContext(system, config, schedule)),
+        _MAX_TEMPLATES,
+    )[1]

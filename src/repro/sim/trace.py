@@ -18,7 +18,7 @@ bounds, so the two can be compared mechanically:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 __all__ = ["ScheduleViolation", "SimulationTrace"]
 

@@ -26,7 +26,7 @@ Functional blocks:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..buses.can import CanBusSpec
 from ..buses.ttp import TTPBusSpec

@@ -8,7 +8,10 @@ them freely.
 
 The class pre-computes and caches the derived facts every analysis needs:
 message routes, the set of CAN-borne messages, per-node ET process lists,
-and worst-case CAN frame times ``C_m``.
+and worst-case CAN frame times ``C_m``.  It is also the one owner of the
+compiled engine state built from those facts: routing plans, static
+schedulers, analysis kernels and simulation templates, each cached by
+its engine's module through :func:`lru_lookup`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .buses.can import CanBusSpec
 from .buses.ttp import TTPBusSpec
 from .exceptions import ModelError
-from .model.application import Application, Message
+from .model.application import Application
 from .model.architecture import Architecture, MessageRoute
 from .model.validation import validate_system
 
@@ -28,6 +31,9 @@ __all__ = ["System"]
 #: LRU bound of the routing plans a System keeps (one per distinct
 #: route overrides).
 _MAX_PLANS = 16
+
+#: The attributes holding compiled engine state, left out of copies.
+_COMPILED_STATE = ("_plans", "_schedulers", "_kernels", "_sim_templates")
 
 
 def lru_lookup(cache: OrderedDict, key, build, bound: int):
@@ -155,17 +161,23 @@ class System:
             src = topo.cluster_of_node(app.process(msg.src).node)
             dst = topo.cluster_of_node(app.process(msg.dst).node)
             self._msg_clusters[msg.name] = (src, dst)
-        # Routing plans per route overrides, and compiled schedulers per
-        # routing plan (repro.schedule.list_scheduler).
+        # Compiled engine state: routing plans per route overrides,
+        # schedulers per routing plan (repro.schedule.list_scheduler),
+        # analysis kernels per modeled fault spec (repro.analysis.kernel)
+        # and simulation templates per schedule (repro.sim.kernel).
         self._plans: OrderedDict = OrderedDict()
         self._schedulers: OrderedDict = OrderedDict()
+        self._kernels: OrderedDict = OrderedDict()
+        self._sim_templates: OrderedDict = OrderedDict()
         # Default route per (source, destination) cluster pair.
         self._default_routes: Dict[Tuple[str, str], Tuple[str, ...]] = {}
 
     def __getstate__(self):
-        # Caches: copies and pickles rebuild them rather than carry them.
-        return {**self.__dict__, "_plans": OrderedDict(),
-                "_schedulers": OrderedDict()}
+        # Compiled state: copies and pickles rebuild it rather than
+        # carry it, so a copy is also a fresh compile.
+        return {**self.__dict__, **{
+            name: OrderedDict() for name in _COMPILED_STATE
+        }}
 
     # -- topology -----------------------------------------------------------
 

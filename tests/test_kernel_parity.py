@@ -13,18 +13,19 @@ work".  Three layers of evidence:
 * an incremental-recompilation test: a kernel dragged through a random
   OptimizeResources-style move sequence (priority swaps, slot resizes,
   slot swaps, TT delays) must produce bit-identical results to a kernel
-  compiled from scratch at every step, with zero additional full
-  compiles;
+  compiled from scratch (on a pickled copy of the System, which carries
+  no compiled state) at every step, with zero additional full compiles;
 * session-level assertions for the optimizer contract: an OR run
   through a session performs exactly one full kernel compile.
 """
 
+import pickle
 import random
 
 import pytest
 
 from repro.analysis.holistic import response_time_analysis
-from repro.analysis.kernel import AnalysisContext
+from repro.analysis.kernel import AnalysisContext, kernel_for
 from repro.analysis.multicluster import multi_cluster_scheduling
 from repro.api import Session
 from repro.optim import optimize_resources, straightforward_configuration
@@ -90,19 +91,18 @@ class TestKernelMatchesLegacyAnalysis:
         )
 
     def test_kernel_reuse_across_calls_is_stateless(self):
-        """Back-to-back solves on one kernel don't contaminate each other."""
+        """Back-to-back solves on one kernel don't contaminate each other
+        (both calls run on the System's one kernel)."""
         system = generate_workload(WorkloadSpec(nodes=2, seed=3))
         config = straightforward_configuration(system)
         schedule = static_schedule(system, config.bus)
-        kernel = AnalysisContext(system, config.priorities, config.bus)
         first = response_time_analysis(
             system, schedule.offsets, config.priorities, config.bus,
-            kernel=kernel,
         )
         second = response_time_analysis(
             system, schedule.offsets, config.priorities, config.bus,
-            kernel=kernel,
         )
+        assert len(system._kernels) == 1
         assert_rho_equal(first, second, tol=0.0, context="reuse")
 
 
@@ -112,12 +112,12 @@ class TestIncrementalRecompilation:
         """OR-style move walks: incremental update == fresh compile."""
         system = generate_workload(WorkloadSpec(nodes=3, seed=seed))
         config = straightforward_configuration(system)
-        kernel = AnalysisContext(system, config.priorities, config.bus)
+        kernel = kernel_for(system, config.priorities, config.bus)
         rng = random.Random(seed)
         current = config
         multi_cluster_scheduling(
             system, current.bus, current.priorities,
-            tt_delays=current.tt_delays, kernel=kernel,
+            tt_delays=current.tt_delays,
         )
         for step in range(10):
             move = rng.choice(
@@ -126,12 +126,14 @@ class TestIncrementalRecompilation:
             current = move.apply(current)
             incremental = multi_cluster_scheduling(
                 system, current.bus, current.priorities,
-                tt_delays=current.tt_delays, kernel=kernel,
-            )
-            fresh = multi_cluster_scheduling(
-                system, current.bus, current.priorities,
                 tt_delays=current.tt_delays,
             )
+            fresh_system = pickle.loads(pickle.dumps(system))
+            fresh = multi_cluster_scheduling(
+                fresh_system, current.bus, current.priorities,
+                tt_delays=current.tt_delays,
+            )
+            assert fresh_system._kernels[None] is not kernel
             label = f"seed={seed} step={step} move={move.describe()}"
             assert incremental.converged == fresh.converged, label
             assert incremental.iterations == fresh.iterations, label
@@ -199,11 +201,50 @@ class TestSessionKernelContract:
         assert info.kernel_updates >= 1
         assert info.analysis_time > 0.0
 
+    def test_one_kernel_per_system_and_modeled_fault_spec(
+        self, monkeypatch
+    ):
+        """Sessions, session-less evaluations and repeated faulted runs
+        on one System share its kernels: one full compile per System
+        and modeled fault spec."""
+        from repro.optim import evaluate
+
+        compiles = []
+        update = AnalysisContext.update
+
+        def counting_update(self, priorities, bus, routes=None):
+            outcome = update(self, priorities, bus, routes=routes)
+            if outcome == "compiled":
+                compiles.append(self.faults)
+            return outcome
+
+        monkeypatch.setattr(AnalysisContext, "update", counting_update)
+        system = generate_workload(WorkloadSpec(nodes=2, seed=0))
+        config = straightforward_configuration(system)
+        first, second = Session(system), Session(system)
+        first.evaluate(config)
+        second.evaluate(config.copy())
+        evaluate(system, config.copy())
+        assert len(compiles) == 1
+        assert first.cache_info().kernel_compiles == 1
+        assert second.cache_info().kernel_compiles == 1
+
+        # CAN-error-only specs derate nothing: each runs on the System
+        # itself, on a kernel of its own that repeated runs reuse.
+        for interval in (40.0, 80.0):
+            spec = {"can_error_interval": interval, "can_error_overhead": 0.5}
+            for _ in range(3):
+                run = first.evaluate(config.copy(), memoize=False, faults=spec)
+                assert run.metadata["fault_derated"] is False
+        assert len(compiles) == 3
+        assert len(system._kernels) == 3
+        assert first.cache_info().kernel_compiles == 3
+
     def test_replacement_analysis_backend_gets_no_kernel_kwarg(self):
-        """A user backend registered over "analysis" (replace=True) may
-        not accept ``kernel=``; the session must not inject it.  Covers
-        both a plain EvaluationBackend and an AnalysisBackend subclass
-        overriding run() with the pre-kernel signature."""
+        """A user backend registered over "analysis" (replace=True) is
+        called with the options the caller passed and nothing else.
+        Covers both a plain EvaluationBackend and an AnalysisBackend
+        subclass overriding run() with a narrower signature."""
         from repro.api.backends import (
             AnalysisBackend,
             EvaluationBackend,
@@ -233,31 +274,15 @@ class TestSessionKernelContract:
                     "analysis", AnalysisBackend, replace=True
                 )
 
-    def test_mismatched_explicit_kernel_rejected_before_cache(self):
-        """A foreign kernel= must raise, not memoize an error result."""
-        system = generate_workload(WorkloadSpec(nodes=2, seed=0))
-        other = generate_workload(WorkloadSpec(nodes=2, seed=1))
-        config = straightforward_configuration(system)
-        foreign = AnalysisContext(
-            other, straightforward_configuration(other).priorities,
-            straightforward_configuration(other).bus,
-        )
-        session = Session(system)
-        with pytest.raises(ValueError, match="different System"):
-            session.evaluate(config, kernel=foreign)
-        # The cache was not poisoned: a plain evaluation still works.
-        run = session.evaluate(config)
-        assert run.feasible
-
     def test_pool_batch_with_own_kernel_stays_clean(self):
-        """workers>1 must not ship the kernel to the executor's workers
-        (their System copy would mismatch it and poison the cache)."""
+        """workers>1 evaluates on the executor's System copies, each with
+        its own compiled kernel, and memoizes good results only."""
         import warnings
 
         system = generate_workload(WorkloadSpec(nodes=2, seed=0))
         session = Session(system)
         config = straightforward_configuration(system)
-        kernel = AnalysisContext(system, config.priorities, config.bus)
+        session.evaluate(config)  # the caller's System holds a kernel
         variants = []
         msgs = sorted(
             config.priorities.message_priorities,
@@ -269,9 +294,7 @@ class TestSessionKernelContract:
             variants.append(v)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no silent inline fallback
-            runs = session.evaluate_many(
-                variants, workers=2, kernel=kernel
-            )
+            runs = session.evaluate_many(variants, workers=2)
         assert all(run.feasible for run in runs)
         # And the memo cache holds the good results, not errors.
         again = session.evaluate(variants[0].copy())

@@ -11,17 +11,19 @@ observable moved:
   the flat code);
 * a canonical configuration that spells out its default routes
   evaluates exactly like one without routes, on one kernel compile per
-  :class:`~repro.api.Session`.
+  :class:`~repro.system.System`, however many sessions evaluate it.
 
 A system builds each routing plan once per distinct route set and
 shares it between the engines, whichever way a configuration spells
-its default routes.
+its default routes; copies of a system carry none of its compiled
+state.
 """
 
 import copy
 import hashlib
 import json
 import pickle
+import weakref
 
 import pytest
 
@@ -141,12 +143,13 @@ def test_explicit_default_routes_evaluate_like_no_routes(monkeypatch):
     monkeypatch.setattr(AnalysisContext, "update", counting_update)
     runs = {}
     for label, routes in (("plain", {}), ("explicit", explicit)):
-        compiles.clear()
         session = Session(system)
         configs = _configs(system)
         for config in configs:
             config.routes = dict(routes)
         runs[label] = [session.evaluate(config) for config in configs]
+        # One compile per System: the second session's explicit
+        # spelling re-targets the kernel the first one compiled.
         assert len(compiles) == 1, label
         assert session.cache_info().kernel_compiles == 1
     for plain, routed in zip(runs["plain"], runs["explicit"]):
@@ -172,10 +175,26 @@ def test_plans_are_built_once_per_overrides():
     assert system.routing_for(
         {message: list(system.default_route(message))}
     ) is explicit
+    # Fill every kind of compiled state: plans, schedulers, a kernel
+    # and a simulation template.
+    config = conformance_configuration(system, 10)
+    session = Session(system)
+    assert session.simulate(config, periods=2).error is None
+    run = session.evaluate(config)
+    compiled = ("_plans", "_schedulers", "_kernels", "_sim_templates")
+    assert all(getattr(system, name) for name in compiled)
     for clone in (copy.deepcopy(system), pickle.loads(pickle.dumps(system))):
-        assert not clone._plans
+        for name in compiled:
+            assert not getattr(clone, name), name
         assert clone.default_routing().routes == default.routes
+        again = Session(clone).evaluate(config.copy())
+        assert again.to_dict() == run.to_dict()
     assert system._plans
+    # Nothing the System caches refers back to it, so a dropped System
+    # is freed at once, without waiting for the cycle collector.
+    dropped = weakref.ref(system)
+    del system, session
+    assert dropped() is None
 
 
 def test_session_alternating_route_spellings_compiles_once(monkeypatch):
