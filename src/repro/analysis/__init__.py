@@ -17,7 +17,7 @@ from .degree import (
     degree_of_schedulability,
     graph_response_time,
 )
-from .fixed_point import Interferer, ceil0_hits
+from .fixed_point import Interferer
 from .holistic import response_time_analysis
 from .kernel import AnalysisContext, KernelStats, SolveState
 from .multicluster import MultiClusterResult, multi_cluster_scheduling
@@ -44,7 +44,6 @@ __all__ = [
     "SchedulabilityReport",
     "buffer_bounds",
     "can_bus_utilization",
-    "ceil0_hits",
     "degree_of_schedulability",
     "graph_response_time",
     "multi_cluster_scheduling",

@@ -23,14 +23,12 @@ For the FIFO ``Out_TTP`` the bound is ``max over m of (S_m + I_m)`` with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from ..model.configuration import PriorityAssignment
-from ..semantics import fifo_competitors
-from ..system import System
-from .fixed_point import Interferer, ceil0_hits
-from .holistic import phase_locked_hits
+from ..system import System, lru_lookup
 from .timing import ResponseTimes
 
 __all__ = ["BufferReport", "buffer_bounds"]
@@ -38,6 +36,14 @@ __all__ = ["BufferReport", "buffer_bounds"]
 #: Finite stand-in for an unbounded queue (overloaded system), mirroring
 #: :data:`repro.analysis.degree.OVERLOAD_PENALTY`.
 UNBOUNDED_PENALTY = 1e12
+
+#: Layouts a System keeps (one per routing plan it caches).
+_MAX_LAYOUTS = 16
+
+#: One queue resident: its leg id, its size, and one
+#: ``(leg, size, period, equal period, ancestor)`` pair per other
+#: message of the queue, in summation order.
+_Resident = Tuple[int, int, List[Tuple[int, int, float, bool, bool]]]
 
 
 @dataclass(frozen=True)
@@ -54,83 +60,108 @@ class BufferReport:
         return self.out_can + self.out_ttp + sum(self.out_node.values())
 
 
-def _resident_hits(
-    system: System, msg: str, timing, j: str, other, epsilon: float
-) -> int:
-    """Activations of ``j`` (timing ``other``) that can co-reside with
-    ``msg`` (timing ``timing``) in a queue during ``msg``'s waiting
-    window.
+class _BufferLayout:
+    """The queues of one ``(System, plan)`` over interned legs.
 
-    Phase-locked (equal-period) messages use the interval count of
-    ``j``'s activations whose queue residency (jitter + queueing delay)
-    can overlap the window; ancestors of ``msg`` cannot co-reside (their
-    same-instance transmission precedes its birth).  Other messages use
-    ``ceil0`` arrivals, with ``epsilon`` counting a same-instant arrival
-    (the priority queues' tie; 0 for the FIFO).
+    Every queued leg gets an id: the CAN legs in message-name then
+    position order, then the FIFO legs per gateway.  ``reads`` says
+    where each leg's timing lives in ``ρ`` (position ``-1`` marks a
+    FIFO leg, read from ``ρ.ttp``); each queue is a list of residents
+    (:data:`_Resident`) in the order the bound sums them.
     """
-    app = system.app
-    period = app.period_of_message(j)
-    if period == app.period_of_message(msg):
-        rel = (other.offset - timing.offset) % period
-        return phase_locked_hits(
-            timing.queuing,
-            timing.jitter,
-            rel,
-            period,
-            other.jitter,
-            other.queuing,
-            system.message_is_ancestor(j, msg),
-        )
-    return ceil0_hits(
-        timing.queuing,
-        Interferer(
-            jitter=other.jitter,
-            rel_offset=0.0,
-            period=period,
-            cost=float(app.message(j).size),
-        ),
-        epsilon=epsilon,
-    )
+
+    def __init__(self, system: System, plan) -> None:
+        app = system.app
+        is_anc = system.message_is_ancestor
+        self.reads: List[Tuple[str, int]] = []
+        gw_can: Dict[str, List[int]] = {}
+        src_can: Dict[str, List[int]] = {}
+        for m, legs in sorted(plan.legs.items()):
+            for pos, leg in enumerate(legs):
+                if leg.is_fifo:
+                    continue
+                # Source-node queue: every frame leaving an ET node —
+                # ET->ET and the first leg of crossing messages alike —
+                # waits in that node's CAN controller queue.
+                queue = (
+                    gw_can.setdefault(leg.via, []) if leg.via is not None
+                    else src_can.setdefault(leg.sender, [])
+                )
+                queue.append(len(self.reads))
+                self.reads.append((m, pos))
+        fifo: List[List[int]] = []
+        for gateway in sorted(plan.fifo_users):
+            fifo.append([])
+            for m in plan.fifo_users[gateway]:
+                fifo[-1].append(len(self.reads))
+                self.reads.append((m, -1))
+        names = [m for m, _ in self.reads]
+        size = [app.message(m).size for m in names]
+        period = [app.period_of_message(m) for m in names]
+
+        def residents(members: List[int]) -> List[_Resident]:
+            return [
+                (a, size[a], [
+                    (b, size[b], period[b], period[b] == period[a],
+                     is_anc(names[b], names[a]))
+                    for b in members if names[b] != names[a]
+                ])
+                for a in members
+            ]
+
+        self.out_can = [residents(gw_can[g]) for g in sorted(gw_can)]
+        self.out_node = [
+            (node, residents(src_can.get(node, [])))
+            for node in system.arch.et_node_names()
+        ]
+        self.out_ttp = [residents(members) for members in fifo]
 
 
-def _priority_queue_bound(
-    system: System,
-    priorities: PriorityAssignment,
-    members,
+def _queue_bound(
+    residents: List[_Resident], legs: list, prio: List[int], epsilon: float
 ) -> float:
-    """Worst-case size of one priority-ordered CAN queue, over its
-    ``(message, leg timing)`` residents.
+    """Worst-case bytes of one queue: ``UNBOUNDED_PENALTY`` when any
+    resident's analysis diverged, else the largest ``s_m`` plus the
+    bytes of the higher-priority (FIFO: all) others that can co-reside
+    during ``m``'s queueing window.
 
-    A message's residency in a queue is governed by the timing of the
-    *leg* that goes through it, which for multi-hop routes is not the
-    ``rho.can`` record.
+    The counts are those of the kernel's rows (``_solve_row`` in
+    :mod:`repro.analysis.kernel`): an equal-period pair counts the
+    activations whose residency (jitter + queueing) can overlap the
+    window, none before the current instance for an ancestor of ``m``;
+    any other pair counts ``ceil0`` arrivals, ``epsilon`` counting a
+    same-instant one (the priority queues' tie, 0 in the FIFO).
     """
-    worst = 0.0
-    app = system.app
-    for m, timing in members:
-        if not timing.converged:
+    for a, _, _ in residents:
+        if not legs[a][3]:
             return UNBOUNDED_PENALTY
-        own_prio = priorities.message_priority(m)
-        occupancy = float(app.message(m).size)
-        for j, other in members:
-            if j == m or priorities.message_priority(j) > own_prio:
+    floor = math.floor
+    ceil = math.ceil
+    worst = 0.0
+    for a, own_size, pairs in residents:
+        offset, jitter, window, _ = legs[a]
+        own_prio = prio[a]
+        hi = jitter + window
+        occupancy = float(own_size)
+        for b, b_size, period, locked, ancestor in pairs:
+            if prio[b] > own_prio:
                 continue
-            if not other.converged:
-                return UNBOUNDED_PENALTY
-            # A same-instant higher-priority arrival co-resides in the
-            # queue, so the tie counts.
-            hits = _resident_hits(system, m, timing, j, other, 1e-9)
-            occupancy += hits * app.message(j).size
-        worst = max(worst, occupancy)
+            b_offset, b_jitter, b_window, _ = legs[b]
+            if locked:
+                rel = (b_offset - offset) % period
+                k_max = floor((hi - rel) / period + 1e-9)
+                k_min = ceil((-(b_jitter + b_window) - rel) / period - 1e-9)
+                if ancestor and k_min < 0:
+                    k_min = 0
+                if k_max >= k_min:
+                    occupancy += (k_max - k_min + 1) * b_size
+            else:
+                x = window + b_jitter + epsilon
+                if x > 0:
+                    occupancy += ceil(x / period - 1e-12) * b_size
+        if occupancy > worst:
+            worst = occupancy
     return worst
-
-
-def _leg_timing(rho: ResponseTimes, msg: str, pos: int):
-    """Timing record of CAN leg ``pos`` of ``msg``: its ``hops`` entry,
-    or ``rho.can[m]`` for a message without one (a single CAN leg, or
-    the source leg of an ET->TT message on a one-gateway plan)."""
-    hops = rho.hops.get(msg)
-    return hops[pos] if hops else rho.can[msg]
 
 
 def buffer_bounds(
@@ -146,72 +177,41 @@ def buffer_bounds(
     one ``Out_CAN``/``Out_TTP`` pair per gateway, transit legs included;
     ``out_can``/``out_ttp`` report the *sum* over the per-gateway queues
     (distinct memories).  The canonical topology is the one-gateway
-    plan: one ``Out_CAN`` and one ``Out_TTP``.
+    plan: one ``Out_CAN`` and one ``Out_TTP``.  A message's residency in
+    a queue is governed by the timing of the *leg* through it: its
+    ``ρ.hops`` entry on a multi-hop route, else ``ρ.can``/``ρ.ttp``.
+
+    The queue layout is compiled once per ``(System, plan)`` and kept
+    by the System; a call reads each leg's timing and π once.
     """
     if plan is None:
         plan = system.default_routing()
-    app = system.app
-    gw_can: Dict[str, list] = {}
-    src_can: Dict[str, list] = {}
-    for m, legs in sorted(plan.legs.items()):
-        for pos, leg in enumerate(legs):
-            if leg.is_fifo:
-                continue
-            timing = _leg_timing(rho, m, pos)
-            if leg.via is not None:
-                gw_can.setdefault(leg.via, []).append((m, timing))
-            else:
-                # Source-node queue: every frame leaving an ET node —
-                # ET->ET and the first leg of crossing messages alike —
-                # waits in that node's CAN controller queue
-                # (``et_to_et_messages_from``).
-                src_can.setdefault(leg.sender, []).append((m, timing))
+    layout = lru_lookup(
+        system._buffer_layouts, plan,
+        lambda: _BufferLayout(system, plan), _MAX_LAYOUTS,
+    )
+    legs = []
+    for m, pos in layout.reads:
+        if pos < 0:
+            t = rho.ttp[m]
+        else:
+            hops = rho.hops.get(m)
+            t = hops[pos] if hops else rho.can[m]
+        legs.append((t.offset, t.jitter, t.queuing, t.converged))
+    # The FIFO is priority-blind: all its legs rank equal, so every
+    # other resident counts.
+    prio = [
+        priorities.message_priority(m) if pos >= 0 else 0
+        for m, pos in layout.reads
+    ]
     out_can = 0.0
-    for gateway in sorted(gw_can):
-        out_can += _priority_queue_bound(
-            system, priorities, gw_can[gateway]
-        )
-    out_node: Dict[str, float] = {}
-    for node in system.arch.et_node_names():
-        members = src_can.get(node)
-        out_node[node] = (
-            _priority_queue_bound(system, priorities, members)
-            if members
-            else 0.0
-        )
+    for residents in layout.out_can:
+        out_can += _queue_bound(residents, legs, prio, 1e-9)
+    out_node = {
+        node: _queue_bound(residents, legs, prio, 1e-9)
+        for node, residents in layout.out_node
+    }
     out_ttp = 0.0
-    for gateway in sorted(plan.fifo_users):
-        queue_worst = 0.0
-        for m in plan.fifo_users[gateway]:
-            timing = rho.ttp[m]
-            if not timing.converged:
-                queue_worst = UNBOUNDED_PENALTY
-                break
-            ahead = ttp_resident_bytes(system, m, timing, rho, plan=plan)
-            queue_worst = max(queue_worst, app.message(m).size + ahead)
-        out_ttp += queue_worst
+    for residents in layout.out_ttp:
+        out_ttp += _queue_bound(residents, legs, prio, 0.0)
     return BufferReport(out_can=out_can, out_ttp=out_ttp, out_node=out_node)
-
-
-def ttp_resident_bytes(
-    system: System,
-    msg: str,
-    timing,
-    rho: ResponseTimes,
-    plan=None,
-) -> float:
-    """``I_m`` evaluated at the final fixed point (bytes ahead of ``msg``).
-
-    ``Out_TTP`` is a FIFO: every other ET->TT message can co-reside ahead
-    of ``msg`` regardless of CAN priority (the shared contract of
-    :func:`repro.semantics.fifo_competitors`).
-    """
-    app = system.app
-    total = 0.0
-    for j in fifo_competitors(system, msg, plan=plan):
-        other = rho.ttp[j]
-        if not other.converged:
-            return UNBOUNDED_PENALTY
-        hits = _resident_hits(system, msg, timing, j, other, 0.0)
-        total += hits * app.message(j).size
-    return total

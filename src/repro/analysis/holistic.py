@@ -38,13 +38,11 @@ periods, costs, blocking) once and lets only the jitters evolve across
 the outer iterations.  These rules are the one-gateway case of the
 per-leg rules of :mod:`repro.analysis.multihop`: the kernel compiles
 every system from its routing plan.  This module keeps the public
-wrapper and :func:`phase_locked_hits`, the phase-locked interference
-count the buffer analysis shares.
+wrapper.
 """
 
 from __future__ import annotations
 
-import math
 from ..buses.ttp import TTPBusConfig
 from ..model.configuration import OffsetTable, PriorityAssignment
 from ..system import System
@@ -80,42 +78,3 @@ def response_time_analysis(
     """
     rho, _ = kernel_for(system, priorities, bus, faults).solve(offsets)
     return rho
-
-
-def phase_locked_hits(
-    window: float,
-    own_jitter: float,
-    rel: float,
-    period: float,
-    j_jitter: float,
-    j_residency: float,
-    is_ancestor: bool,
-) -> int:
-    """Activations of a phase-locked interferer overlapping a busy window.
-
-    The activity under analysis starts its busy window of length
-    ``window`` at ``t in [O_m, O_m + own_jitter]``; the interferer's k-th
-    activation arrives at phase ``rel + k*T + [0, j_jitter]`` (relative to
-    ``O_m``) and remains present for ``j_residency`` after arrival
-    (queueing + service).  The worst-case number of overlapping
-    activations is the count of integers ``k`` with
-
-        -(j_jitter + j_residency) <= rel + k*T <= own_jitter + window
-
-    (closed bounds: a simultaneous higher-priority arrival wins
-    non-preemptive arbitration, so ties count).
-
-    For *ancestors* of the analysed activity all ``k < 0`` instances are
-    excluded: the same-instance execution of an upstream activity
-    causally precedes its descendant's activation and has already
-    completed — the precedence-aware refinement in the spirit of
-    Palencia & Harbour, without which chains would charge themselves
-    their own upstream work.
-    """
-    hi = own_jitter + window
-    k_max = math.floor((hi - rel) / period + 1e-9)
-    lo = -(j_jitter + j_residency)
-    k_min = math.ceil((lo - rel) / period - 1e-9)
-    if is_ancestor and k_min < 0:
-        k_min = 0
-    return max(0, k_max - k_min + 1)

@@ -113,8 +113,7 @@ def multi_cluster_scheduling(
             arrival_floors=floors,
             routing=routing,
         )
-        delta = new_schedule.offsets.max_abs_delta(offsets)
-        if delta <= _OFFSET_TOLERANCE:
+        if new_schedule.offsets.within(offsets, _OFFSET_TOLERANCE):
             converged = True
             break
         schedule = new_schedule

@@ -37,9 +37,8 @@ from ..exceptions import (
 )
 from ..faults import FaultSpec
 from ..model.configuration import SystemConfiguration
-from ..model.validation import validate_configuration
 from ..system import System
-from .result import INFEASIBLE_COST, RunResult, timing_table
+from .result import INFEASIBLE_COST, RunResult
 
 __all__ = [
     "AnalysisBackend",
@@ -110,7 +109,7 @@ class AnalysisBackend(EvaluationBackend):
                     analysis_faults = None
                 else:
                     run_system = analysis_faults.derate_system(system)
-            validate_configuration(run_system.app, run_system.arch, config)
+            run_system.configuration_rules().check(config)
             result = multi_cluster_scheduling(
                 run_system,
                 config.bus,
@@ -146,7 +145,6 @@ class AnalysisBackend(EvaluationBackend):
             converged=result.converged,
             iterations=result.iterations,
             graph_responses=dict(report.graph_responses),
-            timing=timing_table(result.rho),
             buffers=buffers,
             report=report,
             config=config,
@@ -300,7 +298,6 @@ class SimulationBackend(EvaluationBackend):
             converged=base.converged,
             iterations=base.iterations,
             graph_responses=base.graph_responses,
-            timing=base.timing,
             buffers=base.buffers,
             report=base.report,
             config=config,

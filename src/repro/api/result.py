@@ -84,6 +84,25 @@ def timing_table(rho: ResponseTimes) -> Dict[str, Dict[str, Any]]:
     return rows
 
 
+class _TimingTable:
+    """``RunResult.timing``, kept in the ``_timing`` slot: built from
+    ``analysis.rho`` on first read unless assigned, so a table nobody
+    reads is neither built, copied nor pickled."""
+
+    def __get__(self, run, owner=None):
+        if run is None:
+            return None  # the dataclass default: build on first read
+        if run.__dict__.get("_timing") is None:
+            run._timing = (
+                timing_table(run.analysis.rho)
+                if run.analysis is not None else {}
+            )
+        return run._timing
+
+    def __set__(self, run, table) -> None:
+        run._timing = table
+
+
 @dataclass
 class RunResult:
     """Outcome of evaluating one configuration with one backend.
@@ -94,7 +113,8 @@ class RunResult:
     be evaluated at all (``error`` then carries the reason).
 
     ``timing`` is the flattened per-activity table of
-    :func:`timing_table`; ``metadata`` is the backend's own channel
+    :func:`timing_table`, built from ``analysis.rho`` on first read
+    unless given; ``metadata`` is the backend's own channel
     (simulation observations, margins, worker provenance, ...).
     """
 
@@ -105,7 +125,7 @@ class RunResult:
     converged: bool = False
     iterations: int = 0
     graph_responses: Dict[str, float] = field(default_factory=dict)
-    timing: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    timing: Dict[str, Dict[str, Any]] = _TimingTable()
     buffers: Optional[BufferReport] = None
     report: Optional[SchedulabilityReport] = None
     config: Optional[SystemConfiguration] = None

@@ -432,15 +432,18 @@ class Session:
         shallow-copied so neither the cache nor any caller can mutate
         another holder's record through shared containers
         (``buffers``/``report``/``analysis`` are treated as immutable
-        analysis outputs and stay shared).
+        analysis outputs and stay shared).  A timing table nobody has
+        read stays unbuilt: the copy builds its own on first read.
         """
-        return replace(
-            run,
-            config=config,
-            graph_responses=dict(run.graph_responses),
-            timing={k: dict(v) for k, v in run.timing.items()},
-            metadata=copy.deepcopy(run.metadata),
-        )
+        snapshot = object.__new__(type(run))  # copy.copy, minus __reduce__
+        snapshot.__dict__.update(vars(run))
+        snapshot.config = config
+        snapshot.graph_responses = dict(run.graph_responses)
+        table = vars(run)["_timing"]
+        if table is not None:
+            snapshot.timing = {k: dict(v) for k, v in table.items()}
+        snapshot.metadata = copy.deepcopy(run.metadata)
+        return snapshot
 
     def _remember(self, key: Tuple, run: RunResult) -> None:
         """Insert into the cache with snapshotted mutable state.

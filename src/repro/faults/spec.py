@@ -48,11 +48,15 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..exceptions import ConfigurationError
+from ..system import lru_lookup
 
 __all__ = ["FAULT_FORMAT", "FaultSpec", "stable_unit"]
 
 #: Format tag of serialized fault specs.
 FAULT_FORMAT = "repro-faultspec-v1"
+
+#: Derated Systems a System keeps (one per modeled fault spec).
+_MAX_DERATED = 8
 
 
 def stable_unit(*parts: Any) -> float:
@@ -188,11 +192,19 @@ class FaultSpec:
         slowed ET node; ``bus_slow`` scales the CAN bit time (and the
         fixed frame time, when set).  TT-side timing is untouched — the
         static schedule's slot grid is a clock domain of its own.  The
-        returned system is a fresh object; the caller's is never
-        mutated.
+        returned system is a fresh object, kept by ``system`` per
+        modeled spec (:meth:`analysis_spec`), so repeated evaluations
+        share its compiled kernels; the caller's is never mutated.  An
+        invalid spec raises on every call.
         """
         if not self.node_slow and self.bus_slow == 1.0:
             return system
+        return lru_lookup(
+            system._derated, self.analysis_spec().canonical(),
+            lambda: self._derate(system), _MAX_DERATED,
+        )
+
+    def _derate(self, system):
         from ..io.serialize import system_from_dict, system_to_dict
 
         self.validate_nodes(system)

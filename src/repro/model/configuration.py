@@ -25,7 +25,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from ..buses.ttp import TTPBusConfig
 from ..exceptions import ConfigurationError
 from .application import Application
-from .architecture import Architecture, MessageRoute
+from .architecture import Architecture
 
 __all__ = ["PriorityAssignment", "OffsetTable", "SystemConfiguration"]
 
@@ -93,33 +93,9 @@ class PriorityAssignment:
         message that travels on the CAN bus needs a unique bus-wide
         priority.
         """
-        per_node: Dict[str, Dict[int, str]] = {}
-        for proc in app.all_processes():
-            if not arch.is_et_node(proc.node):
-                continue
-            prio = self.process_priority(proc.name)
-            seen = per_node.setdefault(proc.node, {})
-            if prio in seen:
-                raise ConfigurationError(
-                    f"processes {seen[prio]} and {proc.name} share priority "
-                    f"{prio} on node {proc.node}"
-                )
-            seen[prio] = proc.name
-        seen_msgs: Dict[int, str] = {}
-        for msg in app.all_messages():
-            route = arch.route_of(app, msg)
-            if route in (
-                MessageRoute.ET_TO_ET,
-                MessageRoute.TT_TO_ET,
-                MessageRoute.ET_TO_TT,
-            ):
-                prio = self.message_priority(msg.name)
-                if prio in seen_msgs:
-                    raise ConfigurationError(
-                        f"messages {seen_msgs[prio]} and {msg.name} share "
-                        f"CAN priority {prio}"
-                    )
-                seen_msgs[prio] = msg.name
+        from .validation import ConfigurationRules
+
+        ConfigurationRules(app, arch).check_priorities(self)
 
 
 class OffsetTable:
@@ -157,32 +133,26 @@ class OffsetTable:
         """Deep copy, for neighborhood generation."""
         return OffsetTable(dict(self.process_offsets), dict(self.message_offsets))
 
-    def max_abs_delta(self, other: "OffsetTable") -> float:
-        """Largest absolute offset change vs. ``other``.
+    def _deltas(self, other: "OffsetTable"):
+        """Absolute offset changes vs. ``other`` (absent keys count as
+        0), skipping tables that are equal outright."""
+        for mine, theirs in (
+            (self.process_offsets, other.process_offsets),
+            (self.message_offsets, other.message_offsets),
+        ):
+            if mine != theirs:
+                for key in mine.keys() | theirs.keys():
+                    yield abs(mine.get(key, 0.0) - theirs.get(key, 0.0))
 
-        Used as the convergence criterion of the multi-cluster fixed point
-        ("until φ not changed", Fig. 5).
-        """
-        delta = 0.0
-        keys = set(self.process_offsets) | set(other.process_offsets)
-        for key in keys:
-            delta = max(
-                delta,
-                abs(
-                    self.process_offsets.get(key, 0.0)
-                    - other.process_offsets.get(key, 0.0)
-                ),
-            )
-        keys = set(self.message_offsets) | set(other.message_offsets)
-        for key in keys:
-            delta = max(
-                delta,
-                abs(
-                    self.message_offsets.get(key, 0.0)
-                    - other.message_offsets.get(key, 0.0)
-                ),
-            )
-        return delta
+    def max_abs_delta(self, other: "OffsetTable") -> float:
+        """Largest absolute offset change vs. ``other``."""
+        return max([0.0, *self._deltas(other)])
+
+    def within(self, other: "OffsetTable", tolerance: float) -> bool:
+        """``max_abs_delta(other) <= tolerance``, the convergence test of
+        the multi-cluster fixed point ("until φ not changed", Fig. 5),
+        stopping at the first offset that moved further."""
+        return not any(delta > tolerance for delta in self._deltas(other))
 
 
 @dataclass

@@ -8,12 +8,22 @@ missing a slot for a transmitting node, and incomplete priority tables.
 
 from __future__ import annotations
 
+from typing import Dict, List, Mapping, Optional, Tuple
+
 from ..exceptions import ConfigurationError, MappingError
 from .application import Application
 from .architecture import Architecture, MessageRoute
-from .configuration import SystemConfiguration
+from .configuration import PriorityAssignment, SystemConfiguration
 
-__all__ = ["validate_system", "validate_configuration"]
+__all__ = [
+    "ConfigurationRules", "minimum_slot_capacity", "validate_configuration",
+    "validate_system",
+]
+
+#: Routes whose messages arbitrate on the CAN bus.
+_CAN_ROUTES = (
+    MessageRoute.ET_TO_ET, MessageRoute.TT_TO_ET, MessageRoute.ET_TO_TT,
+)
 
 
 def validate_system(app: Application, arch: Architecture) -> None:
@@ -36,6 +46,96 @@ def validate_system(app: Application, arch: Architecture) -> None:
             )
 
 
+class ConfigurationRules:
+    """The per-System constants of :func:`validate_configuration`; a
+    :class:`repro.system.System` builds its own once, from its cached
+    ``routes`` (message -> :class:`MessageRoute`)."""
+
+    def __init__(
+        self,
+        app: Application,
+        arch: Architecture,
+        routes: Optional[Mapping[str, MessageRoute]] = None,
+    ) -> None:
+        if routes is None:
+            routes = {m.name: arch.route_of(app, m) for m in app.all_messages()}
+        self.app = app
+        self.arch = arch
+        self.slot_owners = set(arch.ttp_slot_owners())
+        # In model order, which fixes the first error reported.
+        self.et_processes: List[Tuple[str, str]] = [
+            (p.name, p.node) for p in app.all_processes()
+            if arch.is_et_node(p.node)
+        ]
+        self.can_messages: List[str] = [
+            m.name for m in app.all_messages() if routes[m.name] in _CAN_ROUTES
+        ]
+        #: Largest message each TTP-transmitting node must fit in its slot.
+        self.largest_payload: Dict[str, int] = {}
+        for msg in app.all_messages():
+            route = routes[msg.name]
+            if route in (MessageRoute.TT_TO_TT, MessageRoute.TT_TO_ET):
+                # Sent over the TTP bus in the sender node's slot (for
+                # TT->ET the first leg ends at the gateway MBI).
+                senders = [app.process(msg.src).node]
+            elif route is MessageRoute.LOCAL:
+                continue
+            else:
+                # ET-sourced: relayed over the TTP bus by every gateway
+                # whose crossing enters the TT cluster (the canonical
+                # ET->TT case is exactly the single gateway; ET->ET
+                # transit also qualifies).
+                senders = _relaying_gateways(
+                    arch, app.process(msg.src).node, app.process(msg.dst).node
+                )
+            for sender_node in senders:
+                self.largest_payload[sender_node] = max(
+                    self.largest_payload.get(sender_node, 0), msg.size
+                )
+
+    def check(self, config: SystemConfiguration) -> None:
+        """Validate ``config``; see :func:`validate_configuration`."""
+        actual = set(config.bus.nodes())
+        if self.slot_owners != actual:
+            missing = sorted(self.slot_owners - actual)
+            extra = sorted(actual - self.slot_owners)
+            raise ConfigurationError(
+                f"TDMA round must have one slot per TTP controller; "
+                f"missing={missing}, unexpected={extra}"
+            )
+        self.check_priorities(config.priorities)
+        for node, needed in self.largest_payload.items():
+            slot = config.bus.slot_of(node)
+            if slot.capacity < needed:
+                raise ConfigurationError(
+                    f"slot of {node} has capacity {slot.capacity} bytes but "
+                    f"must carry a {needed}-byte message"
+                )
+        _check_route_slot_capacities(self.app, self.arch, config)
+
+    def check_priorities(self, priorities: PriorityAssignment) -> None:
+        """See :meth:`PriorityAssignment.validate`."""
+        per_node: Dict[str, Dict[int, str]] = {}
+        for name, node in self.et_processes:
+            prio = priorities.process_priority(name)
+            seen = per_node.setdefault(node, {})
+            if prio in seen:
+                raise ConfigurationError(
+                    f"processes {seen[prio]} and {name} share priority "
+                    f"{prio} on node {node}"
+                )
+            seen[prio] = name
+        seen_msgs: Dict[int, str] = {}
+        for name in self.can_messages:
+            prio = priorities.message_priority(name)
+            if prio in seen_msgs:
+                raise ConfigurationError(
+                    f"messages {seen_msgs[prio]} and {name} share "
+                    f"CAN priority {prio}"
+                )
+            seen_msgs[prio] = name
+
+
 def validate_configuration(
     app: Application, arch: Architecture, config: SystemConfiguration
 ) -> None:
@@ -48,18 +148,7 @@ def validate_configuration(
     * slot capacities can carry the largest TT->TT / ET->TT message sent by
       their owner.
     """
-    expected = set(arch.ttp_slot_owners())
-    actual = set(config.bus.nodes())
-    if expected != actual:
-        missing = sorted(expected - actual)
-        extra = sorted(actual - expected)
-        raise ConfigurationError(
-            f"TDMA round must have one slot per TTP controller; "
-            f"missing={missing}, unexpected={extra}"
-        )
-    config.priorities.validate(app, arch)
-    _check_slot_capacities(app, arch, config)
-    _check_route_slot_capacities(app, arch, config)
+    ConfigurationRules(app, arch).check(config)
 
 
 def _check_route_slot_capacities(
@@ -115,47 +204,12 @@ def _relaying_gateways(arch: Architecture, src_node: str, dst_node: str):
     return relays
 
 
-def _largest_payload_per_sender(app: Application, arch: Architecture):
-    """Largest message each TTP-transmitting node must fit in its slot."""
-    largest = {}
-    for msg in app.all_messages():
-        route = arch.route_of(app, msg)
-        if route in (MessageRoute.TT_TO_TT, MessageRoute.TT_TO_ET):
-            # Sent over the TTP bus in the sender node's slot (for TT->ET
-            # the first leg ends at the gateway MBI).
-            senders = [app.process(msg.src).node]
-        elif route is MessageRoute.LOCAL:
-            continue
-        else:
-            # ET-sourced: relayed over the TTP bus by every gateway whose
-            # crossing enters the TT cluster (the canonical ET->TT case is
-            # exactly the single gateway; ET->ET transit also qualifies).
-            senders = _relaying_gateways(
-                arch, app.process(msg.src).node, app.process(msg.dst).node
-            )
-        for sender_node in senders:
-            largest[sender_node] = max(
-                largest.get(sender_node, 0), msg.size
-            )
-    return largest
-
-
-def _check_slot_capacities(
-    app: Application, arch: Architecture, config: SystemConfiguration
-) -> None:
-    for node, needed in _largest_payload_per_sender(app, arch).items():
-        slot = config.bus.slot_of(node)
-        if slot.capacity < needed:
-            raise ConfigurationError(
-                f"slot of {node} has capacity {slot.capacity} bytes but must "
-                f"carry a {needed}-byte message"
-            )
-
-
-def minimum_slot_capacity(app: Application, arch: Architecture, node: str) -> int:
+def minimum_slot_capacity(system, node: str) -> int:
     """Smallest legal slot capacity for ``node`` (``size_smallest`` of Fig. 8).
 
     Equal to the size of the largest message the node transmits on the TTP
-    bus, or 1 byte if it transmits nothing.
+    bus, or 1 byte if it transmits nothing (read from the
+    :class:`ConfigurationRules` of ``system``, a
+    :class:`repro.system.System`).
     """
-    return max(1, _largest_payload_per_sender(app, arch).get(node, 1))
+    return max(1, system.configuration_rules().largest_payload.get(node, 1))

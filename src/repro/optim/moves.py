@@ -171,7 +171,7 @@ def _slot_moves(system: System, config: SystemConfiguration) -> List[Move]:
         for j in range(i + 1, slot_count):
             moves.append(SwapSlots(i, j))
     for slot in config.bus.slots:
-        floor = minimum_slot_capacity(system.app, system.arch, slot.node)
+        floor = minimum_slot_capacity(system, slot.node)
         step = max(4, floor // 2)
         candidates = {slot.capacity - step, floor, slot.capacity + step}
         candidates.update(recommended_capacities(system, slot.node))

@@ -58,7 +58,7 @@ def recommended_capacities(
     capacities at which one more message fits into the same frame.
     """
     sizes = sorted(messages_sent_over_ttp(system, node), reverse=True)
-    floor = minimum_slot_capacity(system.app, system.arch, node)
+    floor = minimum_slot_capacity(system, node)
     candidates = {floor}
     running = 0
     for size in sizes:
@@ -78,7 +78,7 @@ def recommended_capacities(
 def default_capacities(system: System) -> Dict[str, int]:
     """Minimal legal capacity per TTP transmitter (the SF/initial choice)."""
     return {
-        node: minimum_slot_capacity(system.app, system.arch, node)
+        node: minimum_slot_capacity(system, node)
         for node in system.arch.ttp_slot_owners()
     }
 

@@ -24,7 +24,7 @@ from .buses.ttp import TTPBusSpec
 from .exceptions import ModelError
 from .model.application import Application
 from .model.architecture import Architecture, MessageRoute
-from .model.validation import validate_system
+from .model.validation import ConfigurationRules, validate_system
 
 __all__ = ["System"]
 
@@ -33,7 +33,10 @@ __all__ = ["System"]
 _MAX_PLANS = 16
 
 #: The attributes holding compiled engine state, left out of copies.
-_COMPILED_STATE = ("_plans", "_schedulers", "_kernels", "_sim_templates")
+_COMPILED_STATE = (
+    "_plans", "_buffer_layouts", "_schedulers", "_kernels", "_sim_templates",
+    "_rules", "_derated",
+)
 
 
 def lru_lookup(cache: OrderedDict, key, build, bound: int):
@@ -162,13 +165,14 @@ class System:
             dst = topo.cluster_of_node(app.process(msg.dst).node)
             self._msg_clusters[msg.name] = (src, dst)
         # Compiled engine state: routing plans per route overrides,
-        # schedulers per routing plan (repro.schedule.list_scheduler),
-        # analysis kernels per modeled fault spec (repro.analysis.kernel)
-        # and simulation templates per schedule (repro.sim.kernel).
-        self._plans: OrderedDict = OrderedDict()
-        self._schedulers: OrderedDict = OrderedDict()
-        self._kernels: OrderedDict = OrderedDict()
-        self._sim_templates: OrderedDict = OrderedDict()
+        # buffer-queue layouts (repro.analysis.buffers) and schedulers
+        # (repro.schedule.list_scheduler) per routing plan, analysis
+        # kernels per modeled fault spec (repro.analysis.kernel),
+        # simulation templates per schedule (repro.sim.kernel), the
+        # validation constants (configuration_rules) and derated
+        # Systems per modeled fault spec (repro.faults).
+        for name in _COMPILED_STATE:
+            setattr(self, name, OrderedDict())
         # Default route per (source, destination) cluster pair.
         self._default_routes: Dict[Tuple[str, str], Tuple[str, ...]] = {}
 
@@ -233,6 +237,14 @@ class System:
             or tuple(route) != self.default_route(name)
         )) if overrides else ()
         return lru_lookup(self._plans, key, build, _MAX_PLANS)
+
+    def configuration_rules(self):
+        """The System's :class:`~repro.model.validation.ConfigurationRules`
+        (built once, from the cached message routes)."""
+        return lru_lookup(
+            self._rules, None,
+            lambda: ConfigurationRules(self.app, self.arch, self._route), 1,
+        )
 
     # -- routing ------------------------------------------------------------
 

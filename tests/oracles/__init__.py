@@ -16,6 +16,10 @@ identity suites compare against:
 * :func:`legacy_static_schedule` — the interpreted list scheduler,
   which re-derives urgencies, predecessor routes and slot arithmetic
   per call;
+* :func:`legacy_buffer_bounds` — the name-keyed queue-size bounds,
+  which re-derive queue membership and pair constants per call, over
+  the reference activation counts :func:`phase_locked_hits` and
+  :func:`ceil0_hits`;
 * :class:`LegacySimulator` / :func:`legacy_simulate` — the
   event-by-event simulator over an :class:`EventQueue` heap;
 * :func:`steer_gateway_traffic_scan` — the full-scan workload steering.
@@ -23,8 +27,10 @@ identity suites compare against:
 Nothing under ``src/`` imports this package.
 """
 
+from .busy_window import ceil0_hits, phase_locked_hits
 from .events import EventQueue
 from .full_sweep import full_sweep_solve
+from .legacy_buffers import legacy_buffer_bounds
 from .legacy_multihop import legacy_multihop_response_time_analysis
 from .legacy_rta import legacy_response_time_analysis
 from .legacy_schedule import legacy_static_schedule
@@ -34,10 +40,13 @@ from .workload_scan import steer_gateway_traffic_scan
 __all__ = [
     "EventQueue",
     "LegacySimulator",
+    "ceil0_hits",
     "full_sweep_solve",
+    "legacy_buffer_bounds",
     "legacy_multihop_response_time_analysis",
     "legacy_response_time_analysis",
     "legacy_simulate",
     "legacy_static_schedule",
+    "phase_locked_hits",
     "steer_gateway_traffic_scan",
 ]

@@ -13,7 +13,6 @@ import math
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.can_analysis import TIE_EPSILON, can_error_term
-from repro.analysis.holistic import phase_locked_hits
 from repro.analysis.timing import ActivityTiming, ResponseTimes
 from repro.buses.ttp import TTPBusConfig
 from repro.exceptions import AnalysisError
@@ -31,6 +30,7 @@ from .busy_window import (
     _MAX_OUTER_ITERATIONS,
     _rel_offset,
     _solve_window,
+    phase_locked_hits,
 )
 
 __all__ = ["legacy_response_time_analysis"]

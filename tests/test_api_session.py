@@ -137,6 +137,87 @@ class TestRunResultRoundTrip:
             }
 
 
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Every :func:`timing_table` build, wherever the name is bound."""
+    import sys
+
+    from repro.api import result
+
+    builds = []
+    original = result.timing_table
+
+    def counted(rho):
+        builds.append(rho)
+        return original(rho)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, "timing_table", None) is original):
+            monkeypatch.setattr(module, "timing_table", counted)
+    return builds
+
+
+class TestTimingBuiltOnFirstRead:
+    """``RunResult.timing`` is built from ``analysis.rho`` when first
+    read: optimizers, which read only the verdict, never build it, and
+    every path that does read it sees the same rows."""
+
+    def test_or_run_builds_no_timing_table(self, table_builds):
+        from repro.optim import optimize_resources
+        from repro.synth.workload import WorkloadSpec, generate_workload
+
+        system = generate_workload(WorkloadSpec(nodes=2, seed=0))
+        session = Session(system)
+        optimize_resources(
+            system, max_iterations=3, neighborhood=8, session=session
+        )
+        assert session.cache_info().backend_calls > 10
+        assert table_builds == []
+
+    def test_every_path_reads_the_same_rows(self, tmp_path):
+        from repro.api import timing_table
+        from repro.conformance import conformance_configuration
+        from repro.synth.workload import WorkloadSpec, generate_workload
+
+        system = generate_workload(WorkloadSpec(nodes=2, seed=0))
+        config = conformance_configuration(system, 10)
+        other = config.copy()
+        first, second = system.can_messages()[:2]
+        other.priorities.swap_messages(first, second)
+        expected = {}
+        for cfg in (config, other):
+            run = Session(system).evaluate(cfg.copy())
+            expected[config_hash(cfg)] = timing_table(run.analysis.rho)
+        assert expected[config_hash(config)] != expected[config_hash(other)]
+
+        def check(run, cfg):
+            assert run.error is None
+            table = expected[config_hash(cfg)]
+            assert run.timing == table
+            assert run.to_dict()["timing"] == table
+
+        session = Session(system, store=tmp_path / "store")
+        direct = session.evaluate(config.copy())
+        check(direct, config)
+        check(session.evaluate(config.copy()), config)  # memo hit
+        stored = Session(system, store=tmp_path / "store")
+        hit = stored.evaluate(config.copy())  # store hit
+        assert stored.cache_info().store_hits == 1
+        check(hit, config)
+        batch = Session(system).evaluate_many(
+            [config.copy(), other.copy()], workers=2
+        )
+        for run, cfg in zip(batch, (config, other)):
+            check(run, cfg)
+        simulated = Session(system).evaluate(
+            config.copy(), backend="simulation", periods=2
+        )
+        check(simulated, config)
+        assert simulated.metadata["violations"] == 0
+
+
 class TestSessionEvaluate:
     def test_single_evaluation_matches_direct_pipeline(self):
         system = two_node_system()

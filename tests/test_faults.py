@@ -137,6 +137,65 @@ class TestFaultSpec:
             ghost.validate_nodes(system)
 
 
+class TestDeratedSystemReuse:
+    """A slow-node or slow-bus spec derates the System once: the derated
+    copy is kept per modeled spec, so repeated evaluations share one
+    analysis kernel instead of compiling a fresh System each time."""
+
+    @staticmethod
+    def _compiles(monkeypatch):
+        from repro.analysis.kernel import AnalysisContext
+
+        compiles = []
+        compile_activities = AnalysisContext._compile_activities
+
+        def counted(self):
+            compiles.append(self)
+            compile_activities(self)
+
+        monkeypatch.setattr(AnalysisContext, "_compile_activities", counted)
+        return compiles
+
+    @pytest.mark.parametrize("faults", [
+        {"bus_slow": 1.2},
+        {"node_slow": {"N1": 1.3}},
+        {"node_slow": {"N1": 1.3}, "exec_jitter": 0.2},
+    ])
+    def test_five_evaluations_compile_once(self, monkeypatch, faults):
+        system = generate_workload(WorkloadSpec(nodes=2, seed=0))
+        if "node_slow" in faults:
+            et_node = system.arch.et_node_names()[0]
+            faults = {**faults, "node_slow": {et_node: 1.3}}
+        session = Session(system)
+        config = conformance_configuration(system, 10)
+        compiles = self._compiles(monkeypatch)
+        runs = [
+            session.evaluate(config.copy(), memoize=False, faults=faults)
+            for _ in range(5)
+        ]
+        assert all(run.error is None for run in runs)
+        assert all(run.metadata["fault_derated"] for run in runs)
+        assert len({run.degree for run in runs}) == 1
+        assert len(compiles) == 1
+        assert len(system._derated) == 1
+
+    def test_invalid_node_slow_raises_on_every_call(self):
+        system = generate_workload(WorkloadSpec(nodes=2, seed=0))
+        tt_node = system.arch.tt_node_names()[0]
+        session = Session(system)
+        config = conformance_configuration(system, 10)
+        errors = [
+            session.evaluate(
+                config.copy(), memoize=False,
+                faults={"node_slow": {tt_node: 2.0}},
+            ).error
+            for _ in range(2)
+        ]
+        assert errors[0] is not None and tt_node in errors[0]
+        assert errors[0] == errors[1]
+        assert not system._derated
+
+
 class TestNullFaultIdentity:
     """ISSUE satellite: ``FaultSpec()`` == no faults, bit for bit."""
 

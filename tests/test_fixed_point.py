@@ -3,8 +3,10 @@ and the kernel's row solver."""
 
 import math
 
-from repro.analysis import Interferer, ceil0_hits
+from repro.analysis import Interferer
 from repro.analysis.kernel import _solve_row
+
+from oracles.busy_window import ceil0_hits
 
 
 def make(jitter=0.0, rel=0.0, period=100.0, cost=10.0):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.api import Session
 from repro.buses import Slot, TTPBusConfig
+from repro.conformance import conformance_configuration
 from repro.exceptions import ConfigurationError
 from repro.model import (
     OffsetTable,
@@ -10,6 +12,7 @@ from repro.model import (
     SystemConfiguration,
     validate_configuration,
 )
+from repro.synth.workload import WorkloadSpec, generate_workload
 
 from helpers import two_node_config, two_node_system
 
@@ -107,6 +110,89 @@ class TestSystemConfiguration:
         system = two_node_system()
         validate_configuration(system.app, system.arch, two_node_config())
 
+
+
+def _extra_slot(config):
+    config.bus = TTPBusConfig(
+        list(config.bus.slots) + [Slot("NX", capacity=8, duration=10.0)]
+    )
+
+
+def _priorities(processes, messages):
+    def edit(config):
+        config.priorities = PriorityAssignment(processes, messages)
+    return edit
+
+
+def _relay_through_small_slot(config):
+    config.routes = {"G0_m10": ("NG3",)}
+    config.bus = TTPBusConfig([
+        Slot(s.node, 1 if s.node == "NG3" else s.capacity, s.duration)
+        for s in config.bus.slots
+    ])
+
+
+def _routed_system():
+    return generate_workload(WorkloadSpec(
+        clusters=3, gateways=3, nodes=4, processes_per_node=4, seed=0
+    ))
+
+
+#: (system, configuration, edit, the exact error).  Errors become
+#: ``RunResult.error``, which is serialized and stored, so the strings
+#: are pinned byte for byte.
+INVALID = {
+    "missing-slot": (
+        two_node_system, lambda s: two_node_config(slot_order=("N1",)),
+        None,
+        "TDMA round must have one slot per TTP controller; "
+        "missing=['NG'], unexpected=[]",
+    ),
+    "extra-slot": (
+        two_node_system, lambda s: two_node_config(), _extra_slot,
+        "TDMA round must have one slot per TTP controller; "
+        "missing=[], unexpected=['NX']",
+    ),
+    "slot-capacity": (
+        two_node_system, lambda s: two_node_config(capacity=4), None,
+        "slot of N1 has capacity 4 bytes but must carry a 8-byte message",
+    ),
+    "duplicate-process-priority": (
+        two_node_system, lambda s: two_node_config(),
+        _priorities({"B": 1, "X": 1}, {"ma": 1, "mb": 2}),
+        "processes X and B share priority 1 on node N2",
+    ),
+    "duplicate-can-priority": (
+        two_node_system, lambda s: two_node_config(),
+        _priorities({"B": 1, "X": 2}, {"ma": 1, "mb": 1}),
+        "messages ma and mb share CAN priority 1",
+    ),
+    "missing-process-priority": (
+        two_node_system, lambda s: two_node_config(),
+        _priorities({"B": 1}, {"ma": 1, "mb": 2}),
+        "no priority assigned to process X",
+    ),
+    "route-relay-capacity": (
+        _routed_system, lambda s: conformance_configuration(s, 10),
+        _relay_through_small_slot,
+        "route of G0_m10 relays through NG3, whose TTP slot (1 B) "
+        "cannot carry the 17-byte message",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_validation_error_strings(case):
+    make_system, make_config, edit, message = INVALID[case]
+    system = make_system()
+    config = make_config(system)
+    if edit is not None:
+        edit(config)
+    with pytest.raises(ConfigurationError) as raised:
+        validate_configuration(system.app, system.arch, config)
+    assert str(raised.value) == message
+    # The analysis backend checks through the System's cached rules.
+    assert Session(system).evaluate(config).error == message
 
 class TestBusConfigErrors:
     def test_duplicate_slot_owner_rejected(self):

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.analysis.holistic import phase_locked_hits
 from repro.exceptions import ModelError
 from repro.synth import fig4_system
 
 from helpers import two_node_system
+from oracles.busy_window import phase_locked_hits
 
 
 class TestSystemCaches:
