@@ -61,60 +61,48 @@ class BufferReport:
 
 
 class _BufferLayout:
-    """The queues of one ``(System, plan)`` over interned legs.
+    """The queues of one ``(System, plan)`` over its plan's leg ids.
 
-    Every queued leg gets an id: the CAN legs in message-name then
-    position order, then the FIFO legs per gateway.  ``reads`` says
-    where each leg's timing lives in ``ρ`` (position ``-1`` marks a
-    FIFO leg, read from ``ρ.ttp``); each queue is a list of residents
-    (:data:`_Resident`) in the order the bound sums them.
+    ``reads`` says where each leg's timing lives in ``ρ`` (position
+    ``-1`` marks a FIFO leg, read from ``ρ.ttp``); each queue is a list
+    of residents (:data:`_Resident`) in leg-id order, the order the
+    bound sums them.
     """
 
     def __init__(self, system: System, plan) -> None:
-        app = system.app
-        is_anc = system.message_is_ancestor
-        self.reads: List[Tuple[str, int]] = []
-        gw_can: Dict[str, List[int]] = {}
-        src_can: Dict[str, List[int]] = {}
-        for m, legs in sorted(plan.legs.items()):
-            for pos, leg in enumerate(legs):
-                if leg.is_fifo:
-                    continue
-                # Source-node queue: every frame leaving an ET node —
-                # ET->ET and the first leg of crossing messages alike —
-                # waits in that node's CAN controller queue.
-                queue = (
-                    gw_can.setdefault(leg.via, []) if leg.via is not None
-                    else src_can.setdefault(leg.sender, [])
-                )
-                queue.append(len(self.reads))
-                self.reads.append((m, pos))
-        fifo: List[List[int]] = []
-        for gateway in sorted(plan.fifo_users):
-            fifo.append([])
-            for m in plan.fifo_users[gateway]:
-                fifo[-1].append(len(self.reads))
-                self.reads.append((m, -1))
-        names = [m for m, _ in self.reads]
-        size = [app.message(m).size for m in names]
-        period = [app.period_of_message(m) for m in names]
+        image = system.image
+        legs_of = plan.image
+        msg = legs_of.leg_msg
+        self.reads: List[Tuple[str, int]] = [
+            (image.msg_names[m], -1 if fifo else pos)
+            for m, pos, fifo in zip(msg, legs_of.leg_pos, legs_of.leg_fifo)
+        ]
+        size = [image.msg_size[m] for m in msg]
+        period = [image.msg_period[m] for m in msg]
+        ancestors = image.msg_anc
+        # Source-node queue: every frame leaving an ET node — ET->ET and
+        # the first leg of crossing messages alike — waits in that
+        # node's CAN controller queue.
+        queues: List[List[int]] = [[] for _ in image.queue_names]
+        for leg, queue in enumerate(legs_of.leg_queue):
+            queues[queue].append(leg)
 
         def residents(members: List[int]) -> List[_Resident]:
             return [
                 (a, size[a], [
                     (b, size[b], period[b], period[b] == period[a],
-                     is_anc(names[b], names[a]))
-                    for b in members if names[b] != names[a]
+                     msg[b] in ancestors[msg[a]])
+                    for b in members if msg[b] != msg[a]
                 ])
                 for a in members
             ]
 
-        self.out_can = [residents(gw_can[g]) for g in sorted(gw_can)]
+        self.out_can = [residents(queues[q]) for q in image.out_can_q]
+        self.out_ttp = [residents(queues[q]) for q in image.out_ttp_q]
         self.out_node = [
-            (node, residents(src_can.get(node, [])))
-            for node in system.arch.et_node_names()
+            (node, residents(queues[q]))
+            for node, q in zip(image.et_nodes, image.node_q)
         ]
-        self.out_ttp = [residents(members) for members in fifo]
 
 
 def _queue_bound(

@@ -56,19 +56,19 @@ def graph_response_time(
     schedulable (a verdict unsoundness found by the conformance
     campaign).
     """
-    graph = system.app.graphs[graph_name]
-    for proc_name in graph.processes:
-        if not rho.processes[proc_name].converged:
+    image = system.image
+    g = image.graph_id[graph_name]
+    for p in image.graph_procs[g]:
+        if not rho.processes[image.proc_names[p]].converged:
             return math.inf
-    for msg_name in graph.messages:
+    for m in image.graph_msgs[g]:
         for legs in (rho.can, rho.ttp):
-            timing = legs.get(msg_name)
+            timing = legs.get(image.msg_names[m])
             if timing is not None and not timing.converged:
                 return math.inf
     worst = 0.0
-    for sink in graph.sinks():
-        timing = rho.processes[sink]
-        worst = max(worst, timing.worst_end)
+    for p in image.graph_sinks[g]:
+        worst = max(worst, rho.processes[image.proc_names[p]].worst_end)
     return worst
 
 

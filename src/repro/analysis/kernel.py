@@ -282,45 +282,34 @@ class AnalysisContext:
     # -- static (per-System) compile ----------------------------------------
 
     def _compile_activities(self) -> None:
-        """Per-System constants (every routing plan shares them)."""
-        system = self.system
-        app = system.app
-        arch = system.arch
+        """Per-System constants (every routing plan shares them), read
+        from the System's image."""
+        image = self.system.image
+        et, can = image.et_procs, image.can
+        self.et_procs: List[str] = [image.proc_names[p] for p in et]
+        #: ET id of every process (by process id), -1 for a TT process.
+        self._et_id = [-1] * len(image.proc_names)
+        for i, p in enumerate(et):
+            self._et_id[p] = i
+        self.can_msgs: List[str] = [image.msg_names[m] for m in can]
 
-        self.et_procs: List[str] = system.et_processes()
-        self.proc_index: Dict[str, int] = {
-            name: i for i, name in enumerate(self.et_procs)
-        }
-        self.can_msgs: List[str] = system.can_messages()
-
-        self._wcet = [app.process(p).wcet for p in self.et_procs]
-        self._proc_period = [
-            app.period_of_process(p) for p in self.et_procs
-        ]
-        self._proc_node = [app.process(p).node for p in self.et_procs]
-        self._msg_period = [
-            app.period_of_message(m) for m in self.can_msgs
-        ]
-        self._frame_time = [
-            system.can_frame_time(m) for m in self.can_msgs
-        ]
-        self._msg_size = [
-            float(app.message(m).size) for m in self.can_msgs
-        ]
+        self._wcet = [image.proc_wcet[p] for p in et]
+        self._proc_period = [image.proc_period[p] for p in et]
+        self._proc_node = [image.proc_node[p] for p in et]
+        self._msg_period = [image.msg_period[m] for m in can]
+        self._frame_time = [image.msg_frame[m] for m in can]
+        self._msg_size = [float(image.msg_size[m]) for m in can]
         # Every process in packaging order as (name, WCET, ET id), the
         # id -1 marking a TT process (fixed response = WCET).
-        self._proc_records: List[Tuple[str, float, int]] = []
-        self._tt_pred_wcet: Dict[str, float] = {}
-        for proc in app.all_processes():
-            if arch.is_et_node(proc.node):
-                index = self.proc_index[proc.name]
-            else:
-                index = -1
-                self._tt_pred_wcet[proc.name] = proc.wcet
-            self._proc_records.append((proc.name, proc.wcet, index))
+        self._proc_records: List[Tuple[str, float, int]] = list(
+            zip(image.proc_names, image.proc_wcet, self._et_id)
+        )
+        self._tt_pred_wcet: Dict[str, float] = {
+            name: wcet for name, wcet, i in self._proc_records if i < 0
+        }
         self._tt_msgs = [
-            msg.name for msg in app.all_messages()
-            if system.route(msg.name) is MessageRoute.TT_TO_TT
+            name for name, route in zip(image.msg_names, image.msg_route)
+            if route is MessageRoute.TT_TO_TT
         ]
 
         self._procs_on_node: Dict[str, List[int]] = {}
@@ -328,110 +317,105 @@ class AnalysisContext:
             self._procs_on_node.setdefault(node, []).append(i)
 
         self._max_graph_period = max(
-            (g.period for g in app.graphs.values()), default=0.0
+            (g.period for g in self.system.app.graphs.values()), default=0.0
         )
 
         # Ancestor flags are priority-independent; precompute them once
-        # so row rebuilds never re-query the System.
+        # so row rebuilds never re-query the image.
         self._proc_anc_rows: Dict[int, List[bool]] = {}
-        for node, members in self._procs_on_node.items():
+        for members in self._procs_on_node.values():
             for i in members:
-                self._proc_anc_rows[i] = [
-                    system.process_is_ancestor(
-                        self.et_procs[j], self.et_procs[i]
-                    )
-                    for j in members
-                ]
+                ancestors = image.proc_anc[et[i]]
+                self._proc_anc_rows[i] = [et[j] in ancestors for j in members]
 
     def _compile_plan(self, plan) -> None:
-        """Per-leg slots of ``plan`` (once per ``(System, plan)``).
+        """Per-leg slots of ``plan`` (once per ``(System, plan)``), from
+        its :class:`~repro.image.PlanImage`.
 
         CAN slots follow ``can_messages()`` order, then leg position;
         FIFO slots follow message order, which is the sorted order the
         interpreted oracle iterates.
         """
-        system = self.system
-        app = system.app
-        arch = system.arch
-        transfer = {g: arch.transfer_wcet_of(g) for g in arch.gateways()}
-        slot_ids: Dict[Tuple[str, int], int] = {}
-        fifo_ids: Dict[str, int] = {}
+        image = self.system.image
+        legs_of = plan.image
+        is_fifo = legs_of.leg_fifo
+        can = image.can
+        transfer = image.transfer
+        slot_of = [-1] * len(is_fifo)  # CAN slot of each CAN leg
+        fifo_of = [-1] * len(is_fifo)  # FIFO slot of each FIFO leg
         slot_msg: List[int] = []
         slot_entry: List[tuple] = []
-        slot_atomic: List[Optional[str]] = []
-        slot_bus: List[str] = []
+        slot_atomic: List[Optional[int]] = []
+        slot_bus: List[int] = []
         fifo_msg: List[int] = []
         fifo_prev: List[int] = []
-        fifo_gateway: List[str] = []
-        final_slot: Dict[str, int] = {}
+        fifo_gw: List[int] = []
+        final_slot: Dict[int, int] = {}
         report_slot: List[int] = []
         hop_slots: List[Tuple[str, tuple]] = []
-        for mi, m in enumerate(self.can_msgs):
-            legs = plan.legs_of(m)
+        for mi, m in enumerate(can):
+            legs = legs_of.msg_legs[m]
             hops = []
             for pos, leg in enumerate(legs):
-                if leg.is_fifo:
-                    fifo_ids[m] = len(fifo_msg)
+                if is_fifo[leg]:
+                    fifo_of[leg] = len(fifo_msg)
                     hops.append((True, len(fifo_msg)))
                     fifo_msg.append(mi)
-                    fifo_prev.append(slot_ids[(m, pos - 1)])
-                    fifo_gateway.append(leg.sender)
+                    fifo_prev.append(slot_of[legs[pos - 1]])
+                    fifo_gw.append(legs_of.leg_via[leg])
                     continue
-                slot_ids[(m, pos)] = len(slot_msg)
+                slot_of[leg] = len(slot_msg)
                 hops.append((False, len(slot_msg)))
                 slot_msg.append(mi)
-                slot_bus.append(leg.cluster)
-                via = leg.via
-                if via is None:
-                    src = self.proc_index[app.message(m).src]
-                    slot_entry.append((_SOURCE, src, 0.0))
-                    slot_atomic.append(None)
+                slot_bus.append(legs_of.leg_bus[leg])
+                via, prev = legs_of.leg_via[leg], legs[pos - 1]
+                if via < 0:
+                    entry = (_SOURCE, self._et_id[image.msg_src[m]], 0.0)
                 elif pos == 0:
-                    slot_entry.append((_ENTRY, -1, transfer[via]))
-                    slot_atomic.append(via)
-                elif legs[pos - 1].is_fifo:
-                    slot_entry.append((_TRANSIT, fifo_ids[m], transfer[via]))
-                    slot_atomic.append(via)
+                    entry = (_ENTRY, -1, transfer[via])
+                elif is_fifo[prev]:
+                    entry = (_TRANSIT, fifo_of[prev], transfer[via])
                 else:
-                    prev = slot_ids[(m, pos - 1)]
-                    slot_entry.append((_RELAY, prev, transfer[via]))
-                    slot_atomic.append(None)
-            if legs and not legs[-1].is_fifo:
-                final_slot[m] = slot_ids[(m, len(legs) - 1)]
+                    entry = (_RELAY, slot_of[prev], transfer[via])
+                slot_entry.append(entry)
+                slot_atomic.append(
+                    via if entry[0] in (_ENTRY, _TRANSIT) else None
+                )
+            if legs and not is_fifo[legs[-1]]:
+                final_slot[m] = slot_of[legs[-1]]
                 report_slot.append(final_slot[m])
             else:
                 # ET->TT: the classic convention reports the source CAN
                 # leg; the FIFO leg is the ttp record.
-                report_slot.append(slot_ids[(m, 0)])
+                report_slot.append(slot_of[legs[0]])
             if len(legs) > 1:
-                hop_slots.append((m, tuple(hops)))
+                hop_slots.append((self.can_msgs[mi], tuple(hops)))
 
-        is_anc = system.message_is_ancestor
-        names = self.can_msgs
-        on_bus: Dict[str, List[int]] = {}
-        for k, cluster in enumerate(slot_bus):
-            on_bus.setdefault(cluster, []).append(k)
-        self._slot_peers = [
-            [
-                (k, slot_msg[k], is_anc(names[slot_msg[k]], names[mi]))
+        msg_anc = image.msg_anc
+        on_bus: Dict[int, List[int]] = {}
+        for k, bus in enumerate(slot_bus):
+            on_bus.setdefault(bus, []).append(k)
+        self._slot_peers = []
+        for i, mi in enumerate(slot_msg):
+            ancestors = msg_anc[can[mi]]
+            self._slot_peers.append([
+                (k, slot_msg[k], can[slot_msg[k]] in ancestors)
                 for k in on_bus[slot_bus[i]]
                 if slot_msg[k] != mi
-            ]
-            for i, mi in enumerate(slot_msg)
-        ]
+            ])
         self._fifo_rows = []
         for f, mi in enumerate(fifo_msg):
-            m = names[mi]
+            ancestors = msg_anc[can[mi]]
             row = []
-            for j in plan.fifo_users.get(fifo_gateway[f], []):
-                if j == m:
-                    continue
-                k = fifo_ids[j]
+            for leg in legs_of.fifo_users[fifo_gw[f]]:
+                k = fifo_of[leg]
                 mj = fifo_msg[k]
+                if mj == mi:
+                    continue
                 row.append((
                     k, 0.0, self._msg_period[mj], self._msg_size[mj],
                     self._msg_period[mj] == self._msg_period[mi],
-                    is_anc(j, m),
+                    can[mj] in ancestors,
                 ))
             self._fifo_rows.append(row)
         self._slot_msg = slot_msg
@@ -444,9 +428,9 @@ class AnalysisContext:
         self._slot_frame = [self._frame_time[k] for k in slot_msg]
         self._fifo_msg = fifo_msg
         self._fifo_prev = fifo_prev
-        self._fifo_transfer = [transfer[g] for g in fifo_gateway]
-        self._fifo_gateway = fifo_gateway
-        self._fifo_names = [names[k] for k in fifo_msg]
+        self._fifo_transfer = [transfer[g] for g in fifo_gw]
+        self._fifo_gateway = [image.gateways[g] for g in fifo_gw]
+        self._fifo_names = [self.can_msgs[k] for k in fifo_msg]
         self._fifo_size = [self._msg_size[k] for k in fifo_msg]
         # Largest frame (own message included) pending per FIFO row —
         # the fragmentation term of the whole-frame drain bound.
@@ -460,15 +444,15 @@ class AnalysisContext:
         # (-1, ET predecessor id, "") for same-cluster precedence, and
         # (-1, -1, name) for a TT predecessor (fixed response = WCET).
         self._proc_arcs: List[List[Tuple[int, int, str]]] = []
-        for p in self.et_procs:
+        for p in image.et_procs:
             arcs: List[Tuple[int, int, str]] = []
-            for pred, msg_name in app.graph_of_process(p).predecessors(p):
-                if msg_name is not None:
-                    arcs.append((final_slot[msg_name], -1, ""))
-                elif pred in self.proc_index:
-                    arcs.append((-1, self.proc_index[pred], ""))
+            for pred, m in image.preds[p]:
+                if m >= 0:
+                    arcs.append((final_slot[m], -1, ""))
+                elif self._et_id[pred] >= 0:
+                    arcs.append((-1, self._et_id[pred], ""))
                 else:
-                    arcs.append((-1, -1, pred))
+                    arcs.append((-1, -1, image.proc_names[pred]))
             self._proc_arcs.append(arcs)
         # The TT processes whose offsets the release jitters read.
         self._tt_preds = sorted({
@@ -500,7 +484,7 @@ class AnalysisContext:
                     self._pr_readers[pred][1].append(i)
         self._fifo_deps = _readers(self._fifo_rows, len(fifo_msg))
 
-        self._slot_gateways = sorted(set(fifo_gateway))
+        self._slot_gateways = sorted(set(self._fifo_gateway))
         self._report_slot = report_slot
         # One gateway (the paper's canonical shape) keeps the classic
         # record set, as it keeps the bare queue names: no per-gateway
@@ -511,8 +495,8 @@ class AnalysisContext:
         if len(transfer) > 1:
             self._hop_slots = hop_slots
             self._transfer_records = [
-                (f"{GATEWAY_TRANSFER_PROCESS}@{g}", transfer[g])
-                for g in arch.gateways()
+                (f"{GATEWAY_TRANSFER_PROCESS}@{g}", cost)
+                for g, cost in zip(image.gateways, transfer)
             ]
 
     # -- (π, β) compile and incremental update ------------------------------

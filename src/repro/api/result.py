@@ -20,8 +20,9 @@ serializable facts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from ..analysis.buffers import BufferReport
 from ..analysis.degree import SchedulabilityReport
@@ -29,7 +30,7 @@ from ..analysis.multicluster import MultiClusterResult
 from ..analysis.timing import ResponseTimes
 from ..model.configuration import SystemConfiguration
 
-__all__ = ["RunResult", "INFEASIBLE_COST", "timing_table"]
+__all__ = ["RunResult", "INFEASIBLE_COST", "timing_table", "worst_ends"]
 
 #: Cost assigned to configurations that cannot be evaluated at all.
 #: (Canonical home of the constant previously defined in
@@ -40,6 +41,28 @@ INFEASIBLE_COST = 1e15
 RUNRESULT_FORMAT = "repro-runresult-v1"
 
 
+def _num(value: float) -> Optional[float]:
+    """``value``, or ``None`` when it is infinite or NaN (valid JSON)."""
+    return value if value == value and abs(value) != math.inf else None
+
+
+def _activities(rho: ResponseTimes) -> List[tuple]:
+    """``(key, kind, name, record, worst_end)`` per analysed activity, in
+    table order; ``record`` is ``None`` for a TT arrival."""
+    return [
+        (f"{kind}:{name}", kind, name, t, t.worst_end)
+        for kind, records in (
+            ("process", rho.processes),
+            ("can", rho.can),
+            ("ttp", rho.ttp),
+        )
+        for name, t in records.items()
+    ] + [
+        (f"tt:{name}", "tt", name, None, arrival)
+        for name, arrival in rho.tt_arrival.items()
+    ]
+
+
 def timing_table(rho: ResponseTimes) -> Dict[str, Dict[str, Any]]:
     """Flatten a :class:`ResponseTimes` into JSON-ready timing rows.
 
@@ -47,41 +70,39 @@ def timing_table(rho: ResponseTimes) -> Dict[str, Dict[str, Any]]:
     message's CAN and TTP legs stay distinct.  Infinite values (diverged
     fixed points) are mapped to ``None`` to stay valid JSON.
     """
-
-    def _num(value: float) -> Optional[float]:
-        return value if value == value and abs(value) != float("inf") else None
-
     rows: Dict[str, Dict[str, Any]] = {}
-    for kind, records in (
-        ("process", rho.processes),
-        ("can", rho.can),
-        ("ttp", rho.ttp),
-    ):
-        for name, t in records.items():
-            rows[f"{kind}:{name}"] = {
+    for key, kind, name, t, end in _activities(rho):
+        if t is None:
+            rows[key] = {
                 "kind": kind,
                 "name": name,
-                "offset": _num(t.offset),
-                "jitter": _num(t.jitter),
-                "queuing": _num(t.queuing),
-                "duration": _num(t.duration),
-                "response": _num(t.response),
-                "worst_end": _num(t.worst_end),
-                "converged": t.converged,
+                "offset": None,
+                "jitter": None,
+                "queuing": None,
+                "duration": None,
+                "response": None,
+                "worst_end": _num(end),
+                "converged": True,
             }
-    for name, arrival in rho.tt_arrival.items():
-        rows[f"tt:{name}"] = {
-            "kind": "tt",
+            continue
+        rows[key] = {
+            "kind": kind,
             "name": name,
-            "offset": None,
-            "jitter": None,
-            "queuing": None,
-            "duration": None,
-            "response": None,
-            "worst_end": _num(arrival),
-            "converged": True,
+            "offset": _num(t.offset),
+            "jitter": _num(t.jitter),
+            "queuing": _num(t.queuing),
+            "duration": _num(t.duration),
+            "response": _num(t.response),
+            "worst_end": _num(end),
+            "converged": t.converged,
         }
     return rows
+
+
+def worst_ends(rho: ResponseTimes) -> Dict[str, Optional[float]]:
+    """The ``worst_end`` column of :func:`timing_table`, same keys and
+    values, without building the rows."""
+    return {key: _num(end) for key, _kind, _name, _t, end in _activities(rho)}
 
 
 class _TimingTable:
@@ -132,8 +153,9 @@ class RunResult:
     error: Optional[str] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
     #: Rich analysis payload; never serialized, absent after a round trip
-    #: or when the backend did not run the multi-cluster loop.
-    analysis: Optional[MultiClusterResult] = None
+    #: or when the backend did not run the multi-cluster loop, and not
+    #: part of ``==`` (a result equals its pickle and its copy).
+    analysis: Optional[MultiClusterResult] = field(default=None, compare=False)
 
     @property
     def feasible(self) -> bool:

@@ -108,6 +108,12 @@ class TTPBusConfig:
             s.node: i for i, s in enumerate(self.slots)
         }
 
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.slots == self.slots
+
+    def __hash__(self) -> int:
+        return hash(self.slots)
+
     # -- basic timing -------------------------------------------------------
 
     @property

@@ -23,8 +23,11 @@ fresh runs, memoized runs and fixture replays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from ..api.result import worst_ends
 
 __all__ = [
     "ConformanceViolation",
@@ -75,8 +78,6 @@ class ConformanceViolation:
         so ``json.dumps`` never emits the non-RFC ``Infinity`` token —
         the same convention as ``repro.api.result.timing_table``.
         """
-        import math
-
         return {
             "kind": self.kind,
             "activity": self.activity,
@@ -98,7 +99,17 @@ class ConformanceViolation:
         )
 
 
-def _delivery_bound(timing: Dict[str, Dict[str, Any]], name: str) -> Optional[float]:
+def _worst_ends(run) -> Dict[str, Optional[float]]:
+    """``worst_end`` per ``run.timing`` key, read from ``analysis.rho``
+    when the run carries it (so no timing table is built), else from the
+    rows: the same numbers either way."""
+    analysis = getattr(run, "analysis", None)
+    if analysis is None:
+        return {key: row["worst_end"] for key, row in run.timing.items()}
+    return worst_ends(analysis.rho)
+
+
+def _delivery_bound(ends: Dict[str, Optional[float]], name: str):
     """Analytic worst-case delivery latency of message ``name``.
 
     A message with several timing rows (ET->TT has a source ``can`` and
@@ -107,12 +118,12 @@ def _delivery_bound(timing: Dict[str, Dict[str, Any]], name: str) -> Optional[fl
     accumulates along the route, so the delivering leg is simply the
     row with the largest ``worst_end`` — no per-shape precedence list.
     """
-    ends = [
-        timing[f"{kind}:{name}"]["worst_end"]
+    found = [
+        ends[f"{kind}:{name}"]
         for kind in ("ttp", "can", "tt")
-        if f"{kind}:{name}" in timing
+        if f"{kind}:{name}" in ends
     ]
-    return max(ends) if ends else None
+    return max(found) if found else None
 
 
 def classify_run(run) -> List[ConformanceViolation]:
@@ -149,11 +160,9 @@ def classify_run(run) -> List[ConformanceViolation]:
                 )
             )
 
+    ends = _worst_ends(run)
     for name, observed in meta.get("observed_process_response", {}).items():
-        row = run.timing.get(f"process:{name}")
-        if row is None:
-            continue
-        bound = row["worst_end"]
+        bound = ends.get(f"process:{name}")
         if bound is not None and observed > bound + TOLERANCE:
             violations.append(
                 ConformanceViolation(
@@ -165,7 +174,7 @@ def classify_run(run) -> List[ConformanceViolation]:
             )
 
     for name, observed in meta.get("observed_message_latency", {}).items():
-        bound = _delivery_bound(run.timing, name)
+        bound = _delivery_bound(ends, name)
         if bound is not None and observed > bound + TOLERANCE:
             violations.append(
                 ConformanceViolation(

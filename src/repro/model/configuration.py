@@ -65,6 +65,10 @@ class PriorityAssignment:
                 f"no priority assigned to message {name}"
             ) from None
 
+    def __eq__(self, other) -> bool:
+        # By value; mutable, so unhashable.
+        return type(other) is type(self) and vars(other) == vars(self)
+
     def swap_processes(self, a: str, b: str) -> None:
         """Swap the priorities of two processes (an OR move)."""
         pa = self.process_priority(a)
@@ -93,9 +97,9 @@ class PriorityAssignment:
         message that travels on the CAN bus needs a unique bus-wide
         priority.
         """
-        from .validation import ConfigurationRules
+        from ..system import System
 
-        ConfigurationRules(app, arch).check_priorities(self)
+        System(app, arch).configuration_rules().check_priorities(self)
 
 
 class OffsetTable:
@@ -114,6 +118,10 @@ class OffsetTable:
     ) -> None:
         self.process_offsets: Dict[str, float] = dict(process_offsets or {})
         self.message_offsets: Dict[str, float] = dict(message_offsets or {})
+
+    def __eq__(self, other) -> bool:
+        # By value; mutable, so unhashable.
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def process_offset(self, name: str) -> float:
         """Offset ``O_i`` of a process."""

@@ -8,9 +8,10 @@ missing a slot for a transmitting node, and incomplete priority tables.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..exceptions import ConfigurationError, MappingError
+from ..image import CAN_ROUTES
 from .application import Application
 from .architecture import Architecture, MessageRoute
 from .configuration import PriorityAssignment, SystemConfiguration
@@ -19,12 +20,6 @@ __all__ = [
     "ConfigurationRules", "minimum_slot_capacity", "validate_configuration",
     "validate_system",
 ]
-
-#: Routes whose messages arbitrate on the CAN bus.
-_CAN_ROUTES = (
-    MessageRoute.ET_TO_ET, MessageRoute.TT_TO_ET, MessageRoute.ET_TO_TT,
-)
-
 
 def validate_system(app: Application, arch: Architecture) -> None:
     """Check the application/architecture pair is well formed.
@@ -47,50 +42,45 @@ def validate_system(app: Application, arch: Architecture) -> None:
 
 
 class ConfigurationRules:
-    """The per-System constants of :func:`validate_configuration`; a
-    :class:`repro.system.System` builds its own once, from its cached
-    ``routes`` (message -> :class:`MessageRoute`)."""
+    """The per-System constants of :func:`validate_configuration`, read
+    from a :class:`repro.system.System`'s image and default routes (the
+    System builds its own once)."""
 
-    def __init__(
-        self,
-        app: Application,
-        arch: Architecture,
-        routes: Optional[Mapping[str, MessageRoute]] = None,
-    ) -> None:
-        if routes is None:
-            routes = {m.name: arch.route_of(app, m) for m in app.all_messages()}
-        self.app = app
-        self.arch = arch
-        self.slot_owners = set(arch.ttp_slot_owners())
+    def __init__(self, system) -> None:
+        self.image = image = system.image
+        self.topology = system.arch.topology
+        self.slot_owners = set(system.arch.ttp_slot_owners())
+        names, nodes = image.proc_names, image.proc_node
         # In model order, which fixes the first error reported.
         self.et_processes: List[Tuple[str, str]] = [
-            (p.name, p.node) for p in app.all_processes()
-            if arch.is_et_node(p.node)
+            (names[p], nodes[p]) for p, tt in enumerate(image.proc_tt)
+            if not tt
         ]
         self.can_messages: List[str] = [
-            m.name for m in app.all_messages() if routes[m.name] in _CAN_ROUTES
+            name for name, route in zip(image.msg_names, image.msg_route)
+            if route in CAN_ROUTES
         ]
         #: Largest message each TTP-transmitting node must fit in its slot.
         self.largest_payload: Dict[str, int] = {}
-        for msg in app.all_messages():
-            route = routes[msg.name]
+        for m, route in enumerate(image.msg_route):
             if route in (MessageRoute.TT_TO_TT, MessageRoute.TT_TO_ET):
                 # Sent over the TTP bus in the sender node's slot (for
                 # TT->ET the first leg ends at the gateway MBI).
-                senders = [app.process(msg.src).node]
-            elif route is MessageRoute.LOCAL:
-                continue
+                senders = [nodes[image.msg_src[m]]]
             else:
                 # ET-sourced: relayed over the TTP bus by every gateway
-                # whose crossing enters the TT cluster (the canonical
-                # ET->TT case is exactly the single gateway; ET->ET
-                # transit also qualifies).
-                senders = _relaying_gateways(
-                    arch, app.process(msg.src).node, app.process(msg.dst).node
-                )
+                # whose crossing on the default route enters the TT
+                # cluster (the canonical ET->TT case is exactly the
+                # single gateway; ET->ET transit also qualifies).
+                senders, here = [], image.msg_clusters[m][0]
+                for hop in system.default_route(image.msg_names[m]):
+                    here = self.topology.gateways[hop].other(here)
+                    if self.topology.clusters[here].is_tt:
+                        senders.append(hop)
             for sender_node in senders:
                 self.largest_payload[sender_node] = max(
-                    self.largest_payload.get(sender_node, 0), msg.size
+                    self.largest_payload.get(sender_node, 0),
+                    image.msg_size[m],
                 )
 
     def check(self, config: SystemConfiguration) -> None:
@@ -111,7 +101,7 @@ class ConfigurationRules:
                     f"slot of {node} has capacity {slot.capacity} bytes but "
                     f"must carry a {needed}-byte message"
                 )
-        _check_route_slot_capacities(self.app, self.arch, config)
+        _check_route_slot_capacities(self.image, self.topology, config)
 
     def check_priorities(self, priorities: PriorityAssignment) -> None:
         """See :meth:`PriorityAssignment.validate`."""
@@ -148,24 +138,25 @@ def validate_configuration(
     * slot capacities can carry the largest TT->TT / ET->TT message sent by
       their owner.
     """
-    ConfigurationRules(app, arch).check(config)
+    from ..system import System
+
+    System(app, arch).configuration_rules().check(config)
 
 
 def _check_route_slot_capacities(
-    app: Application, arch: Architecture, config: SystemConfiguration
+    image, topo, config: SystemConfiguration
 ) -> None:
     """Route overrides may relay through a different gateway than the
     default route — that gateway's slot must fit the message too (the
     FIFO drain bound assumes every queued frame fits an empty slot)."""
     if not config.routes:
         return
-    topo = arch.topology
-    known = {m.name for m in app.all_messages()}
     for msg_name, hops in sorted(config.routes.items()):
-        if msg_name not in known:
+        m = image.mid.get(msg_name)
+        if m is None:
             continue  # resolve_routes reports unknown messages properly.
-        msg = app.message(msg_name)
-        current = topo.cluster_of_node(app.process(msg.src).node)
+        size = image.msg_size[m]
+        current = image.msg_clusters[m][0]
         for hop in hops:
             gateway = topo.gateways.get(hop)
             if gateway is None or not gateway.touches(current):
@@ -174,34 +165,12 @@ def _check_route_slot_capacities(
             if topo.clusters[current].kind != "TT":
                 continue
             slot = config.bus.slot_of(hop)
-            if slot.capacity < msg.size:
+            if slot.capacity < size:
                 raise ConfigurationError(
                     f"route of {msg_name} relays through {hop}, whose "
                     f"TTP slot ({slot.capacity} B) cannot carry the "
-                    f"{msg.size}-byte message"
+                    f"{size}-byte message"
                 )
-
-
-def _relaying_gateways(arch: Architecture, src_node: str, dst_node: str):
-    """Gateways whose TTP slot relays a message on its *default* route.
-
-    A gateway relays when its crossing enters a TT cluster (the frame is
-    forwarded in that gateway's TDMA slot).  Canonical topologies reduce
-    to the single gateway for ET->TT and to nothing otherwise; general
-    routes can also transit the TT cluster on an ET->ET path.
-    """
-    topo = arch.topology
-    src_cluster = topo.cluster_of_node(src_node)
-    dst_cluster = topo.cluster_of_node(dst_node)
-    if src_cluster == dst_cluster:
-        return []
-    relays = []
-    current = src_cluster
-    for hop in topo.default_route(src_cluster, dst_cluster):
-        current = topo.gateways[hop].other(current)
-        if topo.clusters[current].kind == "TT":
-            relays.append(hop)
-    return relays
 
 
 def minimum_slot_capacity(system, node: str) -> int:

@@ -29,7 +29,6 @@ import math
 from typing import Dict, Optional
 
 from ..buses.ttp import TTPBusConfig
-from ..model.architecture import MessageRoute
 from ..model.configuration import PriorityAssignment
 from ..system import System
 from .common import evaluate
@@ -38,69 +37,52 @@ from ..model.configuration import SystemConfiguration
 __all__ = ["hopa_priorities", "local_deadlines"]
 
 
-def _activity_costs(system: System, graph) -> Dict[str, float]:
-    """Cost of each activity: WCET, or frame time for CAN messages."""
-    costs: Dict[str, float] = {}
-    for proc in graph.processes.values():
-        costs[proc.name] = max(proc.wcet, 1e-9)
-    for msg in graph.messages.values():
-        route = system.route(msg.name)
-        if route is MessageRoute.TT_TO_TT:
-            cost = 0.0
-        else:
-            cost = system.can_frame_time(msg.name)
-        costs[msg.name] = max(cost, 1e-9)
-    return costs
-
-
 def local_deadlines(
     system: System, weights: Optional[Dict[str, float]] = None
 ) -> Dict[str, float]:
     """Deadline share of every activity (processes and messages).
 
     The graph deadline is distributed along paths proportionally to the
-    (weighted) activity costs: an activity's local deadline is
-    ``D_G * cum_cost(activity) / path_cost`` where ``cum_cost`` follows the
-    longest-cost path from the sources.  ``weights`` (same keys) scale the
-    base costs, which is how the iterative refinement steers the split.
+    (weighted) activity costs — WCET, or frame time for CAN messages: an
+    activity's local deadline is ``D_G * cum_cost(activity) /
+    path_cost`` where ``cum_cost`` follows the longest-cost path from
+    the sources.  ``weights`` (same keys, non-negative) scale the base
+    costs, which is how the iterative refinement steers the split.  A
+    graph's ``path_cost`` is its largest process ``cum_cost``: every
+    message ends at a process whose ``cum_cost`` adds its own cost
+    after the message's.  Read from the System's image, in id space.
     """
+    image = system.image
+    proc_cost = [max(wcet, 1e-9) for wcet in image.proc_wcet]
+    msg_cost = [
+        max(0.0 if frame is None else frame, 1e-9)
+        for frame in image.msg_frame
+    ]
+    if weights:
+        proc_cost = [cost * weights.get(name, 1.0)
+                     for cost, name in zip(proc_cost, image.proc_names)]
+        msg_cost = [cost * weights.get(name, 1.0)
+                    for cost, name in zip(msg_cost, image.msg_names)]
+    # Longest-cost cumulative position of each process (model order is
+    # topological per graph).
+    cum = [0.0] * len(proc_cost)
+    for p, preds in enumerate(image.preds):
+        best = 0.0
+        for q, m in preds:
+            via = cum[q]
+            if m >= 0:
+                via += msg_cost[m]
+            best = max(best, via)
+        cum[p] = best + proc_cost[p]
+    pid, mid = image.pid, image.mid
     deadlines: Dict[str, float] = {}
-    for graph in system.app.graphs.values():
-        costs = _activity_costs(system, graph)
-        if weights:
-            for key in costs:
-                costs[key] *= weights.get(key, 1.0)
-        # Longest-cost cumulative position of each activity.
-        cum: Dict[str, float] = {}
-        for proc_name in graph.topological_order():
-            best = 0.0
-            for pred, msg_name in graph.predecessors(proc_name):
-                via = cum[pred]
-                if msg_name is not None:
-                    via += costs[msg_name]
-                best = max(best, via)
-            cum[proc_name] = best + costs[proc_name]
-        total = max(
-            (
-                cum[proc]
-                + max(
-                    (
-                        costs[m]
-                        for m in graph.messages
-                        if graph.messages[m].src == proc
-                    ),
-                    default=0.0,
-                )
-                for proc in graph.processes
-            ),
-            default=1e-9,
-        )
-        total = max(total, 1e-9)
-        scale = graph.deadline / total
-        for proc_name in graph.processes:
-            deadlines[proc_name] = cum[proc_name] * scale
-        for msg_name, msg in graph.messages.items():
-            deadlines[msg_name] = (cum[msg.src] + costs[msg_name]) * scale
+    for g, graph in enumerate(system.app.graphs.values()):
+        total = max((cum[p] for p in image.graph_procs[g]), default=1e-9)
+        scale = graph.deadline / max(total, 1e-9)
+        for name in graph.processes:
+            deadlines[name] = cum[pid[name]] * scale
+        for name, msg in graph.messages.items():
+            deadlines[name] = (cum[pid[msg.src]] + msg_cost[mid[name]]) * scale
     return deadlines
 
 

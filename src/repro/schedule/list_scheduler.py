@@ -105,19 +105,21 @@ def _frame_for(medl, bus, node: str, msg_name: str, size, ready):
     )
 
 
-def _transit(system: System, routing, msg_name: str) -> tuple:
-    """Terms of the earliest extra transit of the legs after the first:
-    per leg the entry gateway's ``C_T``, then a CAN frame time or the
-    gateway whose TDMA slot carries the leg (delivery at the slot's end)."""
-    legs = routing.legs_of(msg_name)[1:]
-    return tuple(term for leg in legs for term in (
-        system.arch.transfer_wcet_of(leg.via),
-        leg.sender if leg.is_fifo else system.can_frame_time(msg_name),
+def _transit(image, legs_of, m: int) -> tuple:
+    """Terms of the earliest extra transit of message ``m``'s legs after
+    the first: per leg the entry gateway's ``C_T``, then a CAN frame time
+    or the gateway whose TDMA slot carries the leg (delivery at the
+    slot's end)."""
+    return tuple(term for leg in legs_of.msg_legs[m][1:] for term in (
+        image.transfer[legs_of.leg_via[leg]],
+        legs_of.leg_sender[leg] if legs_of.leg_fifo[leg]
+        else image.msg_frame[m],
     ))
 
 
 class _ScheduleContext:
-    """The list scheduler compiled for one ``(System, plan)``.
+    """The list scheduler compiled for one ``(System, plan)`` from the
+    System's image.
 
     A TT process starts no earlier than the maximum of its slots in the
     per-call ``values`` list: TT process ends (by urgency rank), ET->TT
@@ -125,33 +127,41 @@ class _ScheduleContext:
     """
 
     def __init__(self, system: System, routing) -> None:
-        app, route = system.app, system.route
-        urgency: Dict[str, float] = {}
-        for graph in app.graphs.values():
-            urgency.update(downstream_urgency(graph))
-        names = sorted(system.tt_processes(), key=lambda p: (-urgency[p], p))
-        rank = {name: r for r, name in enumerate(names)}
-        self.ettt = system.et_to_tt_messages()
-        ttp = dict.fromkeys(m.name for m in app.all_messages() if route(m.name) in (
-            MessageRoute.TT_TO_TT, MessageRoute.TT_TO_ET))  # ordered set
-        slot_of = {m: len(names) + i for i, m in enumerate([*self.ettt, *ttp])}
-        zero = len(names) + len(slot_of)  # the constant 0.0 slot
+        image = system.image
+        names, msgs = image.proc_names, image.msg_names
+        wcet, succs = image.proc_wcet, image.succs
+        urgency = [0.0] * len(names)
+        for graph in system.app.graphs.values():
+            for name, value in downstream_urgency(graph).items():
+                urgency[image.pid[name]] = value
+        order = sorted(image.tt_procs, key=lambda p: (-urgency[p], names[p]))
+        rank = [-1] * len(names)
+        for r, p in enumerate(order):
+            rank[p] = r
+        self.ettt = [msgs[m] for m in image.ettt]
+        on_ttp = [route in (MessageRoute.TT_TO_TT, MessageRoute.TT_TO_ET)
+                  for route in image.msg_route]
+        ttp = [m for m, flag in enumerate(on_ttp) if flag]
+        slot_of = [-1] * len(msgs)
+        for i, m in enumerate([*image.ettt, *ttp]):
+            slot_of[m] = len(order) + i
+        zero = len(order) + len(image.ettt) + len(ttp)  # the 0.0 slot
         self.tail = [0.0] * (len(ttp) + 1)  # arrival slots, then the 0.0
         self.indeg, self.procs = [], []
-        for name in names:
-            graph = app.graph_of_process(name)
-            preds = graph.predecessors(name)
-            self.indeg.append(sum(pred in rank for pred, _msg in preds))
+        for p in order:
+            preds = image.preds[p]
+            sends = [(names[q], msgs[m], m) for q, m in succs[p]
+                     if m >= 0 and on_ttp[m]]
+            sends.sort()
+            self.indeg.append(sum(rank[q] >= 0 for q, _m in preds))
             self.procs.append((
-                name, graph.processes[name].node, graph.processes[name].wcet,
-                system.release_of(name),
+                names[p], image.proc_node[p], wcet[p], image.proc_release[p],
                 # Every message into a TT process is TT->TT or ET->TT.
-                tuple(rank.get(pred, zero) if msg is None else slot_of[msg]
-                      for pred, msg in preds),
-                tuple((msg, app.message(msg).size, slot_of[msg])
-                      for _succ, msg in sorted(graph.successors(name))
-                      if msg in ttp),
-                tuple(rank[s] for s, _m in graph.successors(name) if s in rank),
+                tuple((rank[q] if rank[q] >= 0 else zero) if m < 0
+                      else slot_of[m] for q, m in preds),
+                tuple((name, image.msg_size[m], slot_of[m])
+                      for _n, name, m in sends),
+                tuple(rank[q] for q, _m in succs[p] if rank[q] >= 0),
             ))
         self.nodes = system.arch.tt_node_names()
         # ET offsets (earliest activations, calibrated on the paper's Fig. 4
@@ -160,21 +170,22 @@ class _ScheduleContext:
         # transfer and CAN); O_S + C_S + C_m after an ET->ET message; plus
         # the earliest transit of every further leg.  Preds are (pred, C_S,
         # message or None, C_m or None for a TT->ET frame, transit terms).
+        legs_of = routing.image
         self.et_plan = [
-            (name, system.release_of(name), [
-                (pred, graph.processes[pred].wcet, msg,
-                 None if msg is None or route(msg) is MessageRoute.TT_TO_ET
-                 else system.can_frame_time(msg),
-                 _transit(system, routing, msg) if msg is not None else ())
-                for pred, msg in graph.predecessors(name)
+            (names[p], image.proc_release[p], [
+                (names[q], wcet[q], None, None, ()) if m < 0 else
+                (names[q], wcet[q], msgs[m],
+                 None if image.msg_route[m] is MessageRoute.TT_TO_ET
+                 else image.msg_frame[m], _transit(image, legs_of, m))
+                for q, m in image.preds[p]
             ])
-            for graph in app.graphs.values()
-            for name in graph.topological_order() if name not in rank
+            for procs in image.graph_procs for p in procs if rank[p] < 0
         ]
+        src = image.msg_src
         self.msg_plan = [
-            (m.name, None, 0.0) if m.name in ttp
-            else (m.name, m.src, app.process(m.src).wcet)
-            for m in app.all_messages()
+            (name, None, 0.0) if on_ttp[m]
+            else (name, names[src[m]], wcet[src[m]])
+            for m, name in enumerate(msgs)
         ]
         self.memo: OrderedDict = OrderedDict()
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import ConfigurationError, ModelError
+from ..image import PlanImage
 from ..system import System
 
 __all__ = [
@@ -72,21 +73,17 @@ class Leg:
         return self.kind == "fifo"
 
 
-def _qualify(system: System, base: str, gateway: str) -> str:
-    """Gateway queue name: bare on single-gateway topologies."""
-    if len(system.arch.topology.gateways) == 1:
-        return base
-    return f"{base}@{gateway}"
-
-
 def out_can_queue(system: System, gateway: str) -> str:
-    """Name of a gateway's priority-ordered CAN-bound queue."""
-    return _qualify(system, "Out_CAN", gateway)
+    """Name of a gateway's priority-ordered CAN-bound queue (the
+    image's queue names: bare on single-gateway topologies)."""
+    image = system.image
+    return image.queue_names[image.out_can_q[image.gateway_index[gateway]]]
 
 
 def out_ttp_queue(system: System, gateway: str) -> str:
     """Name of a gateway's arrival-ordered TTP-bound FIFO."""
-    return _qualify(system, "Out_TTP", gateway)
+    image = system.image
+    return image.queue_names[image.out_ttp_q[image.gateway_index[gateway]]]
 
 
 def resolve_routes(
@@ -101,33 +98,33 @@ def resolve_routes(
     against the cluster graph.  Intra-cluster messages never appear.
     """
     topo = system.arch.topology
+    image = system.image
     routes: Dict[str, Tuple[str, ...]] = {}
     overrides = overrides or {}
     for name in sorted(overrides):
-        if name not in {m.name for m in system.app.all_messages()}:
+        if name not in image.mid:
             raise ConfigurationError(
                 f"route override names unknown message {name}"
             )
-    for msg in system.app.all_messages():
-        src, dst = system.clusters_of_message(msg.name)
+    for name, (src, dst) in zip(image.msg_names, image.msg_clusters):
         if src == dst:
-            if msg.name in overrides and tuple(overrides[msg.name]):
+            if name in overrides and tuple(overrides[name]):
                 raise ConfigurationError(
-                    f"message {msg.name} is intra-cluster; it cannot "
+                    f"message {name} is intra-cluster; it cannot "
                     "carry a gateway route"
                 )
             continue
-        if msg.name in overrides:
-            route = tuple(overrides[msg.name])
+        if name in overrides:
+            route = tuple(overrides[name])
             try:
                 topo.validate_route(src, dst, route)
             except ModelError as exc:
                 raise ConfigurationError(
-                    f"invalid route for message {msg.name}: {exc}"
+                    f"invalid route for message {name}: {exc}"
                 ) from None
         else:
-            route = topo.default_route(src, dst)
-        routes[msg.name] = route
+            route = system.default_route(name)
+        routes[name] = route
     return routes
 
 
@@ -150,85 +147,45 @@ class RoutingPlan:
             route == system.default_route(name)
             for name, route in self.routes.items()
         )
+        image = system.image
         self.legs: Dict[str, Tuple[Leg, ...]] = {}
-        topo = system.arch.topology
         for name, route in self.routes.items():
             self.legs[name] = self._build_legs(system, name, route)
         # Intra-cluster ET->ET messages have a single source CAN leg.
-        for name in system.can_messages():
+        for m in image.can:
+            name = image.msg_names[m]
             if name not in self.legs:
-                msg = system.app.message(name)
-                src_node = system.app.process(msg.src).node
-                cluster = system.arch.cluster_of_node(src_node)
-                self.legs[name] = (
-                    Leg(
-                        kind="can",
-                        cluster=cluster,
-                        sender=src_node,
-                        via=None,
-                        queue=f"Out_{src_node}",
-                    ),
-                )
-        # -- indexes -----------------------------------------------------
+                src_node = image.proc_node[image.msg_src[m]]
+                self.legs[name] = (Leg(
+                    "can", image.msg_clusters[m][0], src_node, None,
+                    f"Out_{src_node}",
+                ),)
+        self.image = PlanImage(image, self.legs)  #: the leg ids
         #: messages resident in each gateway's Out_TTP FIFO, sorted.
         self.fifo_users: Dict[str, List[str]] = {
-            gw: [] for gw in topo.gateway_names()
+            gw: [image.msg_names[self.image.leg_msg[leg]] for leg in legs]
+            for gw, legs in zip(image.gateways, self.image.fifo_users)
         }
-        #: (message, leg position) pairs per ET cluster bus, sorted by
-        #: message name then leg position — the CAN arbitration domains.
-        self.can_legs_on: Dict[str, List[Tuple[str, int]]] = {
-            c: [] for c in topo.et_clusters()
-        }
-        for name in sorted(self.legs):
-            for pos, leg in enumerate(self.legs[name]):
-                if leg.is_fifo:
-                    self.fifo_users[leg.sender].append(name)
-                else:
-                    self.can_legs_on[leg.cluster].append((name, pos))
 
     @staticmethod
     def _build_legs(
         system: System, name: str, route: Tuple[str, ...]
     ) -> Tuple[Leg, ...]:
         topo = system.arch.topology
-        msg = system.app.message(name)
-        src_node = system.app.process(msg.src).node
-        here, dst_cluster = system.clusters_of_message(name)
+        image = system.image
+        m = image.mid[name]
+        src_node = image.proc_node[image.msg_src[m]]
+        here, dst_cluster = image.msg_clusters[m]
         legs: List[Leg] = []
         if not topo.clusters[here].is_tt:
-            legs.append(
-                Leg(
-                    kind="can",
-                    cluster=here,
-                    sender=src_node,
-                    via=None,
-                    queue=f"Out_{src_node}",
-                )
-            )
+            legs.append(Leg("can", here, src_node, None, f"Out_{src_node}"))
         for gateway in route:
-            gw = topo.gateways[gateway]
-            nxt = gw.other(here)
-            if topo.clusters[nxt].is_tt:
-                legs.append(
-                    Leg(
-                        kind="fifo",
-                        cluster=nxt,
-                        sender=gateway,
-                        via=gateway,
-                        queue=out_ttp_queue(system, gateway),
-                    )
-                )
+            here = topo.gateways[gateway].other(here)
+            if topo.clusters[here].is_tt:
+                queue, kind = out_ttp_queue(system, gateway), "fifo"
             else:
-                legs.append(
-                    Leg(
-                        kind="can",
-                        cluster=nxt,
-                        sender=gateway,
-                        via=gateway,
-                        queue=out_can_queue(system, gateway),
-                    )
-                )
-            here = nxt
+                queue, kind = out_can_queue(system, gateway), "can"
+            legs.append(Leg(kind, here, gateway, gateway, queue))
         if here != dst_cluster:
             raise ConfigurationError(
                 f"route of message {name} ends at cluster {here}, "

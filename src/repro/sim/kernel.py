@@ -103,12 +103,6 @@ _CHK_STATIC = 0  # TT->TT frame with a compiled arrival instant
 _CHK_DYNAMIC = 1  # ET->TT message: arrival known only at runtime
 _CHK_NEVER = 2  # TT->TT message carried by no MEDL frame
 
-#: Route codes (dense ints for the hot path).
-_R_TT_TT = 0
-_R_TT_ET = 1
-_R_ET_TT = 2
-_R_ET_ET = 3
-
 _INF = float("inf")
 
 
@@ -151,7 +145,6 @@ class SimContext:
         self.config = config
         self.schedule = schedule
         app = system.app
-        arch = system.arch
 
         periods_set = {g.period for g in app.graphs.values()}
         if len(periods_set) != 1:
@@ -170,118 +163,71 @@ class SimContext:
             )
         self.rounds_per_period = int(round(ratio))
 
-        # -- interning -------------------------------------------------------
-        self.proc_names: List[str] = [p.name for p in app.all_processes()]
-        pid_of = {name: i for i, name in enumerate(self.proc_names)}
-        self.msg_names: List[str] = [m.name for m in app.all_messages()]
-        mid_of = {name: i for i, name in enumerate(self.msg_names)}
+        # -- interning: the System's image ---------------------------------
+        image = system.image
+        self.proc_names: List[str] = image.proc_names
+        pid_of = image.pid
+        self.msg_names: List[str] = image.msg_names
+        mid_of = image.mid
         n_procs = len(self.proc_names)
         n_msgs = len(self.msg_names)
 
-        route_codes = {
-            MessageRoute.TT_TO_TT: _R_TT_TT,
-            MessageRoute.TT_TO_ET: _R_TT_ET,
-            MessageRoute.ET_TO_TT: _R_ET_TT,
-            MessageRoute.ET_TO_ET: _R_ET_ET,
-        }
-        self.msg_size = [0] * n_msgs
-        self.msg_route = [0] * n_msgs
-        self.msg_route_name = [""] * n_msgs
-        self.msg_prio = [0] * n_msgs
-        self.msg_frame_time = [0.0] * n_msgs
-        self.msg_dst = [0] * n_msgs
         priorities = config.priorities
-        for mid, name in enumerate(self.msg_names):
-            msg = app.message(name)
-            route = system.route(name)
-            self.msg_size[mid] = msg.size
-            self.msg_route[mid] = route_codes[route]
-            self.msg_route_name[mid] = route.name
-            self.msg_dst[mid] = pid_of[msg.dst]
-            if route is not MessageRoute.TT_TO_TT:
-                self.msg_prio[mid] = priorities.message_priority(name)
-                self.msg_frame_time[mid] = system.can_frame_time(name)
+        self.msg_size = image.msg_size
+        self.msg_route = image.msg_route
+        self.msg_route_name = [route.name for route in image.msg_route]
+        self.msg_prio = [
+            0 if frame is None else priorities.message_priority(name)
+            for name, frame in zip(self.msg_names, image.msg_frame)
+        ]
+        self.msg_frame_time = [
+            0.0 if frame is None else frame for frame in image.msg_frame
+        ]
+        self.msg_dst = image.msg_dst
 
         # Topology state: one CAN bus per ET cluster, one gateway
         # Out_CAN/Out_TTP pair per gateway, and per-message *leg
-        # programs* compiled from the routing plan.  The canonical
-        # two-cluster system reduces to one bus, one gateway and
-        # single-leg programs whose replay is event-for-event the
+        # programs* compiled from the routing plan's leg ids.  The
+        # canonical two-cluster system reduces to one bus, one gateway
+        # and single-leg programs whose replay is event-for-event the
         # pre-routing kernel (only payload encodings differ, which
         # never affect ordering — seq does).
-        topo = system.topology
         plan = system.routing_for(getattr(config, "routes", None) or None)
         self.plan = plan
-        et_clusters = topo.et_clusters()
-        bus_of_cluster = {c: i for i, c in enumerate(et_clusters)}
-        self.bus_of_cluster = bus_of_cluster
-        self.n_buses = len(et_clusters)
-        gateways = arch.gateways()
-        gw_of = {g: i for i, g in enumerate(gateways)}
+        legs_of = plan.image
+        self.bus_of_cluster = {c: i for i, c in enumerate(image.et_clusters)}
+        self.n_buses = len(image.et_clusters)
+        gateways = image.gateways
         self.n_gw = len(gateways)
 
-        # Queues: Out_CAN/Out_TTP (per gateway), then Out_<node> per ET
-        # node.  Names come from the routing plan's conventions (bare on
-        # single-gateway topologies) so traces and reports agree.
-        et_nodes = arch.et_node_names()
-        self.queue_names = []
-        self.can_q = []
-        self.fifo_q = []
-        if self.n_gw == 1:
-            self.queue_names = ["Out_CAN", "Out_TTP"]
-            self.can_q = [0]
-            self.fifo_q = [1]
-        else:
-            for g in gateways:
-                self.can_q.append(len(self.queue_names))
-                self.queue_names.append(f"Out_CAN@{g}")
-                self.fifo_q.append(len(self.queue_names))
-                self.queue_names.append(f"Out_TTP@{g}")
-        node_queue_base = len(self.queue_names)
-        self.queue_names += [f"Out_{node}" for node in et_nodes]
-        queue_of_node = {
-            node: node_queue_base + i for i, node in enumerate(et_nodes)
-        }
-        queue_id = {name: i for i, name in enumerate(self.queue_names)}
-        cpu_of_node = {node: i for i, node in enumerate(et_nodes)}
-        self.n_cpus = len(et_nodes)
+        # Queues (the image's): Out_CAN/Out_TTP per gateway, then
+        # Out_<node> per ET node.
+        self.queue_names = image.queue_names
+        self.fifo_q = image.out_ttp_q
+        cpu_of_node = {node: i for i, node in enumerate(image.et_nodes)}
+        self.n_cpus = len(image.et_nodes)
 
-        self.proc_wcet = [0.0] * n_procs
+        self.proc_wcet = image.proc_wcet
+        self.proc_is_tt = image.proc_tt
+        self.proc_graph = image.proc_graph
+        self.proc_is_sink = image.proc_sink
+        self.graph_names = image.graph_names
+        self.graph_sinks = [len(sinks) for sinks in image.graph_sinks]
+        self.succs: List[Tuple[Tuple[int, int], ...]] = image.succs
         self.proc_prio = [0] * n_procs
-        self.proc_is_tt = [False] * n_procs
         self.proc_queue = [0] * n_procs  # Out_<node> of an ET process
         self.proc_cpu = [-1] * n_procs  # dense ET-node index
-        self.proc_graph = [0] * n_procs
-        self.proc_is_sink = [False] * n_procs
-        graph_names = list(app.graphs)
-        gidx_of = {name: i for i, name in enumerate(graph_names)}
-        self.graph_names = graph_names
-        self.graph_sinks = [len(app.graphs[g].sinks()) for g in graph_names]
-
-        self.succs: List[Tuple[Tuple[int, int], ...]] = [()] * n_procs
         self.et_fanin = [0] * n_procs
-        for gname, graph in app.graphs.items():
-            gidx = gidx_of[gname]
-            sinks = set(graph.sinks())
+        for graph in app.graphs.values():
             for proc_name in graph.processes:
                 pid = pid_of[proc_name]
-                proc = app.process(proc_name)
-                self.proc_wcet[pid] = proc.wcet
-                self.proc_graph[pid] = gidx
-                self.proc_is_sink[pid] = proc_name in sinks
-                if arch.is_tt_node(proc.node):
-                    self.proc_is_tt[pid] = True
-                else:
-                    self.proc_prio[pid] = priorities.process_priority(
-                        proc_name
-                    )
-                    self.proc_cpu[pid] = cpu_of_node[proc.node]
-                    self.proc_queue[pid] = queue_of_node[proc.node]
-                    self.et_fanin[pid] = len(graph.predecessors(proc_name))
-                self.succs[pid] = tuple(
-                    (pid_of[succ], mid_of[m] if m is not None else -1)
-                    for succ, m in graph.successors(proc_name)
-                )
+                if image.proc_tt[pid]:
+                    continue
+                self.proc_prio[pid] = priorities.process_priority(proc_name)
+                cpu = cpu_of_node[image.proc_node[pid]]
+                self.proc_cpu[pid] = cpu
+                self.proc_queue[pid] = image.node_q[cpu]
+                self.et_fanin[pid] = len(image.preds[pid])
 
         self.transfer_delay = [
             gateway_transfer_delay(system, g) for g in gateways
@@ -290,64 +236,42 @@ class SimContext:
         self.gw_duration = [bus.slot_of(g).duration for g in gateways]
 
         # -- leg programs ------------------------------------------------------
-        # Each CAN leg of each message gets a dense *leg id* (lid); the
-        # hot path advances a frame from leg to leg through flat arrays
-        # instead of consulting the routing plan.  ``lid_next`` encodes
-        # the continuation: ``-1`` = final delivery, ``<= -2`` = enter
-        # gateway ``-2 - lid_next``'s Out_TTP FIFO, else the next CAN
-        # leg's lid.  The (unique) FIFO leg's continuation lives in
-        # ``fifo_next_lid``/``fifo_next_transfer``.  On canonical
-        # topologies every program is a single step, reproducing the
-        # pre-routing kernel's behaviour exactly.
-        self.lid_mid: List[int] = []
-        self.lid_bus: List[int] = []
-        self.lid_queue: List[int] = []
-        self.lid_next: List[int] = []
-        self.lid_next_transfer: List[float] = []
+        # A CAN leg's *leg id* (lid) is its plan image id; the hot path
+        # advances a frame from leg to leg through flat arrays.
+        # ``lid_next`` encodes the continuation: ``-1`` = final
+        # delivery, ``<= -2`` = enter gateway ``-2 - lid_next``'s
+        # Out_TTP FIFO, else the next CAN leg's lid; the (unique) FIFO
+        # leg's lives in ``fifo_next_lid``/``fifo_next_transfer``.
+        is_fifo, via = legs_of.leg_fifo, legs_of.leg_via
+        delay = self.transfer_delay
+        self.lid_mid: List[int] = legs_of.leg_msg
+        self.lid_bus: List[int] = legs_of.leg_bus
+        self.lid_queue: List[int] = legs_of.leg_queue
+        self.lid_next = [-1] * len(is_fifo)
+        self.lid_next_transfer = [0.0] * len(is_fifo)
         self.msg_first_lid = [-1] * n_msgs
         self.msg_mbi_transfer = [0.0] * n_msgs  # C_T after a MEDL frame
         self.fifo_gw = [-1] * n_msgs  # gateway of the message's FIFO leg
         self.fifo_next_lid = [-1] * n_msgs
         self.fifo_next_transfer = [0.0] * n_msgs
-        for mid, name in enumerate(self.msg_names):
-            legs = plan.legs_of(name)
-            if not legs:
-                continue  # TT->TT: compiled away entirely.
-            lids = {}
-            for pos, leg in enumerate(legs):
-                if leg.is_fifo:
-                    continue
-                lids[pos] = len(self.lid_mid)
-                self.lid_mid.append(mid)
-                self.lid_bus.append(bus_of_cluster[leg.cluster])
-                self.lid_queue.append(queue_id[leg.queue])
-                self.lid_next.append(-1)
-                self.lid_next_transfer.append(0.0)
-            self.msg_first_lid[mid] = lids.get(0, -1)
-            if 0 in lids and legs[0].via is not None:
-                # TT-sourced: the MEDL frame ends at the entry gateway,
-                # whose C_T precedes the first CAN leg.
-                self.msg_mbi_transfer[mid] = self.transfer_delay[
-                    gw_of[legs[0].via]
-                ]
-            for pos, leg in enumerate(legs):
-                nxt = legs[pos + 1] if pos + 1 < len(legs) else None
-                if leg.is_fifo:
-                    self.fifo_gw[mid] = gw_of[leg.sender]
+        for mid, legs in enumerate(legs_of.msg_legs):
+            if legs and not is_fifo[legs[0]]:
+                self.msg_first_lid[mid] = legs[0]
+                if via[legs[0]] >= 0:
+                    # TT-sourced: the MEDL frame ends at the entry
+                    # gateway, whose C_T precedes the first CAN leg.
+                    self.msg_mbi_transfer[mid] = delay[via[legs[0]]]
+            for leg, nxt in zip(legs, legs[1:] + (None,)):
+                if is_fifo[leg]:
+                    self.fifo_gw[mid] = via[leg]
                     if nxt is not None:
-                        self.fifo_next_lid[mid] = lids[pos + 1]
-                        self.fifo_next_transfer[mid] = self.transfer_delay[
-                            gw_of[nxt.via]
-                        ]
+                        self.fifo_next_lid[mid] = nxt
+                        self.fifo_next_transfer[mid] = delay[via[nxt]]
                 elif nxt is not None:
-                    lid = lids[pos]
-                    if nxt.is_fifo:
-                        self.lid_next[lid] = -2 - gw_of[nxt.sender]
-                    else:
-                        self.lid_next[lid] = lids[pos + 1]
-                    self.lid_next_transfer[lid] = self.transfer_delay[
-                        gw_of[nxt.via]
-                    ]
+                    self.lid_next[leg] = (
+                        -2 - via[nxt] if is_fifo[nxt] else nxt
+                    )
+                    self.lid_next_transfer[leg] = delay[via[nxt]]
 
         # -- the static timeline ---------------------------------------------
         # TT->TT frames compile to per-period arrival templates;
@@ -390,15 +314,18 @@ class SimContext:
                 pid = pid_of[proc_name]
                 if self.proc_is_tt[pid]:
                     continue
-                if not graph.predecessors(proc_name):
+                if not image.preds[pid]:
                     period_event(
-                        system.release_of(proc_name), 0.0, 0.0,
+                        image.proc_release[pid], 0.0, 0.0,
                         _DISPATCH, _K_ET_RELEASE, pid,
                     )
+        slots = [
+            (slot, bus.slot_offset(slot.node),
+             image.gateway_index.get(slot.node))
+            for slot in bus.slots
+        ]
         for base_round in range(self.rounds_per_period):
-            for slot in bus.slots:
-                offset = bus.slot_offset(slot.node)
-                gi = gw_of.get(slot.node)
+            for slot, offset, gi in slots:
                 if gi is not None:
                     round_event(
                         base_round, offset, 0.0, 0.0, _BUS, _K_GW_SLOT, gi
@@ -410,12 +337,12 @@ class SimContext:
                 for msg_name in frame.messages:
                     mid = mid_of[msg_name]
                     route = self.msg_route[mid]
-                    if route == _R_TT_TT:
+                    if route is MessageRoute.TT_TO_TT:
                         if self.tttt_spec[mid] is None:
                             self.tttt_spec[mid] = (
                                 base_round, offset, slot.duration
                             )
-                    elif route == _R_TT_ET:
+                    elif route is MessageRoute.TT_TO_ET:
                         # The reception at slot end is templated; the
                         # Out_CAN entry (+C_T) is scheduled from it at
                         # runtime so its heap insertion order — and
@@ -433,26 +360,18 @@ class SimContext:
         # Input checks per TT dispatch, now that arrivals are known.
         # Check entries: (mid, pred_pid, mode, r, off, dur).
         for tidx, (pid, start, _) in enumerate(self.tt_entries):
-            graph = app.graph_of_process(self.proc_names[pid])
             checks = []
-            for pred, msg_name in graph.predecessors(self.proc_names[pid]):
-                if msg_name is None:
+            for pred, mid in image.preds[pid]:
+                if mid < 0:
                     continue
-                mid = mid_of[msg_name]
-                if self.msg_route[mid] == _R_TT_TT:
+                if self.msg_route[mid] is MessageRoute.TT_TO_TT:
                     spec = self.tttt_spec[mid]
                     if spec is None:
-                        checks.append(
-                            (mid, pid_of[pred], _CHK_NEVER, 0, 0.0, 0.0)
-                        )
+                        checks.append((mid, pred, _CHK_NEVER, 0, 0.0, 0.0))
                     else:
-                        checks.append(
-                            (mid, pid_of[pred], _CHK_STATIC) + spec
-                        )
+                        checks.append((mid, pred, _CHK_STATIC) + spec)
                 else:
-                    checks.append(
-                        (mid, pid_of[pred], _CHK_DYNAMIC, 0, 0.0, 0.0)
-                    )
+                    checks.append((mid, pred, _CHK_DYNAMIC, 0, 0.0, 0.0))
             self.tt_entries[tidx] = (pid, start, tuple(checks))
 
         events.sort(key=lambda e: (e[0], e[1]))  # stable: seeding order kept
@@ -1249,7 +1168,7 @@ class SimContext:
         route_name = self.msg_route_name
         for pid, k, when, mid, pred, duration in tentative:
             idx = mid * periods + k
-            if msg_route[mid] == _R_TT_TT:
+            if msg_route[mid] is MessageRoute.TT_TO_TT:
                 spec = tttt_spec[mid]
                 if spec is None:
                     arr: Optional[float] = None

@@ -326,7 +326,6 @@ def seeded_routes(system: System, spec: WorkloadSpec):
         )
     from ..faults.spec import stable_unit
 
-    topo = system.arch.topology
     overrides: Dict[str, Tuple[str, ...]] = {}
     for msg in system.app.all_messages():
         src, dst = system.clusters_of_message(msg.name)
@@ -336,6 +335,6 @@ def seeded_routes(system: System, spec: WorkloadSpec):
         pick = candidates[
             int(stable_unit(spec.seed, "route", msg.name) * len(candidates))
         ]
-        if pick != topo.default_route(src, dst):
+        if pick != system.default_route(msg.name):
             overrides[msg.name] = pick
     return overrides

@@ -6,12 +6,12 @@ parameters.  The synthesis variables ``ψ = <φ, β, π>`` are **not** part of
 the system — they are passed around separately so optimizers can mutate
 them freely.
 
-The class pre-computes and caches the derived facts every analysis needs:
-message routes, the set of CAN-borne messages, per-node ET process lists,
-and worst-case CAN frame times ``C_m``.  It is also the one owner of the
-compiled engine state built from those facts: routing plans, static
-schedulers, analysis kernels and simulation templates, each cached by
-its engine's module through :func:`lru_lookup`.
+The derived facts every analysis needs live in the System's
+:class:`~repro.image.SystemImage`, built on first use and read by the
+query methods below.  The System is also the one owner of the compiled
+engine state built from that image: routing plans, static schedulers,
+analysis kernels and simulation templates, each cached by its engine's
+module through :func:`lru_lookup`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .buses.can import CanBusSpec
 from .buses.ttp import TTPBusSpec
 from .exceptions import ModelError
+from .image import SystemImage
 from .model.application import Application
 from .model.architecture import Architecture, MessageRoute
 from .model.validation import ConfigurationRules, validate_system
@@ -34,8 +35,8 @@ _MAX_PLANS = 16
 
 #: The attributes holding compiled engine state, left out of copies.
 _COMPILED_STATE = (
-    "_plans", "_buffer_layouts", "_schedulers", "_kernels", "_sim_templates",
-    "_rules", "_derated",
+    "_image", "_plans", "_buffer_layouts", "_schedulers", "_kernels",
+    "_sim_templates", "_rules", "_derated",
 )
 
 
@@ -86,88 +87,10 @@ class System:
         self.ttp_spec = ttp_spec if ttp_spec is not None else TTPBusSpec()
         self.releases: Dict[str, float] = dict(releases or {})
 
-        # -- caches --------------------------------------------------------
-        self._route: Dict[str, MessageRoute] = {}
-        for msg in app.all_messages():
-            self._route[msg.name] = arch.route_of(app, msg)
-        self._can_frame_time: Dict[str, float] = {}
-        for msg in app.all_messages():
-            if self._route[msg.name] in (
-                MessageRoute.ET_TO_ET,
-                MessageRoute.TT_TO_ET,
-                MessageRoute.ET_TO_TT,
-            ):
-                self._can_frame_time[msg.name] = self.can_spec.frame_time(msg.size)
-        self._et_procs_by_node: Dict[str, List[str]] = {}
-        for proc in app.all_processes():
-            if arch.is_et_node(proc.node):
-                self._et_procs_by_node.setdefault(proc.node, []).append(proc.name)
-        for names in self._et_procs_by_node.values():
-            names.sort()
-        # Sorted activity lists, cached at construction: the analysis
-        # kernel and the queue analyses iterate them inside hot loops,
-        # so they must not be re-derived (and re-sorted) per call.
-        self._sorted_can = sorted(self._can_frame_time)
-        self._sorted_ettt = sorted(
-            name
-            for name, route in self._route.items()
-            if route is MessageRoute.ET_TO_TT
-        )
-        self._sorted_ttet = sorted(
-            name
-            for name, route in self._route.items()
-            if route is MessageRoute.TT_TO_ET
-        )
-        self._sorted_et_procs = sorted(
-            p.name for p in app.all_processes() if arch.is_et_node(p.node)
-        )
-        self._sorted_tt_procs = sorted(
-            p.name for p in app.all_processes() if arch.is_tt_node(p.node)
-        )
-        self._outgoing_by_node: Dict[str, List[str]] = {}
-        for name, route in sorted(self._route.items()):
-            if route not in (MessageRoute.ET_TO_ET, MessageRoute.ET_TO_TT):
-                continue
-            node = app.process(app.message(name).src).node
-            self._outgoing_by_node.setdefault(node, []).append(name)
-        # Transitive ancestors, for precedence-aware interference: the
-        # same-instance execution of an ancestor always precedes its
-        # descendant's activation, so it can never overlap it.
-        self._proc_ancestors: Dict[str, frozenset] = {}
-        self._msg_ancestors: Dict[str, frozenset] = {}
-        for graph in app.graphs.values():
-            proc_anc: Dict[str, set] = {}
-            msg_anc: Dict[str, set] = {}
-            for proc_name in graph.topological_order():
-                procs: set = set()
-                msgs: set = set()
-                for pred, msg_name in graph.predecessors(proc_name):
-                    procs.add(pred)
-                    procs |= proc_anc[pred]
-                    msgs |= msg_anc[pred]
-                    if msg_name is not None:
-                        msgs.add(msg_name)
-                proc_anc[proc_name] = procs
-                msg_anc[proc_name] = msgs
-            for proc_name in graph.processes:
-                self._proc_ancestors[proc_name] = frozenset(proc_anc[proc_name])
-            for msg_name, msg in graph.messages.items():
-                # Ancestors of a message: everything upstream of its sender
-                # (including the messages that deliver into the sender).
-                self._msg_ancestors[msg_name] = frozenset(msg_anc[msg.src])
-        # Endpoint clusters per message (the routing layer's vocabulary;
-        # gateways host no application processes, so both endpoints have
-        # a unique home cluster).
-        self._msg_clusters: Dict[str, Tuple[str, str]] = {}
-        topo = arch.topology
-        for msg in app.all_messages():
-            src = topo.cluster_of_node(app.process(msg.src).node)
-            dst = topo.cluster_of_node(app.process(msg.dst).node)
-            self._msg_clusters[msg.name] = (src, dst)
-        # Compiled engine state: routing plans per route overrides,
-        # buffer-queue layouts (repro.analysis.buffers) and schedulers
-        # (repro.schedule.list_scheduler) per routing plan, analysis
-        # kernels per modeled fault spec (repro.analysis.kernel),
+        # Compiled engine state: the image, routing plans per route
+        # overrides, buffer-queue layouts (repro.analysis.buffers) and
+        # schedulers (repro.schedule.list_scheduler) per routing plan,
+        # analysis kernels per modeled fault spec (repro.analysis.kernel),
         # simulation templates per schedule (repro.sim.kernel), the
         # validation constants (configuration_rules) and derated
         # Systems per modeled fault spec (repro.faults).
@@ -183,6 +106,16 @@ class System:
             name: OrderedDict() for name in _COMPILED_STATE
         }}
 
+    @property
+    def image(self) -> SystemImage:
+        """The System's :class:`~repro.image.SystemImage` (built once)."""
+        image = self._image.get(None)
+        if image is None:
+            image = self._image[None] = SystemImage(
+                self.app, self.arch, self.can_spec, self.releases
+            )
+        return image
+
     # -- topology -----------------------------------------------------------
 
     @property
@@ -192,8 +125,9 @@ class System:
 
     def clusters_of_message(self, msg_name: str) -> Tuple[str, str]:
         """(source cluster, destination cluster) of a message."""
+        image = self.image
         try:
-            return self._msg_clusters[msg_name]
+            return image.msg_clusters[image.mid[msg_name]]
         except KeyError:
             raise ModelError(f"unknown message {msg_name}") from None
 
@@ -220,7 +154,8 @@ class System:
     def routing_for(self, overrides=None):
         """The routing plan of a configuration's ``routes`` overrides.
 
-        Built once per distinct route set and kept in a bounded LRU, so
+        Built once per distinct route set (with its
+        :class:`~repro.image.PlanImage`) and kept in a bounded LRU, so
         every engine evaluating a configuration shares one plan object
         (the analysis kernel re-targets when that object changes).  An
         override spelling out a message's default route is the same
@@ -231,29 +166,34 @@ class System:
 
             return RoutingPlan(self, dict(key))
 
+        known = self.image.mid if overrides else ()
         key = tuple(sorted(
             (name, tuple(route)) for name, route in overrides.items()
-            if name not in self._msg_clusters
-            or tuple(route) != self.default_route(name)
+            if name not in known or tuple(route) != self.default_route(name)
         )) if overrides else ()
         return lru_lookup(self._plans, key, build, _MAX_PLANS)
 
     def configuration_rules(self):
         """The System's :class:`~repro.model.validation.ConfigurationRules`
-        (built once, from the cached message routes)."""
+        (built once, from the image and the default routes)."""
         return lru_lookup(
             self._rules, None,
-            lambda: ConfigurationRules(self.app, self.arch, self._route), 1,
+            lambda: ConfigurationRules(self), 1,
         )
 
     # -- routing ------------------------------------------------------------
 
     def route(self, msg_name: str) -> MessageRoute:
         """Cached route classification of a message."""
+        image = self.image
         try:
-            return self._route[msg_name]
+            return image.msg_route[image.mid[msg_name]]
         except KeyError:
             raise ModelError(f"unknown message {msg_name}") from None
+
+    @staticmethod
+    def _pick(names: List[str], ids: List[int]) -> List[str]:
+        return [names[i] for i in ids]
 
     def can_messages(self) -> List[str]:
         """Names of all messages that travel on the CAN bus, sorted.
@@ -262,49 +202,55 @@ class System:
         ET->TT messages (sent by ETC nodes) plus TT->ET messages (relayed
         by the gateway from the Out_CAN queue) all compete on the same bus.
         """
-        return list(self._sorted_can)
+        return self._pick(self.image.msg_names, self.image.can)
 
     def et_to_tt_messages(self) -> List[str]:
         """Messages that traverse the gateway's Out_TTP FIFO, sorted."""
-        return list(self._sorted_ettt)
+        return self._pick(self.image.msg_names, self.image.ettt)
 
     def tt_to_et_messages(self) -> List[str]:
         """Messages that traverse the gateway's Out_CAN queue, sorted."""
-        return list(self._sorted_ttet)
+        return self._pick(self.image.msg_names, self.image.ttet)
 
     def et_to_et_messages_from(self, node: str) -> List[str]:
         """ET->ET and ET->TT messages enqueued in ``Out_node``, sorted.
 
         Both kinds leave the node through its CAN controller queue.
         """
-        return list(self._outgoing_by_node.get(node, []))
+        image = self.image
+        return self._pick(
+            image.msg_names, image.outgoing_by_node.get(node, [])
+        )
 
     def can_frame_time(self, msg_name: str) -> float:
         """Worst-case CAN transmission time ``C_m`` of a message."""
-        try:
-            return self._can_frame_time[msg_name]
-        except KeyError:
+        image = self.image
+        m = image.mid.get(msg_name)
+        frame = None if m is None else image.msg_frame[m]
+        if frame is None:
             raise ModelError(
                 f"message {msg_name} does not travel on the CAN bus"
-            ) from None
+            )
+        return frame
 
     # -- processes ----------------------------------------------------------
 
     def et_processes_on(self, node: str) -> List[str]:
         """Priority-scheduled application processes on an ET node."""
-        return list(self._et_procs_by_node.get(node, []))
+        image = self.image
+        return self._pick(image.proc_names, image.et_by_node.get(node, []))
 
     def et_nodes_with_processes(self) -> List[str]:
         """ET nodes that host at least one application process."""
-        return sorted(self._et_procs_by_node)
+        return sorted(self.image.et_by_node)
 
     def tt_processes(self) -> List[str]:
         """Statically scheduled processes (on TTC nodes), sorted."""
-        return list(self._sorted_tt_procs)
+        return self._pick(self.image.proc_names, self.image.tt_procs)
 
     def et_processes(self) -> List[str]:
         """Priority-scheduled processes (on ETC nodes), sorted."""
-        return list(self._sorted_et_procs)
+        return self._pick(self.image.proc_names, self.image.et_procs)
 
     def release_of(self, proc_name: str) -> float:
         """Earliest release of a process instance (0 unless hyper-graph)."""
@@ -312,7 +258,8 @@ class System:
 
     def process_is_ancestor(self, ancestor: str, of: str) -> bool:
         """True when ``ancestor`` transitively precedes ``of`` (same graph)."""
-        return ancestor in self._proc_ancestors.get(of, frozenset())
+        pid = self.image.pid
+        return of in pid and pid.get(ancestor) in self.image.proc_anc[pid[of]]
 
     def message_is_ancestor(self, ancestor: str, of: str) -> bool:
         """True when message ``ancestor`` is upstream of message ``of``.
@@ -321,7 +268,8 @@ class System:
         ``of``'s sender, so its same-instance transmission always precedes
         ``of``'s queueing.
         """
-        return ancestor in self._msg_ancestors.get(of, frozenset())
+        mid = self.image.mid
+        return of in mid and mid.get(ancestor) in self.image.msg_anc[mid[of]]
 
     def __repr__(self) -> str:
         return f"System({self.app!r}, {self.arch!r})"

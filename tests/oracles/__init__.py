@@ -20,6 +20,8 @@ identity suites compare against:
   which re-derive queue membership and pair constants per call, over
   the reference activation counts :func:`phase_locked_hits` and
   :func:`ceil0_hits`;
+* :func:`legacy_local_deadlines` — the name-keyed HOPA local-deadline
+  split, which scans every message of a graph per process;
 * :class:`LegacySimulator` / :func:`legacy_simulate` — the
   event-by-event simulator over an :class:`EventQueue` heap;
 * :func:`steer_gateway_traffic_scan` — the full-scan workload steering.
@@ -31,6 +33,7 @@ from .busy_window import ceil0_hits, phase_locked_hits
 from .events import EventQueue
 from .full_sweep import full_sweep_solve
 from .legacy_buffers import legacy_buffer_bounds
+from .legacy_hopa import legacy_local_deadlines
 from .legacy_multihop import legacy_multihop_response_time_analysis
 from .legacy_rta import legacy_response_time_analysis
 from .legacy_schedule import legacy_static_schedule
@@ -43,6 +46,7 @@ __all__ = [
     "ceil0_hits",
     "full_sweep_solve",
     "legacy_buffer_bounds",
+    "legacy_local_deadlines",
     "legacy_multihop_response_time_analysis",
     "legacy_response_time_analysis",
     "legacy_simulate",

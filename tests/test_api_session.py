@@ -218,6 +218,29 @@ class TestTimingBuiltOnFirstRead:
         assert simulated.metadata["violations"] == 0
 
 
+class TestRunResultEquality:
+    """``==`` compares values: the configuration's bus, priorities and
+    offsets by content, and never the in-memory analysis payload."""
+
+    def test_analysis_run_equals_its_pickle_and_copy(self):
+        import copy
+        import pickle
+
+        from repro.optim import straightforward_configuration
+        from repro.synth.workload import WorkloadSpec, generate_workload
+
+        system = generate_workload(WorkloadSpec(nodes=2, seed=0))
+        run = Session(system).evaluate(straightforward_configuration(system))
+        assert run.error is None and run.analysis is not None
+        for twin in (pickle.loads(pickle.dumps(run)), copy.deepcopy(run)):
+            assert twin.config is not run.config
+            assert twin == run
+        assert RunResult.from_dict(run.to_dict()) == run
+        other = run.config.copy()
+        other.priorities.swap_messages(*system.can_messages()[:2])
+        assert other != run.config
+
+
 class TestSessionEvaluate:
     def test_single_evaluation_matches_direct_pipeline(self):
         system = two_node_system()

@@ -500,3 +500,68 @@ class TestDispatchAudit:
         assert result.schedule.audit_dispatch_eligibility(
             system, result.rho
         ) == []
+
+
+class TestClassifyReadsTheAnalysis:
+    """A run that carries its analysis is classified from ``analysis.rho``
+    without building its timing table; a run rebuilt from JSON reads
+    the table's rows and classifies the same."""
+
+    SPEC = CampaignSpec(
+        campaign=1, seed0=100000, clusters=4, gateways=4, nodes=6,
+        route_strategy="random", shrink=False,
+    )
+
+    def _seed(self):
+        from repro.conformance.campaign import _campaign_configuration
+
+        system = generate_workload(self.SPEC.workload_spec(100000))
+        return system, _campaign_configuration(self.SPEC, system, 100000)
+
+    def test_conform_seed_builds_no_timing_table(self, monkeypatch):
+        from repro.api import result
+        from repro.conformance.campaign import evaluate_workload
+
+        builds = []
+        original = result.timing_table
+        monkeypatch.setattr(
+            result, "timing_table",
+            lambda rho: builds.append(rho) or original(rho),
+        )
+        system, config = self._seed()
+        status, violations, error, _ = evaluate_workload(
+            system, periods=3, config=config
+        )
+        assert (status, violations, error) == ("ok", [], None)
+        assert builds == []
+
+    def test_fresh_and_round_tripped_runs_classify_alike(self):
+        import dataclasses
+
+        from repro.api import RunResult
+
+        system, config = self._seed()
+        session = Session(system)
+        analysis = session.evaluate(
+            config, backend="analysis", memoize=False
+        )
+        run = session.evaluate(
+            config, backend="simulation", memoize=False, periods=3,
+            analysis_run=analysis,
+        )
+        late = dataclasses.replace(run, metadata={**run.metadata, **{
+            key: {name: value + 1e3 for name, value in run.metadata[
+                key].items()}
+            for key in (
+                "observed_graph_response", "observed_process_response",
+                "observed_message_latency", "observed_queue_peak",
+            )
+        }})
+        for fresh in (run, late):
+            assert fresh.analysis is not None
+            replayed = RunResult.from_dict(fresh.to_dict())
+            assert replayed.analysis is None
+            assert classify_run(fresh) == classify_run(replayed)
+        assert classify_run(run) == []
+        kinds = {v.kind for v in classify_run(late)}
+        assert {"deadline", "response-bound", "jitter-bound"} <= kinds
