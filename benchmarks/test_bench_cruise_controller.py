@@ -42,7 +42,7 @@ def outcome(bench_scale):
 
 
 def _response(system, evaluation):
-    return graph_response_time(system, evaluation.result.rho, "CC")
+    return graph_response_time(system, evaluation.analysis.rho, "CC")
 
 
 def test_cruise_table(outcome, capsys):

@@ -31,13 +31,13 @@ def main() -> None:
     rows = []
 
     sf = run_straightforward(system)
-    sf_r = graph_response_time(system, sf.result.rho, "CC")
+    sf_r = graph_response_time(system, sf.analysis.rho, "CC")
     rows.append(["SF", f"{sf_r:.0f}", "yes" if sf.schedulable else "NO",
                  f"{sf.total_buffers:.0f}"])
 
     synth = session.synthesize()
     os_result = synth.os_result
-    os_r = graph_response_time(system, os_result.best.result.rho, "CC")
+    os_r = graph_response_time(system, os_result.best.analysis.rho, "CC")
     rows.append(["OS", f"{os_r:.0f}", "yes" if os_result.schedulable else "NO",
                  f"{os_result.best.total_buffers:.0f}"])
 
@@ -45,7 +45,7 @@ def main() -> None:
         system, os_result=os_result, max_iterations=15, max_climbs=4,
         session=session,
     )
-    or_r = graph_response_time(system, or_result.best.result.rho, "CC")
+    or_r = graph_response_time(system, or_result.best.analysis.rho, "CC")
     rows.append(["OR", f"{or_r:.0f}", "yes" if or_result.schedulable else "NO",
                  f"{or_result.total_buffers:.0f}"])
 

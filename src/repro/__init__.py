@@ -109,7 +109,6 @@ from .model import (
     SystemConfiguration,
 )
 from .optim import (
-    Evaluation,
     ORResult,
     OSResult,
     SAResult,
@@ -120,7 +119,7 @@ from .optim import (
     straightforward_configuration,
 )
 from .schedule import StaticSchedule, static_schedule
-from .sim import SimulationTrace, Simulator
+from .sim import SimulationTrace
 from .store import ResultStore
 from .system import System
 
@@ -138,7 +137,6 @@ __all__ = [
     "ConfigurationError",
     "ConvergenceError",
     "Dependency",
-    "Evaluation",
     "EvaluationBackend",
     "MappingError",
     "Message",
@@ -163,7 +161,6 @@ __all__ = [
     "SimulationBackend",
     "SimulationError",
     "SimulationTrace",
-    "Simulator",
     "Slot",
     "StaticSchedule",
     "StoreError",

@@ -7,10 +7,11 @@ A backend turns one ``(System, SystemConfiguration)`` pair into a
   scheduling fixed point (Fig. 5) followed by the degree-of-
   schedulability cost and the buffer bounds.  This is the engine behind
   every synthesis heuristic.
-* ``"simulation"`` — the discrete-event simulator of
-  :mod:`repro.sim.engine`, run on top of an analysis pass (the simulator
-  needs the synthesized schedule tables), reporting observed responses,
-  latencies and queue peaks in the result metadata.
+* ``"simulation"`` — the discrete-event simulation kernel of
+  :mod:`repro.sim.kernel`, replaying a compiled :class:`SimContext` on
+  top of an analysis pass (the simulator needs the synthesized schedule
+  tables), reporting observed responses, latencies and queue peaks in
+  the result metadata.
 
 Third parties extend the registry with :func:`register_backend`; the
 :class:`repro.api.session.Session` batch API resolves backends by name so

@@ -33,8 +33,6 @@ from ..model.configuration import SystemConfiguration
 __all__ = ["RunResult", "INFEASIBLE_COST", "timing_table", "worst_ends"]
 
 #: Cost assigned to configurations that cannot be evaluated at all.
-#: (Canonical home of the constant previously defined in
-#: :mod:`repro.optim.common`, which re-exports it for compatibility.)
 INFEASIBLE_COST = 1e15
 
 #: Version tag of the serialized form.

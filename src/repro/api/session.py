@@ -182,7 +182,7 @@ def _options_key(options: Dict[str, Any]) -> Tuple:
 class SynthesisResult:
     """Outcome of :meth:`Session.synthesize` (OS, optionally + OR)."""
 
-    best: Any  # repro.optim.common.Evaluation
+    best: RunResult
     os_result: Any  # repro.optim.optimize_schedule.OSResult
     or_result: Optional[Any] = None  # repro.optim.optimize_resources.ORResult
 
@@ -464,7 +464,7 @@ class Session:
     ) -> RunResult:
         """Re-home a memoized result onto the caller's config object.
 
-        Evaluation promises to leave the synthesized offsets on the
+        An evaluation promises to leave the synthesized offsets on the
         evaluated configuration; a cache hit must honor that contract for
         the *new* object too.  The returned record gets its own mutable
         containers so the caller cannot poison the cache entry.

@@ -607,16 +607,16 @@ def _render_conform_report(args: argparse.Namespace, spec, report) -> int:
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     session = Session.from_file(args.system)
     synth = session.synthesize(minimize_buffers=args.minimize_buffers)
-    evaluation = synth.best
+    best = synth.best
     with open(args.output, "w") as handle:
-        json.dump(config_to_dict(evaluation.config), handle, indent=2)
-    verdict = "schedulable" if evaluation.schedulable else "NOT schedulable"
+        json.dump(config_to_dict(best.config), handle, indent=2)
+    verdict = "schedulable" if best.schedulable else "NOT schedulable"
     print(
-        f"wrote {args.output}: {verdict}, degree {evaluation.degree:.1f}, "
-        f"s_total {evaluation.total_buffers:.0f} bytes "
+        f"wrote {args.output}: {verdict}, degree {best.degree:.1f}, "
+        f"s_total {best.total_buffers:.0f} bytes "
         f"({synth.evaluations} analysis runs)"
     )
-    return 0 if evaluation.schedulable else 1
+    return 0 if best.schedulable else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -345,12 +345,10 @@ def _campaign_configuration(
     """
     if spec.route_strategy == "default":
         return None
-    from ..optim.routing import fit_bus_to_routes
-    from ..synth.workload import seeded_routes
+    from ..synth.workload import apply_seeded_routes
 
     config = conformance_configuration(system, spec.rounds_per_period)
-    config.routes.update(seeded_routes(system, spec.workload_spec(seed)))
-    config.bus = fit_bus_to_routes(system, config.bus, config.routes)
+    apply_seeded_routes(system, spec.workload_spec(seed), config)
     return config
 
 

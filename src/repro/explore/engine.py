@@ -99,20 +99,20 @@ def _os_result(state: Dict[str, Any], cell: Cell):
     return cached
 
 
-def _metrics_from_evaluation(ev, evaluations: int) -> Dict[str, Any]:
+def _metrics_from_evaluation(run, evaluations: int) -> Dict[str, Any]:
     return {
-        "schedulable": bool(ev.schedulable),
-        "degree": float(ev.degree),
-        "total_buffers": float(ev.total_buffers),
+        "schedulable": bool(run.schedulable),
+        "degree": float(run.degree),
+        "total_buffers": float(run.total_buffers),
         "evaluations": int(evaluations),
-        "config_hash": ev.config_hash,
+        "config_hash": run.metadata.get("config_hash"),
     }
 
 
 def _canonical_config(state, cell: Cell):
     """The canonical HOPA configuration with the cell's bus knobs."""
     from ..conformance.campaign import conformance_configuration
-    from ..synth.workload import seeded_routes
+    from ..synth.workload import apply_seeded_routes
 
     config = conformance_configuration(
         state["system"], rounds_per_period=_option(cell, "rounds_per_period")
@@ -123,21 +123,14 @@ def _canonical_config(state, cell: Cell):
             Slot(s.node, s.capacity, s.duration * scale)
             for s in config.bus.slots
         ])
-    spec = cell.workload_spec()
-    if spec.route_strategy != "default":
-        from ..optim.routing import fit_bus_to_routes
-
-        config.routes.update(seeded_routes(state["system"], spec))
-        config.bus = fit_bus_to_routes(
-            state["system"], config.bus, config.routes
-        )
+    apply_seeded_routes(state["system"], cell.workload_spec(), config)
     return config
 
 
 def _eval_sf(state, cell: Cell) -> Dict[str, Any]:
     config = straightforward_configuration(state["system"])
-    ev = evaluate(state["system"], config, session=state["session"])
-    return _metrics_from_evaluation(ev, evaluations=1)
+    run = evaluate(state["system"], config, session=state["session"])
+    return _metrics_from_evaluation(run, evaluations=1)
 
 
 def _eval_os(state, cell: Cell) -> Dict[str, Any]:
@@ -234,7 +227,7 @@ def _eval_conform(state, cell: Cell) -> Dict[str, Any]:
         conformance_configuration,
         evaluate_workload,
     )
-    from ..synth.workload import seeded_routes
+    from ..synth.workload import apply_seeded_routes
 
     spec = cell.workload_spec()
     config = None
@@ -242,16 +235,11 @@ def _eval_conform(state, cell: Cell) -> Dict[str, Any]:
         # Non-default routing enters through an explicit configuration;
         # the default path keeps passing config=None (evaluate_workload
         # builds the identical canonical configuration itself).
-        from ..optim.routing import fit_bus_to_routes
-
         config = conformance_configuration(
             state["system"],
             rounds_per_period=_option(cell, "rounds_per_period"),
         )
-        config.routes.update(seeded_routes(state["system"], spec))
-        config.bus = fit_bus_to_routes(
-            state["system"], config.bus, config.routes
-        )
+        apply_seeded_routes(state["system"], spec, config)
     status, violations, error, _profile = evaluate_workload(
         state["system"],
         periods=_option(cell, "periods"),

@@ -1,7 +1,7 @@
 """Synthesis heuristics: SF, HOPA, OS, OR and the SA baselines (section 5)."""
 
 from .annealing import SAResult, sa_resources, sa_schedule, simulated_annealing
-from .common import Evaluation, evaluate, evaluation_from_run
+from .common import evaluate
 from .hopa import hopa_priorities, local_deadlines
 from .moves import (
     DelayActivity,
@@ -32,7 +32,6 @@ from .straightforward import run_straightforward, straightforward_configuration
 
 __all__ = [
     "DelayActivity",
-    "Evaluation",
     "Move",
     "ORResult",
     "OSResult",
@@ -46,7 +45,6 @@ __all__ = [
     "build_bus",
     "default_capacities",
     "evaluate",
-    "evaluation_from_run",
     "fit_bus_to_routes",
     "generate_neighbors",
     "greedy_routes",

@@ -21,9 +21,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..api.result import RunResult
 from ..model.configuration import SystemConfiguration
 from ..system import System
-from .common import Evaluation, evaluate
+from .common import evaluate
 from .moves import random_move
 from .straightforward import straightforward_configuration
 
@@ -37,7 +38,7 @@ _UNSCHEDULABLE_WEIGHT = 1e9
 class SAResult:
     """Outcome of one annealing run."""
 
-    best: Evaluation
+    best: RunResult
     evaluations: int
     accepted: int
 
@@ -47,11 +48,11 @@ class SAResult:
         return self.best.schedulable
 
 
-def _degree_cost(evaluation: Evaluation) -> float:
+def _degree_cost(evaluation: RunResult) -> float:
     return evaluation.degree
 
 
-def _buffer_cost(evaluation: Evaluation) -> float:
+def _buffer_cost(evaluation: RunResult) -> float:
     cost = evaluation.total_buffers
     if not evaluation.schedulable:
         cost += _UNSCHEDULABLE_WEIGHT + max(0.0, evaluation.degree)
@@ -61,7 +62,7 @@ def _buffer_cost(evaluation: Evaluation) -> float:
 def simulated_annealing(
     system: System,
     initial: SystemConfiguration,
-    cost: Callable[[Evaluation], float],
+    cost: Callable[[RunResult], float],
     iterations: int = 400,
     initial_temperature: Optional[float] = None,
     cooling: float = 0.98,

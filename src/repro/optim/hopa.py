@@ -146,9 +146,9 @@ def hopa_priorities(
         if evaluation.degree < best_degree:
             best_degree = evaluation.degree
             best = priorities
-        if not evaluation.feasible or evaluation.result is None:
+        if not evaluation.feasible or evaluation.analysis is None:
             break
-        rho = evaluation.result.rho
+        rho = evaluation.analysis.rho
         weights = {}
         for name, timing in rho.processes.items():
             r = timing.response

@@ -21,12 +21,12 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..api.result import RunResult
 from ..model.architecture import MessageRoute
 from ..model.configuration import SystemConfiguration
 from ..model.validation import minimum_slot_capacity
 from ..schedule.asap_alap import slack_of_message
 from ..system import System
-from .common import Evaluation
 from .slots import recommended_capacities
 
 __all__ = [
@@ -200,15 +200,15 @@ def _priority_moves(system: System, config: SystemConfiguration) -> List[Move]:
 
 
 def _delay_moves(
-    system: System, config: SystemConfiguration, evaluation: Optional[Evaluation]
+    system: System, config: SystemConfiguration, evaluation: Optional[RunResult]
 ) -> List[Move]:
     """Delays for TT activities that feed the gateway queues."""
     moves: List[Move] = []
     rho = None
     offsets = config.offsets
-    if evaluation is not None and evaluation.result is not None:
-        rho = evaluation.result.rho
-        offsets = evaluation.result.offsets
+    if evaluation is not None and evaluation.analysis is not None:
+        rho = evaluation.analysis.rho
+        offsets = evaluation.analysis.offsets
     for msg in system.app.all_messages():
         if system.route(msg.name) is not MessageRoute.TT_TO_ET:
             continue
@@ -227,7 +227,7 @@ def _delay_moves(
 
 
 def _targeted_spread_moves(
-    system: System, config: SystemConfiguration, evaluation: Optional[Evaluation]
+    system: System, config: SystemConfiguration, evaluation: Optional[RunResult]
 ) -> List[Move]:
     """Delay moves aimed at the actual buffer-bound contributors.
 
@@ -238,9 +238,9 @@ def _targeted_spread_moves(
     messages' queue residencies disjoint — the "move a message inside its
     [ASAP, ALAP] interval" move, aimed where it pays.
     """
-    if evaluation is None or evaluation.result is None:
+    if evaluation is None or evaluation.analysis is None:
         return []
-    rho = evaluation.result.rho
+    rho = evaluation.analysis.rho
     app = system.app
     members = system.tt_to_et_messages()
     moves: List[Move] = []
@@ -289,7 +289,7 @@ def _targeted_spread_moves(
 def generate_neighbors(
     system: System,
     config: SystemConfiguration,
-    evaluation: Optional[Evaluation] = None,
+    evaluation: Optional[RunResult] = None,
     rng: Optional[random.Random] = None,
     limit: int = 24,
 ) -> List[Move]:
@@ -323,7 +323,7 @@ def random_move(
     system: System,
     config: SystemConfiguration,
     rng: random.Random,
-    evaluation: Optional[Evaluation] = None,
+    evaluation: Optional[RunResult] = None,
 ) -> Move:
     """One uniformly random move (the annealers' neighbor function).
 

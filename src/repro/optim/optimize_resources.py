@@ -16,9 +16,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from ..api.result import RunResult
 from ..exceptions import UnschedulableError
 from ..system import System
-from .common import Evaluation, evaluate
+from .common import evaluate
 from .moves import generate_neighbors
 from .optimize_schedule import OSResult, optimize_schedule
 
@@ -29,7 +30,7 @@ __all__ = ["ORResult", "optimize_resources"]
 class ORResult:
     """Outcome of OptimizeResources."""
 
-    best: Evaluation
+    best: RunResult
     schedule_result: OSResult
     evaluations: int = 0
     climbs: int = 0
@@ -114,7 +115,7 @@ def optimize_resources(
                 rng=rng,
                 limit=neighborhood,
             )
-            best_move_eval: Optional[Evaluation] = None
+            best_move_eval: Optional[RunResult] = None
             for move in moves:
                 candidate = evaluate(
                     system, move.apply(current.config), session=session

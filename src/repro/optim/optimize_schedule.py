@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..api.result import RunResult
 from ..model.configuration import SystemConfiguration
 from ..system import System
-from .common import Evaluation, evaluate
+from .common import evaluate
 from .hopa import hopa_priorities
 from .slots import build_bus, default_capacities, recommended_capacities
 
@@ -41,10 +42,10 @@ class SeedPool:
 
     def __init__(self, limit: int = 5) -> None:
         self.limit = limit
-        self._by_degree: List[Evaluation] = []
-        self._by_buffers: List[Evaluation] = []
+        self._by_degree: List[RunResult] = []
+        self._by_buffers: List[RunResult] = []
 
-    def add(self, evaluation: Evaluation) -> None:
+    def add(self, evaluation: RunResult) -> None:
         """Consider one evaluated configuration for the pool."""
         if not evaluation.feasible:
             return
@@ -56,9 +57,9 @@ class SeedPool:
             self._by_buffers.sort(key=lambda e: e.total_buffers)
             del self._by_buffers[self.limit :]
 
-    def seeds(self) -> List[Evaluation]:
+    def seeds(self) -> List[RunResult]:
         """The pooled seeds, de-duplicated, best-buffer seeds first."""
-        out: List[Evaluation] = []
+        out: List[RunResult] = []
         seen = set()
         for evaluation in self._by_buffers + self._by_degree:
             key = id(evaluation)
@@ -72,8 +73,8 @@ class SeedPool:
 class OSResult:
     """Outcome of OptimizeSchedule."""
 
-    best: Evaluation
-    seeds: List[Evaluation] = field(default_factory=list)
+    best: RunResult
+    seeds: List[RunResult] = field(default_factory=list)
     evaluations: int = 0
 
     @property
@@ -112,10 +113,10 @@ def optimize_schedule(
     order = list(system.arch.ttp_slot_owners())
     capacities = default_capacities(system)
     evaluations = 0
-    best_overall: Optional[Evaluation] = None
+    best_overall: Optional[RunResult] = None
 
     for position in range(len(order)):
-        best_for_slot: Optional[Evaluation] = None
+        best_for_slot: Optional[RunResult] = None
         best_node_index: Optional[int] = None
         best_capacity: Optional[int] = None
         for candidate_index in range(position, len(order)):

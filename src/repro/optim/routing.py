@@ -150,12 +150,11 @@ def route_candidates(
     src, dst = system.clusters_of_message(msg_name)
     if src == dst:
         return []
-    topo = system.arch.topology
-    routes = topo.routes_between(src, dst, max_hops=max_hops)
+    routes = system.routes_between(src, dst, max_hops)
     feasible = [
         r for r in routes if _slot_feasible(system, bus, msg_name, r)
     ]
-    return feasible or routes
+    return feasible or list(routes)
 
 
 def greedy_routes(
@@ -188,8 +187,7 @@ def greedy_routes(
         )
         for hop in best:
             load[hop] += size
-        src, dst = system.clusters_of_message(name)
-        if best != topo.default_route(src, dst):
+        if best != system.default_route(name):
             overrides[name] = best
     return overrides
 
@@ -205,16 +203,12 @@ def route_moves(
     route), which keeps the classic optimizers' move sequences — and
     therefore their seeded RNG draws — byte-identical.
     """
-    topo = system.arch.topology
     moves: List[Move] = []
     for msg in system.app.all_messages():
-        src, dst = system.clusters_of_message(msg.name)
-        if src == dst:
-            continue
         candidates = route_candidates(system, msg.name, config.bus, max_hops)
         if len(candidates) < 2:
             continue
-        default = topo.default_route(src, dst)
+        default = system.default_route(msg.name)
         current = tuple(config.routes.get(msg.name, default))
         for route in candidates:
             if route == current:

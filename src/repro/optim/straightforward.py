@@ -15,9 +15,10 @@ the reference point the OS heuristic improves on.
 
 from __future__ import annotations
 
+from ..api.result import RunResult
 from ..model.configuration import SystemConfiguration
 from ..system import System
-from .common import Evaluation, evaluate
+from .common import evaluate
 from .hopa import hopa_priorities
 from .slots import build_bus, default_capacities
 
@@ -31,6 +32,6 @@ def straightforward_configuration(system: System) -> SystemConfiguration:
     return SystemConfiguration(bus=bus, priorities=hopa_priorities(system))
 
 
-def run_straightforward(system: System) -> Evaluation:
+def run_straightforward(system: System) -> RunResult:
     """Evaluate the SF baseline."""
     return evaluate(system, straightforward_configuration(system))

@@ -1,11 +1,11 @@
 """Discrete-event simulation of the two-cluster platform (validation).
 
-:class:`Simulator` / :func:`simulate` run the compiled kernel
+:func:`simulate` runs the compiled kernel
 (:mod:`repro.sim.kernel`): a :class:`SimContext` compiles a system's
 static timeline once and replays it per run.
 """
 
-from .engine import Simulator, simulate
+from .engine import simulate
 from .kernel import SimContext, SimStats
 from .trace import ScheduleViolation, SimulationTrace
 
@@ -14,6 +14,5 @@ __all__ = [
     "SimContext",
     "SimStats",
     "SimulationTrace",
-    "Simulator",
     "simulate",
 ]

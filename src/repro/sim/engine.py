@@ -21,7 +21,7 @@ simulated traces.  It is deterministic; execution times default to the
 WCETs (the regime in which the offset-based analysis promises dominance)
 and can be scaled per activation for robustness experiments.  The
 implementation is the compiled kernel (:mod:`repro.sim.kernel`); this
-module is its entry point.
+module's :func:`simulate` is its entry point.
 
 Restrictions (asserted): all graphs share one period, and that period is
 an integer multiple of the TDMA round length, so the static schedule and
@@ -38,70 +38,9 @@ from ..system import System
 from .kernel import SimContext
 from .trace import SimulationTrace
 
-__all__ = ["Simulator", "simulate"]
+__all__ = ["simulate"]
 
 ExecutionModel = Callable[[str, int], float]
-
-
-class Simulator:
-    """Deterministic discrete-event simulation of the platform.
-
-    A thin wrapper over :class:`repro.sim.kernel.SimContext`:
-    construction compiles (or adopts) a context, :meth:`run` replays
-    it.  The pre-kernel event-by-event engine lives on as a test oracle
-    (``tests/oracles``) that the kernel is trace-parity-tested against
-    (``tests/test_sim_parity.py``).
-
-    Parameters
-    ----------
-    system, config:
-        The problem instance and a *complete* configuration (offsets are
-        taken from ``schedule``).
-    schedule:
-        The static schedule produced by the multi-cluster loop for
-        ``config`` (tables + MEDL).
-    periods:
-        How many period instances to simulate.
-    execution:
-        Optional execution-time model ``(process, instance) -> time``;
-        defaults to the WCET.  Values must not exceed the WCET.
-    context:
-        Optional pre-compiled :class:`SimContext` for this
-        ``(system, config, schedule)`` triple (a Session passes its
-        cached one); compiled here when absent.
-    faults:
-        Optional :class:`repro.faults.FaultSpec` injected through the
-        kernel's dynamic path (see :meth:`SimContext.run`).
-    """
-
-    def __init__(
-        self,
-        system: System,
-        config: SystemConfiguration,
-        schedule: StaticSchedule,
-        periods: int = 4,
-        execution: Optional[ExecutionModel] = None,
-        context: Optional[SimContext] = None,
-        faults=None,
-    ) -> None:
-        self.system = system
-        self.config = config
-        self.schedule = schedule
-        self.periods = periods
-        self.context = (
-            context
-            if context is not None
-            else SimContext(system, config, schedule)
-        )
-        self._execution = execution
-        self._faults = faults
-
-    def run(self) -> SimulationTrace:
-        """Execute the simulation and return the trace."""
-        return self.context.run(
-            periods=self.periods, execution=self._execution,
-            faults=self._faults,
-        )
 
 
 def simulate(
@@ -110,11 +49,25 @@ def simulate(
     schedule: StaticSchedule,
     periods: int = 4,
     execution: Optional[ExecutionModel] = None,
-    context: Optional[SimContext] = None,
     faults=None,
 ) -> SimulationTrace:
-    """Convenience wrapper around :class:`Simulator` (compiled kernel)."""
-    return Simulator(
-        system, config, schedule, periods=periods, execution=execution,
-        context=context, faults=faults,
-    ).run()
+    """Simulate ``periods`` period instances and return the trace.
+
+    ``config`` is a *complete* configuration (offsets are taken from
+    ``schedule``, the static schedule the multi-cluster loop produced
+    for it: tables + MEDL).  ``execution`` is an optional execution-time
+    model ``(process, instance) -> time`` that defaults to the WCET;
+    its values must not exceed the WCET.  ``faults`` is an optional
+    :class:`repro.faults.FaultSpec` injected through the kernel's
+    dynamic path (see :meth:`SimContext.run`).
+
+    Compiles a :class:`repro.sim.kernel.SimContext` for the triple and
+    replays it once; a caller replaying one schedule many times keeps
+    the context and calls :meth:`SimContext.run` itself.  The
+    pre-kernel event-by-event engine lives on as a test oracle
+    (``tests/oracles``) that the kernel is trace-parity-tested against
+    (``tests/test_sim_parity.py``).
+    """
+    return SimContext(system, config, schedule).run(
+        periods=periods, execution=execution, faults=faults,
+    )

@@ -127,9 +127,9 @@ class SimStats:
 class SimContext:
     """A compiled simulation template (see module docstring).
 
-    Parameters mirror :class:`repro.sim.engine.Simulator` minus the
-    per-run knobs: ``periods`` and the execution-time model are
-    :meth:`run` arguments, so one context serves many replays.
+    Parameters are those of :func:`repro.sim.engine.simulate` minus the
+    per-run knobs: ``periods``, the execution-time model and the faults
+    are :meth:`run` arguments, so one context serves many replays.
     """
 
     def __init__(
@@ -414,8 +414,8 @@ class SimContext:
     ) -> SimulationTrace:
         """Replay the compiled template for ``periods`` period instances.
 
-        Equivalent to ``Simulator(system, config, schedule, periods,
-        execution).run()`` on the legacy engine, trace for trace.
+        Trace for trace equal to the legacy event-by-event engine
+        (``tests/oracles``) on the same arguments.
 
         ``faults`` (a :class:`repro.faults.FaultSpec`) injects the
         spec's seeded fault processes through the dynamic path: CAN

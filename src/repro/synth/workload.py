@@ -35,11 +35,15 @@ from ..buses.ttp import TTPBusSpec
 from ..exceptions import ConfigurationError
 from ..model.application import Application, ProcessGraph
 from ..model.architecture import Architecture
+from ..model.configuration import SystemConfiguration
 from ..model.topology import Cluster, Gateway, Topology
 from ..system import System
 from .graphgen import GraphShape, random_graph_structure, realize_graph
 
-__all__ = ["WorkloadSpec", "generate_workload", "seeded_routes"]
+__all__ = [
+    "WorkloadSpec", "apply_seeded_routes", "generate_workload",
+    "seeded_routes",
+]
 
 
 @dataclass(frozen=True)
@@ -338,3 +342,21 @@ def seeded_routes(system: System, spec: WorkloadSpec):
         if pick != system.default_route(msg.name):
             overrides[msg.name] = pick
     return overrides
+
+
+def apply_seeded_routes(
+    system: System, spec: WorkloadSpec, config: SystemConfiguration
+) -> None:
+    """Give ``config`` the :func:`seeded_routes` of ``spec``, with its
+    TDMA slots grown to carry the relayed payloads
+    (:func:`repro.optim.routing.fit_bus_to_routes`).
+
+    A no-op for the ``default`` strategy, so canonical configurations
+    stay canonical.
+    """
+    if spec.route_strategy == "default":
+        return
+    from ..optim.routing import fit_bus_to_routes
+
+    config.routes.update(seeded_routes(system, spec))
+    config.bus = fit_bus_to_routes(system, config.bus, config.routes)

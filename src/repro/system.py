@@ -96,8 +96,9 @@ class System:
         # Systems per modeled fault spec (repro.faults).
         for name in _COMPILED_STATE:
             setattr(self, name, OrderedDict())
-        # Default route per (source, destination) cluster pair.
-        self._default_routes: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        # Gateway routes per (source cluster, destination cluster,
+        # max_hops), enumerated once (see routes_between).
+        self._routes: Dict[Tuple[str, str, int], Tuple[Tuple[str, ...], ...]] = {}
 
     def __getstate__(self):
         # Compiled state: copies and pickles rebuild it rather than
@@ -136,16 +137,29 @@ class System:
         src, dst = self.clusters_of_message(msg_name)
         return src != dst
 
+    def routes_between(
+        self, src: str, dst: str, max_hops: int = 4
+    ) -> Tuple[Tuple[str, ...], ...]:
+        """:meth:`Topology.routes_between
+        <repro.model.topology.Topology.routes_between>`, enumerated once
+        per System and cluster pair; shortest first."""
+        key = (src, dst, max_hops)
+        routes = self._routes.get(key)
+        if routes is None:
+            routes = self._routes[key] = tuple(
+                self.arch.topology.routes_between(src, dst, max_hops)
+            )
+        return routes
+
     def default_route(self, msg_name: str) -> Tuple[str, ...]:
         """Topology-default (shortest) gateway route of a message."""
         src, dst = self.clusters_of_message(msg_name)
         if src == dst:
             return ()
-        route = self._default_routes.get((src, dst))
-        if route is None:
-            route = self.arch.topology.default_route(src, dst)
-            self._default_routes[(src, dst)] = route
-        return route
+        routes = self.routes_between(src, dst)
+        if not routes:
+            raise ModelError(f"no gateway path from cluster {src} to {dst}")
+        return routes[0]
 
     def default_routing(self):
         """The all-defaults :class:`~repro.semantics.routing.RoutingPlan`."""

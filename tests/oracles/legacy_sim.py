@@ -2,7 +2,7 @@
 
 :class:`LegacySimulator` builds per-instance closures and runs every
 event, static and dynamic alike, through an :class:`EventQueue` heap.
-It is the executable specification :class:`repro.sim.Simulator` (the
+It is the executable specification :func:`repro.sim.simulate` (the
 compiled kernel) is trace-parity-tested against, bit for bit
 (``tests/test_sim_parity.py``, ``tests/test_faults.py``,
 ``tests/test_topology.py``, ``tests/test_topology_identity.py``).
@@ -192,8 +192,8 @@ class LegacySimulator:
     Kept as the executable specification the compiled kernel is
     parity-tested against: it builds per-instance closures and runs
     every event — static and dynamic alike — through the
-    :class:`EventQueue` heap.  Use :class:`Simulator` (the compiled
-    kernel) everywhere else.
+    :class:`EventQueue` heap.  Use :func:`repro.sim.simulate` (the
+    compiled kernel) everywhere else.
 
     Parameters
     ----------

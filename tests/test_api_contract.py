@@ -112,3 +112,14 @@ def test_deprecated_flat_aliases_are_gone():
     ):
         assert name not in repro.__all__
         assert not callable(getattr(repro, name, None)), name
+
+
+@pytest.mark.parametrize("module_name", SUBPACKAGES)
+def test_removed_evaluation_adapters_are_gone(module_name):
+    """``RunResult`` is the only evaluation record and ``simulate`` the
+    only simulator entry point: the optimizers' ``Evaluation`` copy, its
+    ``evaluation_from_run`` adapter and the ``Simulator`` wrapper are
+    exported nowhere."""
+    module = importlib.import_module(module_name)
+    for name in ("Evaluation", "evaluation_from_run", "Simulator"):
+        assert name not in getattr(module, "__all__", ()), (module_name, name)

@@ -44,10 +44,10 @@ class TestPaperShape:
     def test_sf_misses_os_meets(self, system):
         sf = run_straightforward(system)
         assert not sf.schedulable
-        assert graph_response_time(system, sf.result.rho, "CC") > CRUISE_DEADLINE
+        assert graph_response_time(system, sf.analysis.rho, "CC") > CRUISE_DEADLINE
         osr = optimize_schedule(system)
         assert osr.schedulable
         assert (
-            graph_response_time(system, osr.best.result.rho, "CC")
+            graph_response_time(system, osr.best.analysis.rho, "CC")
             <= CRUISE_DEADLINE
         )

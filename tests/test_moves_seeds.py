@@ -57,8 +57,8 @@ class TestMoveSemantics:
         delayed = evaluate(system, DelayActivity("m2", 45.0).apply(config))
         # Delaying m2 by a round pushes it to a later TDMA round.
         assert (
-            delayed.result.offsets.message_offset("m2")
-            > base.result.offsets.message_offset("m2")
+            delayed.analysis.offsets.message_offset("m2")
+            > base.analysis.offsets.message_offset("m2")
         )
 
 
@@ -90,10 +90,10 @@ class TestSeedPool:
         assert all(s.feasible for s in seeds)
 
     def test_infeasible_never_pooled(self):
-        from repro.optim.common import Evaluation
+        from repro.api import RunResult
 
         pool = SeedPool()
-        pool.add(Evaluation(config=None, error="broken"))
+        pool.add(RunResult(backend="analysis", error="broken"))
         assert pool.seeds() == []
 
 

@@ -371,7 +371,7 @@ class TestSessionStoreTier:
         run = session.evaluate(config)
         assert run.metadata["config_hash"] == config_hash(config)
         evaluation = optim_evaluate(system, config, session=session)
-        assert evaluation.config_hash == config_hash(config)
+        assert evaluation.metadata["config_hash"] == config_hash(config)
 
     def test_miss_refreshes_are_rate_limited(self, tmp_path):
         """An optimizer-style loop of genuine misses must not re-scan

@@ -274,6 +274,39 @@ class TestRoutingOptimizer:
             assert lengths == sorted(lengths)
 
 
+    def test_routes_enumerated_once_per_system(self, monkeypatch):
+        """One routed 4-cluster campaign seed asks the topology for each
+        cluster pair's routes at most once, and the System's cached
+        routes are the topology's own."""
+        from repro.conformance import CampaignSpec, run_campaign
+
+        calls = {}
+        enumerate_routes = Topology.routes_between
+
+        def counting(topo, src, dst, max_hops=4):
+            key = (id(topo), src, dst, max_hops)
+            calls[key] = calls.get(key, 0) + 1
+            return enumerate_routes(topo, src, dst, max_hops)
+
+        monkeypatch.setattr(Topology, "routes_between", counting)
+        spec = CampaignSpec(
+            campaign=1, seed0=100000, clusters=4, gateways=4, nodes=6,
+            route_strategy="random", shrink=False, workers=1,
+        )
+        report = run_campaign(spec)
+        assert len(report.outcomes) == 1
+        assert calls and max(calls.values()) == 1
+        monkeypatch.undo()
+
+        system = generate_workload(spec.workload_spec(spec.seed0))
+        topo = system.topology
+        for src in topo.clusters:
+            for dst in topo.clusters:
+                assert system.routes_between(src, dst) == tuple(
+                    topo.routes_between(src, dst)
+                )
+
+
 class TestTopologySerialization:
     def test_multi_system_round_trip(self):
         system = multi_system(gateways=3)
