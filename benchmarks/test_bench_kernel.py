@@ -14,7 +14,9 @@ Scale knobs: ``REPRO_KERNEL_NODES`` (default 2), ``REPRO_KERNEL_REPS``
 """
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +25,14 @@ from repro.optim import straightforward_configuration
 from repro.schedule import static_schedule
 from repro.synth import WorkloadSpec, generate_workload
 
+# The parity measure lives with the reference oracles, under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles.deltas import rho_max_abs_delta  # noqa: E402
+
 
 def assert_rho_equal(a, b, tol=0.0, context=""):
     """Bit-level structural equality of two ResponseTimes records."""
-    delta = a.max_abs_delta(b)
+    delta = rho_max_abs_delta(a, b)
     assert delta <= tol, (
         f"{context}: rho records differ (max |delta| = {delta})"
     )

@@ -101,52 +101,6 @@ class ResponseTimes:
         records += list(self.ttp.values())
         return all(t.converged for t in records)
 
-    def max_abs_delta(self, other: "ResponseTimes") -> float:
-        """Largest absolute per-field difference against ``other``.
-
-        The structural-parity companion of
-        :meth:`OffsetTable.max_abs_delta`: returns 0.0 when the two
-        records are bit-identical, ``math.inf`` when they differ
-        structurally (key sets, per-leg ``hops`` counts, convergence
-        flags, TT arrivals) or one side diverged where the other did
-        not.  Per-leg ``hops`` records count like any other record, so
-        a difference confined to a non-final leg is not lost.  The
-        parity tests and benchmarks assert ``a.max_abs_delta(b) == 0.0``.
-        """
-        pairs = []
-        for mine, theirs in (
-            (self.processes, other.processes),
-            (self.can, other.can),
-            (self.ttp, other.ttp),
-        ):
-            if set(mine) != set(theirs):
-                return math.inf
-            pairs.extend((timing, theirs[key]) for key, timing in mine.items())
-        if set(self.hops) != set(other.hops):
-            return math.inf
-        for key, legs in self.hops.items():
-            if len(legs) != len(other.hops[key]):
-                return math.inf
-            pairs.extend(zip(legs, other.hops[key]))
-        if self.tt_arrival != other.tt_arrival:
-            return math.inf
-        worst = 0.0
-        for timing, against in pairs:
-            if timing.converged != against.converged:
-                return math.inf
-            for a, b in (
-                (timing.offset, against.offset),
-                (timing.jitter, against.jitter),
-                (timing.queuing, against.queuing),
-                (timing.duration, against.duration),
-            ):
-                if math.isinf(a) and math.isinf(b):
-                    continue
-                delta = abs(a - b)
-                if delta > worst:
-                    worst = delta
-        return worst
-
     def copy(self) -> "ResponseTimes":
         """Shallow-record copy (records are immutable)."""
         out = ResponseTimes()

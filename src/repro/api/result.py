@@ -119,7 +119,9 @@ class _TimingTable:
         return run._timing
 
     def __set__(self, run, table) -> None:
-        run._timing = table
+        # The dataclass passes this descriptor itself as the field's
+        # default (``field(default=...)``): no table given.
+        run._timing = None if table is self else table
 
 
 @dataclass
@@ -144,7 +146,11 @@ class RunResult:
     converged: bool = False
     iterations: int = 0
     graph_responses: Dict[str, float] = field(default_factory=dict)
-    timing: Dict[str, Dict[str, Any]] = _TimingTable()
+    #: Not part of ``==`` either: comparing two results (the optimizers'
+    #: ``not in`` seed picks) must build no table.
+    timing: Dict[str, Dict[str, Any]] = field(
+        default=_TimingTable(), compare=False
+    )
     buffers: Optional[BufferReport] = None
     report: Optional[SchedulabilityReport] = None
     config: Optional[SystemConfiguration] = None

@@ -107,6 +107,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from typing import Optional, Sequence
 
 from .api import Session
@@ -493,8 +494,15 @@ def _render_explore_report(args: argparse.Namespace, report) -> int:
 
 
 def _cmd_conform(args: argparse.Namespace) -> int:
-    from .conformance import CampaignInterrupted, CampaignSpec, run_campaign
-    from .explore import trap_signals
+    from collections import Counter
+
+    from .conformance import (
+        CampaignSpec,
+        SeedOutcome,
+        campaign_report,
+        run_campaign,
+    )
+    from .explore import SweepInterrupted, trap_signals
 
     spec = CampaignSpec(
         campaign=args.campaign,
@@ -511,16 +519,23 @@ def _cmd_conform(args: argparse.Namespace) -> int:
         route_strategy=args.route_strategy,
     )
     if args.server:
-        from .serve import run_campaign_via_server
+        from .serve import run_sweep_via_server
 
-        report = run_campaign_via_server(spec, args.server)
+        started = time.perf_counter()
+        sweep = run_sweep_via_server(spec, args.server)
+        report = campaign_report(spec, sweep.records, started)
         return _render_conform_report(args, spec, report)
     with trap_signals() as stop:
         try:
             report = run_campaign(spec, stop=stop)
-        except CampaignInterrupted as exc:
-            done = len(exc.report.outcomes)
-            counts = exc.report.counts
+        except SweepInterrupted as exc:
+            # Units stream back in seed order: the seeds done are
+            # contiguous from seed0.
+            done = exc.completed
+            counts = Counter(
+                SeedOutcome.from_record(record).status
+                for record in exc.records
+            )
             tally = ", ".join(
                 f"{status}: {counts[status]}" for status in sorted(counts)
             )
@@ -529,7 +544,7 @@ def _cmd_conform(args: argparse.Namespace) -> int:
                 + (f" ({tally})" if tally else ""), file=sys.stderr,
             )
             print(
-                f"resumable — rerun with --seed0 {exc.next_seed} "
+                f"resumable — rerun with --seed0 {spec.seed0 + done} "
                 f"--campaign {spec.campaign - done} to finish the range",
                 file=sys.stderr,
             )
@@ -1223,7 +1238,8 @@ def build_parser() -> argparse.ArgumentParser:
     conf.add_argument(
         "--server", default=None,
         help="evaluation-service URL: run the campaign through "
-             "`repro serve` (no fixtures are produced server-side)",
+             "`repro serve` (counterexample fixtures are still pinned "
+             "locally under --out)",
     )
     conf.add_argument(
         "--faults", default=None,

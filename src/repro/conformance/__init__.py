@@ -11,9 +11,10 @@ continuously-fuzzed contract between :mod:`repro.analysis` and
   deadline, response-bound, jitter-bound, queue-bound);
 * :mod:`repro.conformance.campaign` — sweep seeded random workloads
   (:mod:`repro.synth.workload`) through analysis and the compiled
-  simulation kernel via :class:`repro.api.Session`, dispatching
-  deterministic seed chunks to warm worker processes and reporting
-  per-phase timings (``--profile``);
+  simulation kernel via :class:`repro.api.Session`, as one ``conform``
+  sweep cell per seed on the :mod:`repro.explore` engine (locally or
+  through ``repro serve``), reporting per-phase timings
+  (``--profile``);
 * :mod:`repro.conformance.shrink` — reduce a violating workload to a
   minimal counterexample (drop graphs, trim chains) that still violates;
 * :mod:`repro.conformance.fixtures` — persist counterexamples as
@@ -24,11 +25,10 @@ The CLI front end is ``repro conform --campaign N --workers K``.
 """
 
 from .campaign import (
-    CampaignInterrupted,
     CampaignReport,
     CampaignSpec,
     SeedOutcome,
-    campaign_chunks,
+    campaign_report,
     conformance_configuration,
     evaluate_workload,
     run_campaign,
@@ -38,12 +38,11 @@ from .fixtures import load_fixture, replay_fixture, save_fixture
 from .shrink import shrink_counterexample
 
 __all__ = [
-    "CampaignInterrupted",
     "CampaignReport",
     "CampaignSpec",
     "ConformanceViolation",
     "SeedOutcome",
-    "campaign_chunks",
+    "campaign_report",
     "classify_run",
     "conformance_configuration",
     "evaluate_workload",

@@ -21,12 +21,20 @@ persists them as replayable fixtures.  Per seed:
 Schedulable-and-converged verdicts are the contract's domain — the
 dominance promise of the paper holds in the WCET regime for schedulable
 systems — so unschedulable/non-converged seeds count as covered but are
-not simulated.  Campaigns dispatch deterministic contiguous seed chunks
-(:func:`campaign_chunks`) to warm worker processes, retrying a dead
-worker's chunk on another worker; serial and ``--workers N`` runs of one
-spec therefore produce identical outcome sequences and identical shrunk
-counterexamples.  Every seed records per-phase timings, aggregated into ``CampaignReport.profile`` (events/s,
-seeds/s; ``repro conform --profile``).
+not simulated.
+
+A campaign is a sweep: :meth:`CampaignSpec.cells` expands it into one
+``conform`` cell per seed, which :func:`repro.explore.engine.run_sweep`
+(locally) or ``repro serve`` (through ``POST /sweep``) evaluates with
+the one cell evaluator, :func:`repro.explore.engine.evaluate_cell`.
+The per-seed outcome is the cell record; :class:`CampaignReport` is
+built over the records, and violating seeds are shrunk and pinned as
+fixtures by the caller once the cells finish
+(:func:`campaign_report`).  Serial, ``--workers N`` and served runs of
+one spec therefore produce identical outcome sequences and identical
+shrunk counterexamples.  Every seed records per-phase timings,
+aggregated into ``CampaignReport.profile`` (events/s, seeds/s;
+``repro conform --profile``).
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.session import Session
 from ..buses.ttp import Slot, TTPBusConfig
-from ..exceptions import ConfigurationError, ReproError
+from ..exceptions import ConfigurationError
 from ..model.configuration import SystemConfiguration
 from ..optim.hopa import hopa_priorities
 from ..optim.slots import default_capacities
@@ -54,11 +62,10 @@ from .classify import (
 )
 
 __all__ = [
-    "CampaignInterrupted",
     "CampaignReport",
     "CampaignSpec",
     "SeedOutcome",
-    "campaign_chunks",
+    "campaign_report",
     "conformance_configuration",
     "evaluate_workload",
     "run_campaign",
@@ -134,6 +141,34 @@ class CampaignSpec:
             route_strategy=self.route_strategy,
         )
 
+    def cells(self) -> List[Any]:
+        """One ``conform`` sweep cell per seed, in seed order.
+
+        Each cell's workload is the seed's :meth:`workload_spec` fields
+        (``Cell.workload_spec()`` rebuilds it exactly); its options are
+        the ones that decide the outcome.  ``workers``, ``shrink`` and
+        ``fixture_dir`` stay out: they decide where a seed runs and
+        what the caller does with a violation, never the record.
+        """
+        from ..explore.spec import Cell
+
+        options = {
+            "periods": self.periods,
+            "rounds_per_period": self.rounds_per_period,
+            "faults": self.faults,
+        }
+        return [
+            Cell(
+                index=index,
+                method="conform",
+                workload=dict(vars(self.workload_spec(seed))),
+                options=dict(options),
+            )
+            for index, seed in enumerate(
+                range(self.seed0, self.seed0 + self.campaign)
+            )
+        ]
+
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible form (how a campaign travels to a server)."""
         return {
@@ -207,23 +242,24 @@ class SeedOutcome:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SeedOutcome":
-        """Rebuild an outcome from its :meth:`to_dict` form.
+    def from_record(cls, record: Dict[str, Any]) -> "SeedOutcome":
+        """The outcome a ``conform`` cell record carries.
 
-        The round trip covers the deterministic record; ``profile``
-        (timings) deliberately does not travel.
+        A record whose cell could not be evaluated at all has empty
+        metrics; it reads as an ``"error"`` seed with its error.
         """
+        metrics = record["metrics"]
         return cls(
-            seed=data["seed"],
-            status=data["status"],
+            seed=record["workload"]["seed"],
+            status=metrics.get("status", "error"),
             violations=[
                 ConformanceViolation.from_dict(v)
-                for v in data.get("violations", [])
+                for v in metrics.get("violations", [])
             ],
-            processes=data.get("processes", 0),
-            messages=data.get("messages", 0),
-            error=data.get("error"),
-            fixture=data.get("fixture"),
+            processes=metrics.get("processes", 0),
+            messages=metrics.get("messages", 0),
+            error=record.get("error"),
+            profile=record.get("profile", {}),
         )
 
 
@@ -435,69 +471,6 @@ def evaluate_workload(
     return ("violation" if violations else "ok"), violations, None, profile
 
 
-def _evaluate_seed(payload: Tuple[CampaignSpec, int]) -> SeedOutcome:
-    """One seed end to end."""
-    from ..obs import metrics as _obs_metrics
-    from ..obs import trace as _obs_trace
-
-    spec, seed = payload
-    with _obs_trace.span("conform.seed", seed=seed):
-        outcome = _evaluate_seed_impl(spec, seed)
-    _obs_metrics.inc(
-        "repro_conform_seeds_total", (("status", outcome.status),)
-    )
-    return outcome
-
-
-def _evaluate_seed_impl(spec: CampaignSpec, seed: int) -> SeedOutcome:
-    started = time.perf_counter()
-    try:
-        system = generate_workload(spec.workload_spec(seed))
-        config = _campaign_configuration(spec, system, seed)
-    except ReproError as exc:
-        return SeedOutcome(seed=seed, status="error", error=str(exc))
-    generate_s = time.perf_counter() - started
-    outcome = SeedOutcome(
-        seed=seed,
-        status="ok",
-        processes=system.app.process_count(),
-        messages=system.app.message_count(),
-    )
-    status, violations, error, profile = evaluate_workload(
-        system,
-        periods=spec.periods,
-        rounds_per_period=spec.rounds_per_period,
-        config=config,
-        faults=spec.faults,
-    )
-    profile["generate_s"] = generate_s
-    outcome.status = status
-    outcome.violations = violations
-    outcome.error = error
-    outcome.profile = profile
-    if status == "violation" and spec.fixture_dir is not None:
-        outcome.fixture = _pin_counterexample(
-            spec, seed, system, violations, config
-        )
-    return outcome
-
-
-def _evaluate_chunk(
-    payload: Tuple[CampaignSpec, List[int]]
-) -> List[SeedOutcome]:
-    """Worker entry point: one contiguous chunk of seeds (picklable).
-
-    Chunked dispatch amortizes the per-unit IPC over many seeds
-    and keeps each worker process warm (imports, allocator, JIT-warmed
-    dict/heap internals) across its whole chunk.  Seeds inside a chunk
-    run in ascending order, so the concatenation of chunk results is
-    the seed order — the property the determinism contract (serial ≡
-    ``--workers N``) rests on.
-    """
-    spec, seeds = payload
-    return [_evaluate_seed((spec, seed)) for seed in seeds]
-
-
 def _pin_counterexample(
     spec: CampaignSpec,
     seed: int,
@@ -551,41 +524,30 @@ def _pin_counterexample(
     return str(path)
 
 
-def campaign_chunks(spec: CampaignSpec) -> List[List[int]]:
-    """Deterministic chunk partition of a campaign's seed range.
+def campaign_report(
+    spec: CampaignSpec, records: List[Dict[str, Any]], started: float
+) -> CampaignReport:
+    """The campaign's report over its cell records, fixtures pinned.
 
-    Delegates to the shared sweep runner
-    (:func:`repro.explore.runner.partition_chunks`): contiguous chunks
-    of ``ceil(campaign / (workers * 4))`` seeds, a pure function of the
-    spec, never of worker scheduling — so the same spec always produces
-    the same chunks and (since results are concatenated in chunk order)
-    the same outcome order.  Serial runs use the identical partition:
-    the worker count only decides *where* a chunk executes, never
-    *what* it contains — that is the pinned tie-break behind the serial
-    ≡ parallel determinism contract.
+    Violating seeds are shrunk and pinned here, after the cells
+    finish: each System is regenerated from its seed's recipe, so a
+    campaign run through a server writes the same fixture files as a
+    local one.  ``started`` is the campaign's ``perf_counter`` start.
     """
-    from ..explore.runner import partition_chunks
-
-    seeds = list(range(spec.seed0, spec.seed0 + spec.campaign))
-    return partition_chunks(seeds, spec.workers)
-
-
-class CampaignInterrupted(ReproError):
-    """A campaign was stopped by a trapped signal after finishing its
-    in-flight seed chunk.  Carries the partial report over the seeds
-    that completed — contiguous from ``seed0``, since chunks stream
-    back in seed order — so the caller can both summarize what ran and
-    resume with ``--seed0 next_seed`` for the remainder."""
-
-    def __init__(self, report: CampaignReport) -> None:
-        done = len(report.outcomes)
-        super().__init__(
-            f"campaign interrupted: {done}/{report.spec.campaign} seeds done"
-        )
-        #: The partial campaign over the completed seeds.
-        self.report = report
-        #: First seed that did not run (== seed0 + completed count).
-        self.next_seed = report.spec.seed0 + done
+    if spec.fixture_dir is not None:
+        Path(spec.fixture_dir).mkdir(parents=True, exist_ok=True)
+    outcomes = [SeedOutcome.from_record(record) for record in records]
+    for outcome in outcomes:
+        if outcome.status == "violation" and spec.fixture_dir is not None:
+            system = generate_workload(spec.workload_spec(outcome.seed))
+            config = _campaign_configuration(spec, system, outcome.seed)
+            outcome.fixture = _pin_counterexample(
+                spec, outcome.seed, system, outcome.violations, config
+            )
+    return CampaignReport(
+        spec=spec, outcomes=outcomes,
+        wall_s=time.perf_counter() - started,
+    )
 
 
 def run_campaign(
@@ -594,37 +556,17 @@ def run_campaign(
 ) -> CampaignReport:
     """Run one conformance campaign (see module docstring).
 
-    Dispatch rides the shared chunked runner of :mod:`repro.explore` —
-    the conformance campaign is one sweep kind (cell = seed) with its
-    own classification and fixture pipeline on top; parallel outcomes
-    are the serial objects, per-seed ``profile`` included.  ``stop``
-    (typically from :func:`repro.explore.runner.trap_signals`) makes
-    the campaign interruptible: the in-flight chunks finish, the rest
-    are abandoned, and :class:`CampaignInterrupted` carries the partial
-    report plus the seed to resume from.
+    The campaign's cells run through the sweep engine with
+    ``spec.workers`` workers; parallel outcomes are the serial objects,
+    per-seed ``profile`` included.  ``stop`` (typically from
+    :func:`repro.explore.runner.trap_signals`) makes the campaign
+    interruptible: the in-flight unit finishes, the rest is abandoned,
+    and :class:`repro.explore.engine.SweepInterrupted` reports the
+    seeds done, contiguous from ``seed0`` (resume at ``seed0 +
+    completed``).
     """
-    from ..explore.runner import RunInterrupted, iter_chunked
+    from ..explore.engine import run_sweep
 
     started = time.perf_counter()
-    if spec.fixture_dir is not None:
-        Path(spec.fixture_dir).mkdir(parents=True, exist_ok=True)
-    chunks = [(spec, chunk) for chunk in campaign_chunks(spec)]
-    outcomes: List[SeedOutcome] = []
-    try:
-        for result in iter_chunked(
-            chunks, _evaluate_chunk, spec.workers, stop=stop
-        ):
-            outcomes.extend(result)
-    except RunInterrupted as exc:
-        outcomes.sort(key=lambda o: o.seed)
-        raise CampaignInterrupted(
-            CampaignReport(
-                spec=spec, outcomes=outcomes,
-                wall_s=time.perf_counter() - started,
-            )
-        ) from exc
-    outcomes.sort(key=lambda o: o.seed)  # chunk order is seed order; pin it
-    return CampaignReport(
-        spec=spec, outcomes=outcomes,
-        wall_s=time.perf_counter() - started,
-    )
+    sweep = run_sweep(spec, workers=spec.workers, stop=stop)
+    return campaign_report(spec, sweep.records, started)

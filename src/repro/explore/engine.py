@@ -1,13 +1,14 @@
 """The campaign engine: resumable sweeps with Pareto tracking.
 
-:func:`run_sweep` takes a :class:`repro.explore.spec.SweepSpec`, expands
-it into cells, and evaluates them through the shared chunked runner
-(:mod:`repro.explore.runner` — the same dispatch the conformance
-campaign rides).  With a :class:`repro.store.ResultStore` attached, the
-sweep is *resumable*: every completed cell is persisted under its
-content key, so a crashed or killed campaign restarts and recomputes
-nothing — the report is reassembled from the store, bit-identically in
-its deterministic part (cell records, Pareto fronts, counts).
+:func:`run_sweep` takes a :class:`repro.explore.spec.SweepSpec` (or a
+conformance :class:`repro.conformance.campaign.CampaignSpec`, a sweep
+of one ``conform`` cell per seed), expands it into cells, and evaluates
+them through the shared chunked runner (:mod:`repro.explore.runner`).
+With a :class:`repro.store.ResultStore` attached, the sweep is
+*resumable*: every completed cell is persisted under its content key,
+so a crashed or killed campaign restarts and recomputes nothing — the
+report is reassembled from the store, bit-identically in its
+deterministic part (cell records, Pareto fronts, counts).
 
 Determinism contract
 --------------------
@@ -16,7 +17,8 @@ options): serial, ``workers=N`` and resumed runs produce identical
 ``report.to_dict()["cells"]`` / ``["fronts"]``.  Wall-clock lives only
 in the ``profile`` section and in each record's ``wall_s`` field (which
 a resumed run reports from the store — the time the cell *actually
-cost* when it was computed).
+cost* when it was computed) and, for ``conform`` cells, its per-phase
+``profile`` timings.
 
 Worker-side caching
 -------------------
@@ -24,7 +26,8 @@ Cells of one workload share a generated :class:`repro.system.System`
 and one :class:`repro.api.Session` per worker process, and the
 OS/OR/SAR family shares one OptimizeSchedule run per (workload,
 capacity-budget) — memoization never changes a result, only the time to
-it, so the caches are invisible in the records.
+it, so the caches are invisible in the records.  A ``conform`` cell is a
+one-shot evaluation of a freshly generated System and bypasses them.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from ..store import ResultStore
 from ..synth.workload import generate_workload
 from ..system import lru_lookup
 from .pareto import pareto_front
-from .runner import RunInterrupted, iter_chunked
+from .runner import RunInterrupted, iter_chunked, partition_chunks
 from .spec import KNOWN_OPTIONS, Cell, SweepSpec
 
 __all__ = ["ExploreReport", "SweepInterrupted", "run_sweep"]
@@ -220,9 +223,18 @@ def _eval_simulation(state, cell: Cell) -> Dict[str, Any]:
 
 
 def _eval_conform(state, cell: Cell) -> Dict[str, Any]:
-    # Conformance as one sweep kind: the dominance probe of
-    # repro.conformance, per workload cell.  (Imported lazily — the
-    # campaign module itself rides this package's runner.)
+    """One conformance seed end to end: the whole per-seed outcome.
+
+    Runs on a freshly generated System (``state`` is unused): a
+    conform cell is a one-shot evaluation that shares nothing with its
+    neighbours, so it neither reads nor fills the worker's workload
+    cache.  ``generate_s`` covers generation plus the seed's
+    configuration (a non-default ``route_strategy`` seeds route
+    overrides into an explicit configuration; the default path passes
+    ``config=None`` and :func:`evaluate_workload` builds the canonical
+    one itself).  ``error`` and ``profile`` are lifted out of the
+    metrics by :func:`evaluate_cell`.
+    """
     from ..conformance.campaign import (
         conformance_configuration,
         evaluate_workload,
@@ -230,30 +242,44 @@ def _eval_conform(state, cell: Cell) -> Dict[str, Any]:
     from ..synth.workload import apply_seeded_routes
 
     spec = cell.workload_spec()
-    config = None
-    if spec.route_strategy != "default":
-        # Non-default routing enters through an explicit configuration;
-        # the default path keeps passing config=None (evaluate_workload
-        # builds the identical canonical configuration itself).
-        config = conformance_configuration(
-            state["system"],
-            rounds_per_period=_option(cell, "rounds_per_period"),
-        )
-        apply_seeded_routes(state["system"], spec, config)
-    status, violations, error, _profile = evaluate_workload(
-        state["system"],
-        periods=_option(cell, "periods"),
-        rounds_per_period=_option(cell, "rounds_per_period"),
-        config=config,
-        faults=_option(cell, "faults"),
-    )
-    if status == "error":
-        raise ReproError(error or "conformance evaluation failed")
-    return {
-        "status": status,
-        "violations": len(violations),
-        "schedulable": status != "unschedulable",
+    rounds = _option(cell, "rounds_per_period")
+    outcome: Dict[str, Any] = {
+        "status": "error", "violations": [], "processes": 0, "messages": 0,
     }
+    with _obs_trace.span("conform.seed", seed=spec.seed):
+        started = time.perf_counter()
+        try:
+            system = generate_workload(spec)
+            config = None
+            if spec.route_strategy != "default":
+                config = conformance_configuration(system, rounds)
+                apply_seeded_routes(system, spec, config)
+        except ReproError as exc:
+            outcome["error"] = str(exc)
+        else:
+            generate_s = time.perf_counter() - started
+            status, violations, error, profile = evaluate_workload(
+                system,
+                periods=_option(cell, "periods"),
+                rounds_per_period=rounds,
+                config=config,
+                faults=_option(cell, "faults"),
+            )
+            profile["generate_s"] = generate_s
+            outcome.update(
+                status=status,
+                violations=[v.to_dict() for v in violations],
+                processes=system.app.process_count(),
+                messages=system.app.message_count(),
+                error=error,
+                profile=profile,
+            )
+    outcome["schedulable"] = outcome["status"] in ("ok", "violation")
+    if _obs_state.enabled:
+        _obs_metrics.inc(
+            "repro_conform_seeds_total", (("status", outcome["status"]),)
+        )
+    return outcome
 
 
 _METHODS = {
@@ -272,13 +298,17 @@ def evaluate_cell(cell: Cell) -> Dict[str, Any]:
     """One cell end to end: generate, evaluate, record.
 
     Always returns a record — evaluation failures become error records
-    (``error`` set, empty metrics), mirroring the conformance
-    campaign's per-seed error outcomes; a sweep never dies on one bad
-    cell.  "Failures" covers :class:`ReproError` plus the
-    ``TypeError``/``ValueError`` a malformed-but-JSON-valid cell
-    parameter raises inside the workload generator (e.g. a scalar
-    where a range pair is expected); genuinely unexpected exceptions
-    still propagate so bugs surface instead of becoming error rows.
+    (``error`` set, empty metrics); a sweep never dies on one bad cell.
+    A method may report its own ``error`` (a conform seed that could
+    not be evaluated keeps its process and message counts) and a
+    non-deterministic ``profile`` of phase timings; both are lifted
+    from its metrics onto the record, and reports strip ``profile``
+    the way they strip ``wall_s``.  "Failures" covers
+    :class:`ReproError` plus the ``TypeError``/``ValueError`` a
+    malformed-but-JSON-valid cell parameter raises inside the workload
+    generator (e.g. a scalar where a range pair is expected); genuinely
+    unexpected exceptions still propagate so bugs surface instead of
+    becoming error rows.
     """
     started = time.perf_counter()
     record: Dict[str, Any] = {
@@ -293,8 +323,12 @@ def evaluate_cell(cell: Cell) -> Dict[str, Any]:
     }
     try:
         with _obs_trace.span("explore.cell", method=cell.method):
-            state = _state_for(cell)
-            record["metrics"] = _METHODS[cell.method](state, cell)
+            state = None if cell.method == "conform" else _state_for(cell)
+            metrics = _METHODS[cell.method](state, cell)
+        record["error"] = metrics.pop("error", None)
+        if "profile" in metrics:
+            record["profile"] = metrics.pop("profile")
+        record["metrics"] = metrics
     except (ReproError, TypeError, ValueError) as exc:
         record["error"] = str(exc)
     record["wall_s"] = time.perf_counter() - started
@@ -313,6 +347,76 @@ def _evaluate_chunk(payload: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return [evaluate_cell(Cell.from_dict(data)) for data in payload]
 
 
+def plan_cells(
+    cells: List[Cell],
+    store: Optional[ResultStore],
+    width: int,
+) -> Tuple[List[Optional[Dict[str, Any]]], int, List[List[int]]]:
+    """Store lookup, re-homing and unit grouping of a cell list.
+
+    Returns ``(records, store_hits, units)``: ``records`` holds the
+    stored record of every cell the store already has (``None`` for
+    the rest), ``units`` the pending positions cut into dispatch units.
+    :func:`run_sweep` and the serve service both plan through here, so
+    a sweep or campaign run locally and one run through a server share
+    each other's checkpoints and dispatch the same units.
+
+    A stored record is re-homed onto *this* cell: the content key pins
+    the experiment, but the position (index) and the user-level
+    parameter spelling belong to the current sweep — a resumed
+    superset or reordered spec must report exactly like a fresh run of
+    itself.
+
+    One unit per *workload*: the cells of one workload are adjacent
+    (methods expand innermost) and share the worker-side System,
+    Session and OS caches, so keeping them together preserves the
+    one-OS-run-seeds-OR-and-SAR sharing under ``workers > 1`` exactly
+    as in a serial run.  Consecutive ``conform``-only workloads share
+    nothing, so they are packed instead into the contiguous
+    :func:`~repro.explore.runner.partition_chunks` lanes of ``width``
+    workers, amortizing per-unit dispatch over many seeds.
+    """
+    records: List[Optional[Dict[str, Any]]] = [None] * len(cells)
+    store_hits = 0
+    if store is not None:
+        store.refresh()
+        for i, cell in enumerate(cells):
+            payload = store.get(cell.key, kind=CELL_KIND, refresh=False)
+            if isinstance(payload, dict) and payload.get("key") == cell.key:
+                records[i] = {
+                    **payload,
+                    "index": cell.index,
+                    "method": cell.method,
+                    "workload": dict(cell.workload),
+                    "options": dict(cell.options),
+                }
+                store_hits += 1
+    groups: List[List[int]] = []
+    for i, record in enumerate(records):
+        if record is not None:
+            continue
+        if groups and cells[groups[-1][-1]].workload == cells[i].workload:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    units: List[List[int]] = []
+    packed: List[List[int]] = []
+
+    def pack() -> None:
+        for lane in partition_chunks(packed, width):
+            units.append([i for group in lane for i in group])
+        packed.clear()
+
+    for group in groups:
+        if all(cells[i].method == "conform" for i in group):
+            packed.append(group)
+        else:
+            pack()
+            units.append(group)
+    pack()
+    return records, store_hits, units
+
+
 @dataclass
 class ExploreReport:
     """Aggregated outcome of one sweep."""
@@ -329,6 +433,9 @@ class ExploreReport:
     #: Wall-clock of the whole sweep, dispatch and store I/O included.
     wall_s: float = 0.0
     store_stats: Optional[Dict[str, Any]] = None
+    #: Checkpoint writes that failed (the records are still reported;
+    #: a resume recomputes them).
+    store_errors: int = 0
     _fronts: Optional[List[Dict[str, Any]]] = field(
         default=None, repr=False
     )
@@ -414,7 +521,8 @@ class ExploreReport:
         """JSON form: deterministic sections + a ``profile`` section.
 
         ``cells``, ``fronts`` and ``counts`` are pure functions of the
-        spec (records are stripped of ``wall_s``); ``profile`` carries
+        spec (records are stripped of ``wall_s`` and of a method's
+        ``profile`` timings); ``profile`` carries
         timings and store statistics and differs run to run — the
         cold/warm determinism CI check compares everything *except*
         ``profile``.
@@ -423,6 +531,7 @@ class ExploreReport:
         for record in self.records:
             cell = dict(record)
             cell.pop("wall_s", None)
+            cell.pop("profile", None)
             cells.append(cell)
         return {
             "format": REPORT_FORMAT,
@@ -443,6 +552,7 @@ class ExploreReport:
             "cell_wall_s": sum(r.get("wall_s", 0.0) for r in self.records),
             "store_hits": self.store_hits,
             "computed": self.computed,
+            "store_errors": self.store_errors,
         }
         if self.store_stats is not None:
             out["store"] = dict(self.store_stats)
@@ -454,7 +564,10 @@ class SweepInterrupted(ReproError):
     completed cells — rerunning the same spec against the same store
     resumes where it left off (``resume=True``, the default)."""
 
-    def __init__(self, completed: int, total: int, store_hits: int) -> None:
+    def __init__(
+        self, completed: int, total: int, store_hits: int,
+        records: Optional[List[Dict[str, Any]]] = None,
+    ) -> None:
         super().__init__(
             f"sweep interrupted: {store_hits + completed}/{total} cells "
             "done and checkpointed"
@@ -465,10 +578,12 @@ class SweepInterrupted(ReproError):
         self.total = total
         #: Cells that were already in the store when the run started.
         self.store_hits = store_hits
+        #: The records done so far (store hits included), in cell order.
+        self.records = records or []
 
 
 def run_sweep(
-    spec: SweepSpec,
+    spec: Union[SweepSpec, Any],
     store: Union[None, str, Path, ResultStore] = None,
     workers: int = 1,
     resume: bool = True,
@@ -476,8 +591,11 @@ def run_sweep(
 ) -> ExploreReport:
     """Run (or resume) one sweep; see the module docstring.
 
-    With ``store`` set, completed cells are looked up first
-    (``resume=True``) and every computed cell is appended, so a
+    ``spec`` is anything whose ``cells()`` expands the work: a
+    :class:`SweepSpec`, or a conformance
+    :class:`~repro.conformance.campaign.CampaignSpec` (one ``conform``
+    cell per seed).  With ``store`` set, completed cells are looked up
+    first (``resume=True``) and every computed cell is appended, so a
     re-issued or crashed-and-restarted campaign pays only for the cells
     the store does not yet hold.  ``workers > 1`` runs cell chunks on
     the shared runner's forked workers; store I/O stays in the parent,
@@ -495,60 +613,33 @@ def run_sweep(
     if isinstance(store, (str, Path)):
         store = ResultStore(store)
     cells = spec.cells()
-    records: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-    store_hits = 0
-    if store is not None and resume:
-        store.refresh()
-        for i, cell in enumerate(cells):
-            payload = store.get(cell.key, kind=CELL_KIND, refresh=False)
-            if isinstance(payload, dict) and payload.get("key") == cell.key:
-                # Re-home the stored record onto *this* spec's cell: the
-                # content key pins the experiment, but the position
-                # (index) and the user-level parameter spelling belong
-                # to the current sweep — a resumed superset/reordered
-                # spec must report exactly like a fresh run of itself.
-                records[i] = {
-                    **payload,
-                    "index": cell.index,
-                    "method": cell.method,
-                    "workload": dict(cell.workload),
-                    "options": dict(cell.options),
-                }
-                store_hits += 1
-    pending = [i for i, record in enumerate(records) if record is None]
-    # One dispatch unit per *workload*: the cells of one workload are
-    # adjacent (methods expand innermost) and share the worker-side
-    # System/Session/OS caches, so keeping them in one unit preserves
-    # the one-OS-run-seeds-OR-and-SAR sharing under ``workers > 1``
-    # exactly as in a serial run.  Units stream back in order and are
-    # checkpointed as they complete, so a killed campaign loses at most
-    # the unit in flight, never a batch of workloads.
-    units: List[List[int]] = []
-    for i in pending:
-        if units and cells[units[-1][-1]].workload == cells[i].workload:
-            units[-1].append(i)
-        else:
-            units.append([i])
+    records, store_hits, units = plan_cells(
+        cells, store if resume else None, workers
+    )
     payloads = [[cells[i].to_dict() for i in unit] for unit in units]
     computed = 0
+    store_errors = 0
     stream = iter_chunked(payloads, _evaluate_chunk, workers, stop=stop)
     try:
-        # Stream first: it runs to completion (reaping the workers).
+        # Units stream back in order and are checkpointed as they
+        # complete, so a killed campaign loses at most the unit in
+        # flight.
         for chunk_records, unit in zip(stream, units):
             for i, record in zip(unit, chunk_records):
                 records[i] = record
                 computed += 1
-                if store is not None:
-                    # Checkpoint immediately: everything evaluated so
-                    # far is durable before the next unit starts (crash
-                    # = resume).
-                    try:
-                        store.put(record["key"], record, kind=CELL_KIND)
-                    except (OSError, TypeError, ValueError):
-                        pass  # persistence best effort; still reported
+                if store is None:
+                    continue
+                try:
+                    store.put(record["key"], record, kind=CELL_KIND)
+                except (OSError, TypeError, ValueError):
+                    # A lost checkpoint only costs a recompute on
+                    # resume, but it is counted, never silent.
+                    store_errors += 1
     except RunInterrupted as exc:
         raise SweepInterrupted(
-            completed=computed, total=len(cells), store_hits=store_hits
+            completed=computed, total=len(cells), store_hits=store_hits,
+            records=[record for record in records if record is not None],
         ) from exc
     assert all(record is not None for record in records)
     return ExploreReport(
@@ -565,4 +656,5 @@ def run_sweep(
                 "corrupt_records": store.stats.corrupt_records,
             }
         ),
+        store_errors=store_errors,
     )

@@ -19,6 +19,7 @@ change a default.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -34,6 +35,11 @@ __all__ = ["Cell", "SweepSpec", "KNOWN_METHODS", "KNOWN_OPTIONS"]
 #: Format tag folded into every cell key: bump to invalidate stored
 #: sweep results after an incompatible change to cell semantics.
 CELL_FORMAT = "repro-explore-cell-v1"
+#: Record tag folded into ``conform`` cell keys only: a conform record
+#: carries the whole per-seed outcome (violation dicts, process and
+#: message counts), so records stored in the older count-only shape
+#: are never served as hits.  Every other key is unchanged.
+CONFORM_RECORD = "conform-outcome-v2"
 
 #: The sweepable synthesis methods (the paper's heuristics plus the
 #: plain evaluation paths and the conformance probe).
@@ -101,9 +107,9 @@ class Cell:
 
     def resolved(self) -> Dict[str, Any]:
         """Canonical, default-complete form (the content-key payload)."""
-        full_workload = dataclasses.asdict(self.workload_spec())
-        # Tuples (e.g. message_size_range) canonicalize as lists.
-        full_workload = json.loads(json.dumps(full_workload))
+        # Tuples (e.g. message_size_range) canonicalize as lists.  The
+        # spec's fields are flat values, so its __dict__ is its asdict().
+        full_workload = json.loads(json.dumps(vars(self.workload_spec())))
         # Topology parameters enter the key only off their canonical
         # defaults: a canonical 2-cluster cell has the exact key it had
         # before the topology generalization, so every stored sweep
@@ -128,17 +134,30 @@ class Cell:
             spec = FaultSpec.coerce(faults)
             if spec is not None:
                 options["faults"] = spec.to_dict()
-        return {
+        resolved = {
             "format": CELL_FORMAT,
             "method": self.method,
             "workload": full_workload,
             "options": options,
         }
+        if self.method == "conform":
+            resolved["record"] = CONFORM_RECORD
+        return resolved
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
-        """Content address of this cell in a result store."""
+        """Content address of this cell in a result store.
+
+        Computed once per cell: the cell dedupe, the dispatch payload
+        and the evaluated record all read it.
+        """
         return content_key(self.resolved())
+
+    def reindexed(self, index: int) -> "Cell":
+        """This cell at another position, its key carried over."""
+        cell = dataclasses.replace(self, index=index)
+        cell.__dict__["key"] = self.key
+        return cell
 
     def label(self) -> str:
         """Compact human-readable identity for tables and logs."""
@@ -157,12 +176,17 @@ class Cell:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Cell":
-        return cls(
+        """Rebuild a cell from :meth:`to_dict`; a carried ``key`` is
+        taken as computed, not recomputed."""
+        cell = cls(
             index=data["index"],
             method=data["method"],
             workload=dict(data["workload"]),
             options=dict(data["options"]),
         )
+        if "key" in data:
+            cell.__dict__["key"] = data["key"]
+        return cell
 
 
 @dataclass(frozen=True)
@@ -280,15 +304,13 @@ class SweepSpec:
                 unique.append(cell)
         if len(unique) != len(cells):
             cells = [
-                dataclasses.replace(cell, index=index)
-                for index, cell in enumerate(unique)
+                cell.reindexed(index) for index, cell in enumerate(unique)
             ]
         if self.sample is not None and self.sample < len(cells):
             rng = random.Random(self.sample_seed)
             keep = sorted(rng.sample(range(len(cells)), self.sample))
             cells = [
-                dataclasses.replace(cells[i], index=rank)
-                for rank, i in enumerate(keep)
+                cells[i].reindexed(rank) for rank, i in enumerate(keep)
             ]
         return cells
 

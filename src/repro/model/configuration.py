@@ -152,14 +152,11 @@ class OffsetTable:
                 for key in mine.keys() | theirs.keys():
                     yield abs(mine.get(key, 0.0) - theirs.get(key, 0.0))
 
-    def max_abs_delta(self, other: "OffsetTable") -> float:
-        """Largest absolute offset change vs. ``other``."""
-        return max([0.0, *self._deltas(other)])
-
     def within(self, other: "OffsetTable", tolerance: float) -> bool:
-        """``max_abs_delta(other) <= tolerance``, the convergence test of
-        the multi-cluster fixed point ("until φ not changed", Fig. 5),
-        stopping at the first offset that moved further."""
+        """True when no offset moved by more than ``tolerance`` against
+        ``other``: the convergence test of the multi-cluster fixed
+        point ("until φ not changed", Fig. 5), stopping at the first
+        offset that moved further."""
         return not any(delta > tolerance for delta in self._deltas(other))
 
 

@@ -23,14 +23,12 @@ Layering: :mod:`.protocol` (addressing), :mod:`.workers` (transports),
 from .client import (
     ServeClient,
     ServerError,
-    run_campaign_via_server,
     run_sweep_via_server,
 )
 from .protocol import (
     PROTOCOL_FORMAT,
     WORKER_PROTOCOL,
     evaluation_key,
-    seed_key,
     system_fingerprint,
 )
 from .server import UnixHTTPServer, make_server, serve
@@ -53,11 +51,9 @@ __all__ = [
     "WORKER_PROTOCOL",
     "evaluation_key",
     "make_server",
-    "run_campaign_via_server",
     "run_sweep_via_server",
     "run_unit",
     "run_worker",
-    "seed_key",
     "serve",
     "system_fingerprint",
 ]

@@ -1,15 +1,14 @@
 """Client side of the evaluation service.
 
 :class:`ServeClient` is a thin stdlib HTTP client over the endpoints of
-:mod:`repro.serve.server` — submit, poll, stream — plus two adapters
-that make the service a drop-in backend for the existing front ends:
+:mod:`repro.serve.server` — submit, poll, stream — plus the adapter
+that makes the service a drop-in backend for the existing front ends:
 :func:`run_sweep_via_server` returns the same
 :class:`repro.explore.engine.ExploreReport` a local
-:func:`repro.explore.run_sweep` would, and
-:func:`run_campaign_via_server` the same
-:class:`repro.conformance.campaign.CampaignReport` — which is what lets
-``repro explore --server URL`` / ``repro conform --server URL`` reuse
-their entire reporting paths unchanged.
+:func:`repro.explore.run_sweep` would, for a sweep or a conformance
+campaign — which is what lets ``repro explore --server URL`` /
+``repro conform --server URL`` reuse their entire reporting paths
+unchanged.
 
 Server URLs are ``http://host:port`` or ``unix:/path/to.sock`` (the
 AF_UNIX transport of :class:`repro.serve.server.UnixHTTPServer`).
@@ -31,7 +30,6 @@ from ..obs import trace as _obs_trace
 __all__ = [
     "ServeClient",
     "ServerError",
-    "run_campaign_via_server",
     "run_sweep_via_server",
 ]
 
@@ -261,17 +259,6 @@ class ServeClient:
             body["trace"] = _obs_trace.context_of(root)
             return self._request("POST", "/sweep", body)
 
-    def submit_campaign(
-        self, spec_dict: Dict[str, Any],
-        deadline_s: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        body = {"spec": spec_dict, "deadline_s": deadline_s}
-        if not _obs_state.enabled:
-            return self._request("POST", "/conform", body)
-        with _obs_trace.span("client.request", op="conform") as root:
-            body["trace"] = _obs_trace.context_of(root)
-            return self._request("POST", "/conform", body)
-
     def status(self, job_id: str) -> Dict[str, Any]:
         return self._request("GET", f"/status?id={quote(job_id)}")
 
@@ -377,8 +364,11 @@ def _unwrap(payload: Dict[str, Any]) -> Dict[str, Any]:
 def run_sweep_via_server(spec, url: str, timeout: float = 3600.0):
     """Run a sweep through a server; same report as a local run.
 
-    The server expands the same cells, dedups them against *its* store
-    and computes the remainder; the returned
+    ``spec`` is a :class:`repro.explore.spec.SweepSpec` or a
+    conformance :class:`repro.conformance.campaign.CampaignSpec` (a
+    sweep of ``conform`` cells).  The server expands the same cells,
+    dedups them against *its* store and computes the remainder; the
+    returned
     :class:`repro.explore.engine.ExploreReport` is assembled exactly as
     the local engine would (records in cell order), so the CLI's table,
     fronts and JSON report paths work unchanged.
@@ -395,29 +385,5 @@ def run_sweep_via_server(spec, url: str, timeout: float = 3600.0):
         records=result["records"],
         store_hits=result["store_hits"],
         computed=result["computed"],
-        wall_s=time.perf_counter() - started,
-    )
-
-
-def run_campaign_via_server(spec, url: str, timeout: float = 3600.0):
-    """Run a conformance campaign through a server.
-
-    Fixtures are not produced (they are a server-local filesystem
-    concern the service disables); everything else — outcomes, counts,
-    clean verdict — matches a local ``shrink=False`` run of the spec.
-    """
-    from ..conformance.campaign import CampaignReport, SeedOutcome
-
-    started = time.perf_counter()
-    client = ServeClient(url, timeout=timeout)
-    submitted = client.submit_campaign(spec.to_dict(), deadline_s=timeout)
-    payload = client.result(submitted["id"], timeout=timeout)
-    result = _unwrap(payload)
-    outcomes = [
-        SeedOutcome.from_dict(data) for data in result["outcomes"]
-    ]
-    return CampaignReport(
-        spec=spec,
-        outcomes=outcomes,
         wall_s=time.perf_counter() - started,
     )

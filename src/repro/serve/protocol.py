@@ -13,26 +13,26 @@ configuration on *different* systems would alias one record.
 Sweep cells need no such fold: a :class:`repro.explore.spec.Cell` key
 already hashes the workload recipe (the system's generator parameters),
 so the engine's cell records are shared verbatim between direct
-``repro explore`` runs and server-side sweeps against the same store.
-Conformance seeds get a deterministic key over the outcome-relevant
-campaign parameters plus the seed.
+``repro explore`` / ``repro conform`` runs and server-side sweeps
+against the same store (a conformance campaign is a sweep of one
+``conform`` cell per seed).
 
 **Observability envelope fields.**  With obs enabled (``REPRO_OBS=1``)
 two *optional* fields ride the existing wire shapes; both are absent
 with obs off, so pre-obs clients and servers interoperate unchanged:
 
 * ``trace`` — a ``{"trace": hex, "span": hex}`` propagation context.
-  Clients attach it to ``POST /evaluate`` / ``/sweep`` / ``/conform``
-  bodies; the server threads it through job → unit → attempt spans and
-  returns it inside the unit dict of ``POST /worker/poll`` responses
+  Clients attach it to ``POST /evaluate`` / ``/sweep`` bodies; the
+  server threads it through job → unit → attempt spans and returns it
+  inside the unit dict of ``POST /worker/poll`` responses
   (and persists it in the unit journal, so recovered units keep their
   trace).
 * ``obs`` — a ``{"metrics": snapshot, "spans": [...]}`` blob a worker
   ships with ``POST /worker/result``; the service folds it into the
   service-wide registry and trace file for the *accepted* result only.
 
-Neither field ever participates in addressing: ``evaluation_key``,
-``seed_key`` and ``system_fingerprint`` see only the request content,
+Neither field ever participates in addressing: ``evaluation_key`` and
+``system_fingerprint`` see only the request content,
 so store keys, dedup behavior and journal replay are byte-identical
 with obs on, off, or mixed across the fleet.
 """
@@ -53,11 +53,9 @@ from ..store import content_key
 __all__ = [
     "PROTOCOL_FORMAT",
     "RESULT_KIND",
-    "SEED_KIND",
     "UNIT_KINDS",
     "WORKER_PROTOCOL",
     "evaluation_key",
-    "seed_key",
     "system_fingerprint",
 ]
 
@@ -69,44 +67,15 @@ PROTOCOL_FORMAT = "repro-serve-v1"
 #: fails loudly at register time instead of computing garbage.
 WORKER_PROTOCOL = "repro-worker-v1"
 #: Dispatch-unit kinds every transport understands (the complete
-#: vocabulary of :func:`repro.serve.workers.run_unit`).
-UNIT_KINDS = ("eval", "cells", "seeds")
+#: vocabulary of :func:`repro.serve.workers.run_unit`).  Journals from
+#: before campaigns became sweeps may hold ``seeds`` units; recovery
+#: resolves any unknown kind as a counted error instead of running it.
+UNIT_KINDS = ("eval", "cells")
 #: Store kind of served evaluation results.  The payload is exactly a
 #: :meth:`repro.api.result.RunResult.to_dict` record — the same bytes a
 #: direct session would produce — only the key carries the extra
 #: system namespace.
 RESULT_KIND = "runresult"
-#: Store kind of conformance seed outcomes computed via the service.
-SEED_KIND = "conformseed"
-
-#: Campaign parameters that determine a seed's outcome.  ``workers``
-#: (placement), ``campaign``/``seed0`` (range), ``fixture_dir`` and
-#: ``shrink`` (reporting) deliberately do not key — the same seed under
-#: the same semantics must hit the same record however it is batched.
-#: ``engine`` is a fixed literal: campaigns once chose a simulation
-#: engine, the compiled kernel is the only one left, and the literal
-#: keeps every seed record keyed before then addressable.
-_SEED_KEY_FIELDS = (
-    "nodes",
-    "processes_per_node",
-    "periods",
-    "rounds_per_period",
-    "utilizations",
-    "gateway_messages",
-)
-_SEED_KEY_FIXED = {"engine": "kernel"}
-#: Fields that fold into a seed key only when they differ from these
-#: canonical defaults, so every record keyed before fault injection and
-#: general topologies existed stays addressable (the rule explore cell
-#: keys follow too).
-_SEED_KEY_DEFAULTS = (
-    ("faults", None),
-    ("clusters", 2),
-    ("gateways", 1),
-    ("route_strategy", "default"),
-)
-
-
 def system_fingerprint(system_dict: Dict[str, Any]) -> str:
     """Content hash of a serialized system (the namespace component)."""
     return content_key(system_dict)
@@ -140,21 +109,3 @@ def evaluation_key(
     if skey is None:
         return None, None
     return skey, content_key(["serve-eval", system_h, skey])
-
-
-def seed_key(spec_dict: Dict[str, Any], seed: int) -> str:
-    """Store address of one conformance seed outcome.
-
-    A campaign's fault spec (the canonical ``faults`` string of
-    :class:`repro.conformance.campaign.CampaignSpec`) and its topology
-    axes join the key only when they differ from the defaults: a
-    fault-free canonical campaign keys exactly like one from before
-    those fields existed.
-    """
-    semantics = {name: spec_dict[name] for name in _SEED_KEY_FIELDS}
-    semantics.update(_SEED_KEY_FIXED)
-    for name, default in _SEED_KEY_DEFAULTS:
-        value = spec_dict.get(name, default)
-        if value != default:
-            semantics[name] = value
-    return content_key(["conform-seed", semantics, seed])

@@ -8,8 +8,8 @@ local socket deployments) whose handler translates JSON requests into
 ================  ======  ============================================
 ``/evaluate``     POST    one evaluation ``{system, config, backend,
                           options, deadline_s}`` → submission envelope
-``/sweep``        POST    a :class:`repro.explore.spec.SweepSpec` dict
-``/conform``      POST    a :class:`CampaignSpec` dict
+``/sweep``        POST    a :class:`repro.explore.spec.SweepSpec` dict,
+                          or a conformance :class:`CampaignSpec` dict
 ``/status``       GET     ``?id=`` → job status; without ``id`` → the
                           service census (fleet, queue, abandoned)
 ``/result``       GET     ``?id=`` → blocks briefly, then result/status
@@ -145,7 +145,6 @@ class _Handler(BaseHTTPRequestHandler):
         handler = {
             "/evaluate": self._post_evaluate,
             "/sweep": self._post_sweep,
-            "/conform": self._post_conform,
             "/shutdown": self._post_shutdown,
             "/worker/register": self._post_worker_register,
             "/worker/poll": self._post_worker_poll,
@@ -206,12 +205,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_sweep(self, body: Dict[str, Any]) -> None:
         self._send_json(self.service.submit_sweep(
-            body["spec"], deadline_s=self._deadline(body),
-            trace=body.get("trace"),
-        ))
-
-    def _post_conform(self, body: Dict[str, Any]) -> None:
-        self._send_json(self.service.submit_campaign(
             body["spec"], deadline_s=self._deadline(body),
             trace=body.get("trace"),
         ))

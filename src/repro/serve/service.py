@@ -31,13 +31,15 @@ shell over it).  One request flows through five stages:
    the sharded store (grace-window compaction keeps the directory
    bounded while live), resolves the job, and wakes every waiter.
 
-Sweeps and conformance campaigns ride the same pipeline as batch jobs:
-the service expands the spec server-side (deterministically — the same
-cells/chunks a local run would produce), dedups cells/seeds against the
-store, and fans the remainder out as units; the client reassembles the
-report.  Worker processes never touch the store — all store I/O stays
-on the service threads, so the multi-writer story stays one writer per
-process plus shard-local segments.
+Sweeps ride the same pipeline as batch jobs, and a conformance
+campaign is a sweep (one ``conform`` cell per seed): the service
+expands the spec server-side and plans it with the engine's own
+:func:`repro.explore.engine.plan_cells` — the same cells, store
+lookup and units a local run would produce — and fans the pending
+units out; the client reassembles the report.  Worker processes never
+touch the store — all store I/O stays on the service threads, so the
+multi-writer story stays one writer per process plus shard-local
+segments.
 
 Backpressure: the pending-work set is bounded (``max_pending`` units).
 Submissions beyond it raise :class:`ServiceOverloaded`, which the HTTP
@@ -65,9 +67,8 @@ from ..obs import trace as _obs_trace
 from ..store import ResultStore
 from .protocol import (
     RESULT_KIND,
-    SEED_KIND,
+    UNIT_KINDS,
     evaluation_key,
-    seed_key,
     system_fingerprint,
 )
 from .supervisor import Supervisor, SupervisorConfig, UnitJournal
@@ -166,7 +167,7 @@ class Job:
     """One tracked request (a single evaluation or a whole batch)."""
 
     id: str
-    kind: str  # "eval" | "sweep" | "conform" | "recovery"
+    kind: str  # "eval" | "sweep" | "recovery"
     status: str = "queued"  # queued | running | done | error
     #: Serve store key (eval jobs with addressable options only).
     key: Optional[str] = None
@@ -214,6 +215,18 @@ class Job:
         if self.finished is not None and self.started is not None:
             out["compute_s"] = self.finished - self.started
         return out
+
+
+def _sweep_spec(spec_dict: Dict[str, Any]) -> Any:
+    """The spec of a ``POST /sweep`` body: a conformance campaign when
+    it names a ``campaign`` size, a design-space sweep otherwise."""
+    if "campaign" in spec_dict:
+        from ..conformance.campaign import CampaignSpec
+
+        return CampaignSpec.from_dict(spec_dict)
+    from ..explore.spec import SweepSpec
+
+    return SweepSpec.from_dict(spec_dict)
 
 
 class EvaluationService:
@@ -279,6 +292,9 @@ class EvaluationService:
             "store_hits": 0,
             "computed": 0,
             "errors": 0,
+            # Store writes that failed (the work is still reported; a
+            # resubmission recomputes it).
+            "store_errors": 0,
         }
         self._timings: Dict[str, float] = {
             "queue_wait_s": 0.0,
@@ -414,49 +430,29 @@ class EvaluationService:
         deadline_s: Optional[float] = None,
         trace: Optional[Dict[str, str]] = None,
     ) -> Dict[str, Any]:
-        """Submit a whole sweep; cells dedup against the store.
+        """Submit a whole sweep or conformance campaign; cells dedup
+        against the store.
 
-        The expansion is exactly the engine's (:mod:`repro.explore`):
-        same cells, same store keys, same re-homing of stored records
-        onto this spec's positions — a sweep run through the server and
-        one run locally against the same store produce the same records
-        and share each other's checkpoints.
+        ``spec_dict`` is a :class:`repro.explore.spec.SweepSpec` dict,
+        or a :class:`repro.conformance.campaign.CampaignSpec` dict (it
+        names a ``campaign`` size).  The planning is exactly the
+        engine's (:func:`repro.explore.engine.plan_cells`): same cells,
+        same store keys, same re-homing of stored records onto this
+        spec's positions — a sweep run through the server and one run
+        locally against the same store produce the same records and
+        share each other's checkpoints.
         """
-        from ..explore.engine import CELL_KIND
-        from ..explore.spec import SweepSpec
+        from ..explore.engine import plan_cells
 
-        spec = SweepSpec.from_dict(spec_dict)
+        spec = _sweep_spec(spec_dict)
         cells = spec.cells()
         with self._lock:
             if not self._accepting:
                 raise ReproError("service is draining; not accepting work")
-            self.store.refresh()
-            slots: List[Any] = [None] * len(cells)
-            store_hits = 0
-            pending: List[int] = []
-            for i, cell in enumerate(cells):
-                payload = self.store.get(
-                    cell.key, kind=CELL_KIND, refresh=False
-                )
-                if isinstance(payload, dict) and payload.get("key") == cell.key:
-                    slots[i] = {
-                        **payload,
-                        "index": cell.index,
-                        "method": cell.method,
-                        "workload": dict(cell.workload),
-                        "options": dict(cell.options),
-                    }
-                    store_hits += 1
-                else:
-                    pending.append(i)
-            units: List[List[int]] = []
-            for i in pending:
-                if units and (
-                    cells[units[-1][-1]].workload == cells[i].workload
-                ):
-                    units[-1].append(i)
-                else:
-                    units.append([i])
+            slots, store_hits, units = plan_cells(
+                cells, self.store,
+                max(1, self.workers, self._supervisor.fleet_size),
+            )
             self._check_capacity(len(units))
             job = self._new_job("sweep")
             self._open_job_span(job, trace)
@@ -481,72 +477,6 @@ class EvaluationService:
                 )
             return self._submit_envelope(
                 job, deduplicated=False, store_hit=not units
-            )
-
-    def submit_campaign(
-        self, spec_dict: Dict[str, Any],
-        deadline_s: Optional[float] = None,
-        trace: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, Any]:
-        """Submit a conformance campaign; seeds dedup against the store.
-
-        The server forces ``fixture_dir=None`` (fixtures are a local
-        filesystem concern of the submitting client) and re-chunks with
-        its own worker count.
-        """
-        from ..conformance.campaign import CampaignSpec
-
-        spec = CampaignSpec.from_dict(spec_dict)
-        worker_spec = CampaignSpec.from_dict({
-            **spec.to_dict(),
-            "fixture_dir": None,
-            "workers": 1,
-            "shrink": False,
-        })
-        seeds = list(range(spec.seed0, spec.seed0 + spec.campaign))
-        key_spec = worker_spec.to_dict()
-        with self._lock:
-            if not self._accepting:
-                raise ReproError("service is draining; not accepting work")
-            self.store.refresh()
-            slots: List[Any] = [None] * len(seeds)
-            store_hits = 0
-            pending: List[int] = []
-            for i, seed in enumerate(seeds):
-                payload = self.store.get(
-                    seed_key(key_spec, seed), kind=SEED_KIND, refresh=False
-                )
-                if isinstance(payload, dict) and payload.get("seed") == seed:
-                    slots[i] = payload
-                    store_hits += 1
-                else:
-                    pending.append(i)
-            chunk_width = max(1, self.workers, self._supervisor.fleet_size)
-            chunks = partition_chunks(pending, chunk_width)
-            self._check_capacity(len(chunks))
-            job = self._new_job("conform")
-            self._open_job_span(job, trace)
-            job.deadline = self._job_deadline(deadline_s)
-            job.request = {"spec": key_spec}
-            job.slots = slots
-            job.store_hits = store_hits
-            self.counters["store_hits"] += store_hits
-            job.started = time.monotonic()
-            job.status = "running"
-            if not chunks:
-                self._finish_batch(job)
-            job.pending_units = len(chunks)
-            for chunk in chunks:
-                self._enqueue_unit(
-                    "seeds",
-                    {"spec": key_spec, "seeds": [seeds[i] for i in chunk]},
-                    meta={"job": job, "positions": chunk},
-                    persist={"mode": "seeds", "spec": key_spec},
-                    deadline=job.deadline,
-                    parent=job.span,
-                )
-            return self._submit_envelope(
-                job, deduplicated=False, store_hit=not chunks
             )
 
     def _open_job_span(
@@ -762,10 +692,7 @@ class EvaluationService:
             job.result = payload
             self.counters["computed"] += 1
             if job.key is not None:
-                try:
-                    self.store.put(job.key, payload, kind=RESULT_KIND)
-                except (OSError, TypeError, ValueError):
-                    pass
+                self._put(job.key, payload, RESULT_KIND)
         else:
             job.status = "error"
             job.error = str(payload)
@@ -774,6 +701,16 @@ class EvaluationService:
         if job.key is not None:
             self._inflight.pop(job.key, None)
         self._mark_done(job)
+
+    def _put(self, key: str, payload: Any, kind: str) -> bool:
+        """Persist one result (lock held); a failed write is counted in
+        ``store_errors``, never swallowed."""
+        try:
+            self.store.put(key, payload, kind=kind)
+        except (OSError, TypeError, ValueError):
+            self.counters["store_errors"] += 1
+            return False
+        return True
 
     def _complete_batch_unit(
         self, meta: Dict[str, Any], status: str, result: Any
@@ -791,22 +728,11 @@ class EvaluationService:
             self._close_job_span(job, "error")
             self._mark_done(job)
             return
-        cell_kind = meta["persist"].get("mode") == "cells"
         for position, record in zip(positions, result):
             job.slots[position] = record
             job.computed += 1
             self.counters["computed"] += 1
-            try:
-                if cell_kind:
-                    self.store.put(record["key"], record, kind=CELL_KIND)
-                else:
-                    self.store.put(
-                        seed_key(job.request["spec"], record["seed"]),
-                        record,
-                        kind=SEED_KIND,
-                    )
-            except (OSError, TypeError, ValueError):
-                pass
+            self._put(record["key"], record, CELL_KIND)
         job.pending_units -= 1
         if job.pending_units <= 0 and job.status == "running":
             self._finish_batch(job)
@@ -819,13 +745,6 @@ class EvaluationService:
         if job.kind == "sweep":
             job.result = {
                 "records": list(job.slots),
-                "store_hits": job.store_hits,
-                "computed": job.computed,
-                "wall_s": wall_s,
-            }
-        elif job.kind == "conform":
-            job.result = {
-                "outcomes": list(job.slots),
                 "store_hits": job.store_hits,
                 "computed": job.computed,
                 "wall_s": wall_s,
@@ -854,7 +773,9 @@ class EvaluationService:
         to the store by the keys recorded at original enqueue time —
         the attached clients are gone (their connections died with the
         old process), but the *work* is not: a client that resubmits
-        hits the store.
+        hits the store.  A unit of a kind this version no longer runs
+        (a ``seeds`` unit journaled before campaigns became sweeps)
+        resolves at once as a counted error.
         """
         if self.journal is None:
             return
@@ -872,8 +793,16 @@ class EvaluationService:
             # so a crash *during* recovery still re-dispatches.
             self.journal.reset()
             for i, entry in enumerate(entries):
+                kind = entry.get("kind", "eval")
+                if kind not in UNIT_KINDS:
+                    self.counters["errors"] += 1
+                    job.slots[i] = {
+                        "mode": kind, "status": "error", "persisted": 0,
+                    }
+                    job.pending_units -= 1
+                    continue
                 self._enqueue_unit(
-                    entry.get("kind", "eval"),
+                    kind,
                     entry.get("payload"),
                     meta={"job": job, "positions": [i], "recovery": True},
                     persist=entry.get("persist") or {},
@@ -882,6 +811,8 @@ class EvaluationService:
                     parent=entry.get("trace"),
                 )
             self.recovered_units = len(entries)
+            if job.pending_units <= 0:
+                self._finish_batch(job)
 
     def _complete_recovery_unit(
         self, meta: Dict[str, Any], status: str, result: Any
@@ -895,30 +826,15 @@ class EvaluationService:
         mode = persist.get("mode")
         persisted = 0
         if status == "ok":
-            try:
-                if mode == "cells":
-                    for record in result:
-                        self.store.put(
-                            record["key"], record, kind=CELL_KIND
-                        )
-                        persisted += 1
-                elif mode == "seeds":
-                    for record in result:
-                        self.store.put(
-                            seed_key(persist["spec"], record["seed"]),
-                            record,
-                            kind=SEED_KIND,
-                        )
-                        persisted += 1
-                elif mode == "eval":
-                    keys = persist.get("keys") or {}
-                    for job_id, item_status, payload in result:
-                        key = keys.get(job_id)
-                        if item_status == "ok" and key:
-                            self.store.put(key, payload, kind=RESULT_KIND)
-                            persisted += 1
-            except (OSError, TypeError, ValueError, KeyError):
-                pass
+            if mode == "cells":
+                for record in result:
+                    persisted += self._put(record["key"], record, CELL_KIND)
+            elif mode == "eval":
+                keys = persist.get("keys") or {}
+                for job_id, item_status, payload in result:
+                    key = keys.get(job_id)
+                    if item_status == "ok" and key:
+                        persisted += self._put(key, payload, RESULT_KIND)
             job.computed += persisted
             self.counters["computed"] += persisted
         else:

@@ -1,8 +1,8 @@
 """Worker transports of the evaluation service.
 
 The service dispatches *units* — self-contained, JSON-serializable work
-descriptions (a batch of evaluations sharing one warm session, a chunk
-of sweep cells, a chunk of conformance seeds).  The library's local
+descriptions (a batch of evaluations sharing one warm session, or a
+chunk of sweep cells, conformance seeds included).  The library's local
 executor (:func:`repro.explore.runner.iter_chunked`) adds one more
 kind, :data:`CALL_KIND`: a pickled ``(worker, chunk)`` call that only
 the local fleet runs.  This module owns the three places a unit can
@@ -93,12 +93,6 @@ def run_unit(sessions: OrderedDict, kind: str, payload: Any) -> Any:
         from ..explore.engine import _evaluate_chunk
 
         return _evaluate_chunk(payload)
-    if kind == "seeds":
-        from ..conformance.campaign import CampaignSpec, _evaluate_chunk
-
-        spec = CampaignSpec.from_dict(payload["spec"])
-        outcomes = _evaluate_chunk((spec, payload["seeds"]))
-        return [outcome.to_dict() for outcome in outcomes]
     if kind == CALL_KIND:
         return _run_call_unit(payload)
     raise ReproError(f"unknown dispatch unit kind {kind!r}")

@@ -78,23 +78,3 @@ class SimulationTrace:
     queue_peak: Dict[str, float] = field(default_factory=dict)
     violations: List[ScheduleViolation] = field(default_factory=list)
     completed_instances: int = 0
-
-    def note_process(self, name: str, response: float) -> None:
-        """Record one process completion (keep the maximum)."""
-        if response > self.process_response.get(name, -1.0):
-            self.process_response[name] = response
-
-    def note_graph(self, name: str, response: float) -> None:
-        """Record one graph-instance completion (keep the maximum)."""
-        if response > self.graph_response.get(name, -1.0):
-            self.graph_response[name] = response
-
-    def note_message(self, name: str, latency: float) -> None:
-        """Record one message delivery (keep the maximum)."""
-        if latency > self.message_latency.get(name, -1.0):
-            self.message_latency[name] = latency
-
-    def note_queue(self, queue: str, occupancy: float) -> None:
-        """Record a queue occupancy sample (keep the maximum)."""
-        if occupancy > self.queue_peak.get(queue, 0.0):
-            self.queue_peak[queue] = occupancy

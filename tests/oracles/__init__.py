@@ -24,12 +24,16 @@ identity suites compare against:
   split, which scans every message of a graph per process;
 * :class:`LegacySimulator` / :func:`legacy_simulate` — the
   event-by-event simulator over an :class:`EventQueue` heap;
-* :func:`steer_gateway_traffic_scan` — the full-scan workload steering.
+* :func:`steer_gateway_traffic_scan` — the full-scan workload steering;
+* :func:`rho_max_abs_delta` / :func:`offsets_max_abs_delta` — the size
+  of the largest difference between two ``ρ`` records or offset tables,
+  which the parity suites assert is zero.
 
 Nothing under ``src/`` imports this package.
 """
 
 from .busy_window import ceil0_hits, phase_locked_hits
+from .deltas import offsets_max_abs_delta, rho_max_abs_delta
 from .events import EventQueue
 from .full_sweep import full_sweep_solve
 from .legacy_buffers import legacy_buffer_bounds
@@ -51,6 +55,8 @@ __all__ = [
     "legacy_response_time_analysis",
     "legacy_simulate",
     "legacy_static_schedule",
+    "offsets_max_abs_delta",
     "phase_locked_hits",
+    "rho_max_abs_delta",
     "steer_gateway_traffic_scan",
 ]

@@ -35,6 +35,16 @@ __all__ = ["LegacySimulator", "legacy_simulate"]
 ExecutionModel = Callable[[str, int], float]
 
 
+def _keep_max(
+    table: Dict[str, float], name: str, value: float, floor: float = -1.0
+) -> None:
+    """Record one observation in a trace table, keeping the maximum
+    (``floor`` is the value an absent entry counts as: -1 for response
+    times and latencies, 0 for queue occupancies)."""
+    if value > table.get(name, floor):
+        table[name] = value
+
+
 class _Job:
     """One activation of an ET process on a node CPU."""
 
@@ -313,7 +323,7 @@ class LegacySimulator:
         """Update a queue's byte occupancy and record the peak."""
         level = self._queue_occupancy.get(queue_name, 0.0) + delta
         self._queue_occupancy[queue_name] = level
-        self.trace.note_queue(queue_name, level)
+        _keep_max(self.trace.queue_peak, queue_name, level, floor=0.0)
 
     def _note_journey(self, msg_name: str, instance: int, stage: str) -> None:
         """Record one stage of a message instance's causal journey."""
@@ -446,7 +456,7 @@ class LegacySimulator:
     def _tt_complete(self, proc_name: str, instance: int) -> None:
         now = self.events.now
         release = instance * self.hyper
-        self.trace.note_process(proc_name, now - release)
+        _keep_max(self.trace.process_response, proc_name, now - release)
         self._completed.add((proc_name, instance))
         self._note_sink(proc_name, instance, now)
         graph = self.system.app.graph_of_process(proc_name)
@@ -477,8 +487,9 @@ class LegacySimulator:
             now = self.events.now
             if route is MessageRoute.TT_TO_TT:
                 self._msg_arrival.setdefault((msg_name, instance), now)
-                self.trace.note_message(
-                    msg_name, now - instance * self.hyper
+                _keep_max(
+                    self.trace.message_latency,
+                    msg_name, now - instance * self.hyper,
                 )
             elif route is MessageRoute.TT_TO_ET:
                 # Arrived in the first gateway's MBI; its transfer
@@ -540,8 +551,9 @@ class LegacySimulator:
             if pos == len(legs) - 1:
                 # Delivered to the TT destination at the slot's end.
                 self._msg_arrival.setdefault((msg_name, instance), now)
-                self.trace.note_message(
-                    msg_name, now - instance * self.hyper
+                _keep_max(
+                    self.trace.message_latency,
+                    msg_name, now - instance * self.hyper,
                 )
             else:
                 # Transit: every TTP controller heard the frame; the next
@@ -599,7 +611,7 @@ class LegacySimulator:
     def on_et_completion(self, job: _Job) -> None:
         now = self.events.now
         release = job.instance * self.hyper
-        self.trace.note_process(job.name, now - release)
+        _keep_max(self.trace.process_response, job.name, now - release)
         self._completed.add((job.name, job.instance))
         self._note_sink(job.name, job.instance, now)
         graph = self.system.app.graph_of_process(job.name)
@@ -629,7 +641,9 @@ class LegacySimulator:
             return
         # Final leg: delivered to the receiving ET process.
         self._msg_arrival.setdefault((msg_name, instance), now)
-        self.trace.note_message(msg_name, now - instance * self.hyper)
+        _keep_max(
+            self.trace.message_latency, msg_name, now - instance * self.hyper
+        )
         self._input_arrived(msg.dst, instance)
 
     def _input_arrived(self, proc_name: str, instance: int) -> None:
@@ -653,7 +667,10 @@ class LegacySimulator:
         self._sink_left[key] -= 1
         if self._sink_left[key] == 0:
             release = instance * self.hyper
-            self.trace.note_graph(graph.name, self._sink_latest[key] - release)
+            _keep_max(
+                self.trace.graph_response, graph.name,
+                self._sink_latest[key] - release,
+            )
             self.trace.completed_instances += 1
 
     # -- run -----------------------------------------------------------------

@@ -121,14 +121,18 @@ class TestCampaignDeterminism:
     """Serial and ``--workers N`` campaigns are the same campaign."""
 
     def test_chunks_are_a_pure_function_of_the_spec(self):
-        from repro.conformance import campaign_chunks
+        from repro.explore.engine import plan_cells
+
+        def chunks(spec):
+            cells = spec.cells()
+            _records, _hits, units = plan_cells(cells, None, spec.workers)
+            return [[cells[i].workload["seed"] for i in u] for u in units]
 
         spec = CampaignSpec(campaign=25, seed0=7, workers=3)
-        chunks = campaign_chunks(spec)
-        assert chunks == campaign_chunks(spec)  # deterministic
-        flat = [seed for chunk in chunks for seed in chunk]
+        assert chunks(spec) == chunks(spec)  # deterministic
+        flat = [seed for chunk in chunks(spec) for seed in chunk]
         assert flat == list(range(7, 32))  # contiguous, in seed order
-        assert campaign_chunks(CampaignSpec(campaign=0)) == []
+        assert chunks(CampaignSpec(campaign=0)) == []
 
     def test_serial_equals_parallel_outcomes(self):
         import warnings
@@ -175,6 +179,60 @@ class TestCampaignDeterminism:
         assert sorted(p.name for p in serial_dir.iterdir()) == sorted(
             p.name for p in parallel_dir.iterdir()
         )
+
+
+def _byte_granular(own_size, bytes_ahead, count, capacity, max_size):
+    """The paper's byte-granular drain formula: the head-of-line
+    fragmentation under-count the shipped ``fifo_drain_rounds`` fixed,
+    installed to make seed 24 violate again."""
+    return max(1, math.ceil((own_size + bytes_ahead) / capacity - 1e-12))
+
+
+class TestGoldenCounterexampleFixture:
+    """A violating campaign pins the same counterexample, byte for byte,
+    as before campaigns became sweeps of ``conform`` cells."""
+
+    #: sha256 of the outcome dicts (fixture paths cut to their names),
+    #: and of the pinned ``seed24.json``, both recorded before.
+    OUTCOMES_SHA256 = (
+        "20cec0e100341c2d5ac5942b79480bb7248abba718dea4852bcc9207f38020fc"
+    )
+    FIXTURE_SHA256 = (
+        "57e9a3cc1cddcbc50101b6bbd924f2bb710ea8b54f80f22494113392c739a789"
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_outcomes_and_fixture_bytes(self, workers, tmp_path, monkeypatch):
+        import hashlib
+        import json
+        import os
+
+        import repro.analysis.kernel as kernel_mod
+
+        monkeypatch.setattr(kernel_mod, "fifo_drain_rounds", _byte_granular)
+        report = run_campaign(CampaignSpec(
+            campaign=6, seed0=20, workers=workers,
+            fixture_dir=str(tmp_path),
+        ))
+        outcomes = []
+        for outcome in report.outcomes:
+            data = outcome.to_dict()
+            if data["fixture"]:
+                data["fixture"] = os.path.basename(data["fixture"])
+            outcomes.append(data)
+        assert [(o["seed"], o["status"]) for o in outcomes] == [
+            (20, "ok"), (21, "ok"), (22, "ok"), (23, "ok"),
+            (24, "violation"), (25, "ok"),
+        ]
+        digest = hashlib.sha256(
+            json.dumps(outcomes, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.OUTCOMES_SHA256
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seed24.json"]
+        pinned = hashlib.sha256(
+            (tmp_path / "seed24.json").read_bytes()
+        ).hexdigest()
+        assert pinned == self.FIXTURE_SHA256
 
 
 class TestCampaignProfile:

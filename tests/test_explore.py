@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.conformance.campaign import CampaignSpec, campaign_chunks
+from repro.conformance.campaign import CampaignSpec
 from repro.exceptions import ConfigurationError, ReproError
 from repro.explore import (
     Cell,
@@ -150,9 +150,18 @@ class TestPareto:
 
 class TestRunner:
     def test_partition_matches_campaign_chunks(self):
+        """A campaign's seeds dispatch in the runner's partition: its
+        conform cells pack into the contiguous lanes of
+        ``partition_chunks``."""
+        from repro.explore.engine import plan_cells
+
         spec = CampaignSpec(campaign=37, seed0=5, workers=3)
+        cells = spec.cells()
+        _records, _hits, units = plan_cells(cells, None, spec.workers)
         seeds = list(range(5, 42))
-        assert campaign_chunks(spec) == partition_chunks(seeds, 3)
+        assert [
+            [cells[i].workload["seed"] for i in unit] for unit in units
+        ] == partition_chunks(seeds, 3)
 
     def test_partition_covers_everything_in_order(self):
         chunks = partition_chunks(list(range(10)), workers=2)
@@ -249,6 +258,22 @@ class TestRunSweep:
         again = run_sweep(spec, store=tmp_path / "store", resume=False)
         assert again.store_hits == 0
         assert again.computed == len(spec.cells())
+
+    def test_failed_checkpoint_writes_are_counted(self, tmp_path):
+        """A checkpoint write that fails is counted in the report's
+        profile, not swallowed; the records are still reported."""
+        from repro.store import ResultStore
+
+        class FailingStore(ResultStore):
+            def put(self, key, payload, kind="runresult"):
+                raise OSError("no space left on device")
+
+        spec = _small_spec(seeds=(0,))
+        report = run_sweep(spec, store=FailingStore(tmp_path / "store"))
+        assert report.computed == len(spec.cells())
+        assert not report.errored
+        assert report.profile["store_errors"] == len(spec.cells())
+        assert run_sweep(spec).profile["store_errors"] == 0
 
     def test_workers_match_serial(self):
         spec = _small_spec(seeds=(0, 1, 2, 3))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.conformance import CampaignInterrupted, CampaignSpec, run_campaign
+from repro.conformance import CampaignSpec, run_campaign
 from repro.explore import (
     RunInterrupted,
     SweepInterrupted,
@@ -131,10 +131,47 @@ class TestSweepInterrupted:
         )
         stop = threading.Event()
         stop.set()
-        with pytest.raises(CampaignInterrupted) as info:
+        with pytest.raises(SweepInterrupted) as info:
             run_campaign(spec, stop=stop)
-        assert info.value.report.outcomes == []
-        assert info.value.next_seed == spec.seed0
+        assert info.value.records == []
+        assert info.value.total == spec.campaign
+        # The seeds done are contiguous from seed0: resume right after.
+        assert spec.seed0 + info.value.completed == spec.seed0
+
+    def test_conform_cli_interrupt_prints_resume_seed(
+        self, monkeypatch, capsys
+    ):
+        """``repro conform`` interrupted after its first unit exits 130
+        and names the seed to resume from."""
+        import contextlib
+
+        import repro.explore as explore
+        import repro.explore.engine as engine
+        from repro.cli import main
+
+        stop = threading.Event()
+        real_chunk = engine._evaluate_chunk
+
+        def first_unit_then_stop(payload):
+            records = real_chunk(payload)
+            stop.set()
+            return records
+
+        monkeypatch.setattr(
+            explore, "trap_signals", contextlib.contextmanager(
+                lambda: (yield stop)
+            ),
+        )
+        monkeypatch.setattr(engine, "_evaluate_chunk", first_unit_then_stop)
+        # Serial: 8 seeds in 4 lanes of 2, so the first unit is 2 seeds.
+        code = main([
+            "conform", "--campaign", "8", "--seed0", "3",
+            "--processes-per-node", "4",
+        ])
+        assert code == 130
+        err = capsys.readouterr().err
+        assert "interrupted: 2/8 seeds done (" in err
+        assert "rerun with --seed0 5 --campaign 6" in err
 
 
 @pytest.mark.slow

@@ -34,16 +34,17 @@ from repro.schedule import static_schedule
 from repro.synth import WorkloadSpec, generate_workload
 
 from oracles import legacy_response_time_analysis
+from oracles.deltas import offsets_max_abs_delta, rho_max_abs_delta
 
 
 def assert_rho_equal(a, b, tol=0.0, context=""):
     """Structural equality of two ResponseTimes, to ``tol``.
 
-    Thin assertion shell over :meth:`ResponseTimes.max_abs_delta` (the
-    single source of truth for rho comparison — ``inf`` on structural
+    Thin assertion shell over :func:`oracles.deltas.rho_max_abs_delta`
+    (the single source of truth for rho comparison — ``inf`` on structural
     or convergence mismatch, else the worst per-field delta).
     """
-    delta = a.max_abs_delta(b)
+    delta = rho_max_abs_delta(a, b)
     assert delta <= tol, (
         f"{context}: rho records differ (max |delta| = {delta})"
     )
@@ -138,7 +139,8 @@ class TestIncrementalRecompilation:
             assert incremental.converged == fresh.converged, label
             assert incremental.iterations == fresh.iterations, label
             assert (
-                incremental.offsets.max_abs_delta(fresh.offsets) == 0.0
+                offsets_max_abs_delta(incremental.offsets, fresh.offsets)
+                == 0.0
             ), label
             assert_rho_equal(
                 fresh.rho, incremental.rho, tol=0.0, context=label

@@ -15,6 +15,7 @@ from repro.model import (
 from repro.synth.workload import WorkloadSpec, generate_workload
 
 from helpers import two_node_config, two_node_system
+from oracles.deltas import offsets_max_abs_delta
 
 
 class TestPriorityAssignment:
@@ -75,13 +76,15 @@ class TestOffsetTable:
     def test_max_abs_delta(self):
         a = OffsetTable({"p": 10.0}, {"m": 5.0})
         b = OffsetTable({"p": 12.0}, {"m": 5.0})
-        assert a.max_abs_delta(b) == 2.0
-        assert a.max_abs_delta(a.copy()) == 0.0
+        assert offsets_max_abs_delta(a, b) == 2.0
+        assert offsets_max_abs_delta(a, a.copy()) == 0.0
+        assert a.within(b, 2.0) and not a.within(b, 1.9)
 
     def test_delta_covers_missing_keys(self):
         a = OffsetTable({"p": 10.0}, {})
         b = OffsetTable({}, {})
-        assert a.max_abs_delta(b) == 10.0
+        assert offsets_max_abs_delta(a, b) == 10.0
+        assert not a.within(b, 9.0)
 
 
 class TestSystemConfiguration:

@@ -44,6 +44,7 @@ from repro.synth.workload import WorkloadSpec, generate_workload, seeded_routes
 from repro.system import System
 
 from oracles import legacy_multihop_response_time_analysis
+from oracles.deltas import rho_max_abs_delta
 
 FIELDS = ("processes", "can", "ttp", "hops", "tt_arrival")
 
@@ -302,13 +303,14 @@ def _two_leg_rho(first_leg_queuing, converged=True):
 def test_max_abs_delta_reads_hops():
     """A difference confined to a non-final leg is a difference."""
     base = _two_leg_rho(1.0)
-    assert base.max_abs_delta(_two_leg_rho(1.0)) == 0.0
-    assert base.max_abs_delta(_two_leg_rho(1.5)) == 0.5
-    assert base.max_abs_delta(_two_leg_rho(1.0, converged=False)) == math.inf
+    assert rho_max_abs_delta(base, _two_leg_rho(1.0)) == 0.0
+    assert rho_max_abs_delta(base, _two_leg_rho(1.5)) == 0.5
+    diverged = _two_leg_rho(1.0, converged=False)
+    assert rho_max_abs_delta(base, diverged) == math.inf
     shorter = _two_leg_rho(1.0)
     shorter.hops["m"] = shorter.hops["m"][1:]
-    assert base.max_abs_delta(shorter) == math.inf
+    assert rho_max_abs_delta(base, shorter) == math.inf
     single = _two_leg_rho(1.0)
     del single.hops["m"]
-    assert base.max_abs_delta(single) == math.inf
-    assert single.max_abs_delta(base) == math.inf
+    assert rho_max_abs_delta(base, single) == math.inf
+    assert rho_max_abs_delta(single, base) == math.inf

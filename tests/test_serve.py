@@ -30,6 +30,7 @@ import pytest
 from repro.api.session import Session
 from repro.conformance.campaign import (
     CampaignSpec,
+    SeedOutcome,
     conformance_configuration,
     run_campaign,
 )
@@ -44,11 +45,10 @@ from repro.serve import (
     ServeClient,
     ServerError,
     evaluation_key,
-    seed_key,
     serve,
     system_fingerprint,
 )
-from repro.store import ResultStore
+from repro.store import ResultStore, content_key
 from repro.synth.workload import WorkloadSpec, generate_workload
 
 
@@ -93,9 +93,20 @@ class TestProtocol:
         )
         assert skey is None and serve_key is None
 
+    @staticmethod
+    def _seed_key(spec_dict, seed):
+        """The store address of one campaign seed: its conform cell's
+        key."""
+        spec = CampaignSpec.from_dict({
+            **spec_dict, "seed0": seed, "campaign": 1,
+        })
+        return spec.cells()[0].key
+
     def test_seed_key_ignores_placement_fields(self):
+        seed_key = self._seed_key
         spec = CampaignSpec(campaign=10, workers=1).to_dict()
-        rechunked = {**spec, "workers": 8, "campaign": 99, "seed0": 5}
+        rechunked = {**spec, "workers": 8, "campaign": 99, "seed0": 5,
+                     "shrink": False, "fixture_dir": "elsewhere"}
         assert seed_key(spec, 7) == seed_key(rechunked, 7)
         assert seed_key(spec, 7) != seed_key(spec, 8)
         other = {**spec, "processes_per_node": 4}
@@ -104,6 +115,7 @@ class TestProtocol:
     def test_seed_key_includes_non_default_topology(self):
         """A topology campaign must not be served the canonical
         campaign's stored outcomes: each non-default axis keys apart."""
+        seed_key = self._seed_key
         canonical = CampaignSpec().to_dict()
         topo = CampaignSpec(
             clusters=4, gateways=4, route_strategy="random"
@@ -122,16 +134,37 @@ class TestProtocol:
         }
         assert seed_key(bare, 7) == seed_key(canonical, 7)
 
-    def test_canonical_seed_key_unchanged(self):
-        """Canonical ``conformseed`` addresses are pinned: records
-        stored before the engine option and topology axes were folded
-        stay reachable (a dict still naming the kernel keys alike)."""
-        canonical = CampaignSpec().to_dict()
-        golden = (
-            "65d2bacee75416aac88a5b0de11914146e7f1e580b77da98784564d5e4bd4349"
+    def test_conform_keys_leave_old_records_unread(self):
+        """Conform cell keys carry a record tag, so a conform record
+        stored in the older count-only shape is never served as a hit;
+        every other method's key is pinned to its value from before."""
+        import dataclasses
+
+        from repro.explore.spec import Cell
+
+        cell = CampaignSpec(seed0=7, campaign=1).cells()[0]
+        assert cell.workload == dataclasses.asdict(
+            CampaignSpec().workload_spec(7)
         )
-        assert seed_key(canonical, 7) == golden
-        assert seed_key({**canonical, "engine": "kernel"}, 7) == golden
+        assert cell.workload_spec() == CampaignSpec().workload_spec(7)
+        untagged = dict(cell.resolved())
+        assert untagged.pop("record")
+        # The key the same cell had before the tag.
+        assert content_key(untagged) == (
+            "9571bf37e1064abb9df06a384f561ddd8af01c8fbeb1e3cee26bcb68282f0848"
+        )
+        assert cell.key != content_key(untagged)
+        analysis, sf = SweepSpec(
+            workload={"seed": 7}, methods=("analysis", "SF")
+        ).cells()
+        assert analysis.key == (
+            "ce389989c9f39849ce9419759a4fa880ad4ff65c8565fa7ce6acd5068c018b78"
+        )
+        assert sf.key == (
+            "f4512129fca0febcd0ffabf86f1f6f86766755315965061dbebb238aa8ce31ef"
+        )
+        # A carried key is taken as computed, never recomputed.
+        assert Cell.from_dict({**cell.to_dict(), "key": "k"}).key == "k"
 
 
 @pytest.fixture()
@@ -210,16 +243,51 @@ class TestServiceInline:
             campaign=3, workers=1, nodes=2, processes_per_node=4,
             shrink=False,
         )
-        submitted = inline_service.submit_campaign(spec.to_dict())
+        submitted = inline_service.submit_sweep(spec.to_dict())
         job = inline_service.wait(submitted["id"], timeout=120)
         assert job.status == "done"
         local = run_campaign(spec)
-        assert [o["seed"] for o in job.result["outcomes"]] == [
-            o.seed for o in local.outcomes
+        served = [
+            SeedOutcome.from_record(record)
+            for record in job.result["records"]
         ]
-        assert job.result["outcomes"] == [
+        assert [o.seed for o in served] == [o.seed for o in local.outcomes]
+        assert [o.to_dict() for o in served] == [
             o.to_dict() for o in local.outcomes
         ]
+
+    def test_failed_store_writes_are_counted(self, tmp_path):
+        """The service counts every result it fails to persist (batch
+        records and single evaluations alike) instead of passing."""
+
+        class FailingStore(ResultStore):
+            def put(self, key, payload, kind="runresult"):
+                raise OSError("no space left on device")
+
+        service = EvaluationService(
+            FailingStore(tmp_path / "store"), workers=0
+        )
+        try:
+            spec = SweepSpec(
+                name="failing",
+                workload={"nodes": 2, "processes_per_node": 4,
+                          "seed": [0, 1]},
+                methods=("analysis",),
+            )
+            sweep = service.wait(
+                service.submit_sweep(spec.to_dict())["id"], timeout=60
+            )
+            system = _system()
+            single = service.wait(service.submit_evaluation(
+                system_to_dict(system),
+                config_to_dict(_configs(system, 1)[0]),
+            )["id"], timeout=60)
+            assert (sweep.status, single.status) == ("done", "done")
+            counters = service.stats()["counters"]
+            assert counters["store_errors"] == 3
+            assert counters["computed"] == 3
+        finally:
+            service.close()
 
     def test_drain_rejects_new_work(self, inline_service):
         from repro.exceptions import ReproError
@@ -390,6 +458,91 @@ class TestServiceHTTP:
             )
             with ResultStore(tmp_path / "store") as store:
                 assert store.get(serve_key) is not None
+
+
+class TestServedCampaign:
+    """A campaign is a sweep of ``conform`` cells, locally and through
+    ``POST /sweep``: served records, reports and counterexample
+    fixtures equal the local run's."""
+
+    def test_served_campaign_equals_local(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import math
+
+        import repro.analysis.kernel as kernel_mod
+        from repro.cli import main
+        from repro.conformance.campaign import campaign_report
+        from repro.serve import run_sweep_via_server
+
+        # The byte-granular drain formula makes seed 24 violate, so the
+        # range pins a counterexample fixture.  workers=0: the service
+        # computes in this process, under the patch.
+        monkeypatch.setattr(
+            kernel_mod, "fifo_drain_rounds",
+            lambda own, ahead, count, capacity, largest: max(
+                1, math.ceil((own + ahead) / capacity - 1e-12)
+            ),
+        )
+        service = EvaluationService(tmp_path / "store", workers=0)
+        ready = threading.Event()
+        announced = {}
+        thread = threading.Thread(
+            target=serve, args=(service,), daemon=True,
+            kwargs=dict(
+                port=0, ready=ready,
+                announce=lambda msg: announced.setdefault("line", msg),
+            ),
+        )
+        thread.start()
+        assert ready.wait(timeout=10)
+        url = announced["line"].split("serving on ")[1]
+        try:
+            spec = CampaignSpec(campaign=6, seed0=20, shrink=False)
+            local = run_sweep(spec)
+            served = run_sweep_via_server(spec, url)
+
+            def deterministic(records):
+                return json.loads(json.dumps([
+                    {k: v for k, v in r.items()
+                     if k not in ("wall_s", "profile")}
+                    for r in records
+                ]))
+
+            assert deterministic(served.records) == deterministic(
+                local.records
+            )
+            assert served.computed == 6
+            report = campaign_report(spec, served.records, time.perf_counter())
+            assert report.counts == {"ok": 5, "violation": 1}
+
+            reports = {}
+            for side in ("local", "served"):
+                args = [
+                    "conform", "--campaign", "6", "--seed0", "20",
+                    "--format", "json", "--out", str(tmp_path / side),
+                ]
+                if side == "served":
+                    args += ["--server", url]
+                assert main(args) == 1  # violated
+                data = json.loads(capsys.readouterr().out)
+                data.pop("wall_s")
+                data.pop("profile")
+                for outcome in data["outcomes"]:
+                    if outcome["fixture"]:
+                        outcome["fixture"] = Path(outcome["fixture"]).name
+                reports[side] = data
+            assert reports["served"] == reports["local"]
+            local_files = sorted((tmp_path / "local").iterdir())
+            served_files = sorted((tmp_path / "served").iterdir())
+            assert [p.name for p in local_files] == ["seed24.json"]
+            assert [p.name for p in served_files] == ["seed24.json"]
+            assert served_files[0].read_bytes() == local_files[0].read_bytes()
+            # The CLI's submission was served wholly from the store.
+            assert service.counters["computed"] == 6
+        finally:
+            ServeClient(url, timeout=5).shutdown()
+            thread.join(timeout=30)
 
 
 @pytest.mark.slow

@@ -35,14 +35,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.conformance.campaign import CampaignSpec, run_campaign
+from repro.conformance.campaign import (
+    CampaignSpec,
+    SeedOutcome,
+    campaign_report,
+    run_campaign,
+)
 from repro.explore.spec import SweepSpec
 from repro.io.serialize import config_to_dict, system_to_dict
 from repro.serve import (
     EvaluationService,
     ServeClient,
     ServerError,
-    run_campaign_via_server,
+    run_sweep_via_server,
     serve,
 )
 from repro.serve.supervisor import SupervisorConfig, UnitJournal
@@ -110,7 +115,7 @@ class TestUnitJournal:
     def test_replay_returns_undelivered_units_in_order(self, tmp_path):
         journal = UnitJournal(tmp_path / "j.jsonl")
         journal.record_unit("u1", "cells", [{"a": 1}], {"mode": "cells"})
-        journal.record_unit("u2", "seeds", {"seeds": [1]}, None)
+        journal.record_unit("u2", "cells", [{"b": 2}], None)
         journal.record_unit("u3", "eval", {"items": []}, {"mode": "eval"})
         journal.record_done("u2")
         pending = journal.pending()
@@ -141,7 +146,7 @@ class TestUnitJournal:
         journal.reset()
         assert journal.pending() == []
         assert len(path.read_text().splitlines()) == 1  # header only
-        journal.record_unit("u10", "seeds", {"seeds": [4]}, None)
+        journal.record_unit("u10", "cells", [{"c": 4}], None)
         assert [e["id"] for e in journal.pending()] == ["u10"]
         journal.close()
 
@@ -202,14 +207,15 @@ class TestLocalChaos:
             victim_id, victim_pid = next(iter(pids.items()))
             os.kill(victim_pid, signal.SIGSTOP)
             spec = _campaign_spec(50)
-            submitted = service.submit_campaign(spec.to_dict())
+            submitted = service.submit_sweep(spec.to_dict())
             job = service.wait(submitted["id"], timeout=120)
             assert job.status == "done", (job.status, job.error)
             # Bit-identical to the undisturbed local run.
             local = run_campaign(spec)
-            assert job.result["outcomes"] == [
-                o.to_dict() for o in local.outcomes
-            ]
+            assert [
+                SeedOutcome.from_record(record).to_dict()
+                for record in job.result["records"]
+            ] == [o.to_dict() for o in local.outcomes]
             # Exactly-once per seed: 50 unique seeds, 50 computed —
             # the hedged duplicates never reached the counters.
             assert service.counters["computed"] == 50
@@ -329,6 +335,56 @@ class TestRestartRecovery:
         finally:
             assert second.drain(timeout=30)
 
+    def test_old_journal_seeds_unit_resolves_as_counted_error(
+        self, tmp_path
+    ):
+        """A journal written before campaigns became sweeps may hold a
+        pending ``seeds`` unit.  The restarted daemon does not crash or
+        run it: the unit resolves at once as a counted error, the
+        journal drops it, and a pending ``cells`` unit beside it is
+        still recovered and persisted."""
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        spec = SweepSpec(
+            name="old-journal",
+            workload={"nodes": 2, "processes_per_node": 4, "seed": 1},
+            methods=("analysis",),
+        )
+        (cell,) = spec.cells()
+        journal = UnitJournal(store_dir / "serve-journal.jsonl")
+        journal.record_unit(
+            "u-old-0", "seeds",
+            {"spec": CampaignSpec(campaign=2).to_dict(), "seeds": [0, 1]},
+            {"mode": "seeds", "spec": CampaignSpec(campaign=2).to_dict()},
+        )
+        journal.record_unit(
+            "u-old-1", "cells", [cell.to_dict()], {"mode": "cells"}
+        )
+        journal.close()
+        service = EvaluationService(store_dir, workers=0)
+        try:
+            assert service.recovered_units == 2
+            assert _wait_until(
+                lambda: service.stats()["queue_depth"] == 0, timeout=60
+            )
+            assert service.counters["errors"] == 1
+            assert service.counters["computed"] == 1
+            recovery = [
+                job for job in service._jobs.values()
+                if job.kind == "recovery"
+            ]
+            assert recovery[0].done.wait(30)
+            assert [slot["status"] for slot in recovery[0].slots] == [
+                "error", "ok",
+            ]
+            assert service.journal.pending() == []
+            again = service.wait(
+                service.submit_sweep(spec.to_dict())["id"], timeout=30
+            )
+            assert again.result["store_hits"] == 1
+        finally:
+            assert service.drain(timeout=30)
+
     def test_recovery_is_idempotent_when_nothing_pending(self, tmp_path):
         store_dir = tmp_path / "store"
         service = EvaluationService(store_dir, workers=0)
@@ -376,14 +432,14 @@ class TestBackpressure:
             spec = _campaign_spec(50).to_dict()
             client = ServeClient(url, timeout=30, retries=0)
             with pytest.raises(ServerError, match="overloaded"):
-                client.submit_campaign(spec)
+                client.submit_sweep(spec)
             # The raw response carries the Retry-After header.
             import http.client as http_client
 
             host, port = url.split("//")[1].split(":")
             conn = http_client.HTTPConnection(host, int(port), timeout=10)
             conn.request(
-                "POST", "/conform", json.dumps({"spec": spec}),
+                "POST", "/sweep", json.dumps({"spec": spec}),
                 {"Content-Type": "application/json"},
             )
             response = conn.getresponse()
@@ -610,8 +666,10 @@ class TestChaosEndToEnd:
             outcome = {}
 
             def _run():
-                outcome["report"] = run_campaign_via_server(
-                    spec, url, timeout=300
+                started = time.perf_counter()
+                sweep = run_sweep_via_server(spec, url, timeout=300)
+                outcome["report"] = campaign_report(
+                    spec, sweep.records, started
                 )
 
             runner = threading.Thread(target=_run, daemon=True)

@@ -95,6 +95,20 @@ def test_optimize_resources_max_climbs(system):
     assert (result.evaluations, result.climbs) == (54, 2)
 
 
+def test_max_climbs_pick_builds_no_timing_table(system):
+    """Picking the climbed seeds compares results by ``==``, which must
+    not build the lazily kept timing table of any OS seed."""
+    fresh = optimize_schedule(system)
+    assert all(s.__dict__.get("_timing") is None for s in fresh.seeds)
+    optimize_resources(
+        system, os_result=fresh, max_iterations=6, neighborhood=10,
+        seed=1, max_climbs=2,
+    )
+    assert [s.__dict__.get("_timing") for s in fresh.seeds] == [
+        None for _ in fresh.seeds
+    ]
+
+
 def test_sa_schedule(system):
     result = sa_schedule(system, iterations=60, seed=2)
     assert _best(result.best) == (
