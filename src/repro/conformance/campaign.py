@@ -69,6 +69,7 @@ __all__ = [
     "conformance_configuration",
     "evaluate_workload",
     "run_campaign",
+    "seed_configuration",
 ]
 
 
@@ -368,23 +369,26 @@ def conformance_configuration(
     return SystemConfiguration(bus=bus, priorities=hopa_priorities(system))
 
 
-def _campaign_configuration(
-    spec: CampaignSpec, system: System, seed: int
+def seed_configuration(
+    system: System, workload: WorkloadSpec, rounds_per_period: int = 10
 ) -> Optional[SystemConfiguration]:
-    """The seed's configuration, or ``None`` for the canonical default.
+    """One seed's configuration, or ``None`` for the canonical default.
 
     Only a non-default ``route_strategy`` needs an explicit
     configuration: seeded route overrides plus TDMA slots grown to
     carry the relayed payloads (:func:`repro.optim.routing.
     fit_bus_to_routes`).  Returning ``None`` otherwise keeps the
-    default-path campaign on the exact pre-topology code path.
+    default-path campaign on the exact pre-topology code path.  The
+    seed's evaluation (the ``conform`` cell) and the pinning of its
+    counterexample both configure through here, so a fixture always
+    carries the configuration its violation was observed under.
     """
-    if spec.route_strategy == "default":
+    if workload.route_strategy == "default":
         return None
     from ..synth.workload import apply_seeded_routes
 
-    config = conformance_configuration(system, spec.rounds_per_period)
-    apply_seeded_routes(system, spec.workload_spec(seed), config)
+    config = conformance_configuration(system, rounds_per_period)
+    apply_seeded_routes(system, workload, config)
     return config
 
 
@@ -524,26 +528,60 @@ def _pin_counterexample(
     return str(path)
 
 
+def _pin_seed(
+    payload: Tuple[CampaignSpec, int, List[ConformanceViolation]]
+) -> str:
+    """Worker entry point: pin one violating seed (picklable).
+
+    The System is regenerated from the seed's recipe, so a seed
+    evaluated anywhere (a local worker, a server) pins the same file.
+    """
+    spec, seed, violations = payload
+    workload = spec.workload_spec(seed)
+    system = generate_workload(workload)
+    config = seed_configuration(system, workload, spec.rounds_per_period)
+    return _pin_counterexample(spec, seed, system, violations, config)
+
+
 def campaign_report(
-    spec: CampaignSpec, records: List[Dict[str, Any]], started: float
+    spec: CampaignSpec,
+    records: List[Dict[str, Any]],
+    started: float,
+    stop: Optional[threading.Event] = None,
 ) -> CampaignReport:
     """The campaign's report over its cell records, fixtures pinned.
 
-    Violating seeds are shrunk and pinned here, after the cells
-    finish: each System is regenerated from its seed's recipe, so a
-    campaign run through a server writes the same fixture files as a
-    local one.  ``started`` is the campaign's ``perf_counter`` start.
+    ``records`` are the cell records of seeds ``seed0`` onwards, in
+    seed order.  Violating seeds are shrunk and pinned here, after the
+    cells finish, one seed per unit on ``spec.workers`` workers.
+    ``started`` is the campaign's ``perf_counter`` start.
+
+    ``stop`` makes the pinning interruptible like the sweep itself:
+    the pins in flight finish, and :class:`repro.explore.engine.
+    SweepInterrupted` reports the seeds before the first unpinned
+    violating seed as done, so the resume seed re-runs (and pins)
+    every seed whose fixture is missing.
     """
+    from ..explore.engine import SweepInterrupted
+    from ..explore.runner import RunInterrupted, iter_chunked
+
+    outcomes = [SeedOutcome.from_record(record) for record in records]
     if spec.fixture_dir is not None:
         Path(spec.fixture_dir).mkdir(parents=True, exist_ok=True)
-    outcomes = [SeedOutcome.from_record(record) for record in records]
-    for outcome in outcomes:
-        if outcome.status == "violation" and spec.fixture_dir is not None:
-            system = generate_workload(spec.workload_spec(outcome.seed))
-            config = _campaign_configuration(spec, system, outcome.seed)
-            outcome.fixture = _pin_counterexample(
-                spec, outcome.seed, system, outcome.violations, config
-            )
+        violating = [o for o in outcomes if o.status == "violation"]
+        pins = iter_chunked(
+            [(spec, o.seed, o.violations) for o in violating],
+            _pin_seed, spec.workers, stop=stop,
+        )
+        try:
+            for outcome, path in zip(violating, pins):
+                outcome.fixture = path
+        except RunInterrupted as exc:
+            done = violating[exc.completed].seed - spec.seed0
+            raise SweepInterrupted(
+                completed=done, total=spec.campaign, store_hits=0,
+                records=records[:done],
+            ) from exc
     return CampaignReport(
         spec=spec, outcomes=outcomes,
         wall_s=time.perf_counter() - started,
@@ -563,10 +601,15 @@ def run_campaign(
     interruptible: the in-flight unit finishes, the rest is abandoned,
     and :class:`repro.explore.engine.SweepInterrupted` reports the
     seeds done, contiguous from ``seed0`` (resume at ``seed0 +
-    completed``).
+    completed``).  The counterexamples of the seeds done are pinned
+    before the interrupt is raised: the resume seed skips them.
     """
-    from ..explore.engine import run_sweep
+    from ..explore.engine import SweepInterrupted, run_sweep
 
     started = time.perf_counter()
-    sweep = run_sweep(spec, workers=spec.workers, stop=stop)
-    return campaign_report(spec, sweep.records, started)
+    try:
+        sweep = run_sweep(spec, workers=spec.workers, stop=stop)
+    except SweepInterrupted as exc:
+        campaign_report(spec, exc.records, started)
+        raise
+    return campaign_report(spec, sweep.records, started, stop=stop)

@@ -229,17 +229,13 @@ def _eval_conform(state, cell: Cell) -> Dict[str, Any]:
     conform cell is a one-shot evaluation that shares nothing with its
     neighbours, so it neither reads nor fills the worker's workload
     cache.  ``generate_s`` covers generation plus the seed's
-    configuration (a non-default ``route_strategy`` seeds route
-    overrides into an explicit configuration; the default path passes
-    ``config=None`` and :func:`evaluate_workload` builds the canonical
-    one itself).  ``error`` and ``profile`` are lifted out of the
-    metrics by :func:`evaluate_cell`.
+    configuration (:func:`~repro.conformance.campaign.
+    seed_configuration`; on the default path it is ``None`` and
+    :func:`evaluate_workload` builds the canonical one itself).
+    ``error`` and ``profile`` are lifted out of the metrics by
+    :func:`evaluate_cell`.
     """
-    from ..conformance.campaign import (
-        conformance_configuration,
-        evaluate_workload,
-    )
-    from ..synth.workload import apply_seeded_routes
+    from ..conformance.campaign import evaluate_workload, seed_configuration
 
     spec = cell.workload_spec()
     rounds = _option(cell, "rounds_per_period")
@@ -250,10 +246,7 @@ def _eval_conform(state, cell: Cell) -> Dict[str, Any]:
         started = time.perf_counter()
         try:
             system = generate_workload(spec)
-            config = None
-            if spec.route_strategy != "default":
-                config = conformance_configuration(system, rounds)
-                apply_seeded_routes(system, spec, config)
+            config = seed_configuration(system, spec, rounds)
         except ReproError as exc:
             outcome["error"] = str(exc)
         else:

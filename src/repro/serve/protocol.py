@@ -62,10 +62,14 @@ __all__ = [
 #: Format tag stamped into every HTTP response envelope.
 PROTOCOL_FORMAT = "repro-serve-v1"
 #: Format tag of the remote-worker dialect (the ``/worker/*``
-#: endpoints: register → long-poll → heartbeat → result).  Stamped into
-#: registration responses so a worker from a different codebase vintage
-#: fails loudly at register time instead of computing garbage.
-WORKER_PROTOCOL = "repro-worker-v1"
+#: endpoints: register → long-poll → heartbeat → result).  A worker
+#: names it when it registers and the server refuses any other, and the
+#: server stamps it into the registration response, which the worker
+#: checks — so a worker from a different codebase vintage fails loudly
+#: at register time instead of computing garbage.  v2: campaigns run
+#: as ``cells`` units of ``conform`` cells (the ``seeds`` kind is gone)
+#: and a conform record carries the whole per-seed outcome.
+WORKER_PROTOCOL = "repro-worker-v2"
 #: Dispatch-unit kinds every transport understands (the complete
 #: vocabulary of :func:`repro.serve.workers.run_unit`).  Journals from
 #: before campaigns became sweeps may hold ``seeds`` units; recovery

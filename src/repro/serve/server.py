@@ -212,6 +212,12 @@ class _Handler(BaseHTTPRequestHandler):
     # -- the remote-worker dialect (see repro.serve.supervisor) --------------
 
     def _post_worker_register(self, body: Dict[str, Any]) -> None:
+        spoken = body.get("protocol")
+        if spoken != WORKER_PROTOCOL:
+            raise ReproError(
+                f"worker protocol {spoken!r} is not this server's "
+                f"{WORKER_PROTOCOL!r}: run a worker of the same version"
+            )
         registration = self.service.supervisor.register_worker(
             label=body.get("label")
         )

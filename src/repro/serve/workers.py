@@ -340,6 +340,7 @@ def run_worker(
     telling the worker to retire during drain).
     """
     from .client import ServeClient, ServerError
+    from .protocol import WORKER_PROTOCOL
 
     if announce is None:
         announce = get_logger("worker").info
@@ -351,10 +352,17 @@ def run_worker(
     def _register() -> Optional[Dict[str, Any]]:
         try:
             reg = client._request(
-                "POST", "/worker/register", {"label": label}
+                "POST", "/worker/register",
+                {"label": label, "protocol": WORKER_PROTOCOL},
             )
         except ServerError:
             return None
+        if reg.get("worker_format") != WORKER_PROTOCOL:
+            raise ConfigurationError(
+                f"server {url} speaks worker protocol "
+                f"{reg.get('worker_format')!r}, this worker "
+                f"{WORKER_PROTOCOL!r}: run a worker of the same version"
+            )
         announce(
             f"registered as {reg['worker']} with {url} "
             f"(lease {reg['lease_s']:.0f}s)"

@@ -18,6 +18,7 @@ from repro.analysis import multi_cluster_scheduling
 from repro.api import Session
 from repro.conformance import (
     CampaignSpec,
+    campaign_report,
     classify_run,
     conformance_configuration,
     load_fixture,
@@ -233,6 +234,80 @@ class TestGoldenCounterexampleFixture:
             (tmp_path / "seed24.json").read_bytes()
         ).hexdigest()
         assert pinned == self.FIXTURE_SHA256
+
+    def test_interrupted_campaign_pins_the_seeds_done(
+        self, tmp_path, monkeypatch
+    ):
+        """Stopped after seed 24's unit, the campaign still pins seed
+        24: the resume seed skips every seed reported done."""
+        import hashlib
+        import threading
+
+        import repro.analysis.kernel as kernel_mod
+        import repro.explore.engine as engine
+        from repro.explore import SweepInterrupted
+
+        monkeypatch.setattr(kernel_mod, "fifo_drain_rounds", _byte_granular)
+        stop = threading.Event()
+        real_chunk = engine._evaluate_chunk
+
+        def stop_after_seed_24(payload):
+            records = real_chunk(payload)
+            if any(r["workload"]["seed"] == 24 for r in records):
+                stop.set()
+            return records
+
+        monkeypatch.setattr(engine, "_evaluate_chunk", stop_after_seed_24)
+        # Serial: 8 seeds in 4 lanes of 2, the third unit is seeds 24-25.
+        with pytest.raises(SweepInterrupted) as info:
+            run_campaign(
+                CampaignSpec(campaign=8, seed0=20, fixture_dir=str(tmp_path)),
+                stop=stop,
+            )
+        assert info.value.completed == 6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seed24.json"]
+        pinned = hashlib.sha256(
+            (tmp_path / "seed24.json").read_bytes()
+        ).hexdigest()
+        assert pinned == self.FIXTURE_SHA256
+
+    def test_signal_while_pinning_resumes_at_first_unpinned_seed(
+        self, tmp_path, monkeypatch
+    ):
+        """A signal during the pinning lets the pin in flight finish
+        and reports done only the seeds before the first unpinned
+        violating seed, so a resumed run pins the rest."""
+        import threading
+
+        import repro.conformance.campaign as campaign
+        from repro.explore import SweepInterrupted
+
+        stop = threading.Event()
+        pinned = []
+
+        def pin_then_signal(payload):
+            _, seed, _ = payload
+            pinned.append(seed)
+            stop.set()
+            return str(tmp_path / f"seed{seed}.json")
+
+        monkeypatch.setattr(campaign, "_pin_seed", pin_then_signal)
+        records = [
+            {
+                "workload": {"seed": seed},
+                "metrics": {
+                    "status": "violation" if seed in (21, 23) else "ok",
+                },
+                "error": None,
+            }
+            for seed in range(20, 25)
+        ]
+        spec = CampaignSpec(campaign=5, seed0=20, fixture_dir=str(tmp_path))
+        with pytest.raises(SweepInterrupted) as info:
+            campaign_report(spec, records, 0.0, stop=stop)
+        assert pinned == [21]
+        assert info.value.completed == 3
+        assert info.value.records == records[:3]
 
 
 class TestCampaignProfile:
@@ -571,10 +646,13 @@ class TestClassifyReadsTheAnalysis:
     )
 
     def _seed(self):
-        from repro.conformance.campaign import _campaign_configuration
+        from repro.conformance.campaign import seed_configuration
 
-        system = generate_workload(self.SPEC.workload_spec(100000))
-        return system, _campaign_configuration(self.SPEC, system, 100000)
+        workload = self.SPEC.workload_spec(100000)
+        system = generate_workload(workload)
+        return system, seed_configuration(
+            system, workload, self.SPEC.rounds_per_period
+        )
 
     def test_conform_seed_builds_no_timing_table(self, monkeypatch):
         from repro.api import result

@@ -528,6 +528,35 @@ def remote_rig(tmp_path):
 
 
 class TestRemoteWorkers:
+    def test_worker_of_another_version_is_refused_at_registration(
+        self, remote_rig
+    ):
+        service, url = remote_rig
+        client = ServeClient(url, timeout=10)
+        # A worker that names no protocol (or another one) never gets
+        # a unit: it could return records of another shape.
+        for body in ({"label": "stale"},
+                     {"label": "stale", "protocol": "repro-worker-v1"}):
+            with pytest.raises(ServerError, match="worker protocol"):
+                client._request("POST", "/worker/register", body)
+        assert all(
+            w.get("label") != "stale" for w in service.supervisor.fleet()
+        )
+
+    def test_worker_refuses_a_server_of_another_version(self, monkeypatch):
+        from repro.exceptions import ConfigurationError
+
+        monkeypatch.setattr(
+            ServeClient, "_request",
+            lambda self, method, path, body=None: {
+                "worker_format": "repro-worker-v1",
+                "worker": "w1",
+                "lease_s": 5.0,
+            },
+        )
+        with pytest.raises(ConfigurationError, match="repro-worker-v1"):
+            run_worker("http://localhost:1", announce=lambda m: None)
+
     def test_register_poll_compute_and_census(self, remote_rig):
         service, url = remote_rig
         system = _system()

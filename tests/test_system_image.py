@@ -12,8 +12,8 @@ from oracles.legacy_hopa import legacy_local_deadlines
 from repro.api import Session
 from repro.conformance import CampaignSpec
 from repro.conformance.campaign import (
-    _campaign_configuration,
     evaluate_workload,
+    seed_configuration,
 )
 from repro.exceptions import ConfigurationError
 from repro.image import PlanImage, SystemImage
@@ -44,8 +44,11 @@ def builds(monkeypatch):
 
 
 def _conform_seed(seed=100000):
-    system = generate_workload(SPEC.workload_spec(seed))
-    return system, _campaign_configuration(SPEC, system, seed)
+    workload = SPEC.workload_spec(seed)
+    system = generate_workload(workload)
+    return system, seed_configuration(
+        system, workload, SPEC.rounds_per_period
+    )
 
 
 def _assert_one_image_and_one_part_per_plan(system, builds):
