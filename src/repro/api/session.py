@@ -400,16 +400,13 @@ class Session:
         return run
 
     def _store_write(self, skey: Optional[str], run: RunResult) -> None:
-        """Append a computed result to the store tier (best effort)."""
+        """Append a computed result to the store tier.  A failed write
+        does not fail the evaluation: the store counts it (and reports
+        its first one) and the result stays process-local."""
         if self.store is None or skey is None:
             return
-        try:
-            if self.store.put(skey, run.to_dict(), kind="runresult"):
-                self._store_writes += 1
-        except (OSError, TypeError, ValueError):
-            # A full disk or an unserializable payload must not fail the
-            # evaluation itself; the result simply stays process-local.
-            pass
+        if self.store.put(skey, run.to_dict(), kind="runresult"):
+            self._store_writes += 1
 
     def _key(
         self,

@@ -721,12 +721,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = args.host, args.port
     if args.listen:
         host, port = parse_listen(args.listen)
-    store = ResultStore(args.store, layout="sharded")
-    if store.layout == "flat":
-        # An existing pre-shard store: meta wins over the constructor
-        # argument, so shard it explicitly before taking traffic.
-        migrated = store.migrate()
-        print(f"migrated {migrated} records from the flat store layout")
+    store = ResultStore(args.store)
     policy = SupervisorConfig()
     if args.lease is not None:
         policy.lease_s = args.lease
@@ -1048,12 +1043,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
               f"{store.stats.segments} segments")
         for shard in sorted(per_shard):
             info = per_shard[shard]
-            label = shard if shard else "(flat)"
-            print(f"  {label}: {info['entries']} entries, "
+            print(f"  {shard}: {info['entries']} entries, "
                   f"{info['segments']} segments, {info['bytes']} bytes")
         return 0
     if args.store_command == "migrate":
-        if store.layout == "sharded":
+        # Opening a pre-shard store migrated it; the compaction below
+        # folds the copies (and applies --shard-prefix).
+        if not store.migrated:
             print(f"{args.dir}: already sharded; nothing to do")
             store.close()
             return 0

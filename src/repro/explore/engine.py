@@ -611,7 +611,8 @@ def run_sweep(
     )
     payloads = [[cells[i].to_dict() for i in unit] for unit in units]
     computed = 0
-    store_errors = 0
+    # The store may be shared, so the run reports its own failures.
+    errors_before = store.stats.write_errors if store is not None else 0
     stream = iter_chunked(payloads, _evaluate_chunk, workers, stop=stop)
     try:
         # Units stream back in order and are checkpointed as they
@@ -621,14 +622,10 @@ def run_sweep(
             for i, record in zip(unit, chunk_records):
                 records[i] = record
                 computed += 1
-                if store is None:
-                    continue
-                try:
-                    store.put(record["key"], record, kind=CELL_KIND)
-                except (OSError, TypeError, ValueError):
+                if store is not None:
                     # A lost checkpoint only costs a recompute on
-                    # resume, but it is counted, never silent.
-                    store_errors += 1
+                    # resume; the store counts it.
+                    store.put(record["key"], record, kind=CELL_KIND)
     except RunInterrupted as exc:
         raise SweepInterrupted(
             completed=computed, total=len(cells), store_hits=store_hits,
@@ -649,5 +646,7 @@ def run_sweep(
                 "corrupt_records": store.stats.corrupt_records,
             }
         ),
-        store_errors=store_errors,
+        store_errors=(
+            0 if store is None else store.stats.write_errors - errors_before
+        ),
     )

@@ -19,9 +19,8 @@ histograms; labels are short identity dimensions (``backend``,
 The module also defines the **unified stats snapshot** schema
 (:data:`STATS_FORMAT`, :func:`stats_snapshot`) that ``repro ...
 --stats --format json`` emits across analyze/simulate/conform/explore
-— one shape (``counters`` / ``timings`` / ``derived``) replacing the
-three historical ad-hoc ones, which remain in the payloads as
-deprecation-tolerant aliases.
+— one shape (``counters`` / ``timings`` / ``derived``), the only one:
+the three historical ad-hoc shapes are gone.
 """
 
 from __future__ import annotations

@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..model.architecture import MessageRoute
 from ..model.configuration import OffsetTable
-from ..semantics import dispatch_respects_arrival, et_to_tt_constraint
 
 __all__ = ["ScheduleEntry", "FrameSlot", "StaticSchedule"]
 
@@ -85,41 +83,3 @@ class StaticSchedule:
             if msg_name in frame.messages:
                 return frame
         return None
-
-    def audit_dispatch_eligibility(
-        self, system, rho
-    ) -> List[Tuple[str, str, float, float]]:
-        """Cross-check the tables against the shared dispatch contract.
-
-        For every TT schedule entry and every message it consumes,
-        verifies that the dispatch instant respects the message's
-        worst-case availability — the statically fixed arrival for
-        TT->TT frames, the analytic bound of ``rho`` (a
-        :class:`repro.analysis.timing.ResponseTimes`) for ET->TT
-        messages — using the same :mod:`repro.semantics` predicate the
-        simulator applies at runtime.  Returns ``(process, message,
-        dispatch_time, required_arrival)`` tuples for every entry that
-        fires too early; an empty list is the analytic half of the
-        dominance invariant (the simulation half is
-        :mod:`repro.conformance`).
-        """
-        offenders: List[Tuple[str, str, float, float]] = []
-        app = system.app
-        for entries in self.tables.values():
-            for entry in entries:
-                graph = app.graph_of_process(entry.process)
-                for _pred, msg_name in graph.predecessors(entry.process):
-                    if msg_name is None:
-                        continue
-                    route = system.route(msg_name)
-                    if route is MessageRoute.TT_TO_TT:
-                        arrival = self.message_arrival.get(msg_name, 0.0)
-                    elif route is MessageRoute.ET_TO_TT:
-                        arrival = et_to_tt_constraint(msg_name, rho, None)
-                    else:
-                        continue
-                    if not dispatch_respects_arrival(entry.start, arrival):
-                        offenders.append(
-                            (entry.process, msg_name, entry.start, arrival)
-                        )
-        return offenders

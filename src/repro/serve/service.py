@@ -79,8 +79,8 @@ __all__ = ["EvaluationService", "Job", "ServiceOverloaded"]
 _JOB_HISTORY_LIMIT = 4096
 
 #: Pending-unit journal file, inside the store directory (segments are
-#: only scanned under ``segments/`` and ``shards/``, so the store never
-#: mistakes it for data).
+#: only scanned under ``shards/``, so the store never mistakes it for
+#: data).
 _JOURNAL_NAME = "serve-journal.jsonl"
 
 
@@ -264,6 +264,9 @@ class EvaluationService:
         if isinstance(store, (str, Path)):
             store = ResultStore(store)
         self.store = store
+        #: The store's failed writes before this service used it; the
+        #: ``store_errors`` counter reports the service's own.
+        self._store_errors_base = store.stats.write_errors
         self.workers = max(0, int(workers))
         self.max_pending = max(1, int(max_pending))
         self._lock = threading.RLock()
@@ -292,9 +295,6 @@ class EvaluationService:
             "store_hits": 0,
             "computed": 0,
             "errors": 0,
-            # Store writes that failed (the work is still reported; a
-            # resubmission recomputes it).
-            "store_errors": 0,
         }
         self._timings: Dict[str, float] = {
             "queue_wait_s": 0.0,
@@ -692,7 +692,7 @@ class EvaluationService:
             job.result = payload
             self.counters["computed"] += 1
             if job.key is not None:
-                self._put(job.key, payload, RESULT_KIND)
+                self.store.put(job.key, payload, kind=RESULT_KIND)
         else:
             job.status = "error"
             job.error = str(payload)
@@ -701,16 +701,6 @@ class EvaluationService:
         if job.key is not None:
             self._inflight.pop(job.key, None)
         self._mark_done(job)
-
-    def _put(self, key: str, payload: Any, kind: str) -> bool:
-        """Persist one result (lock held); a failed write is counted in
-        ``store_errors``, never swallowed."""
-        try:
-            self.store.put(key, payload, kind=kind)
-        except (OSError, TypeError, ValueError):
-            self.counters["store_errors"] += 1
-            return False
-        return True
 
     def _complete_batch_unit(
         self, meta: Dict[str, Any], status: str, result: Any
@@ -732,7 +722,7 @@ class EvaluationService:
             job.slots[position] = record
             job.computed += 1
             self.counters["computed"] += 1
-            self._put(record["key"], record, CELL_KIND)
+            self.store.put(record["key"], record, kind=CELL_KIND)
         job.pending_units -= 1
         if job.pending_units <= 0 and job.status == "running":
             self._finish_batch(job)
@@ -825,16 +815,19 @@ class EvaluationService:
         persist = meta["persist"]
         mode = persist.get("mode")
         persisted = 0
+        # A key the store already held counts as persisted.
         if status == "ok":
             if mode == "cells":
                 for record in result:
-                    persisted += self._put(record["key"], record, CELL_KIND)
+                    self.store.put(record["key"], record, kind=CELL_KIND)
+                    persisted += self.store.contains(record["key"], CELL_KIND)
             elif mode == "eval":
                 keys = persist.get("keys") or {}
                 for job_id, item_status, payload in result:
                     key = keys.get(job_id)
                     if item_status == "ok" and key:
-                        persisted += self._put(key, payload, RESULT_KIND)
+                        self.store.put(key, payload, kind=RESULT_KIND)
+                        persisted += self.store.contains(key, RESULT_KIND)
             job.computed += persisted
             self.counters["computed"] += persisted
         else:
@@ -908,7 +901,7 @@ class EvaluationService:
         with self._lock:
             extra_counters = {
                 f"repro_serve_{name}_total": value
-                for name, value in self.counters.items()
+                for name, value in self._counters().items()
             }
             extra_counters.update({
                 f"repro_supervisor_{name}_total": value
@@ -943,6 +936,16 @@ class EvaluationService:
             "spans": self._obs.spans_for(trace_id),
         }
 
+    def _counters(self) -> Dict[str, int]:
+        """The service counters, plus ``store_errors``: results whose
+        store write failed (the work is still reported; a resubmission
+        recomputes it)."""
+        return dict(
+            self.counters,
+            store_errors=self.store.stats.write_errors
+            - self._store_errors_base,
+        )
+
     def stats(self) -> Dict[str, Any]:
         """The ``/stats`` payload: queue, dedup, store and throughput."""
         with self._lock:
@@ -969,7 +972,7 @@ class EvaluationService:
                 "queue_depth": queued_evals + live_units,
                 "max_pending": self.max_pending,
                 "in_flight_units": live_units,
-                "counters": dict(self.counters),
+                "counters": self._counters(),
                 "supervisor": dict(self._supervisor.counters),
                 "fleet": self._supervisor.fleet(),
                 "abandoned": list(self.abandoned),

@@ -1,19 +1,15 @@
 """The on-disk result store: sharded JSON-lines segments + a derived
 index.
 
-Layout of a store directory (the sharded layout, default since the
-evaluation service)::
+Layout of a store directory::
 
     <root>/store.json                 # format + schema + shard geometry
     <root>/shards/<p>/segment-*.jsonl # append-only logs, one dir per
                                       # store-key prefix ``p``
 
-and the *flat* pre-shard layout (still fully readable and writable — a
-directory created by an older library keeps working unchanged, and
-:meth:`ResultStore.migrate` rewrites it into shards)::
-
-    <root>/store.json
-    <root>/segments/segment-*.jsonl
+A directory written before sharding (a meta file without a ``layout``
+key, records under ``<root>/segments/``) is migrated into shards when
+it is opened; those flat segments are read by that migration only.
 
 Every record is one JSON line::
 
@@ -46,9 +42,15 @@ Design points (all stdlib):
   mismatches is counted in :attr:`StoreStats.corrupt_records` and
   skipped.  Reads never raise on bad data: the caller recomputes, the
   store re-appends, and :meth:`compact` drops the damage for good.
+* **One write-failure policy.** :meth:`ResultStore.put` never raises on
+  a failed write (a full disk, an unserializable payload): it counts
+  the failure in :attr:`StoreStats.write_errors`, reports the
+  instance's first one on stderr and returns False, so the result just
+  stays uncached.  A failed append cuts its torn bytes off and retires
+  its writer segment; the next put starts a fresh one.
 * **Eviction/compaction.** :meth:`compact` rewrites the live records of
   every shard into one fresh segment per shard (newest-first retention
-  when ``max_entries`` bounds the store) and deletes the old segments.
+  when ``max_entries`` bounds it) and deletes the old segments.
   Plain compaction is a maintenance operation — run it while no other
   process writes the directory.  ``grace_s > 0`` adds a *grace window*
   for service-mode compaction next to live writers: segments whose
@@ -63,9 +65,11 @@ write-ahead log or lock file.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,7 +99,7 @@ SCHEMA_VERSION = 1
 DEFAULT_SHARD_PREFIX = 1
 
 _META_NAME = "store.json"
-_SEGMENT_DIR = "segments"  # flat (pre-shard) layout
+_FLAT_DIR = "segments"  # pre-shard records, read by the migration
 _SHARD_DIR = "shards"
 _HEX = set("0123456789abcdef")
 #: Most writer segment handles kept open at once (one per touched
@@ -117,6 +121,49 @@ def content_key(payload: Any) -> str:
 def _payload_sha(payload: Any) -> str:
     # 16 hex chars: integrity check, not a security boundary.
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()[:16]
+
+
+@contextlib.contextmanager
+def _observed(op: str, kind: str) -> Iterator[None]:
+    """Span and latency histogram of one store operation (obs on)."""
+    started = time.perf_counter()
+    with _obs_trace.span(f"store.{op}", kind=kind):
+        yield
+    _obs_metrics.observe(
+        "repro_store_op_seconds", time.perf_counter() - started,
+        (("op", op),),
+    )
+
+
+def _record_line(key: str, payload: Any, kind: str) -> bytes:
+    """One record as its terminated JSON line."""
+    record = {
+        "key": key,
+        "kind": kind,
+        "payload": payload,
+        "sha": _payload_sha(payload),
+        "v": SCHEMA_VERSION,
+    }
+    return (_canonical(record) + "\n").encode("utf-8")
+
+
+def _decode(line: bytes) -> Union[Dict[str, Any], str]:
+    """The record on one complete line, or why the line is damaged."""
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return "unparsable"
+    if not isinstance(record, dict):
+        return "not-a-record"
+    if not isinstance(record.get("key"), str) or not isinstance(
+        record.get("kind"), str
+    ):
+        return "missing-key-or-kind"
+    if record.get("v", 0) > SCHEMA_VERSION:
+        return "newer-schema"
+    if record.get("sha") != _payload_sha(record.get("payload")):
+        return "checksum-mismatch"
+    return record
 
 
 def shard_of(key: str, prefix_len: int = DEFAULT_SHARD_PREFIX) -> str:
@@ -144,6 +191,8 @@ class StoreStats:
     corrupt_records: int = 0
     refreshes: int = 0
     compactions: int = 0
+    #: Puts that failed to write (see :meth:`ResultStore.put`).
+    write_errors: int = 0
 
 
 @dataclass
@@ -161,61 +210,51 @@ class ResultStore:
     Parameters
     ----------
     root:
-        Store directory; created (with its meta file) when missing.
-    max_entries:
-        Optional retention bound applied by :meth:`compact`: the newest
-        ``max_entries`` records (segment modification time, then append
-        order) survive, older ones are evicted.  Deliberately *not*
-        enforced automatically on :meth:`put` — compaction unlinks
-        segments and is only safe while no other process writes the
-        directory, so an auto-trigger would corrupt the multi-writer
-        contract.  ``None`` (default) disables eviction.
+        Store directory; created (with its meta file) when missing, and
+        migrated into shards when it holds a pre-shard store.
     fsync:
         Force every appended record to disk with ``os.fsync``.  Off by
-        default: the flush-per-line default already bounds loss to the
-        final record of a crashed process, which the corruption-tolerant
-        reader treats as absent.
-    layout:
-        ``"sharded"`` (default for new stores) or ``"flat"`` (the
-        pre-shard layout, kept creatable for fixtures and byte-level
-        compatibility tests).  Opening an existing store always follows
-        the layout recorded in its meta file.
+        default: each record is written with one unbuffered ``write``,
+        so a crashed process loses at most its final record, which the
+        corruption-tolerant reader treats as absent.
     shard_prefix:
-        Shard-name length in hex characters for newly created sharded
-        stores (1 -> 16 shards, 2 -> 256).
+        Shard-name length in hex characters for new and pre-shard stores
+        (1 -> 16 shards, 2 -> 256); a sharded store keeps the geometry
+        recorded in its meta file.
     """
+
+    #: The one on-disk layout (reported by ``repro store stats`` and
+    #: :meth:`verify`).
+    layout = "sharded"
 
     def __init__(
         self,
         root: Union[str, Path],
-        max_entries: Optional[int] = None,
         fsync: bool = False,
-        layout: Optional[str] = None,
         shard_prefix: int = DEFAULT_SHARD_PREFIX,
     ) -> None:
-        if layout not in (None, "sharded", "flat"):
-            raise StoreError(f"unknown store layout {layout!r}")
         self.root = Path(root)
-        self.max_entries = max_entries
         self.fsync = fsync
-        self.layout = layout or "sharded"
         self.shard_prefix = shard_prefix
         self.stats = StoreStats()
+        #: Whether opening migrated a pre-shard store into shards.
+        self.migrated = False
         self._index: Dict[Tuple[str, str], _Entry] = {}
         #: Bytes of each segment already scanned into the index.
         self._scanned: Dict[Path, int] = {}
-        #: Open writer segments, one per shard ("" = the flat layout's
-        #: single location), in open order (the eldest closes first).
+        #: Open writer segments (unbuffered), one per shard, in open
+        #: order (the eldest closes first).
         self._writers: Dict[str, Tuple[Path, Any]] = {}
-        #: Path of the segment the most recent put() appended to.
-        self._writer_path: Optional[Path] = None
         self._open()
 
     # -- lifecycle -----------------------------------------------------------
 
     def _open(self) -> None:
         meta_path = self.root / _META_NAME
-        if meta_path.exists():
+        if not meta_path.exists():
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._write_meta()
+        else:
             try:
                 meta = json.loads(meta_path.read_text())
             except (OSError, ValueError) as exc:
@@ -233,42 +272,77 @@ class ResultStore:
                     f"than this library understands ({SCHEMA_VERSION}); "
                     "refusing to read it"
                 )
-            # The on-disk layout wins over constructor arguments: a
-            # pre-shard directory stays flat until migrate() is called,
-            # and a sharded one keeps its recorded geometry.
-            self.layout = meta.get("layout", "flat")
-            self.shard_prefix = meta.get("shard_prefix", DEFAULT_SHARD_PREFIX)
-        else:
-            self.root.mkdir(parents=True, exist_ok=True)
+            self.shard_prefix = meta.get("shard_prefix", self.shard_prefix)
+            if meta.get("layout") != self.layout:
+                self._migrate_flat()
+                return
+        (self.root / _SHARD_DIR).mkdir(exist_ok=True)
+        self.refresh()
+
+    def _migrate_flat(self) -> None:
+        """Move a pre-shard store's records into their shards.
+
+        Each record of the flat segments is appended to its shard
+        through the normal append path; then the meta file is rewritten
+        atomically, and only then are the flat segments unlinked.  No
+        shard segment is ever unlinked, so two processes opening one old
+        store at once lose no record (at worst one is appended twice,
+        which compaction folds away).  A failed copy raises
+        :class:`StoreError` and leaves the flat segments and the meta
+        file as they were.
+        """
+        flat_dir = self.root / _FLAT_DIR
+        try:
+            flat = sorted(flat_dir.glob("*.jsonl"))
+            (self.root / _SHARD_DIR).mkdir(exist_ok=True)
+            self.refresh()  # copies left by an interrupted migration
+            for path in flat:
+                try:
+                    data = path.read_bytes()
+                except FileNotFoundError:
+                    continue  # another opener finished the migration
+                for line in data.split(b"\n")[:-1]:
+                    record = _decode(line)
+                    if isinstance(record, dict) and not self.contains(
+                        record["key"], record["kind"]
+                    ):
+                        self._append(
+                            record["key"], record["payload"], record["kind"]
+                        )
             self._write_meta()
-        if self.layout == "flat":
-            (self.root / _SEGMENT_DIR).mkdir(parents=True, exist_ok=True)
-        else:
-            (self.root / _SHARD_DIR).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            self.close()
+            raise StoreError(
+                f"cannot migrate the pre-shard store {self.root} into "
+                f"shards ({exc}); run `repro store migrate {self.root}` "
+                "where the directory is writable"
+            ) from exc
+        for path in flat:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        with contextlib.suppress(OSError):
+            flat_dir.rmdir()  # only when emptied
+        self.migrated = True
         self.refresh()
 
     def _write_meta(self) -> None:
-        meta: Dict[str, Any] = {
+        meta = {
             "format": STORE_FORMAT, "version": SCHEMA_VERSION,
+            "layout": self.layout, "shard_prefix": self.shard_prefix,
         }
-        if self.layout == "sharded":
-            meta["layout"] = "sharded"
-            meta["shard_prefix"] = self.shard_prefix
-        self.root.mkdir(parents=True, exist_ok=True)
         meta_path = self.root / _META_NAME
-        tmp = meta_path.with_suffix(".tmp")
+        # A private temporary name: concurrent openers never write into
+        # each other's file, and the rename is atomic.
+        tmp = meta_path.with_name(
+            f"{_META_NAME}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+        )
         tmp.write_text(_canonical(meta) + "\n")
-        os.replace(tmp, meta_path)  # atomic: never a half-written meta
+        os.replace(tmp, meta_path)
 
     def close(self) -> None:
         """Close the writer segments (further puts reopen new ones)."""
-        writers, self._writers = self._writers, {}
-        for _, (_, handle) in writers.items():
-            try:
-                handle.close()
-            except OSError:
-                pass
-        self._writer_path = None
+        for shard in list(self._writers):
+            self._retire(shard)
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -281,67 +355,36 @@ class ResultStore:
 
     def __repr__(self) -> str:
         return (
-            f"ResultStore({str(self.root)!r}, layout={self.layout!r}, "
+            f"ResultStore({str(self.root)!r}, "
             f"entries={len(self._index)}, segments={len(self._scanned)})"
         )
 
     # -- shard geometry ------------------------------------------------------
 
-    def _shard_for_key(self, key: str) -> str:
-        """The shard a key's records belong in ("" in the flat layout)."""
-        if self.layout == "flat":
-            return ""
-        return shard_of(key, self.shard_prefix)
-
     def _shard_dir(self, shard: str) -> Path:
-        if shard == "":
-            return self.root / _SEGMENT_DIR
         return self.root / _SHARD_DIR / shard
 
     def _segment_paths(self, key: Optional[str] = None) -> List[Path]:
-        """Existing segment files — all of them, or one key's shard only
-        (plus any flat pre-shard segments, which can hold every key)."""
-        paths: List[Path] = []
-        flat = self.root / _SEGMENT_DIR
-        if flat.is_dir():
-            paths.extend(sorted(flat.glob("*.jsonl")))
-        shards_root = self.root / _SHARD_DIR
-        if not shards_root.is_dir():
-            return paths
-        if key is not None and self.layout == "sharded":
-            shard_dir = shards_root / self._shard_for_key(key)
-            if shard_dir.is_dir():
-                paths.extend(sorted(shard_dir.glob("*.jsonl")))
-        else:
-            paths.extend(sorted(shards_root.glob("*/*.jsonl")))
-        return paths
+        """Existing segment files — all of them, or one key's shard."""
+        shard = "*" if key is None else shard_of(key, self.shard_prefix)
+        return sorted((self.root / _SHARD_DIR).glob(f"{shard}/*.jsonl"))
 
     def shard_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-shard entry/segment/byte counts of the indexed state.
-
-        The flat layout's single location reports as shard ``""``.
-        """
+        """Per-shard entry/segment/byte counts of the indexed state."""
         out: Dict[str, Dict[str, int]] = {}
-        for (kind, key), entry in self._index.items():
-            shard = entry.path.parent.name
-            if entry.path.parent == self.root / _SEGMENT_DIR:
-                shard = ""
-            bucket = out.setdefault(
-                shard, {"entries": 0, "segments": 0, "bytes": 0}
+
+        def bucket(path: Path) -> Dict[str, int]:
+            return out.setdefault(
+                path.parent.name, {"entries": 0, "segments": 0, "bytes": 0}
             )
-            bucket["entries"] += 1
+
+        for entry in self._index.values():
+            bucket(entry.path)["entries"] += 1
         for path in self._scanned:
-            shard = path.parent.name
-            if path.parent == self.root / _SEGMENT_DIR:
-                shard = ""
-            bucket = out.setdefault(
-                shard, {"entries": 0, "segments": 0, "bytes": 0}
-            )
-            bucket["segments"] += 1
-            try:
-                bucket["bytes"] += path.stat().st_size
-            except OSError:
-                pass
+            info = bucket(path)
+            info["segments"] += 1
+            with contextlib.suppress(OSError):
+                info["bytes"] += path.stat().st_size
         return dict(sorted(out.items()))
 
     # -- reading -------------------------------------------------------------
@@ -354,9 +397,8 @@ class ResultStore:
         enter the index; an unterminated tail is left for a later
         refresh so a concurrently flushing writer is never mis-read.
 
-        With ``key`` given (on a sharded store), only that key's shard
-        directory is re-scanned — the point-lookup path stays O(shard),
-        not O(store).
+        With ``key`` given, only that key's shard directory is
+        re-scanned — the point-lookup path stays O(shard), not O(store).
         """
         self.stats.refreshes += 1
         added = 0
@@ -368,9 +410,7 @@ class ResultStore:
             added += self._scan_segment(path)
         if key is None:
             self.stats.segments = len(segment_paths)
-            self.stats.shards = len(
-                {p.parent for p in segment_paths}
-            )
+            self.stats.shards = len({p.parent for p in segment_paths})
         self.stats.entries = len(self._index)
         return added
 
@@ -394,49 +434,19 @@ class ResultStore:
         position = offset
         for line in data.split(b"\n")[:-1]:  # last piece: tail after final \n
             length = len(line) + 1
-            entry = self._parse_record(line)
-            if entry is not None:
-                kind, key = entry
-                index_key = (kind, key)
+            record = _decode(line)
+            if isinstance(record, dict):
+                index_key = (record["kind"], record["key"])
                 if index_key not in self._index:
                     added += 1
-                self._index.setdefault(
-                    index_key, _Entry(path, position, length)
-                )
+                    self._index[index_key] = _Entry(path, position, length)
+            else:
+                self.stats.corrupt_records += 1
             position += length
         # Everything up to the last newline is settled; an unterminated
         # tail (position < size) stays unscanned and is retried later.
         self._scanned[path] = position
         return added
-
-    def _parse_record(self, line: bytes) -> Optional[Tuple[str, str]]:
-        """Validate one complete line; returns (kind, key) or None."""
-        record = self._decode_record(line)
-        if record is None:
-            self.stats.corrupt_records += 1
-            return None
-        return record["kind"], record["key"]
-
-    @staticmethod
-    def _decode_record(line: bytes) -> Optional[Dict[str, Any]]:
-        if not line.strip():
-            return None
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict):
-            return None
-        key = record.get("key")
-        kind = record.get("kind")
-        payload = record.get("payload")
-        if not isinstance(key, str) or not isinstance(kind, str):
-            return None
-        if record.get("v", 0) > SCHEMA_VERSION:
-            return None
-        if record.get("sha") != _payload_sha(payload):
-            return None
-        return record
 
     def contains(self, key: str, kind: str = "runresult") -> bool:
         """Whether a record is indexed (no implicit refresh)."""
@@ -454,23 +464,15 @@ class ResultStore:
         (deleted segment, bit rot under the checksum) degrades to a
         miss, never an error.
         """
-        if _obs_state.enabled:
-            import time as _time
-
-            started = _time.perf_counter()
-            with _obs_trace.span("store.get", kind=kind):
-                payload = self._get_impl(key, kind, refresh)
-            _obs_metrics.observe(
-                "repro_store_op_seconds",
-                _time.perf_counter() - started,
-                (("op", "get"),),
-            )
-            _obs_metrics.inc(
-                "repro_store_gets_total",
-                (("outcome", "hit" if payload is not None else "miss"),),
-            )
-            return payload
-        return self._get_impl(key, kind, refresh)
+        if not _obs_state.enabled:
+            return self._get_impl(key, kind, refresh)
+        with _observed("get", kind):
+            payload = self._get_impl(key, kind, refresh)
+        _obs_metrics.inc(
+            "repro_store_gets_total",
+            (("outcome", "hit" if payload is not None else "miss"),),
+        )
+        return payload
 
     def _get_impl(
         self, key: str, kind: str = "runresult", refresh: bool = True
@@ -488,8 +490,11 @@ class ResultStore:
         except OSError:
             self._index.pop((kind, key), None)
             return None
-        record = self._decode_record(line.rstrip(b"\n"))
-        if record is None or record["key"] != key or record["kind"] != kind:
+        record = _decode(line.rstrip(b"\n"))
+        if (
+            isinstance(record, str)
+            or record["key"] != key or record["kind"] != kind
+        ):
             self.stats.corrupt_records += 1
             self._index.pop((kind, key), None)
             return None
@@ -506,75 +511,100 @@ class ResultStore:
     def put(
         self, key: str, payload: Any, kind: str = "runresult"
     ) -> bool:
-        """Append one record; returns False when the key is present.
+        """Append one record; returns whether it was stored.
+
+        False means the key is already present (counted in
+        ``stats.put_dupes``) or the write failed (counted in
+        ``stats.write_errors``): a full disk, an I/O error or a payload
+        that is not JSON.  A failure never raises — the caller's result
+        just stays uncached — and the instance's first one is reported
+        on stderr with its cause.
 
         The duplicate check consults the local index only (call
         :meth:`refresh` first to also dedupe against concurrent
         writers); a lost race merely appends an identical record, which
-        compaction later folds away.  The line is flushed before the
+        compaction later folds away.  The line is written before the
         index is updated, so a key this method reported stored is
         durable up to OS buffering (pass ``fsync=True`` for crash-hard
         durability).
         """
-        if _obs_state.enabled:
-            import time as _time
+        if not _obs_state.enabled:
+            return self._put_impl(key, payload, kind)
+        with _observed("put", kind):
+            stored = self._put_impl(key, payload, kind)
+        _obs_metrics.inc("repro_store_puts_total")
+        return stored
 
-            started = _time.perf_counter()
-            with _obs_trace.span("store.put", kind=kind):
-                stored = self._put_impl(key, payload, kind)
-            _obs_metrics.observe(
-                "repro_store_op_seconds",
-                _time.perf_counter() - started,
-                (("op", "put"),),
-            )
-            _obs_metrics.inc("repro_store_puts_total")
-            return stored
-        return self._put_impl(key, payload, kind)
-
-    def _put_impl(
-        self, key: str, payload: Any, kind: str = "runresult"
-    ) -> bool:
+    def _put_impl(self, key: str, payload: Any, kind: str) -> bool:
         if (kind, key) in self._index:
             self.stats.put_dupes += 1
             return False
-        record = {
-            "key": key,
-            "kind": kind,
-            "payload": payload,
-            "sha": _payload_sha(payload),
-            "v": SCHEMA_VERSION,
-        }
-        line = (_canonical(record) + "\n").encode("utf-8")
-        path, writer = self._ensure_writer(self._shard_for_key(key))
-        offset = writer.tell()
-        writer.write(line)
-        writer.flush()
-        if self.fsync:
-            os.fsync(writer.fileno())
-        self._writer_path = path
-        self._index[(kind, key)] = _Entry(path, offset, len(line))
-        self._scanned[path] = offset + len(line)
+        try:
+            self._append(key, payload, kind)
+        except (OSError, TypeError, ValueError) as exc:
+            self.stats.write_errors += 1
+            if self.stats.write_errors == 1:
+                print(
+                    f"repro: store {self.root}: write of {kind} {key} "
+                    f"failed ({type(exc).__name__}: {exc}); results stay "
+                    "uncached, later failures are only counted",
+                    file=sys.stderr,
+                )
+            return False
         self.stats.puts += 1
         self.stats.entries = len(self._index)
         return True
 
-    def _ensure_writer(self, shard: str):
+    def _append(self, key: str, payload: Any, kind: str) -> None:
+        """Write one record line into its shard's writer segment.
+
+        Raises on failure after cutting the segment back to its last
+        complete record and retiring it, so no later record is appended
+        behind torn bytes.
+        """
+        line = _record_line(key, payload, kind)
+        shard = shard_of(key, self.shard_prefix)
+        path, writer = self._ensure_writer(shard)
+        offset = writer.tell()
+        try:
+            written = writer.write(line)
+            if written != len(line):
+                raise OSError(
+                    f"short write to {path}: {written} of {len(line)} bytes"
+                )
+            if self.fsync:
+                os.fsync(writer.fileno())
+        except OSError:
+            self._retire(shard, truncate_to=offset)
+            raise
+        self._index[(kind, key)] = _Entry(path, offset, len(line))
+        self._scanned[path] = offset + len(line)
+
+    def _ensure_writer(self, shard: str) -> Tuple[Path, Any]:
         entry = self._writers.get(shard)
         if entry is None:
             while len(self._writers) >= _MAX_OPEN_WRITERS:
-                _, (_, stale) = self._writers.popitem()
-                try:
-                    stale.close()
-                except OSError:
-                    pass
+                self._retire(next(iter(self._writers)))
             directory = self._shard_dir(shard)
             directory.mkdir(parents=True, exist_ok=True)
             suffix = os.urandom(4).hex()
             path = directory / f"segment-{os.getpid()}-{suffix}.jsonl"
-            entry = (path, open(path, "ab"))
+            # Unbuffered: one write() per record, nothing held back.
+            entry = (path, open(path, "ab", buffering=0))
             self._writers[shard] = entry
             self._scanned.setdefault(path, 0)
         return entry
+
+    def _retire(self, shard: str, truncate_to: Optional[int] = None) -> None:
+        """Close a shard's writer segment, first cutting it back to
+        ``truncate_to`` bytes when given (the next put opens a new one)."""
+        _, handle = self._writers.pop(shard)
+        # A torn tail that cannot be cut off stays; readers skip it.
+        with contextlib.suppress(OSError):
+            if truncate_to is not None:
+                handle.truncate(truncate_to)
+        with contextlib.suppress(OSError):
+            handle.close()
 
     # -- maintenance ---------------------------------------------------------
 
@@ -601,8 +631,7 @@ class ResultStore:
           mid-append; invisible to readers but dead bytes on disk);
         * ``misplaced`` — records whose key belongs to a different
           shard directory than the one they live in (point lookups
-          would miss them); flat pre-shard segments are exempt, they
-          legitimately hold every key.
+          would miss them).
 
         ``clean`` is True when no corrupt line, torn tail or misplaced
         record was found.  The store is not mutated in any way — safe
@@ -639,14 +668,12 @@ class ResultStore:
             report["segments"] += 1
             report["bytes"] += len(data)
             shards_seen.add(path.parent)
-            in_shard_dir = path.parent.parent == self.root / _SHARD_DIR
-            shard_name = path.parent.name if in_shard_dir else None
             position = 0
             pieces = data.split(b"\n")
             for line in pieces[:-1]:
                 length = len(line) + 1
-                record = self._decode_record(line)
-                if record is None:
+                record = _decode(line)
+                if isinstance(record, str):
                     if line.strip():
                         report["corrupt_total"] += 1
                         if len(report["corrupt"]) < limit:
@@ -654,7 +681,7 @@ class ResultStore:
                                 "path": str(path),
                                 "offset": position,
                                 "length": length,
-                                "reason": self._damage_reason(line),
+                                "reason": record,
                             })
                 else:
                     report["records"] += 1
@@ -664,9 +691,8 @@ class ResultStore:
                     else:
                         seen.add(pair)
                     if (
-                        shard_name is not None
-                        and shard_of(record["key"], self.shard_prefix)
-                        != shard_name
+                        shard_of(record["key"], self.shard_prefix)
+                        != path.parent.name
                     ):
                         report["misplaced"] += 1
                 position += length
@@ -689,23 +715,6 @@ class ResultStore:
         )
         return report
 
-    @staticmethod
-    def _damage_reason(line: bytes) -> str:
-        """Why a complete line failed validation (for verify reports)."""
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return "unparsable"
-        if not isinstance(record, dict):
-            return "not-a-record"
-        if not isinstance(record.get("key"), str) or not isinstance(
-            record.get("kind"), str
-        ):
-            return "missing-key-or-kind"
-        if record.get("v", 0) > SCHEMA_VERSION:
-            return "newer-schema"
-        return "checksum-mismatch"
-
     def compact(
         self,
         max_entries: Optional[int] = None,
@@ -714,15 +723,12 @@ class ResultStore:
         """Rewrite the live records per shard; returns the live count.
 
         Drops duplicate appends, corrupt bytes and truncated tails, and
-        — when ``max_entries`` (or the store's own bound) is set — the
-        oldest surplus records.  Age is approximated by segment
-        modification time (a segment's mtime is its last append) and,
-        within a segment, exact append order; segment *names* carry no
-        temporal meaning.  Each shard's new segment is published with an
+        — when ``max_entries`` is set — the oldest surplus records.  Age
+        is approximated by segment modification time (a segment's mtime
+        is its last append) and, within a segment, exact append order;
+        segment *names* carry no temporal meaning.  Each shard's new segment is published with an
         atomic rename before the old segments are unlinked, so a reader
-        never observes an empty store.  Records living in flat
-        pre-shard segments are rewritten into their shard, so compacting
-        a migrated store finishes the migration.
+        never observes an empty store.
 
         With ``grace_s == 0`` (the default) run while no other process
         writes this directory — compaction unlinks live segments, and a
@@ -736,7 +742,6 @@ class ResultStore:
         """
         self.refresh()
         self.close()
-        limit = max_entries if max_entries is not None else self.max_entries
 
         def _mtime(path: Path) -> float:
             try:
@@ -761,8 +766,8 @@ class ResultStore:
         )
         live = [item for item in ordered if item[1].path not in protected]
         kept_in_place = len(ordered) - len(live)
-        if limit is not None:
-            budget = max(0, limit - kept_in_place)
+        if max_entries is not None:
+            budget = max(0, max_entries - kept_in_place)
             if len(live) > budget:
                 live = live[len(live) - budget:]
         by_shard: Dict[str, List[Tuple[str, str, Any]]] = {}
@@ -770,7 +775,7 @@ class ResultStore:
             payload = self.get(key, kind=kind, refresh=False)
             if payload is not None:
                 by_shard.setdefault(
-                    self._shard_for_key(key), []
+                    shard_of(key, self.shard_prefix), []
                 ).append((kind, key, payload))
         compacted_paths = set()
         for shard, records in by_shard.items():
@@ -783,25 +788,15 @@ class ResultStore:
             tmp = compacted.with_suffix(".tmp")
             with open(tmp, "wb") as handle:
                 for kind, key, payload in records:
-                    record = {
-                        "key": key,
-                        "kind": kind,
-                        "payload": payload,
-                        "sha": _payload_sha(payload),
-                        "v": SCHEMA_VERSION,
-                    }
-                    handle.write((_canonical(record) + "\n").encode("utf-8"))
+                    handle.write(_record_line(key, payload, kind))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, compacted)
             compacted_paths.add(compacted)
         for path in all_segments:
-            if path in protected or path in compacted_paths:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            if path not in protected and path not in compacted_paths:
+                with contextlib.suppress(OSError):
+                    path.unlink()
         self._index.clear()
         self._scanned.clear()
         self.stats.corrupt_records = 0
@@ -810,35 +805,25 @@ class ResultStore:
         return len(self._index)
 
     def migrate(self, shard_prefix: Optional[int] = None) -> int:
-        """Rewrite a flat (pre-shard) store into the sharded layout.
+        """Re-shard the store: record ``shard_prefix`` (when given) as
+        its geometry, then compact every record into its shard.
 
-        Updates the meta file first (atomically), then compacts — which
-        rewrites every record, flat segments included, into its shard —
-        and removes the emptied flat segment directory.  Also usable on
-        an already-sharded store to change its shard geometry.  Returns
-        the live record count.  Single-writer: run while no other
-        process writes the directory, like :meth:`compact`.
+        Writes the meta file first (atomically).  Returns the live
+        record count.  Single-writer: run while no other process writes
+        the directory, like :meth:`compact`.  (A pre-shard store needs
+        no call: opening it migrates it.)
         """
-        self.layout = "sharded"
         if shard_prefix is not None:
             self.shard_prefix = shard_prefix
         self._write_meta()
-        count = self.compact()
-        flat = self.root / _SEGMENT_DIR
-        try:
-            flat.rmdir()  # only when emptied; a non-empty dir survives
-        except OSError:
-            pass
-        return count
+        return self.compact()
 
     def clear(self) -> None:
         """Delete every record (the segments); the store stays usable."""
         self.close()
         for path in self._segment_paths():
-            try:
+            with contextlib.suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
         self._index.clear()
         self._scanned.clear()
         self.stats.entries = 0

@@ -25,6 +25,8 @@ identity suites compare against:
 * :class:`LegacySimulator` / :func:`legacy_simulate` — the
   event-by-event simulator over an :class:`EventQueue` heap;
 * :func:`steer_gateway_traffic_scan` — the full-scan workload steering;
+* :func:`audit_dispatch_eligibility` — the outside check that a built
+  static schedule dispatches no TT process before its inputs' bounds;
 * :func:`rho_max_abs_delta` / :func:`offsets_max_abs_delta` — the size
   of the largest difference between two ``ρ`` records or offset tables,
   which the parity suites assert is zero.
@@ -34,6 +36,7 @@ Nothing under ``src/`` imports this package.
 
 from .busy_window import ceil0_hits, phase_locked_hits
 from .deltas import offsets_max_abs_delta, rho_max_abs_delta
+from .dispatch_audit import audit_dispatch_eligibility
 from .events import EventQueue
 from .full_sweep import full_sweep_solve
 from .legacy_buffers import legacy_buffer_bounds
@@ -47,6 +50,7 @@ from .workload_scan import steer_gateway_traffic_scan
 __all__ = [
     "EventQueue",
     "LegacySimulator",
+    "audit_dispatch_eligibility",
     "ceil0_hits",
     "full_sweep_solve",
     "legacy_buffer_bounds",

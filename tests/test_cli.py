@@ -461,13 +461,22 @@ class TestAnalyzeValidate:
 
 class TestStoreCommand:
     def _seed_flat_store(self, root, count=5):
-        """A PR-5 style flat store with a few records."""
-        from repro.store import ResultStore
+        """A PR-5 style flat store with a few records, written as raw
+        segment bytes (the library writes only the sharded layout)."""
+        from repro.store import SCHEMA_VERSION, STORE_FORMAT, content_key
 
-        store = ResultStore(root, layout="flat")
-        for i in range(count):
-            store.put(f"key-{i}", {"value": i}, kind="runresult")
-        store.close()
+        (root / "segments").mkdir(parents=True)
+        (root / "store.json").write_text(json.dumps(
+            {"format": STORE_FORMAT, "version": SCHEMA_VERSION}
+        ))
+        with open(root / "segments" / "segment-1-seed.jsonl", "w") as out:
+            for i in range(count):
+                payload = {"value": i}
+                out.write(json.dumps({
+                    "key": f"key-{i}", "kind": "runresult",
+                    "payload": payload, "sha": content_key(payload)[:16],
+                    "v": SCHEMA_VERSION,
+                }) + "\n")
 
     def test_stats_reports_layout_and_shards(self, tmp_path, capsys):
         self._seed_flat_store(tmp_path / "store")
@@ -475,7 +484,7 @@ class TestStoreCommand:
             "store", "stats", str(tmp_path / "store"), "--format", "json",
         ]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["layout"] == "flat"
+        assert data["layout"] == "sharded"  # the open migrated it
         assert data["entries"] == 5
 
     def test_migrate_rewrites_into_shards(self, tmp_path, capsys):

@@ -37,6 +37,8 @@ from repro.semantics import (
 )
 from repro.synth.workload import generate_workload, seeded_routes
 
+from oracles import audit_dispatch_eligibility
+
 FIXTURES = Path(__file__).parent / "fixtures"
 SEED1654 = FIXTURES / "seed1654_gateway_fifo.json"
 
@@ -571,8 +573,8 @@ class TestSharedSemantics:
         session = Session(fixture.system)
         run = session.evaluate(fixture.config)
         result = run.analysis
-        assert result.schedule.audit_dispatch_eligibility(
-            fixture.system, result.rho
+        assert audit_dispatch_eligibility(
+            result.schedule, fixture.system, result.rho
         ) == []
 
     def test_graph_response_time_infinite_when_leg_diverges(self):
@@ -610,8 +612,8 @@ class TestDispatchAudit:
         )
         if not (result.converged and result.rho.all_converged()):
             pytest.skip("outside the contract's domain (overload)")
-        assert result.schedule.audit_dispatch_eligibility(
-            system, result.rho
+        assert audit_dispatch_eligibility(
+            result.schedule, system, result.rho
         ) == []
 
     # 4-cluster, 4-gateway seeds whose random routes override a default
@@ -630,8 +632,8 @@ class TestDispatchAudit:
         )
         assert result.iterations > 1
         assert result.converged and result.rho.all_converged()
-        assert result.schedule.audit_dispatch_eligibility(
-            system, result.rho
+        assert audit_dispatch_eligibility(
+            result.schedule, system, result.rho
         ) == []
 
 

@@ -265,7 +265,7 @@ class TestRunSweep:
         from repro.store import ResultStore
 
         class FailingStore(ResultStore):
-            def put(self, key, payload, kind="runresult"):
+            def _ensure_writer(self, shard):  # the disk is full, below put()
                 raise OSError("no space left on device")
 
         spec = _small_spec(seeds=(0,))

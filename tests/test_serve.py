@@ -261,7 +261,7 @@ class TestServiceInline:
         records and single evaluations alike) instead of passing."""
 
         class FailingStore(ResultStore):
-            def put(self, key, payload, kind="runresult"):
+            def _ensure_writer(self, shard):  # the disk is full, below put()
                 raise OSError("no space left on device")
 
         service = EvaluationService(

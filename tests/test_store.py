@@ -4,10 +4,12 @@ Covers the hard contracts of the ISSUE: cross-process persistence (two
 sessions sharing a directory see each other's results bit-identically),
 corruption tolerance (a truncated or damaged tail degrades to
 recompute-and-repair, never a crash), schema versioning, compaction and
-eviction, and the ``clear_cache`` interaction (memory only unless
-``store=True``).
+eviction, the ``clear_cache`` interaction (memory only unless
+``store=True``), and the one write-failure policy (a failed put is
+counted, reported once, and never tears a later record).
 """
 
+import errno
 import json
 from pathlib import Path
 
@@ -21,11 +23,43 @@ from repro.store import ResultStore, content_key, shard_of
 
 
 def _segments(root):
-    """Every segment file, across both store layouts."""
-    root = Path(root)
-    return sorted(root.glob("segments/*.jsonl")) + sorted(
-        root.glob("shards/*/*.jsonl")
-    )
+    """Every segment file of a store."""
+    return sorted(Path(root).glob("shards/*/*.jsonl"))
+
+
+class FailingStore(ResultStore):
+    """A store whose disk is full: every append fails below put()."""
+
+    def _ensure_writer(self, shard):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class _TornHandle:
+    """A writer handle that writes half of the next line, then fails —
+    a disk filling up in the middle of an append."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        self._handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+class TearingStore(ResultStore):
+    """A store whose next append is torn (see :class:`_TornHandle`)."""
+
+    tear_next = False
+
+    def _ensure_writer(self, shard):
+        path, handle = super()._ensure_writer(shard)
+        if self.tear_next:
+            self.tear_next = False
+            return path, _TornHandle(handle)
+        return path, handle
 
 
 class TestResultStore:
@@ -117,7 +151,7 @@ class TestResultStore:
         record = {"key": late_key, "kind": "runresult", "payload": {"v": 5}}
         record["sha"] = content_key({"v": 5})[:16]
         line = json.dumps(record, sort_keys=True).encode()
-        segment = writer._writer_path
+        (segment,) = _segments(root)
         writer.close()
         with open(segment, "ab") as handle:
             handle.write(line[:10])
@@ -168,7 +202,7 @@ class TestResultStore:
         """Compaction unlinks segments, which is only safe with no
         concurrent writers — so a bounded store must not compact itself
         mid-put; the bound applies when compact() is called."""
-        store = ResultStore(tmp_path / "s", max_entries=2)
+        store = ResultStore(tmp_path / "s")
         other = ResultStore(tmp_path / "s")  # a concurrent writer
         other.put("other", {"v": "theirs"})
         for i in range(8):
@@ -178,7 +212,7 @@ class TestResultStore:
         assert store.get("other") == {"v": "theirs"}
         assert len(store) == 9
         other.close()
-        store.compact()
+        store.compact(max_entries=2)
         assert len(store) == 2  # the bound applies here, explicitly
 
     def test_eviction_age_is_mtime_not_segment_name(self, tmp_path):
@@ -224,6 +258,56 @@ class TestStoreKey:
     def test_object_options_are_not_storable(self):
         key = ("simulation", (("execution", print),), "ab" * 32)
         assert store_key(key) is None
+
+
+class TestWriteFailures:
+    """put() owns the write-failure policy: a failed write is counted in
+    ``stats.write_errors``, the first one is reported on stderr, put
+    returns False, and the next put lands on clean bytes."""
+
+    def test_failed_partial_append_does_not_tear_the_next_put(
+        self, tmp_path, capsys
+    ):
+        root = tmp_path / "s"
+        store = TearingStore(root)
+        # Three keys of one shard, so all would share a writer segment.
+        first, torn, second = "a1" * 32, "a2" * 32, "a3" * 32
+        assert store.put(first, {"v": 1})
+        store.tear_next = True
+        assert store.put(torn, {"v": 2}) is False
+        assert store.stats.write_errors == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert store.put(second, {"v": 3})
+        store.close()
+
+        reopened = ResultStore(root)
+        assert reopened.get(first) == {"v": 1}
+        assert reopened.get(second) == {"v": 3}
+        assert reopened.get(torn) is None
+        assert reopened.stats.corrupt_records == 0
+        assert reopened.verify()["clean"]
+
+    def test_unserializable_payload_is_counted(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        assert store.put("k", {"v": object()}) is False
+        assert store.stats.write_errors == 1
+        assert store.put("k", {"v": 1})  # nothing half-stored
+        assert store.get("k") == {"v": 1}
+
+    def test_session_store_write_failures_are_counted(
+        self, tmp_path, capsys
+    ):
+        """A failed store write never fails the evaluation, and is
+        counted (and reported once), never swallowed."""
+        store = FailingStore(tmp_path / "s")
+        session = Session(two_node_system(), store=store)
+        first = session.evaluate(two_node_config())
+        second = session.evaluate(two_node_config(capacity=16))
+        assert first.feasible and second.feasible
+        assert session.cache_info().store_writes == 0
+        assert store.stats.write_errors == 2
+        err = capsys.readouterr().err
+        assert err.count("No space left on device") == 1
 
 
 class TestSessionStoreTier:

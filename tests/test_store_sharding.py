@@ -1,16 +1,17 @@
 """Tests for the sharded store layout (ISSUE 6).
 
 Covers the shard geometry (records live in the directory named by their
-key prefix), the pre-shard flat-layout compatibility shim (an old
-directory keeps working unchanged and ``migrate()`` rewrites it into
-shards — proven against a hand-crafted PR-5 fixture, not a library-made
-one), grace-window compaction next to live writers, and the
+key prefix), the migration of pre-shard flat stores (opening an old
+directory moves its records into shards — proven against a hand-crafted
+PR-5 fixture, not a library-made one — also with two processes opening
+it at once), grace-window compaction next to live writers, and the
 multi-process concurrent-writer stress test from the ISSUE: N processes
 ``put()`` simultaneously, the merged index sees every record exactly
 once with checksums intact, and ``compact()`` on a live-written shard
 never loses a committed record.
 """
 
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -18,6 +19,9 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
+from repro.exceptions import StoreError
 from repro.store import (
     DEFAULT_SHARD_PREFIX,
     SCHEMA_VERSION,
@@ -102,7 +106,7 @@ class TestShardGeometry:
 
 
 class TestFlatLayoutShim:
-    """The pre-shard (PR 5) layout keeps working; migrate() converts."""
+    """A pre-shard (PR 5) store is migrated into shards when opened."""
 
     @staticmethod
     def _make_pr5_fixture(root, count=6):
@@ -137,22 +141,68 @@ class TestFlatLayoutShim:
     def test_pre_shard_store_reads_transparently(self, tmp_path):
         root = tmp_path / "old"
         keys = self._make_pr5_fixture(root)
-        store = ResultStore(root)  # default ctor: the meta wins
-        assert store.layout == "flat"
+        store = ResultStore(root)
         for n, key in enumerate(keys):
             assert store.get(key) == {"v": n}
-        # And it stays writable in place, flat, for old writers' sake.
-        store.put("extra", {"v": "x"})
-        assert list((root / "segments").glob("*.jsonl"))
-        assert not (root / "shards").exists()
-
-    def test_flat_layout_is_creatable_for_fixtures(self, tmp_path):
-        root = tmp_path / "flat"
-        store = ResultStore(root, layout="flat")
-        store.put("k", {"v": 1})
+        # The open migrated it: records in their shards, the sharded
+        # meta written, the flat segments gone.
+        assert store.migrated and store.layout == "sharded"
         meta = json.loads((root / "store.json").read_text())
-        assert "layout" not in meta  # byte-compatible with PR 5 meta
-        assert list((root / "segments").glob("*.jsonl"))
+        assert meta["layout"] == "sharded"
+        assert not (root / "segments").exists()
+        for key in keys:
+            assert list((root / "shards" / shard_of(key)).glob("*.jsonl"))
+        store.put("extra", {"v": "x"})
+        reopened = ResultStore(root)
+        assert not reopened.migrated
+        assert len(reopened) == len(keys) + 1
+
+    def test_failed_migration_leaves_the_flat_store_intact(self, tmp_path):
+        """A copy that fails (here: every append, as on read-only media)
+        raises StoreError naming the CLI fix, and touches neither the
+        flat segments nor the meta file."""
+
+        class FailingStore(ResultStore):
+            def _ensure_writer(self, shard):
+                raise OSError(errno.EROFS, "Read-only file system")
+
+        root = tmp_path / "old"
+        keys = self._make_pr5_fixture(root)
+        meta_before = (root / "store.json").read_bytes()
+        segment = root / "segments" / "segment-123-deadbeef.jsonl"
+        segment_before = segment.read_bytes()
+        with pytest.raises(StoreError, match="repro store migrate"):
+            FailingStore(root)
+        assert (root / "store.json").read_bytes() == meta_before
+        assert segment.read_bytes() == segment_before
+        store = ResultStore(root)  # a later, working open migrates it
+        assert all(store.get(key) == {"v": n} for n, key in enumerate(keys))
+
+    def test_two_processes_opening_one_old_store(self, tmp_path):
+        """Two processes migrate one pre-shard store at once: every
+        record survives, none corrupt or misplaced."""
+        root = tmp_path / "old"
+        keys = self._make_pr5_fixture(root, count=200)
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        procs = [
+            ctx.Process(target=_opener_process, args=(root, barrier))
+            for _ in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        store = ResultStore(root)
+        assert not store.migrated
+        for n, key in enumerate(keys):
+            assert store.get(key) == {"v": n}
+        report = store.verify()
+        assert report["corrupt_total"] == 0
+        assert report["misplaced"] == 0
+        assert report["entries"] == len(keys)
+        assert not (root / "segments").exists()
 
     def test_migrate_rewrites_into_shards(self, tmp_path):
         root = tmp_path / "old"
@@ -230,6 +280,12 @@ class TestCompactGrace:
         store.compact(max_entries=2, grace_s=3600.0)
         assert store.get("aged") is None
         assert all(store.get(_hex_key(n)) == {"v": n} for n in range(4))
+
+
+def _opener_process(root, barrier):
+    """Child: open (and so migrate) a store at a shared start."""
+    barrier.wait()
+    ResultStore(root).close()
 
 
 def _writer_process(root, writer_id, count, barrier):
