@@ -91,7 +91,7 @@ class _BufferLayout:
             return [
                 (a, size[a], [
                     (b, size[b], period[b], period[b] == period[a],
-                     msg[b] in ancestors[msg[a]])
+                     bool(ancestors[msg[a]] >> msg[b] & 1))
                     for b in members if msg[b] != msg[a]
                 ])
                 for a in members

@@ -326,7 +326,7 @@ class AnalysisContext:
         for members in self._procs_on_node.values():
             for i in members:
                 ancestors = image.proc_anc[et[i]]
-                self._proc_anc_rows[i] = [et[j] in ancestors for j in members]
+                self._proc_anc_rows[i] = [bool(ancestors >> et[j] & 1) for j in members]
 
     def _compile_plan(self, plan) -> None:
         """Per-leg slots of ``plan`` (once per ``(System, plan)``), from
@@ -399,7 +399,7 @@ class AnalysisContext:
         for i, mi in enumerate(slot_msg):
             ancestors = msg_anc[can[mi]]
             self._slot_peers.append([
-                (k, slot_msg[k], can[slot_msg[k]] in ancestors)
+                (k, slot_msg[k], bool(ancestors >> can[slot_msg[k]] & 1))
                 for k in on_bus[slot_bus[i]]
                 if slot_msg[k] != mi
             ])
@@ -415,7 +415,7 @@ class AnalysisContext:
                 row.append((
                     k, 0.0, self._msg_period[mj], self._msg_size[mj],
                     self._msg_period[mj] == self._msg_period[mi],
-                    can[mj] in ancestors,
+                    bool(ancestors >> can[mj] & 1),
                 ))
             self._fifo_rows.append(row)
         self._slot_msg = slot_msg
@@ -1230,9 +1230,11 @@ def kernel_for(
     Kernels are cached on the System, one per modeled fault spec (keyed
     by its canonical form, ``None`` when fault-free), so every caller
     analysing one System shares one compile and then updates it
-    incrementally.  A compile that raises caches nothing.
+    incrementally.  A compile that raises caches nothing (and a fresh one
+    is already at ``(π, β, routes)``, so it is not updated again).
     """
     key = None if faults is None else faults.canonical()
+    cached = key in system._kernels
     kernel = lru_lookup(
         system._kernels, key,
         lambda: AnalysisContext(
@@ -1240,5 +1242,6 @@ def kernel_for(
         ),
         _MAX_KERNELS,
     )
-    kernel.update(priorities, bus, routes=routes)
+    if cached:
+        kernel.update(priorities, bus, routes=routes)
     return kernel

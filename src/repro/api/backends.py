@@ -24,11 +24,7 @@ import abc
 from typing import Callable, Dict, List, Union
 
 from ..analysis.buffers import buffer_bounds
-from ..analysis.degree import (
-    SchedulabilityReport,
-    degree_of_schedulability,
-    graph_response_time,
-)
+from ..analysis.degree import SchedulabilityReport, degree_of_schedulability
 from ..analysis.multicluster import multi_cluster_scheduling
 from ..exceptions import (
     AnalysisError,
@@ -257,9 +253,13 @@ class SimulationBackend(EvaluationBackend):
                 backend=self.name, config=config, error=str(exc)
             )
         bound_excess = 0.0
-        for graph_name, observed in trace.graph_response.items():
-            bound = graph_response_time(system, base.analysis.rho, graph_name)
-            bound_excess = max(bound_excess, observed - bound)
+        for graph, observed in trace.graph_response.items():
+            # The analysis pass's R_G.  Where it is unbounded δΓ stored
+            # the finite OVERLOAD_PENALTY instead of inf; a simulated
+            # response minus either is negative, so neither beats 0.0.
+            bound_excess = max(
+                bound_excess, observed - base.graph_responses[graph]
+            )
         metadata = {
             "periods": periods,
             "violations": len(trace.violations),

@@ -56,8 +56,9 @@ __all__ = [
 #: simulation-template counters: compiled
 #: :class:`repro.sim.kernel.SimContext` templates it holds and cache
 #: hits that reused one; and finally the persistent-store tier: results
-#: served from the on-disk :class:`repro.store.ResultStore` and results
-#: written into it.
+#: served from the on-disk :class:`repro.store.ResultStore`, results
+#: written into it and results whose write failed (the store counts
+#: and reports the failure; the result stays process-local).
 CacheInfo = namedtuple(
     "CacheInfo",
     [
@@ -65,7 +66,7 @@ CacheInfo = namedtuple(
         "analysis_time", "kernel_compiles", "kernel_updates",
         "reused_solves", "rows_solved", "rows_skipped",
         "sim_compiles", "sim_reuses",
-        "store_hits", "store_writes",
+        "store_hits", "store_writes", "store_write_errors",
     ],
 )
 
@@ -260,6 +261,7 @@ class Session:
         self.store = store
         self._store_hits = 0
         self._store_writes = 0
+        self._store_write_errors = 0
         #: Monotonic time of the last store segment re-scan triggered
         #: by a single-evaluation miss; see :meth:`_store_fetch`.
         self._store_refreshed_at = 0.0
@@ -342,6 +344,7 @@ class Session:
             sim_reuses=sum(t.reuses for t in templates),
             store_hits=self._store_hits,
             store_writes=self._store_writes,
+            store_write_errors=self._store_write_errors,
         )
 
     def clear_cache(self, store: bool = False) -> None:
@@ -407,6 +410,8 @@ class Session:
             return
         if self.store.put(skey, run.to_dict(), kind="runresult"):
             self._store_writes += 1
+        else:
+            self._store_write_errors += 1
 
     def _key(
         self,

@@ -111,6 +111,7 @@ import time
 from typing import Optional, Sequence
 
 from .api import Session
+from .exceptions import ReproError
 from .io.report import schedulability_report, timing_report
 from .io.serialize import (
     config_from_dict,
@@ -267,7 +268,8 @@ def _print_session_stats(session: Session) -> None:
           f"{info.sim_reuses} reuses")
     if session.store is not None:
         print(f"  store: {info.store_hits} hits, "
-              f"{info.store_writes} writes")
+              f"{info.store_writes} writes, "
+              f"{info.store_write_errors} failed writes")
 
 
 def _session_stats_payload(session: Session) -> dict:
@@ -1581,6 +1583,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
+    except ReproError as exc:
+        # A typed failure the command did not handle itself (say, a
+        # store directory of another format): one line, not a traceback.
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     finally:
         from .obs import state as _obs_state
 

@@ -34,10 +34,13 @@ class SystemImage:
     Per process: ``proc_names``, ``proc_node``, ``proc_tt`` (node kind),
     ``proc_wcet``, ``proc_period``, ``proc_graph``, ``proc_release``,
     ``preds``/``succs`` (``(process id, message id or -1)`` arcs in the
-    graph's order), ``proc_sink`` and ``proc_anc`` (ancestor ids).  Per
-    message: ``msg_src``/``msg_dst``, ``msg_size``, ``msg_period``,
-    ``msg_route``, ``msg_frame`` (``C_m``, ``None`` off the CAN bus),
-    ``msg_clusters`` and ``msg_anc``.  Per graph (application order):
+    graph's order), ``proc_sink``, ``proc_anc`` (ancestor ids as a
+    bitmask), ``proc_urgency`` (longest WCET path to a sink) and
+    ``proc_cpu`` (ET-node index, -1 on TT); ``et_sources`` in declaration
+    order.  Per message: ``msg_src``/``msg_dst``, ``msg_size``,
+    ``msg_period``, ``msg_route``, ``msg_frame`` (``C_m``, ``None`` off
+    the CAN bus), ``msg_clusters`` and ``msg_anc`` (a bitmask).  Per
+    graph (application order):
     ``graph_procs``, ``graph_msgs`` and ``graph_sinks`` (sorted by
     name).  The sorted views ``can``, ``ettt``, ``ttet``, ``et_procs``,
     ``tt_procs``, ``et_by_node`` and ``outgoing_by_node`` are id lists
@@ -58,7 +61,7 @@ class SystemImage:
         proc_graphs = [app.graph_of_process(p) for p in self.proc_names]
         self.proc_node = node = [proc.node for proc in procs]
         self.proc_tt = tt = [arch.is_tt_node(n) for n in node]
-        self.proc_wcet = [proc.wcet for proc in procs]
+        self.proc_wcet = wcet = [proc.wcet for proc in procs]
         self.proc_period = [graph.period for graph in proc_graphs]
         self.proc_graph = [gid[graph.name] for graph in proc_graphs]
         self.proc_release = [releases.get(p, 0.0) for p in self.proc_names]
@@ -71,6 +74,20 @@ class SystemImage:
                              for q, m in graph.successors(p)])
                       for graph, p in zip(proc_graphs, self.proc_names)]
         self.proc_sink = [not succs for succs in self.succs]
+        # The list scheduler's priority: the longest WCET path to a sink,
+        # own WCET included (reversed model order: successors first).
+        self.proc_urgency = urgency = [0.0] * len(procs)
+        for p in reversed(range(len(procs))):
+            tail = 0.0
+            for q, _m in self.succs[p]:
+                tail = max(tail, urgency[q])
+            urgency[p] = wcet[p] + tail
+        #: ET sources in declaration order: the simulator's releases.
+        self.et_sources = [
+            i for i in (pid[p] for graph in app.graphs.values()
+                        for p in graph.processes)
+            if not tt[i] and not self.preds[i]
+        ]
         # Per graph, in model order (topological / sorted by name).
         self.graph_procs: List[List[int]] = [[] for _ in self.graph_names]
         for p, g in enumerate(self.proc_graph):
@@ -117,22 +134,21 @@ class SystemImage:
                     node[self.msg_src[m]], []
                 ).append(m)
 
-        # Transitive ancestors (a same-instance ancestor always precedes
-        # its descendant, so it never overlaps it); a message's are all
+        # Transitive ancestors as id bitmasks (bit q set when q is
+        # upstream; a same-instance ancestor always precedes its
+        # descendant, so it never overlaps it); a message's are all
         # upstream of its sender, the messages into the sender included.
-        none: frozenset = frozenset()
-        self.proc_anc: List[frozenset] = []
-        msgs_up_to: List[frozenset] = []
+        self.proc_anc: List[int] = []
+        msgs_up_to: List[int] = []
         for preds in self.preds:  # model order: topological per graph
-            procs_up, msgs_up = (set(), set()) if preds else (none, none)
+            procs_up = msgs_up = 0
             for q, m in preds:
-                procs_up.add(q)
-                procs_up |= self.proc_anc[q]
+                procs_up |= self.proc_anc[q] | 1 << q
                 msgs_up |= msgs_up_to[q]
                 if m >= 0:
-                    msgs_up.add(m)
-            self.proc_anc.append(frozenset(procs_up))
-            msgs_up_to.append(frozenset(msgs_up))
+                    msgs_up |= 1 << m
+            self.proc_anc.append(procs_up)
+            msgs_up_to.append(msgs_up)
         self.msg_anc = [msgs_up_to[src] for src in self.msg_src]
 
         # Output queues, the one owner of their layout: Out_CAN and
@@ -157,6 +173,9 @@ class SystemImage:
                                  len(self.queue_names) + len(self.et_nodes)))
         self.queue_names += [f"Out_{n}" for n in self.et_nodes]
         self.queue_id = {name: q for q, name in enumerate(self.queue_names)}
+        # Per process: its ET node's index (the simulator's CPU id), or -1.
+        cpu_of = {n: i for i, n in enumerate(self.et_nodes)}
+        self.proc_cpu = [-1 if t else cpu_of[n] for n, t in zip(node, tt)]
 
 
 class PlanImage:

@@ -165,6 +165,13 @@ class ProcessGraph:
             if proc.name in self.processes:
                 raise ModelError(f"graph {name}: duplicate process {proc.name}")
             self.processes[proc.name] = proc
+        # Arcs in message order, then dependency order.
+        succ: Dict[str, List[Tuple[str, Optional[str]]]] = {
+            p: [] for p in self.processes
+        }
+        pred: Dict[str, List[Tuple[str, Optional[str]]]] = {
+            p: [] for p in self.processes
+        }
         self.messages: Dict[str, Message] = {}
         for msg in messages:
             if msg.name in self.messages:
@@ -172,23 +179,16 @@ class ProcessGraph:
             self._check_endpoint(msg.src, f"message {msg.name} sender")
             self._check_endpoint(msg.dst, f"message {msg.name} receiver")
             self.messages[msg.name] = msg
+            succ[msg.src].append((msg.dst, msg.name))
+            pred[msg.dst].append((msg.src, msg.name))
         self.dependencies: List[Dependency] = []
         for dep in dependencies:
             self._check_endpoint(dep.src, "dependency source")
             self._check_endpoint(dep.dst, "dependency target")
             self.dependencies.append(dep)
-        self._succ: Dict[str, List[Tuple[str, Optional[str]]]] = {
-            p: [] for p in self.processes
-        }
-        self._pred: Dict[str, List[Tuple[str, Optional[str]]]] = {
-            p: [] for p in self.processes
-        }
-        for msg in self.messages.values():
-            self._succ[msg.src].append((msg.dst, msg.name))
-            self._pred[msg.dst].append((msg.src, msg.name))
-        for dep in self.dependencies:
-            self._succ[dep.src].append((dep.dst, None))
-            self._pred[dep.dst].append((dep.src, None))
+            succ[dep.src].append((dep.dst, None))
+            pred[dep.dst].append((dep.src, None))
+        self._succ, self._pred = succ, pred
         self._topo = self._topological_order()
 
     def _check_endpoint(self, proc_name: str, what: str) -> None:
@@ -199,20 +199,17 @@ class ProcessGraph:
             )
 
     def _topological_order(self) -> List[str]:
-        indeg = {p: len(self._pred[p]) for p in self.processes}
-        ready = sorted(p for p, d in indeg.items() if d == 0)
-        order: List[str] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
+        indeg = {p: len(preds) for p, preds in self._pred.items()}
+        order = sorted(p for p, d in indeg.items() if d == 0)
+        # A FIFO walked while it grows: each process's newly ready
+        # successors join its tail, sorted for reproducible heuristics.
+        for current in order:
             inserted = []
             for succ, _msg in self._succ[current]:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
                     inserted.append(succ)
-            # Keep deterministic order for reproducibility of heuristics.
-            for succ in sorted(inserted):
-                ready.append(succ)
+            order.extend(sorted(inserted))
         if len(order) != len(self.processes):
             raise ModelError(f"graph {self.name}: process graph has a cycle")
         return order

@@ -147,10 +147,19 @@ class Architecture:
             raise ModelError("gateway transfer WCET must be non-negative")
         self.gateway_transfer_wcet = gateway_transfer_wcet
         self.gateway_transfer_period = gateway_transfer_period
-        if not self.tt_node_names():
+        # The sorted name lists the queries below return copies of.
+        self._tt_names, self._et_names = (sorted(
+            n.name for n in self.nodes.values()
+            if n.cluster is kind and not n.is_gateway
+        ) for kind in (ClusterKind.TIME_TRIGGERED, ClusterKind.EVENT_TRIGGERED))
+        if not self._tt_names:
             raise ModelError("architecture needs at least one TTC node")
-        if not self.et_node_names():
+        if not self._et_names:
             raise ModelError("architecture needs at least one ETC node")
+        tt_clusters = topology.tt_clusters()
+        self._slot_owners = self._tt_names + (
+            topology.gateways_on(tt_clusters[0]) if tt_clusters else []
+        )
 
     @classmethod
     def from_topology(
@@ -228,19 +237,11 @@ class Architecture:
 
     def tt_node_names(self) -> List[str]:
         """Nodes on the TTC (excluding the gateway), sorted."""
-        return sorted(
-            n.name
-            for n in self.nodes.values()
-            if n.cluster is ClusterKind.TIME_TRIGGERED and not n.is_gateway
-        )
+        return list(self._tt_names)
 
     def et_node_names(self) -> List[str]:
         """Nodes on the ETC (excluding the gateway), sorted."""
-        return sorted(
-            n.name
-            for n in self.nodes.values()
-            if n.cluster is ClusterKind.EVENT_TRIGGERED and not n.is_gateway
-        )
+        return list(self._et_names)
 
     def ttp_slot_owners(self) -> List[str]:
         """Every node with a TTP controller: the TTC nodes plus each
@@ -248,12 +249,7 @@ class Architecture:
 
         Each of these owns exactly one TDMA slot per round (section 2.2).
         """
-        topo = self.topology
-        tt_clusters = topo.tt_clusters()
-        if not tt_clusters:
-            return []
-        gateways = topo.gateways_on(tt_clusters[0])
-        return self.tt_node_names() + gateways
+        return list(self._slot_owners)
 
     def is_tt_node(self, node_name: str) -> bool:
         """True if processes on ``node_name`` are statically scheduled."""

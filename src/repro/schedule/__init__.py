@@ -1,7 +1,7 @@
 """Static scheduling of the time-triggered cluster (schedule tables, MEDL)."""
 
 from .asap_alap import alap_starts, slack_of_message, slack_of_process
-from .list_scheduler import downstream_urgency, static_schedule
+from .list_scheduler import static_schedule
 from .schedule_table import FrameSlot, ScheduleEntry, StaticSchedule
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "ScheduleEntry",
     "StaticSchedule",
     "alap_starts",
-    "downstream_urgency",
     "slack_of_message",
     "slack_of_process",
     "static_schedule",

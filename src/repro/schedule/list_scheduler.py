@@ -31,11 +31,10 @@ from bisect import insort
 from collections import OrderedDict
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from ..buses.ttp import TTPBusConfig
 from ..exceptions import SchedulingError
-from ..model.application import ProcessGraph
 from ..model.architecture import MessageRoute
 from ..model.configuration import OffsetTable
 from ..semantics import et_to_tt_constraint
@@ -43,7 +42,7 @@ from ..system import System, lru_lookup
 from ..analysis.timing import ResponseTimes
 from .schedule_table import FrameSlot, ScheduleEntry, StaticSchedule
 
-__all__ = ["static_schedule", "downstream_urgency"]
+__all__ = ["static_schedule"]
 
 #: Safety horizon: how many TDMA rounds past the estimated makespan a frame
 #: search may scan before the schedule is declared infeasible.
@@ -52,21 +51,6 @@ _ROUND_SEARCH_MARGIN = 10_000
 #: memoized schedules per context.
 _MAX_PLANS = 8
 _MEMO_SIZE = 64
-
-
-def downstream_urgency(graph: ProcessGraph) -> Dict[str, float]:
-    """Longest WCET path from each process to a sink (inclusive).
-
-    Used as the list-scheduling priority: processes with more work after
-    them are scheduled first, the classic critical-path heuristic of [5].
-    """
-    urgency: Dict[str, float] = {}
-    for proc_name in reversed(graph.topological_order()):
-        best_tail = 0.0
-        for succ, _msg in graph.successors(proc_name):
-            best_tail = max(best_tail, urgency[succ])
-        urgency[proc_name] = graph.processes[proc_name].wcet + best_tail
-    return urgency
 
 
 def _frame_for(medl, bus, node: str, msg_name: str, size, ready):
@@ -130,10 +114,7 @@ class _ScheduleContext:
         image = system.image
         names, msgs = image.proc_names, image.msg_names
         wcet, succs = image.proc_wcet, image.succs
-        urgency = [0.0] * len(names)
-        for graph in system.app.graphs.values():
-            for name, value in downstream_urgency(graph).items():
-                urgency[image.pid[name]] = value
+        urgency = image.proc_urgency
         order = sorted(image.tt_procs, key=lambda p: (-urgency[p], names[p]))
         rank = [-1] * len(names)
         for r, p in enumerate(order):

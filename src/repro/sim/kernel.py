@@ -169,7 +169,6 @@ class SimContext:
         pid_of = image.pid
         self.msg_names: List[str] = image.msg_names
         mid_of = image.mid
-        n_procs = len(self.proc_names)
         n_msgs = len(self.msg_names)
 
         priorities = config.priorities
@@ -204,7 +203,6 @@ class SimContext:
         # Out_<node> per ET node.
         self.queue_names = image.queue_names
         self.fifo_q = image.out_ttp_q
-        cpu_of_node = {node: i for i, node in enumerate(image.et_nodes)}
         self.n_cpus = len(image.et_nodes)
 
         self.proc_wcet = image.proc_wcet
@@ -214,20 +212,15 @@ class SimContext:
         self.graph_names = image.graph_names
         self.graph_sinks = [len(sinks) for sinks in image.graph_sinks]
         self.succs: List[Tuple[Tuple[int, int], ...]] = image.succs
-        self.proc_prio = [0] * n_procs
-        self.proc_queue = [0] * n_procs  # Out_<node> of an ET process
-        self.proc_cpu = [-1] * n_procs  # dense ET-node index
-        self.et_fanin = [0] * n_procs
-        for graph in app.graphs.values():
-            for proc_name in graph.processes:
-                pid = pid_of[proc_name]
-                if image.proc_tt[pid]:
-                    continue
-                self.proc_prio[pid] = priorities.process_priority(proc_name)
-                cpu = cpu_of_node[image.proc_node[pid]]
-                self.proc_cpu[pid] = cpu
-                self.proc_queue[pid] = image.node_q[cpu]
-                self.et_fanin[pid] = len(image.preds[pid])
+        self.proc_prio = [
+            0 if tt else priorities.process_priority(name)
+            for name, tt in zip(self.proc_names, image.proc_tt)
+        ]
+        self.proc_cpu = image.proc_cpu  # dense ET-node index
+        self.et_fanin = [
+            0 if tt else len(preds)
+            for tt, preds in zip(image.proc_tt, image.preds)
+        ]
 
         self.transfer_delay = [
             gateway_transfer_delay(system, g) for g in gateways
@@ -309,16 +302,11 @@ class SimContext:
                     entry.start, self.proc_wcet[pid], 0.0,
                     _DELIVER, _K_TT_COMPLETE, tidx,
                 )
-        for graph in app.graphs.values():
-            for proc_name in graph.processes:
-                pid = pid_of[proc_name]
-                if self.proc_is_tt[pid]:
-                    continue
-                if not image.preds[pid]:
-                    period_event(
-                        image.proc_release[pid], 0.0, 0.0,
-                        _DISPATCH, _K_ET_RELEASE, pid,
-                    )
+        for pid in image.et_sources:
+            period_event(
+                image.proc_release[pid], 0.0, 0.0,
+                _DISPATCH, _K_ET_RELEASE, pid,
+            )
         slots = [
             (slot, bus.slot_offset(slot.node),
              image.gateway_index.get(slot.node))

@@ -47,24 +47,27 @@ def random_graph_structure(
     """
     if shape.processes <= 0:
         raise ValueError("a graph needs at least one process")
-    layers: List[List[int]] = []
-    remaining = shape.processes
+    # Layers are consecutive index ranges (starts), so each randint and
+    # choice of the layered draw is one _randbelow draw over a range:
+    # the same stream, bound directly.
+    randbelow, random = rng._randbelow, rng.random
+    width_cap = max(1, shape.width)
+    starts: List[int] = []
     index = 0
-    while remaining > 0:
-        width = min(remaining, rng.randint(1, max(1, shape.width)))
-        layers.append(list(range(index, index + width)))
-        index += width
-        remaining -= width
+    while index < shape.processes:
+        starts.append(index)
+        index += min(shape.processes - index, 1 + randbelow(width_cap))
+    starts.append(shape.processes)
+    layers = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
     edges: List[Tuple[int, int]] = []
-    for layer_no in range(1, len(layers)):
-        previous = layers[layer_no - 1]
-        earlier = [p for layer in layers[:layer_no] for p in layer]
-        for dst in layers[layer_no]:
-            src = rng.choice(previous)
+    for prev, start, stop in zip(starts, starts[1:], starts[2:]):
+        for dst in range(start, stop):
+            src = prev + randbelow(start - prev)
             edges.append((src, dst))
-            if rng.random() < shape.extra_edge_prob and len(earlier) > 1:
-                extra = rng.choice(earlier)
-                if extra != src and (extra, dst) not in edges:
+            # (extra, dst) can only repeat the (src, dst) arc just added.
+            if random() < shape.extra_edge_prob and start > 1:
+                extra = randbelow(start)
+                if extra != src:
                     edges.append((extra, dst))
     return layers, edges
 
@@ -101,39 +104,33 @@ def realize_graph(
         structure = random_graph_structure(shape, rng)
     _layers, edges = structure
     lo, hi = wcet_range
+    size_lo, size_hi = message_size_range
+    if wcet_distribution not in ("uniform", "exponential"):
+        raise ValueError(f"unknown WCET distribution {wcet_distribution!r}")
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(): the same
+    # stream, without its per-call overhead.
+    random = rng.random
+    names = [f"{name}_P{i}" for i in range(shape.processes)]
     processes: List[Process] = []
-    node_of: Dict[int, str] = {}
-    for i in range(shape.processes):
+    node_of: List[str] = []
+    for i, proc_name in enumerate(names):
         node = mapping.get(i) if mapping else None
         if node is None:
             node = rng.choice(list(nodes))
-        node_of[i] = node
+        node_of.append(node)
         if wcet_distribution == "uniform":
-            wcet = rng.uniform(lo, hi)
-        elif wcet_distribution == "exponential":
-            wcet = min(hi, max(lo, rng.expovariate(2.0 / (lo + hi))))
+            wcet = lo + (hi - lo) * random()
         else:
-            raise ValueError(f"unknown WCET distribution {wcet_distribution!r}")
-        processes.append(
-            Process(name=f"{name}_P{i}", wcet=round(wcet, 3), node=node)
-        )
+            wcet = min(hi, max(lo, rng.expovariate(2.0 / (lo + hi))))
+        processes.append(Process(proc_name, round(wcet, 3), node))
     messages: List[Message] = []
     dependencies: List[Dependency] = []
-    size_lo, size_hi = message_size_range
     for msg_index, (src, dst) in enumerate(edges):
-        src_name = f"{name}_P{src}"
-        dst_name = f"{name}_P{dst}"
         if node_of[src] == node_of[dst]:
-            dependencies.append(Dependency(src=src_name, dst=dst_name))
+            dependencies.append(Dependency(names[src], names[dst]))
         else:
-            messages.append(
-                Message(
-                    name=f"{name}_m{msg_index}",
-                    src=src_name,
-                    dst=dst_name,
-                    size=rng.randint(size_lo, size_hi),
-                )
-            )
+            messages.append(Message(f"{name}_m{msg_index}", names[src],
+                                    names[dst], rng.randint(size_lo, size_hi)))
     return ProcessGraph(
         name=name,
         period=period,

@@ -144,9 +144,9 @@ def _make_architecture(spec: WorkloadSpec) -> Architecture:
 class _Skeleton:
     """One graph's structure plus its evolving process mapping."""
 
-    def __init__(self, name, size, structure, mapping):
+    def __init__(self, name, shape, structure, mapping):
         self.name = name
-        self.size = size
+        self.shape, self.size = shape, shape.processes
         self.structure = structure
         self.mapping: Dict[int, str] = mapping
 
@@ -170,8 +170,8 @@ def _steer_gateway_traffic(
     survives as a test oracle (``tests/oracles``) for the equivalence
     test.
     """
-    is_tt = arch.is_tt_node
     tt_nodes = arch.tt_node_names()
+    is_tt = set(tt_nodes).__contains__
     et_nodes = arch.et_node_names()
 
     # Per-skeleton incident lists and cluster bits, plus the global
@@ -237,13 +237,12 @@ def _scale_to_utilization(
     for graph in graphs:
         for proc in graph.processes.values():
             load[proc.node] = load.get(proc.node, 0.0) + proc.wcet / graph.period
+    factor = {node: spec.target_utilization / utilization
+              for node, utilization in load.items() if utilization > 0}
     for graph in graphs:
         for proc in graph.processes.values():
-            utilization = load[proc.node]
-            if utilization <= 0:
-                continue
-            factor = spec.target_utilization / utilization
-            proc.wcet = round(proc.wcet * factor, 4)
+            if proc.node in factor:
+                proc.wcet = round(proc.wcet * factor[proc.node], 4)
 
 
 def generate_workload(spec: WorkloadSpec) -> System:
@@ -252,7 +251,8 @@ def generate_workload(spec: WorkloadSpec) -> System:
     arch = _make_architecture(spec)
     tt_nodes = arch.tt_node_names()
     et_nodes = arch.et_node_names()
-    node_load: Dict[str, int] = {n: 0 for n in tt_nodes + et_nodes}
+    nodes = tt_nodes + et_nodes
+    node_load: Dict[str, int] = {n: 0 for n in nodes}
 
     # Step 1+2: skeletons with cluster-homed mappings.
     skeletons: List[_Skeleton] = []
@@ -263,7 +263,8 @@ def generate_workload(spec: WorkloadSpec) -> System:
         size = min(remaining, rng.randint(lo, hi))
         if remaining - size < lo:
             size = remaining
-        structure = random_graph_structure(GraphShape(processes=size), rng)
+        shape = GraphShape(processes=size)
+        structure = random_graph_structure(shape, rng)
         # Home the whole graph on the least-loaded node of the lighter
         # cluster: functions colocate, so intra-graph arcs are mostly
         # same-node dependencies and bus traffic stays dominated by the
@@ -275,11 +276,10 @@ def generate_workload(spec: WorkloadSpec) -> System:
         home_node = rng.choice(
             [n for n in cluster if node_load[n] == lightest]
         )
-        mapping: Dict[int, str] = {}
-        for i in range(size):
-            mapping[i] = home_node
-            node_load[home_node] += 1
-        skeletons.append(_Skeleton(f"G{graph_no}", size, structure, mapping))
+        node_load[home_node] += size
+        skeletons.append(_Skeleton(
+            f"G{graph_no}", shape, structure, dict.fromkeys(range(size), home_node)
+        ))
         remaining -= size
         graph_no += 1
     _steer_gateway_traffic(skeletons, arch, spec.gateway_message_target(), rng)
@@ -290,9 +290,9 @@ def generate_workload(spec: WorkloadSpec) -> System:
         graphs.append(
             realize_graph(
                 name=skeleton.name,
-                shape=GraphShape(processes=skeleton.size),
+                shape=skeleton.shape,
                 rng=rng,
-                nodes=tt_nodes + et_nodes,
+                nodes=nodes,
                 period=spec.period,
                 deadline=spec.period * spec.deadline_factor,
                 wcet_distribution=spec.wcet_distribution,
@@ -331,16 +331,16 @@ def seeded_routes(system: System, spec: WorkloadSpec):
     from ..faults.spec import stable_unit
 
     overrides: Dict[str, Tuple[str, ...]] = {}
-    for msg in system.app.all_messages():
-        src, dst = system.clusters_of_message(msg.name)
+    image = system.image  # all_messages order, with each one's clusters
+    for name, (src, dst) in zip(image.msg_names, image.msg_clusters):
         if src == dst:
             continue
-        candidates = route_candidates(system, msg.name)
+        candidates = route_candidates(system, name)
         pick = candidates[
-            int(stable_unit(spec.seed, "route", msg.name) * len(candidates))
+            int(stable_unit(spec.seed, "route", name) * len(candidates))
         ]
-        if pick != system.default_route(msg.name):
-            overrides[msg.name] = pick
+        if pick != system.default_route(name):
+            overrides[name] = pick
     return overrides
 
 

@@ -272,8 +272,8 @@ class System:
 
     def process_is_ancestor(self, ancestor: str, of: str) -> bool:
         """True when ``ancestor`` transitively precedes ``of`` (same graph)."""
-        pid = self.image.pid
-        return of in pid and pid.get(ancestor) in self.image.proc_anc[pid[of]]
+        pid, anc = self.image.pid, self.image.proc_anc
+        return of in pid and ancestor in pid and anc[pid[of]] >> pid[ancestor] & 1 == 1
 
     def message_is_ancestor(self, ancestor: str, of: str) -> bool:
         """True when message ``ancestor`` is upstream of message ``of``.
@@ -282,8 +282,8 @@ class System:
         ``of``'s sender, so its same-instance transmission always precedes
         ``of``'s queueing.
         """
-        mid = self.image.mid
-        return of in mid and mid.get(ancestor) in self.image.msg_anc[mid[of]]
+        mid, anc = self.image.mid, self.image.msg_anc
+        return of in mid and ancestor in mid and anc[mid[of]] >> mid[ancestor] & 1 == 1
 
     def __repr__(self) -> str:
         return f"System({self.app!r}, {self.arch!r})"

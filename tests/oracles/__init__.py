@@ -15,7 +15,8 @@ identity suites compare against:
   solves);
 * :func:`legacy_static_schedule` — the interpreted list scheduler,
   which re-derives urgencies, predecessor routes and slot arithmetic
-  per call;
+  per call, and its name-keyed :func:`downstream_urgency` (the
+  critical-path priority the image holds as ``proc_urgency``);
 * :func:`legacy_buffer_bounds` — the name-keyed queue-size bounds,
   which re-derive queue membership and pair constants per call, over
   the reference activation counts :func:`phase_locked_hits` and
@@ -43,7 +44,7 @@ from .legacy_buffers import legacy_buffer_bounds
 from .legacy_hopa import legacy_local_deadlines
 from .legacy_multihop import legacy_multihop_response_time_analysis
 from .legacy_rta import legacy_response_time_analysis
-from .legacy_schedule import legacy_static_schedule
+from .legacy_schedule import downstream_urgency, legacy_static_schedule
 from .legacy_sim import LegacySimulator, legacy_simulate
 from .workload_scan import steer_gateway_traffic_scan
 
@@ -52,6 +53,7 @@ __all__ = [
     "LegacySimulator",
     "audit_dispatch_eligibility",
     "ceil0_hits",
+    "downstream_urgency",
     "full_sweep_solve",
     "legacy_buffer_bounds",
     "legacy_local_deadlines",

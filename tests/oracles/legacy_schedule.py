@@ -17,11 +17,27 @@ from repro.analysis.timing import ResponseTimes
 from repro.buses.ttp import TTPBusConfig
 from repro.exceptions import SchedulingError
 from repro.model.architecture import MessageRoute
+from repro.model.application import ProcessGraph
 from repro.model.configuration import OffsetTable
-from repro.schedule import downstream_urgency
 from repro.schedule.schedule_table import FrameSlot, ScheduleEntry, StaticSchedule
 from repro.semantics import et_to_tt_constraint
 from repro.system import System
+
+def downstream_urgency(graph: ProcessGraph) -> Dict[str, float]:
+    """Longest WCET path from each process to a sink (inclusive), by
+    name: the name-keyed walk the image's ``proc_urgency`` replaced.
+
+    Used as the list-scheduling priority: processes with more work after
+    them are scheduled first, the classic critical-path heuristic of [5].
+    """
+    urgency: Dict[str, float] = {}
+    for proc_name in reversed(graph.topological_order()):
+        best_tail = 0.0
+        for succ, _msg in graph.successors(proc_name):
+            best_tail = max(best_tail, urgency[succ])
+        urgency[proc_name] = graph.processes[proc_name].wcet + best_tail
+    return urgency
+
 
 #: Safety horizon: how many TDMA rounds past the estimated makespan a frame
 #: search may scan before the schedule is declared infeasible.

@@ -295,7 +295,7 @@ class TestStatsJson:
         stats = data["stats"]["counters"]
         assert stats["backend_calls"] == 1
         assert {"hits", "misses", "kernel_compiles", "store_hits",
-                "store_writes"} <= set(stats)
+                "store_writes", "store_write_errors"} <= set(stats)
 
     def test_simulate_stats_json(self, system_file, config_file, capsys):
         code = main([
@@ -486,6 +486,18 @@ class TestStoreCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["layout"] == "sharded"  # the open migrated it
         assert data["entries"] == 5
+
+    def test_foreign_store_is_one_error_line(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        root.mkdir()
+        (root / "store.json").write_text(json.dumps({"format": "other"}))
+        assert main(["store", "stats", str(root)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: ")
+        assert "is not a repro-store-v1 store" in captured.err
+        assert "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_migrate_rewrites_into_shards(self, tmp_path, capsys):
         from repro.store import ResultStore

@@ -309,6 +309,24 @@ class TestWriteFailures:
         err = capsys.readouterr().err
         assert err.count("No space left on device") == 1
 
+    def test_session_stats_show_failed_writes(self, tmp_path, capsys):
+        """``cache_info()`` and the ``--stats`` payload carry the
+        session's failed store writes beside its successful ones."""
+        from repro.cli import _session_stats_payload
+
+        store = FailingStore(tmp_path / "s")
+        session = Session(two_node_system(), store=store)
+        session.evaluate(two_node_config())
+        session.evaluate(two_node_config(capacity=16))
+        info = session.cache_info()
+        assert (info.store_writes, info.store_write_errors) == (0, 2)
+        counters = _session_stats_payload(session)["counters"]
+        assert counters["store_write_errors"] == 2
+        healthy = Session(two_node_system(), store=tmp_path / "ok")
+        healthy.evaluate(two_node_config())
+        info = healthy.cache_info()
+        assert (info.store_writes, info.store_write_errors) == (1, 0)
+
 
 class TestSessionStoreTier:
     def test_cross_session_results_bit_identical(self, tmp_path):

@@ -8,6 +8,7 @@ import pickle
 
 import pytest
 
+from oracles import downstream_urgency
 from oracles.legacy_hopa import legacy_local_deadlines
 from repro.api import Session
 from repro.conformance import CampaignSpec
@@ -91,6 +92,96 @@ class TestBuiltOncePerSystem:
         assert template.proc_names is image.proc_names
         assert template.lid_mid is plan.image.leg_msg
         assert system.configuration_rules().image is image
+
+
+class TestEngineTablesDerivedOnce:
+    """The tables the scheduler and the simulator used to walk the
+    name-keyed model for are derived once per System, in the image, and
+    equal that walk; the simulation reuses the analysis pass's graph
+    bounds instead of recomputing them."""
+
+    @pytest.mark.parametrize("system", [
+        _conform_seed()[0],
+        # Over ten graphs: name order is not declaration order ("G10"
+        # sorts before "G2").
+        generate_workload(WorkloadSpec(nodes=6, seed=3)),
+    ], ids=["conform", "canonical"])
+    def test_tables_equal_a_walk_of_the_model(self, system):
+        app, arch, image = system.app, system.arch, system.image
+        urgency = {}
+        for graph in app.graphs.values():
+            urgency.update(downstream_urgency(graph))
+        assert image.proc_urgency == [urgency[p] for p in image.proc_names]
+        cpu = {node: i for i, node in enumerate(arch.et_node_names())}
+        assert image.proc_cpu == [
+            -1 if arch.is_tt_node(app.process(p).node)
+            else cpu[app.process(p).node]
+            for p in image.proc_names
+        ]
+        # Declaration order: the order the simulator seeds releases in.
+        assert [image.proc_names[p] for p in image.et_sources] == [
+            name
+            for graph in app.graphs.values() for name in graph.processes
+            if arch.is_et_node(graph.processes[name].node)
+            and not graph.predecessors(name)
+        ]
+        assert image.msg_route == [
+            arch.route_of(app, msg) for msg in app.all_messages()
+        ]
+
+    def test_conform_seed_walks_no_graph(self, monkeypatch):
+        """Once the image exists, compiling and running the engines for
+        a seed reads no graph's order or arcs by name."""
+        from repro.model import ProcessGraph
+
+        system, config = _conform_seed()
+        system.image
+        calls = []
+        for name in ("topological_order", "successors", "predecessors"):
+            original = getattr(ProcessGraph, name)
+            monkeypatch.setattr(
+                ProcessGraph, name,
+                lambda *args, _f=original, _n=name: (
+                    calls.append(_n) or _f(*args)
+                ),
+            )
+        status, _, _, _ = evaluate_workload(system, periods=3, config=config)
+        assert status == "ok" and calls == []
+        (_, template), = system._sim_templates.values()
+        assert template.proc_cpu is system.image.proc_cpu
+
+    @pytest.mark.parametrize("overload", [1.0, 6.0], ids=["ok", "diverged"])
+    def test_bound_excess_equals_the_per_graph_bounds(self, overload):
+        from repro.analysis.degree import (
+            OVERLOAD_PENALTY, graph_response_time,
+        )
+        from repro.conformance.campaign import conformance_configuration
+        from repro.io.serialize import system_from_dict, system_to_dict
+
+        system, _ = _conform_seed(100003)
+        data = system_to_dict(system)
+        node = system.arch.et_node_names()[0]
+        for graph in data["application"]["graphs"]:
+            for proc in graph["processes"]:
+                if proc["node"] == node:
+                    proc["wcet"] *= overload
+        system = system_from_dict(data)
+        run = Session(system).evaluate(
+            conformance_configuration(system), backend="simulation",
+            memoize=False, periods=3,
+        )
+        assert run.error is None
+        observed = run.metadata["observed_graph_response"]
+        assert observed
+        excess = 0.0
+        for graph, response in observed.items():
+            bound = graph_response_time(system, run.analysis.rho, graph)
+            excess = max(excess, response - bound)
+        assert run.metadata["bound_excess"] == excess
+        diverged = [g for g, r in run.graph_responses.items()
+                    if r == OVERLOAD_PENALTY]
+        assert bool(diverged) == (overload > 1.0)
+        assert not run.schedulable if diverged else run.converged
 
 
 class TestCopiesCarryNoImage:
