@@ -826,58 +826,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
         stats = client.stats()
         if args.format == "json":
             print(json.dumps(stats, indent=2))
-            return 0
-        counters = stats["counters"]
-        print(f"server {args.server}: up {stats['uptime_s']:.0f} s, "
-              f"{stats['workers']} workers")
-        print(f"  queue: {stats['queue_depth']} waiting, "
-              f"{stats['in_flight_units']} units in flight")
-        print(f"  requests: {counters['submitted']} submitted, "
-              f"{counters['dedup_hits']} deduplicated, "
-              f"{counters['store_hits']} store hits, "
-              f"{counters['computed']} computed, "
-              f"{counters['errors']} errors")
-        print(f"  throughput: {stats['evals_per_s']:.1f} evals/s "
-              f"(queue wait {stats['timings']['queue_wait_s_avg']:.3f} s, "
-              f"unit compute "
-              f"{stats['timings']['unit_compute_s_avg']:.3f} s avg)")
-        store = stats["store"]
-        print(f"  store: {store['entries']} entries in "
-              f"{store['segments']} segments across "
-              f"{store['shards']} shards")
-        fleet = stats.get("fleet") or []
-        if fleet:
-            print(f"  fleet: {len(fleet)} worker(s)")
-            for worker in fleet:
-                name = worker.get("label") or worker["id"]
-                state = "alive" if worker["alive"] else "lost"
-                print(f"    {name} [{worker['transport']}]: {state}, "
-                      f"{worker['in_flight']} in flight, "
-                      f"{worker['completed']} completed, "
-                      f"{worker['failed']} failed")
-        supervisor = stats.get("supervisor") or {}
-        if supervisor:
-            print(f"  supervision: {supervisor['retries']} retries, "
-                  f"{supervisor['hedges']} hedges "
-                  f"({supervisor['hedge_wins']} won, "
-                  f"{supervisor.get('hedge_wasted', 0)} wasted), "
-                  f"{supervisor['worker_failures']} worker failures, "
-                  f"{supervisor['expired_leases']} expired leases, "
-                  f"{supervisor.get('deadline_expired', 0)} deadlines "
-                  f"expired, {supervisor.get('inline_units', 0)} inline "
-                  f"degradations")
-        if stats.get("obs_enabled"):
-            print("  observability: enabled (GET /metrics, "
-                  "`repro trace <job>`)")
-        recovered = stats.get("recovered_units", 0)
-        if recovered:
-            print(f"  recovered: {recovered} journaled unit(s) "
-                  "re-dispatched at startup")
-        abandoned = stats.get("abandoned") or []
-        if abandoned:
-            print(f"  ABANDONED: {len(abandoned)} unit(s) dropped by a "
-                  "timed-out drain (journaled): "
-                  + ", ".join(entry["id"] for entry in abandoned))
+        else:
+            print(_render_stats(args.server, stats))
         return 0
     payloads = [client.status(job_id) for job_id in args.id]
     if args.format == "json":
@@ -955,12 +905,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_top(server: str, stats: dict) -> str:
-    """One refresh frame of ``repro top``."""
+def _render_stats(server: str, stats: dict) -> str:
+    """A server's ``/stats`` payload as text: the output of ``repro
+    status --server`` and one frame of ``repro top``."""
     counters = stats["counters"]
     timings = stats["timings"]
+    store = stats["store"]
     lines = [
-        f"repro top — {server}  (up {stats['uptime_s']:.0f} s, "
+        f"server {server}  (up {stats['uptime_s']:.0f} s, "
         f"{stats['workers']} workers"
         + (", obs on)" if stats.get("obs_enabled") else ")"),
         f"  queue   {stats['queue_depth']:>6} waiting   "
@@ -973,16 +925,22 @@ def _render_top(server: str, stats: dict) -> str:
         f"{counters['store_hits']:>6} store hits",
         f"  latency {timings['queue_wait_s_avg']:>8.3f} s queue wait   "
         f"{timings['unit_compute_s_avg']:.3f} s unit compute",
+        f"  store   {store['entries']:>6} entries   "
+        f"{store['segments']:>6} segments   {store['shards']} shards",
     ]
     supervisor = stats.get("supervisor") or {}
     if supervisor:
-        lines.append(
+        lines += [
             f"  deliver {supervisor.get('retries', 0):>6} retries   "
             f"{supervisor.get('hedges', 0):>4} hedges "
             f"({supervisor.get('hedge_wins', 0)} won, "
             f"{supervisor.get('hedge_wasted', 0)} wasted)   "
-            f"{supervisor.get('expired_leases', 0)} leases expired"
-        )
+            f"{supervisor.get('expired_leases', 0)} leases expired",
+            f"  faults  {supervisor.get('worker_failures', 0):>6} worker "
+            f"failures   {supervisor.get('deadline_expired', 0)} deadlines "
+            f"expired   {supervisor.get('inline_units', 0)} inline "
+            "degradations",
+        ]
     fleet = stats.get("fleet") or []
     if fleet:
         lines.append(f"  fleet   {len(fleet)} worker(s)")
@@ -994,6 +952,15 @@ def _render_top(server: str, stats: dict) -> str:
                 f"{worker['in_flight']} in flight, "
                 f"{worker['completed']} done, {worker['failed']} failed"
             )
+    recovered = stats.get("recovered_units", 0)
+    if recovered:
+        lines.append(f"  recovered: {recovered} journaled unit(s) "
+                     "re-dispatched at startup")
+    abandoned = stats.get("abandoned") or []
+    if abandoned:
+        lines.append(f"  ABANDONED: {len(abandoned)} unit(s) dropped by a "
+                     "timed-out drain (journaled): "
+                     + ", ".join(entry["id"] for entry in abandoned))
     return "\n".join(lines)
 
 
@@ -1007,9 +974,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
     try:
         while True:
             try:
-                frame = _render_top(args.server, client.stats())
+                frame = _render_stats(args.server, client.stats())
+                code = 0
             except (OSError, ServerError) as exc:
                 frame = f"repro top — {args.server}: unreachable ({exc})"
+                code = 2  # what `repro status` exits with
             if not args.once:
                 # ANSI clear + home; a rolling log when not a tty.
                 if sys.stdout.isatty():
@@ -1018,7 +987,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
                     print()
             print(frame, flush=True)
             if args.once:
-                return 0
+                return code
             time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0

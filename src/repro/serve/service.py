@@ -11,14 +11,17 @@ shell over it).  One request flows through five stages:
    (``store_hits``); a key already queued or running attaches the
    request to the in-flight job (``dedup_hits``) — duplicate configs
    are computed exactly once however many clients race on them.
-3. **Batch.**  The dispatcher groups queued requests by
+3. **Batch.**  Queued requests are grouped by
    ``(system, backend, options)`` — the compatibility class that can
-   share a warm :class:`repro.api.Session` — and splits each group
+   share a warm :class:`repro.api.Session` — and each group is split
    into dispatch units with the same
    :func:`repro.explore.runner.partition_chunks` the sweep engine uses.
-   It cuts at once while a worker is free; while the whole fleet is
-   busy, requests wait and coalesce until the supervisor signals a
-   free worker, so batch size follows the backlog.
+   The queue is cut when a worker is free: on the submitting thread,
+   or from the supervisor's ``on_idle`` callback once a worker frees
+   up.  While the whole fleet is busy, requests wait and coalesce, so
+   batch size follows the backlog.  A request with a deadline is cut
+   at once as its own unit; the supervisor's timer heap then expires
+   it.  The service runs no thread of its own.
 4. **Compute.**  Units go to the :class:`repro.serve.supervisor.
    Supervisor`, which owns the worker fleet — local forked processes
    and/or remote HTTP workers (``repro worker --connect``) — plus
@@ -27,9 +30,13 @@ shell over it).  One request flows through five stages:
    before dispatch (crash-safe: a killed server re-dispatches pending
    units on restart) and delivered exactly once however many hedged
    attempts race.
-5. **Persist + resolve.**  The service writes each delivered result to
-   the sharded store (grace-window compaction keeps the directory
-   bounded while live), resolves the job, and wakes every waiter.
+5. **Persist + resolve.**  One function finishes every delivered unit,
+   live or recovered from the journal: it writes the results to the
+   sharded store by the unit's journaled ``persist`` spec, *then*
+   appends the journal's ``done`` record — a kill between the two
+   re-dispatches the unit instead of losing its results — and then
+   resolves the attached jobs and wakes every waiter.  Grace-window
+   compaction keeps the store directory bounded while live.
 
 Sweeps ride the same pipeline as batch jobs, and a conformance
 campaign is a sweep (one ``conform`` cell per seed): the service
@@ -37,7 +44,7 @@ expands the spec server-side and plans it with the engine's own
 :func:`repro.explore.engine.plan_cells` — the same cells, store
 lookup and units a local run would produce — and fans the pending
 units out; the client reassembles the report.  Worker processes never
-touch the store — all store I/O stays on the service threads, so the
+touch the store — all store I/O stays in the service process, so the
 multi-writer story stays one writer per process plus shard-local
 segments.
 
@@ -273,17 +280,13 @@ class EvaluationService:
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         #: serve-key -> queued/running eval job (the dedup map).
         self._inflight: Dict[str, Job] = {}
-        #: Eval jobs awaiting batching.
+        #: Eval jobs awaiting batching (none carries a deadline).
         self._eval_queue: deque = deque()
-        #: Earliest deadline among the queued eval jobs: the latest
-        #: instant the dispatcher may hold them back.
-        self._queue_deadline: Optional[float] = None
         #: unit_id -> unit bookkeeping for completion.
         self._units: Dict[str, Dict[str, Any]] = {}
         self._unit_counter = itertools.count()
         self._unit_nonce = uuid.uuid4().hex[:6]
         self._accepting = True
-        self._stop = threading.Event()
         self._started_at = time.monotonic()
         #: Units dropped by a timed-out drain (still journaled).
         self.abandoned: List[Dict[str, str]] = []
@@ -301,8 +304,6 @@ class EvaluationService:
             "unit_compute_s": 0.0,
             "units": 0.0,
         }
-        #: Dispatcher wakeups: a submit, a free worker, stop.
-        self._wake = threading.Condition(self._lock)
         #: Notified whenever a job finishes (``/results`` streams).
         self._finished = threading.Condition(self._lock)
         #: Notified when no work is left (``drain``).
@@ -325,10 +326,6 @@ class EvaluationService:
             # fork unavailable: the fleet degraded to empty (inline).
             self.workers = self._supervisor.local_workers
         self._recover_journal()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatch", daemon=True
-        )
-        self._dispatcher.start()
 
     @property
     def supervisor(self) -> Supervisor:
@@ -371,8 +368,8 @@ class EvaluationService:
         hit).  A request whose key is in flight attaches to the
         existing job and returns that job's id: polling either id
         observes the single shared computation.  ``deadline_s`` bounds
-        the job: the supervisor stops retrying past it and resolves
-        the job as an error.
+        the job: it is cut at once as its own unit, and the supervisor
+        stops retrying past it and resolves the job as an error.
         """
         options = dict(options or {})
         system_h = system_fingerprint(system)
@@ -414,13 +411,11 @@ class EvaluationService:
             }
             if serve_key is not None:
                 self._inflight[serve_key] = job
-            self._eval_queue.append(job)
-            if job.deadline is not None and (
-                self._queue_deadline is None
-                or job.deadline < self._queue_deadline
-            ):
-                self._queue_deadline = job.deadline
-            self._wake.notify()
+            if job.deadline is not None:
+                self._cut_eval_units([job], deadline=job.deadline)
+            else:
+                self._eval_queue.append(job)
+                self._dispatch_pass()
             return self._submit_envelope(
                 job, deduplicated=False, store_hit=False
             )
@@ -493,11 +488,6 @@ class EvaluationService:
         )
         self._obs.link_job(job.id, job.span)
 
-    def _close_job_span(self, job: Job, status: str) -> None:
-        if job.span is not None:
-            _obs_trace.end_span(job.span, status)
-            job.span = None
-
     def _new_job(self, kind: str, key: Optional[str] = None) -> Job:
         job = Job(id=f"r{uuid.uuid4().hex[:12]}", kind=kind, key=key)
         self._jobs[job.id] = job
@@ -555,45 +545,24 @@ class EvaluationService:
             unit_id, kind, payload, deadline=deadline, trace=trace_ctx
         )
 
-    def _dispatch_loop(self) -> None:
-        """Batch queued eval jobs into units for the supervisor.
-
-        Runs until the service stops, one pass per wakeup: a submit,
-        the supervisor's signal that a worker is free, or the earliest
-        queued deadline.  While every worker is busy, racing clients'
-        requests coalesce into fewer, larger units (more warm-session
-        locality per dispatch).
-        """
-        with self._wake:
-            while not self._stop.is_set():
-                self._wake.wait(self._dispatch_pass())
-
-    def _dispatch_pass(self) -> Optional[float]:
-        """Cut the queue into units when a worker can take one now
-        (lock held).  Returns how long the dispatcher may wait before
-        a queued deadline forces the cut (None: until signalled) — the
-        supervisor enforces deadlines only on units it holds."""
-        if not self._eval_queue:
-            return None
-        deadline = self._queue_deadline
-        now = time.monotonic()
-        if (self._supervisor.has_capacity()
-                or (deadline is not None and now >= deadline)):
+    def _dispatch_pass(self) -> None:
+        """Cut the queue into units if a worker is free (lock held)."""
+        if self._eval_queue and self._supervisor.has_capacity():
             batch = list(self._eval_queue)
             self._eval_queue.clear()
-            self._queue_deadline = None
             self._cut_eval_units(batch)
-            return None
-        return None if deadline is None else deadline - now
 
     def _on_fleet_idle(self) -> None:
-        """Supervisor callback: a worker is free for new work."""
-        with self._wake:
+        """Supervisor callback (its scheduler thread, outside its lock):
+        a worker is free for new work."""
+        with self._lock:
             if self._eval_queue:
-                self._wake.notify()
+                self._dispatch_pass()
 
-    def _cut_eval_units(self, batch: List[Job]) -> None:
-        """Group queued eval jobs into dispatch units (lock held)."""
+    def _cut_eval_units(
+        self, batch: List[Job], deadline: Optional[float] = None
+    ) -> None:
+        """Group eval jobs into dispatch units (lock held)."""
         import json as _json
 
         groups: "OrderedDict[str, List[Job]]" = OrderedDict()
@@ -612,9 +581,6 @@ class EvaluationService:
         for jobs in groups.values():
             request = jobs[0].request
             for unit in partition_chunks(jobs, width):
-                deadlines = [
-                    job.deadline for job in unit if job.deadline is not None
-                ]
                 for job in unit:
                     job.status = "running"
                     job.started = time.monotonic()
@@ -637,14 +603,20 @@ class EvaluationService:
                         "mode": "eval",
                         "keys": {job.id: job.key for job in unit},
                     },
-                    deadline=min(deadlines) if deadlines else None,
+                    deadline=deadline,
                     parent=unit[0].span,
                 )
 
     # -- completion ----------------------------------------------------------
 
     def _complete_unit(self, unit_id: str, status: str, result: Any) -> None:
-        """Supervisor delivery callback — exactly once per unit."""
+        """Supervisor delivery callback — exactly once per unit.
+
+        The one completion path of live and recovered units: persist
+        the results, then journal the unit ``done``, then resolve its
+        jobs.  Results stored before ``done`` means a kill between the
+        two re-dispatches the unit on restart instead of losing them.
+        """
         with self._lock:
             meta = self._units.pop(unit_id, None)
             if meta is None:
@@ -654,14 +626,10 @@ class EvaluationService:
                 time.monotonic() - meta["queued_at"]
             )
             _obs_trace.end_span(meta.get("span"), status)
+            persisted = self._persist(meta["persist"], status, result)
             if self.journal is not None:
                 self.journal.record_done(unit_id)
-            if "jobs" in meta:
-                self._complete_eval_unit(meta, status, result)
-            elif "recovery" in meta:
-                self._complete_recovery_unit(meta, status, result)
-            else:
-                self._complete_batch_unit(meta, status, result)
+            self._resolve_jobs(meta, status, result, persisted)
             if not self._units and not self._eval_queue:
                 self._settled.notify_all()
                 # Compact once nothing is pending — never after a drain
@@ -672,80 +640,117 @@ class EvaluationService:
         if self._obs is not None:
             self._obs.flush_local()
 
-    def _complete_eval_unit(
-        self, meta: Dict[str, Any], status: str, result: Any
-    ) -> None:
-        jobs: Dict[str, Job] = meta["jobs"]
-        if status != "ok":
-            for job in jobs.values():
-                self._resolve_eval(job, "error", str(result))
-            return
-        for job_id, item_status, payload in result:
-            job = jobs.get(job_id)
-            if job is not None:
-                self._resolve_eval(job, item_status, payload)
+    def _persist(
+        self, persist: Dict[str, Any], status: str, result: Any
+    ) -> int:
+        """Store a delivered unit's results by its journaled ``persist``
+        spec (lock held); returns how many of its keys the store holds.
 
-    def _resolve_eval(self, job: Job, status: str, payload: Any) -> None:
-        job.finished = time.monotonic()
-        if status == "ok":
-            job.status = "done"
-            job.result = payload
-            self.counters["computed"] += 1
-            if job.key is not None:
-                self.store.put(job.key, payload, kind=RESULT_KIND)
+        ``mode: eval`` puts each ok item under ``keys[job_id]`` (a job
+        without a serve key persists nothing); ``mode: cells`` puts each
+        record under its own key.  A failed unit, or one journaled
+        without a spec, persists nothing.  A failed put is counted by
+        the store (``store_errors``); the result is still reported.
+        """
+        if status != "ok":
+            return 0
+        mode = persist.get("mode")
+        if mode == "eval":
+            keys = persist.get("keys") or {}
+            writes = [
+                (keys.get(job_id), RESULT_KIND, payload)
+                for job_id, item_status, payload in result
+                if item_status == "ok"
+            ]
+        elif mode == "cells":
+            from ..explore.engine import CELL_KIND
+
+            writes = [(record["key"], CELL_KIND, record) for record in result]
         else:
-            job.status = "error"
-            job.error = str(payload)
-            self.counters["errors"] += 1
-        self._close_job_span(job, job.status)
-        if job.key is not None:
-            self._inflight.pop(job.key, None)
-        self._mark_done(job)
+            return 0
+        persisted = 0
+        for key, kind, payload in writes:
+            if key:
+                self.store.put(key, payload, kind=kind)
+                persisted += self.store.contains(key, kind)
+        return persisted
 
-    def _complete_batch_unit(
-        self, meta: Dict[str, Any], status: str, result: Any
+    def _resolve_jobs(
+        self, meta: Dict[str, Any], status: str, result: Any,
+        persisted: int = 0,
     ) -> None:
-        from ..explore.engine import CELL_KIND
+        """Resolve the jobs a unit carries (lock held).
 
-        job: Job = meta["job"]
-        positions: List[int] = meta["positions"]
-        if status != "ok":
-            job.status = "error"
-            job.error = str(result)
-            self.counters["errors"] += 1
-            job.pending_units -= 1
-            job.finished = time.monotonic()
-            self._close_job_span(job, "error")
-            self._mark_done(job)
+        ``status``/``result`` are the unit's delivered outcome, or the
+        error a timed-out drain gives it.  An eval unit resolves one job
+        per item.  A batch unit fills its slots of a sweep job (which
+        fails with its first failed unit) or its one slot of the
+        recovery job (which counts what it persisted); the job ends
+        with its last unit.
+        """
+        if "jobs" in meta:
+            jobs: Dict[str, Job] = meta["jobs"]
+            if status != "ok":
+                result = [(job_id, status, result) for job_id in jobs]
+            for job_id, item_status, payload in result:
+                job = jobs.get(job_id)
+                if job is None:
+                    continue
+                if job.key is not None:
+                    self._inflight.pop(job.key, None)
+                if item_status == "ok":
+                    self.counters["computed"] += 1
+                    job.result = payload
+                    self._end_job(job, "done")
+                else:
+                    self.counters["errors"] += 1
+                    self._end_job(job, "error", payload)
             return
-        for position, record in zip(positions, result):
-            job.slots[position] = record
-            job.computed += 1
-            self.counters["computed"] += 1
-            self.store.put(record["key"], record, kind=CELL_KIND)
+        job = meta["job"]
         job.pending_units -= 1
+        if status != "ok":
+            self.counters["errors"] += 1
+        if "recovery" in meta:
+            job.slots[meta["positions"][0]] = {
+                "mode": meta["persist"].get("mode"),
+                "status": status,
+                "persisted": persisted,
+            }
+            computed = persisted
+        elif status == "ok":
+            for position, record in zip(meta["positions"], result):
+                job.slots[position] = record
+            computed = len(result)
+        else:
+            self._end_job(job, "error", result)
+            return
+        job.computed += computed
+        self.counters["computed"] += computed
         if job.pending_units <= 0 and job.status == "running":
             self._finish_batch(job)
 
     def _finish_batch(self, job: Job) -> None:
-        """Assemble a completed batch job's result (lock held)."""
-        job.status = "done"
+        """End a sweep or recovery job whose units are all in (lock
+        held)."""
+        job.result = {
+            "records": list(job.slots),
+            "store_hits": job.store_hits,
+            "computed": job.computed,
+            "wall_s": time.monotonic() - job.started,
+        }
+        self._end_job(job, "done")
+
+    def _end_job(
+        self, job: Job, status: str, error: Optional[Any] = None
+    ) -> None:
+        """Resolve a job as ``done`` or ``error`` (lock held)."""
+        job.status = status
+        if error is not None:
+            job.error = str(error)
         job.finished = time.monotonic()
-        wall_s = job.finished - (job.started or job.finished)
-        if job.kind == "sweep":
-            job.result = {
-                "records": list(job.slots),
-                "store_hits": job.store_hits,
-                "computed": job.computed,
-                "wall_s": wall_s,
-            }
-        else:  # recovery
-            job.result = {
-                "recovered": list(job.slots),
-                "computed": job.computed,
-                "wall_s": wall_s,
-            }
-        self._close_job_span(job, "done")
+        if job.span is not None:
+            _obs_trace.end_span(job.span, status)
+            job.span = None
         self._mark_done(job)
 
     def _mark_done(self, job: Job) -> None:
@@ -784,60 +789,23 @@ class EvaluationService:
             self.journal.reset()
             for i, entry in enumerate(entries):
                 kind = entry.get("kind", "eval")
+                meta = {"job": job, "positions": [i], "recovery": True}
                 if kind not in UNIT_KINDS:
-                    self.counters["errors"] += 1
-                    job.slots[i] = {
-                        "mode": kind, "status": "error", "persisted": 0,
-                    }
-                    job.pending_units -= 1
+                    self._resolve_jobs(
+                        dict(meta, persist={"mode": kind}), "error",
+                        f"unit kind {kind!r} is no longer run",
+                    )
                     continue
                 self._enqueue_unit(
                     kind,
                     entry.get("payload"),
-                    meta={"job": job, "positions": [i], "recovery": True},
+                    meta=meta,
                     persist=entry.get("persist") or {},
                     # A recovered unit resumes the trace it was
                     # enqueued under before the crash.
                     parent=entry.get("trace"),
                 )
             self.recovered_units = len(entries)
-            if job.pending_units <= 0:
-                self._finish_batch(job)
-
-    def _complete_recovery_unit(
-        self, meta: Dict[str, Any], status: str, result: Any
-    ) -> None:
-        """Persist a recovered unit's results by their journaled keys."""
-        from ..explore.engine import CELL_KIND
-
-        job: Job = meta["job"]
-        position = meta["positions"][0]
-        persist = meta["persist"]
-        mode = persist.get("mode")
-        persisted = 0
-        # A key the store already held counts as persisted.
-        if status == "ok":
-            if mode == "cells":
-                for record in result:
-                    self.store.put(record["key"], record, kind=CELL_KIND)
-                    persisted += self.store.contains(record["key"], CELL_KIND)
-            elif mode == "eval":
-                keys = persist.get("keys") or {}
-                for job_id, item_status, payload in result:
-                    key = keys.get(job_id)
-                    if item_status == "ok" and key:
-                        self.store.put(key, payload, kind=RESULT_KIND)
-                        persisted += self.store.contains(key, RESULT_KIND)
-            job.computed += persisted
-            self.counters["computed"] += persisted
-        else:
-            self.counters["errors"] += 1
-        job.slots[position] = {
-            "mode": mode, "status": status, "persisted": persisted,
-        }
-        job.pending_units -= 1
-        if job.pending_units <= 0 and job.status == "running":
-            self._finish_batch(job)
 
     # -- observation ---------------------------------------------------------
 
@@ -1015,12 +983,8 @@ class EvaluationService:
             )
         if not clean:
             self._abandon_remaining()
-        self._stop.set()
-        with self._wake:
-            self._wake.notify_all()
         self._supervisor.retire_workers()
         fleet_clean = self._supervisor.stop()
-        self._dispatcher.join(timeout=5)
         if self._obs is not None:
             self._obs.flush_local()
         if self.journal is not None:
@@ -1039,27 +1003,16 @@ class EvaluationService:
             if batch:
                 self._cut_eval_units(batch)
         dropped = self._supervisor.abandon_pending()
+        message = (
+            "abandoned at drain timeout (journaled; a restarted server "
+            "re-dispatches it)"
+        )
         with self._lock:
             for entry in dropped:
+                self.abandoned.append({"id": entry["id"], "kind": entry["kind"]})
                 meta = self._units.pop(entry["id"], None)
-                record = {"id": entry["id"], "kind": entry["kind"]}
-                self.abandoned.append(record)
-                if meta is None:
-                    continue
-                message = (
-                    "abandoned at drain timeout (journaled; a restarted "
-                    "server re-dispatches it)"
-                )
-                if "jobs" in meta:
-                    for job in meta["jobs"].values():
-                        self._resolve_eval(job, "error", message)
-                else:
-                    job = meta["job"]
-                    if not job.done.is_set():
-                        job.status = "error"
-                        job.error = message
-                        job.finished = time.monotonic()
-                        self._mark_done(job)
+                if meta is not None:
+                    self._resolve_jobs(meta, "error", message)
 
     def close(self) -> None:
         """Hard stop (tests): no drain wait, work abandoned visibly."""

@@ -257,7 +257,7 @@ class Supervisor:
     unit (never under the supervisor lock), with the first terminal
     outcome.  ``on_idle()``, when given, is invoked (also outside the
     lock) after every scheduling pass that leaves a worker free for new
-    work — the service's dispatcher cuts its next batch on it.
+    work — the service cuts its queued evaluations into units on it.
     ``local_workers`` forks the local fleet; remote workers join and
     leave at runtime through the ``/worker/*`` endpoints
     (:meth:`register_worker` / :meth:`poll` / :meth:`heartbeat` /

@@ -106,13 +106,20 @@ def _run_eval_unit(
     Results are exactly what a direct session produces
     (``RunResult.to_dict()``) — the bit-identity contract of the
     service's end-to-end test.  Per-item failures become per-item error
-    entries; the rest of the unit still completes.
+    entries; the rest of the unit still completes.  A system that does
+    not parse fails every item alike: it would fail the same way on
+    any worker, so the unit is not retried.
     """
     from ..io.serialize import config_from_dict, run_result_to_dict
 
-    session = _session_for(
-        sessions, payload["system_hash"], payload["system"]
-    )
+    try:
+        session = _session_for(
+            sessions, payload["system_hash"], payload["system"]
+        )
+    except (ReproError, LookupError, TypeError, ValueError,
+            AttributeError) as exc:
+        error = f"malformed system: {type(exc).__name__}: {exc}"
+        return [(job_id, "error", error) for job_id, _ in payload["items"]]
     out: List[Tuple[str, str, Any]] = []
     for job_id, config_dict in payload["items"]:
         try:

@@ -4,6 +4,10 @@ Three layers:
 
 * :class:`TestProtocol` / :class:`TestServiceInline` — addressing and
   the service engine itself (``workers=0``: deterministic, no fork).
+* :class:`TestServiceCore` — the core's shape: no thread of its own,
+  results stored before the journal marks a unit done, a recovered
+  eval unit persisted under its serve key, and a malformed system
+  answered once instead of retried.
 * :class:`TestServiceHTTP` — a real in-process daemon (HTTP listener +
   forked worker pool) driven by **two concurrent clients submitting
   overlapping requests**: every result is bit-identical to a direct
@@ -17,6 +21,7 @@ Three layers:
 
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -48,6 +53,7 @@ from repro.serve import (
     serve,
     system_fingerprint,
 )
+from repro.serve.protocol import RESULT_KIND
 from repro.store import ResultStore, content_key
 from repro.synth.workload import WorkloadSpec, generate_workload
 
@@ -300,6 +306,133 @@ class TestServiceInline:
             )
 
 
+class TestServiceCore:
+    def test_service_starts_no_thread_of_its_own(self, tmp_path):
+        """Only the supervisor's scheduler runs: the service cuts its
+        queue on the submitting thread or in the ``on_idle`` callback."""
+        before = set(threading.enumerate())
+        service = EvaluationService(tmp_path / "store", workers=0)
+        try:
+            started = {
+                thread.name for thread in threading.enumerate()
+                if thread not in before
+            }
+            assert started == {"serve-supervise"}
+        finally:
+            service.close()
+
+    def test_results_are_stored_before_the_unit_is_done(self, tmp_path):
+        """A kill between the journal's ``done`` and the store write
+        would lose the result: every key is stored first."""
+        from repro.explore.engine import CELL_KIND
+
+        service = EvaluationService(tmp_path / "store", workers=0)
+        journal = service.journal
+        units, stored_at_done = {}, {}
+        record_unit, record_done = journal.record_unit, journal.record_done
+
+        def spying_record_unit(unit_id, kind, payload, persist, **kw):
+            units[unit_id] = (payload, persist)
+            record_unit(unit_id, kind, payload, persist, **kw)
+
+        def checking_record_done(unit_id):
+            payload, persist = units[unit_id]
+            if persist["mode"] == "eval":
+                wanted = [(k, RESULT_KIND) for k in persist["keys"].values()]
+            else:
+                wanted = [(cell["key"], CELL_KIND) for cell in payload]
+            stored_at_done[unit_id] = all(
+                service.store.contains(k, kind) for k, kind in wanted
+            )
+            record_done(unit_id)
+
+        journal.record_unit = spying_record_unit
+        journal.record_done = checking_record_done
+        try:
+            system = _system()
+            single = service.submit_evaluation(
+                system_to_dict(system),
+                config_to_dict(_configs(system, 1)[0]),
+            )
+            spec = SweepSpec(
+                name="persist-first",
+                workload={"nodes": 2, "processes_per_node": 4,
+                          "seed": [0, 1]},
+                methods=("analysis",),
+            )
+            sweep = service.submit_sweep(spec.to_dict())
+            assert service.wait(single["id"], timeout=60).status == "done"
+            assert service.wait(sweep["id"], timeout=60).status == "done"
+            assert sorted(stored_at_done) == sorted(units)
+            assert len(units) >= 2
+            assert all(stored_at_done.values()), stored_at_done
+        finally:
+            service.close()
+
+    def test_recovered_eval_unit_lands_under_its_serve_key(self, tmp_path):
+        """An evaluation abandoned by a timed-out drain is re-run by
+        the next service on the store and persisted under the request's
+        serve key, so resubmitting it is a store hit."""
+        store_dir = tmp_path / "store"
+        system = _system()
+        sd = system_to_dict(system)
+        config = _configs(system, 1)[0]
+        cd = config_to_dict(config)
+        _, serve_key = evaluation_key(
+            system_fingerprint(sd), "analysis", {}, cd
+        )
+        first = EvaluationService(store_dir, workers=0)
+        # A registered remote worker that never polls holds the unit,
+        # so the drain below always finds it pending.
+        first.supervisor.register_worker(label="silent")
+        submitted = first.submit_evaluation(sd, cd)
+        assert not first.drain(timeout=0.0)
+        job = first.job(submitted["id"])
+        assert job.status == "error" and "abandoned" in job.error
+
+        second = EvaluationService(store_dir, workers=0)
+        try:
+            assert second.recovered_units == 1
+            (recovery,) = [
+                job for job in second._jobs.values()
+                if job.kind == "recovery"
+            ]
+            assert recovery.done.wait(60)
+            assert recovery.slots == [
+                {"mode": "eval", "status": "ok", "persisted": 1}
+            ]
+            assert second.store.get(serve_key, kind=RESULT_KIND) == (
+                run_result_to_dict(Session(system).evaluate(config))
+            )
+            again = second.submit_evaluation(sd, cd)
+            assert again["store_hit"] and again["status"] == "done"
+            assert second.counters["computed"] == 1
+        finally:
+            assert second.drain(timeout=30)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_malformed_system_is_answered_once(self, tmp_path):
+        """A system that does not parse fails the same way on every
+        worker: each item errors, and the unit is not retried."""
+        service = EvaluationService(tmp_path / "store", workers=2)
+        try:
+            system = _system()
+            sd = system_to_dict(system)
+            del sd["application"]
+            submitted = service.submit_evaluation(
+                sd, config_to_dict(_configs(system, 1)[0])
+            )
+            job = service.wait(submitted["id"], timeout=60)
+            assert job.status == "error"
+            assert "malformed system" in job.error
+            assert "application" in job.error
+            counters = service.supervisor.counters
+            assert counters["dispatched"] == 1
+            assert counters["retries"] == 0
+        finally:
+            assert service.drain(timeout=30)
+
+
 @pytest.fixture()
 def http_server(tmp_path):
     """A real daemon: HTTP listener + forked 2-worker pool."""
@@ -394,6 +527,41 @@ class TestServiceHTTP:
         assert stats["workers"] == 2
         assert "evals_per_s" in stats and "queue_depth" in stats
         assert stats["store"]["shards"] >= 1
+
+    def test_status_and_top_render_the_same_stats(
+        self, http_server, capsys
+    ):
+        """``repro status --server`` and ``repro top --once`` print one
+        frame of the same ``/stats`` payload."""
+        from repro.cli import main as cli_main
+
+        service, url, thread = http_server
+        system = _system()
+        client = ServeClient(url, timeout=60)
+        submitted = [
+            client.evaluate(system_to_dict(system), config_to_dict(c))
+            for c in _configs(system, 2)
+        ]
+        list(client.results([s["id"] for s in submitted]))
+        frames = []
+        for argv in (["status"], ["top", "--once"]):
+            assert cli_main([*argv, "--server", url]) == 0
+            frames.append(capsys.readouterr().out)
+        assert "2 submitted" in frames[0]
+        assert "store" in frames[0] and "worker failures" in frames[0]
+        # Uptime, throughput and timing averages move between calls.
+        timed = re.compile(r"[\d.]+ (s|evals/s)\b")
+        assert timed.sub("#", frames[0]) == timed.sub("#", frames[1])
+
+    def test_status_and_top_fail_alike_when_unreachable(self, capsys):
+        from repro.cli import main as cli_main
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+        for argv in (["status"], ["top", "--once"]):
+            assert cli_main([*argv, "--server", url, "--timeout", "1"]) == 2
+        assert "unreachable" in capsys.readouterr().out
 
     def test_results_stream_in_completion_order(self, http_server):
         """``/results`` yields each job when it finishes: a finished job

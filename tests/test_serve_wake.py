@@ -2,8 +2,10 @@
 
 The supervisor runs a scheduling pass only when signalled (submit,
 result, worker registration or loss, abandon, stop) or when its
-earliest pending timer falls due, and the service's dispatcher cuts a
-batch only when a worker is free.  These tests pin that policy down:
+earliest pending timer falls due.  The service has no thread of its
+own: it cuts its queue into a batch only when a worker is free, on the
+submitting thread or in the supervisor's ``on_idle`` callback.  These
+tests pin that policy down:
 
 * :class:`TestNextWake` — the next-wake computation on hand-built
   supervisor states: the earliest of lease expiry, hedge threshold,
