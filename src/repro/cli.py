@@ -112,7 +112,7 @@ from typing import Optional, Sequence
 
 from .api import Session
 from .exceptions import ReproError
-from .io.report import schedulability_report, timing_report
+from .io.report import schedulability_report, timing_rows_report
 from .io.serialize import (
     config_from_dict,
     config_to_dict,
@@ -399,14 +399,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             _print_session_stats(session)
         return 1
     if args.timing:
-        if run.analysis is not None:
-            print(timing_report(session.system, run.analysis.rho))
-        else:
-            # Store-served results carry no rich ResponseTimes payload;
-            # the flattened timing rows hold the same numbers.
-            from .io.report import timing_rows_report
-
-            print(timing_rows_report(run.timing))
+        print(timing_rows_report(run.timing))
         print()
     print(schedulability_report(session.system, run.report, run.buffers))
     if validation is not None:
@@ -736,7 +729,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store,
         workers=args.workers,
         max_pending=args.max_pending,
-        journal=not args.no_journal,
         supervisor=policy,
     )
     if service.recovered_units:
@@ -1344,11 +1336,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--unit-retries", type=int, default=None,
         help="worker failures tolerated per unit before it resolves "
              "as an error (default 3)",
-    )
-    srv.add_argument(
-        "--no-journal", action="store_true",
-        help="disable the crash-safe pending-unit journal (a killed "
-             "server then loses in-flight work)",
     )
     srv.add_argument(
         "--drain-timeout", type=float, default=None, metavar="SECONDS",

@@ -13,6 +13,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from ..analysis.buffers import BufferReport
 from ..analysis.degree import SchedulabilityReport
 from ..analysis.timing import ResponseTimes
+from ..api.result import timing_table
 from ..system import System
 
 __all__ = [
@@ -45,42 +46,18 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def timing_report(system: System, rho: ResponseTimes, limit: Optional[int] = None) -> str:
+def timing_report(system: System, rho: ResponseTimes) -> str:
     """Per-activity timing table (like the values of Fig. 4a)."""
-    rows: List[Tuple[object, ...]] = []
-    for name in sorted(rho.processes):
-        t = rho.processes[name]
-        rows.append(
-            ("process", name, _fmt(t.offset), _fmt(t.jitter), _fmt(t.queuing),
-             _fmt(t.duration), _fmt(t.response))
-        )
-    for name in sorted(rho.can):
-        t = rho.can[name]
-        rows.append(
-            ("can msg", name, _fmt(t.offset), _fmt(t.jitter), _fmt(t.queuing),
-             _fmt(t.duration), _fmt(t.response))
-        )
-    for name in sorted(rho.ttp):
-        t = rho.ttp[name]
-        rows.append(
-            ("ttp leg", name, _fmt(t.offset), _fmt(t.jitter), _fmt(t.queuing),
-             _fmt(t.duration), _fmt(t.response))
-        )
-    if limit is not None:
-        rows = rows[:limit]
-    return format_table(
-        ["kind", "name", "O", "J", "w", "C", "r"], rows
-    )
+    return timing_rows_report(timing_table(rho))
 
 
 def timing_rows_report(timing: dict) -> str:
     """Per-activity timing table from flattened ``RunResult.timing`` rows.
 
-    The serialized twin of :func:`timing_report`: store-served or
-    JSON-round-tripped results carry no rich ``ResponseTimes`` payload,
-    but their ``timing`` rows hold the same numbers — rendered here in
-    the identical column layout (``None`` values, the serialization of
-    diverged/infinite entries, print as ``inf``).
+    The one timing renderer: :func:`timing_report` flattens a rich
+    ``ResponseTimes`` into these rows first, and store-served or
+    JSON-round-tripped results carry only the rows.  ``None`` values,
+    the serialization of diverged/infinite entries, print as ``inf``.
     """
     kind_labels = {"process": "process", "can": "can msg", "ttp": "ttp leg"}
 

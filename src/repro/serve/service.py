@@ -252,9 +252,6 @@ class EvaluationService:
     max_pending:
         Bound on queued evaluations + in-flight dispatch units; beyond
         it submissions raise :class:`ServiceOverloaded` (HTTP 429).
-    journal:
-        Keep the crash-safe pending-unit journal (default on).  A
-        restarted service re-dispatches journaled in-flight units.
     supervisor:
         Liveness/delivery policy (:class:`SupervisorConfig`); defaults
         are production-shaped, tests shrink the timers.
@@ -265,7 +262,6 @@ class EvaluationService:
         store: Union[str, Path, ResultStore],
         workers: int = 2,
         max_pending: int = 1024,
-        journal: bool = True,
         supervisor: Optional[SupervisorConfig] = None,
     ) -> None:
         if isinstance(store, (str, Path)):
@@ -308,10 +304,7 @@ class EvaluationService:
         self._finished = threading.Condition(self._lock)
         #: Notified when no work is left (``drain``).
         self._settled = threading.Condition(self._lock)
-        self.journal: Optional[UnitJournal] = (
-            UnitJournal(Path(self.store.root) / _JOURNAL_NAME)
-            if journal else None
-        )
+        self.journal = UnitJournal(Path(self.store.root) / _JOURNAL_NAME)
         self._obs: Optional[_ServiceObs] = (
             _ServiceObs(self.store.root) if _obs_state.enabled else None
         )
@@ -519,12 +512,16 @@ class EvaluationService:
         persist: Optional[Dict[str, Any]] = None,
         deadline: Optional[float] = None,
         parent: Any = None,
+        journaled_id: Optional[str] = None,
     ) -> None:
         """Register, journal and hand a unit to the supervisor
         (lock held).  ``parent`` (a span or a context dict) roots the
         unit's "serve.unit" span; its context rides in the journal so a
-        crash-recovered unit keeps its trace."""
-        unit_id = f"u{self._unit_nonce}-{next(self._unit_counter)}"
+        crash-recovered unit keeps its trace.  A recovered unit keeps
+        its ``journaled_id`` and is not journaled again."""
+        unit_id = journaled_id or (
+            f"u{self._unit_nonce}-{next(self._unit_counter)}"
+        )
         meta = dict(meta)
         meta["kind"] = kind
         meta["persist"] = persist or {}
@@ -537,7 +534,7 @@ class EvaluationService:
             meta["span"] = unit_span
             trace_ctx = _obs_trace.context_of(unit_span)
         self._units[unit_id] = meta
-        if self.journal is not None:
+        if journaled_id is None:
             self.journal.record_unit(
                 unit_id, kind, payload, persist, trace=trace_ctx
             )
@@ -627,15 +624,14 @@ class EvaluationService:
             )
             _obs_trace.end_span(meta.get("span"), status)
             persisted = self._persist(meta["persist"], status, result)
-            if self.journal is not None:
-                self.journal.record_done(unit_id)
+            self.journal.record_done(unit_id)
             self._resolve_jobs(meta, status, result, persisted)
             if not self._units and not self._eval_queue:
                 self._settled.notify_all()
                 # Compact once nothing is pending — never after a drain
                 # abandoned units, which must stay journaled for a
                 # restart.
-                if self.journal is not None and not self.abandoned:
+                if not self.abandoned:
                     self.journal.reset()
         if self._obs is not None:
             self._obs.flush_local()
@@ -763,17 +759,17 @@ class EvaluationService:
     def _recover_journal(self) -> None:
         """Re-dispatch units a killed predecessor left in flight.
 
-        Pending journal entries are re-homed onto fresh unit ids under
-        a ``recovery`` job; each completed unit's results are persisted
-        to the store by the keys recorded at original enqueue time —
-        the attached clients are gone (their connections died with the
-        old process), but the *work* is not: a client that resubmits
-        hits the store.  A unit of a kind this version no longer runs
-        (a ``seeds`` unit journaled before campaigns became sweeps)
-        resolves at once as a counted error.
+        Pending journal entries are re-dispatched under their journaled
+        ids, as units of a ``recovery`` job, so recovery writes nothing
+        to the journal before their ``done`` and a kill during it loses
+        nothing.  Each completed unit's results are persisted to the
+        store by the keys recorded at original enqueue time — the
+        attached clients are gone (their connections died with the old
+        process), but the *work* is not: a client that resubmits hits
+        the store.  A unit of a kind this version no longer runs (a
+        ``seeds`` unit journaled before campaigns became sweeps)
+        resolves at once as a counted error and is journaled ``done``.
         """
-        if self.journal is None:
-            return
         entries = self.journal.pending()
         if not entries:
             return
@@ -784,9 +780,6 @@ class EvaluationService:
             job.started = time.monotonic()
             job.status = "running"
             job.pending_units = len(entries)
-            # Re-home onto fresh ids first (reset drops the old ones),
-            # so a crash *during* recovery still re-dispatches.
-            self.journal.reset()
             for i, entry in enumerate(entries):
                 kind = entry.get("kind", "eval")
                 meta = {"job": job, "positions": [i], "recovery": True}
@@ -795,6 +788,7 @@ class EvaluationService:
                         dict(meta, persist={"mode": kind}), "error",
                         f"unit kind {kind!r} is no longer run",
                     )
+                    self.journal.record_done(entry["id"])
                     continue
                 self._enqueue_unit(
                     kind,
@@ -804,6 +798,7 @@ class EvaluationService:
                     # A recovered unit resumes the trace it was
                     # enqueued under before the crash.
                     parent=entry.get("trace"),
+                    journaled_id=entry["id"],
                 )
             self.recovered_units = len(entries)
 
@@ -987,8 +982,7 @@ class EvaluationService:
         fleet_clean = self._supervisor.stop()
         if self._obs is not None:
             self._obs.flush_local()
-        if self.journal is not None:
-            self.journal.close()
+        self.journal.close()
         self.store.close()
         return clean and fleet_clean
 

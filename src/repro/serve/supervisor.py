@@ -7,10 +7,11 @@ guarantees **at-least-once dispatch with exactly-once delivery**:
 
 * **Leases.**  Every dispatched attempt carries a deadline.  Local
   attempts are backed by process liveness (a SIGKILLed worker is
-  detected the moment its process sentinel fires); remote attempts are
-  kept alive by heartbeats (``POST /worker/heartbeat`` while the worker
-  computes) — a worker that stops beating past its lease (killed,
-  partitioned, or SIGSTOPped) forfeits the unit.
+  detected the moment its process sentinel fires, after any reply it
+  sent first is delivered); remote attempts are kept alive by
+  heartbeats (``POST /worker/heartbeat`` while the worker computes) —
+  a worker that stops beating past its lease (killed, partitioned, or
+  SIGSTOPped) forfeits the unit.
 * **Retries.**  A failed or expired attempt re-dispatches with bounded
   exponential backoff, preferring a worker that has not yet touched the
   unit.  A unit that keeps failing resolves as an error after
@@ -31,8 +32,10 @@ guarantees **at-least-once dispatch with exactly-once delivery**:
   thread: a fleet is an optimization, never a requirement.
 * **Signalled scheduling.**  The scheduler runs a pass only when
   something happened: a submit, an attempt result, a worker
-  registering, ``abandon_pending``, ``stop``, a local worker's process
-  exiting, or the earliest pending timer falling due.  Job deadlines and
+  registering, ``abandon_pending``, ``stop``, a local worker's reply
+  or process exit, or the earliest pending timer falling due.  It is
+  the only thread that talks to the local fleet: it sends every task
+  down a worker's private pipe and reads every reply.  Job deadlines and
   retry backoffs sit in a timer heap; leases, hedge thresholds and
   remote-worker timeouts belong to the in-flight attempts and the
   fleet, which are bounded by the fleet size, so each pass recomputes
@@ -86,9 +89,9 @@ class UnitJournal:
     torn line, exactly like the result store's segments.
 
     :meth:`pending` replays the file into the not-yet-delivered unit
-    set; :meth:`reset` rewrites the file with just the given units
-    (compaction — called when the pending set is empty or after a
-    recovery replay re-homed old entries onto new ids).
+    set; :meth:`reset` compacts the file to its header once the pending
+    set is empty.  A restart re-dispatches pending units under their
+    journaled ids, so recovery itself never rewrites the file.
     """
 
     def __init__(self, path) -> None:
@@ -152,15 +155,13 @@ class UnitJournal:
                 return []
             return list(units.values())
 
-    def reset(self, units: Optional[List[Dict[str, Any]]] = None) -> None:
-        """Rewrite the journal to exactly ``units`` (default: empty)."""
+    def reset(self) -> None:
+        """Rewrite the journal to its header (nothing pending)."""
         with self._lock:
             self._handle.close()
             tmp = self.path.with_suffix(".tmp")
             with open(tmp, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps({"format": JOURNAL_FORMAT}) + "\n")
-                for record in units or []:
-                    handle.write(json.dumps(record, default=str) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, self.path)
@@ -321,17 +322,11 @@ class Supervisor:
                 id=worker_id, transport="local"
             )
         self._inline_sessions: OrderedDict = OrderedDict()
-        # Self-pipe the scheduler waits on beside the workers' process
-        # sentinels; every signal writes one byte (see _signal).
+        # Self-pipe the scheduler waits on beside the local workers'
+        # pipes and sentinels; every signal writes one byte (_signal).
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         self._signalled = False
-        self._pump = None
-        if self._fleet.result_q is not None:
-            self._pump = threading.Thread(
-                target=self._pump_loop, name="serve-pump", daemon=True
-            )
-            self._pump.start()
         self._scheduler = threading.Thread(
             target=self._schedule_loop, name="serve-supervise", daemon=True
         )
@@ -422,9 +417,6 @@ class Supervisor:
         # worker for a dead one and respawn it.
         self._scheduler.join(timeout=5)
         clean = self._fleet.shutdown(timeout=timeout)
-        if self._pump is not None:
-            self._fleet.result_q.put(None)  # the pump's stop sentinel
-            self._pump.join(timeout=5)
         with self._lock:
             if self._wake_w is not None and not self._scheduler.is_alive():
                 os.close(self._wake_r)
@@ -544,21 +536,6 @@ class Supervisor:
         return {"accepted": accepted}
 
     # -- internals -----------------------------------------------------------
-
-    def _pump_loop(self) -> None:
-        """Drain the local fleet's shared result queue."""
-        while True:
-            try:
-                item = self._fleet.result_q.get()
-            except (OSError, EOFError, ValueError):
-                break
-            if item is None:  # stop() enqueues it
-                break
-            worker_id, unit_id, status, result = item[:4]
-            obs_blob = item[4] if len(item) > 4 else None
-            self._on_attempt_result(
-                worker_id, unit_id, status, result, obs_blob=obs_blob
-            )
 
     def _on_attempt_result(
         self, worker_id: str, unit_id: str, status: str, result: Any,
@@ -721,11 +698,11 @@ class Supervisor:
         timeout: Optional[float] = 0.0
         while not self._stop.is_set():
             if timeout is None or timeout > 0:
-                with self._lock:
-                    sentinels = self._fleet.sentinels()
-                # A dead local worker's sentinel wakes the scheduler
+                # A local worker's reply or exit wakes the scheduler
                 # like a signal does.
-                _wait_ready([self._wake_r, *sentinels], timeout)
+                _wait_ready(
+                    [self._wake_r, *self._fleet.waitables()], timeout
+                )
             if self._stop.is_set():
                 break
             timeout = self._schedule_pass()
@@ -734,12 +711,19 @@ class Supervisor:
         """One scheduling pass; returns how long the scheduler may
         sleep before the next timer falls due (None: until signalled)."""
         deliveries: List = []
+        # Liveness before replies: whatever a worker sent before it
+        # exited is in its pipe by now, so it is delivered, not retried.
+        with self._lock:
+            exited = [w for w in self._fleet.worker_ids()
+                      if not self._fleet.alive(w)]
+        for worker_id, reply in self._fleet.replies():
+            self._on_attempt_result(worker_id, *reply)
         with self._lock:
             if self._signalled:
                 os.read(self._wake_r, 1)
                 self._signalled = False
             now = time.monotonic()
-            self._check_workers(now)
+            self._check_workers(now, exited)
             self._fire_timers(now, deliveries)
             self._check_leases(now)
             inline_unit = self._assign_queued(now)
@@ -799,13 +783,13 @@ class Supervisor:
                         )
         return min(wake, default=None)
 
-    def _check_workers(self, now: float) -> None:
-        """Detect dead local workers and silent remote ones."""
+    def _check_workers(self, now: float, exited: List[str]) -> None:
+        """Lose the ``exited`` local workers and silent remote ones."""
         for worker in list(self._workers.values()):
             if worker.lost:
                 continue
             if worker.transport == "local":
-                if not self._fleet.alive(worker.id):
+                if worker.id in exited:
                     self._lose_worker(worker, "process died")
             else:
                 if now - worker.last_seen > self.config.worker_timeout_s:

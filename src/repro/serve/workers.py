@@ -11,9 +11,10 @@ execute:
 * **Inline** — :func:`run_unit` called directly on a service thread
   (the degraded mode when the fleet is empty, and the recovery path).
 * **Local fork** — :class:`LocalFleet`: persistent forked worker
-  processes, each with a *private* task queue (so the supervisor knows
-  exactly which worker holds which unit — the property lease tracking
-  and re-dispatch need) and a shared result queue.
+  processes, each with one *private* duplex pipe for its tasks and
+  replies (so the supervisor knows exactly which worker holds which
+  unit — the property lease tracking and re-dispatch need), which the
+  supervisor's scheduler thread alone sends on and reads.
 * **Remote HTTP** — :func:`run_worker`: the client loop behind
   ``repro worker --connect URL``.  A remote worker registers with the
   server (``POST /worker/register``), long-polls for units
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import queue
 import threading
 import warnings
 from collections import OrderedDict
@@ -64,8 +64,8 @@ SESSION_CACHE_LIMIT = 4
 #: crash-on-startup cannot fork-bomb the host.
 RESPAWN_LIMIT = 16
 
-#: Seconds an idle local worker blocks on its task queue before it
-#: checks whether its parent is still alive.
+#: Seconds an idle local worker waits on its pipe before it checks
+#: whether its parent is still alive.
 PARENT_POLL_S = 1.0
 
 
@@ -151,20 +151,23 @@ def _run_call_unit(payload: bytes) -> bytes:
 # -- local fork transport ----------------------------------------------------
 
 
-def _worker_main(worker_id: str, task_q, result_q, parent: int) -> None:
+def _worker_main(worker_id: str, conn, parent: int, inherited) -> None:
     """Forked worker loop: evaluate dispatch units until poisoned.
 
-    Terminal signals are ignored — draining is the service's business,
-    and a worker dying mid-unit would break the pool and lose the unit.
-    A unit that raises reports an error result instead of killing the
-    worker, so one bad request cannot take the pool down.  The worker
-    also exits once its parent ``parent`` is gone (checked every
-    :data:`PARENT_POLL_S` while idle): the fork holds both ends of its
-    task pipe, so a SIGKILLed parent would otherwise leave it blocked
-    on the queue forever.
+    Tasks arrive on the worker's private pipe ``conn`` and replies go
+    back on it.  Terminal signals are ignored — draining is the
+    service's business, and a worker dying mid-unit would break the
+    pool and lose the unit.  A unit that raises reports an error result
+    instead of killing the worker, so one bad request cannot take the
+    pool down.  The worker exits once its parent ``parent`` is gone:
+    its pipe reads as end-of-file (the fork closes the ``inherited``
+    ends of its siblings' pipes), and an idle worker checks the parent
+    every :data:`PARENT_POLL_S` as well.
     """
     import signal
 
+    for sibling in inherited:
+        sibling.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     # Forked address space inherits the parent's obs buffers; clear them
@@ -173,41 +176,36 @@ def _worker_main(worker_id: str, task_q, result_q, parent: int) -> None:
     sessions: OrderedDict[str, Any] = OrderedDict()
     while True:
         try:
-            task = task_q.get(timeout=PARENT_POLL_S)
-        except queue.Empty:
-            if os.getppid() != parent:
-                break
-            continue
-        if task is None:
-            break
-        unit_id, kind, payload = task[:3]
-        trace = task[3] if len(task) > 3 else None
-        try:
-            with _obs_trace.span(
-                "worker.compute", parent=trace,
-                worker=worker_id, unit=unit_id,
-            ):
-                result = run_unit(sessions, kind, payload)
-            result_q.put(
-                (worker_id, unit_id, "ok", result, snapshot_blob())
-            )
-        except BaseException as exc:  # noqa: BLE001 - worker must survive
-            result_q.put(
-                (worker_id, unit_id, "error",
-                 f"{type(exc).__name__}: {exc}", snapshot_blob())
-            )
+            if not conn.poll(PARENT_POLL_S):
+                if os.getppid() != parent:
+                    return
+                continue
+            task = conn.recv()
+            if task is None:
+                return
+            unit_id, kind, payload, trace = task
+            try:
+                with _obs_trace.span(
+                    "worker.compute", parent=trace,
+                    worker=worker_id, unit=unit_id,
+                ):
+                    reply = (unit_id, "ok", run_unit(sessions, kind, payload))
+            except BaseException as exc:  # noqa: BLE001 - worker must survive
+                reply = (unit_id, "error", f"{type(exc).__name__}: {exc}")
+            conn.send(reply + (snapshot_blob(),))
+        except (EOFError, OSError):
+            return
 
 
 class LocalFleet:
-    """Forked worker processes with per-worker task queues.
+    """Forked worker processes, each with one private duplex pipe.
 
-    Unlike a shared task queue, a private queue per worker lets the
-    supervisor attribute every in-flight unit to one process — when
-    that process dies (SIGKILL, OOM) its units are known-lost and can
-    be re-dispatched immediately, and a wedged process (SIGSTOP — the
-    limplock case) can be hedged around without disturbing the rest of
-    the pool.  Results come back on one shared queue tagged with the
-    worker id.
+    A private pipe per worker lets the supervisor attribute every
+    in-flight unit to one process — when that process dies (SIGKILL,
+    OOM) its units are known-lost and can be re-dispatched immediately,
+    and a wedged process (SIGSTOP — the limplock case) can be hedged
+    around without disturbing the rest of the pool.  Nothing is shared
+    between workers: one killed mid-reply tears only its own pipe.
 
     ``size=0`` yields an empty fleet; the supervisor degrades to
     inline execution.  So does a platform without ``fork``, with a
@@ -216,9 +214,8 @@ class LocalFleet:
 
     def __init__(self, size: int) -> None:
         self._ctx = None
-        self.result_q = None
         self._procs: Dict[str, Any] = {}
-        self._queues: Dict[str, Any] = {}
+        self._conns: Dict[str, Any] = {}
         self._counter = 0
         self._respawns = 0
         if size <= 0:
@@ -227,7 +224,6 @@ class LocalFleet:
 
         try:
             self._ctx = multiprocessing.get_context("fork")
-            self.result_q = self._ctx.Queue()
             for _ in range(size):
                 self._spawn()
         except (OSError, PermissionError, ValueError) as exc:
@@ -238,26 +234,23 @@ class LocalFleet:
                 stacklevel=3,
             )
             self._ctx = None
-            self.result_q = None
             self._procs = {}
-            self._queues = {}
+            self._conns = {}
 
     def _spawn(self) -> str:
         worker_id = f"local-{self._counter}"
         self._counter += 1
-        task_q = self._ctx.Queue()
+        conn, child = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, task_q, self.result_q, os.getpid()),
+            args=(worker_id, child, os.getpid(), list(self._conns.values())),
             daemon=True,
         )
         proc.start()
+        child.close()  # the worker's death now reads as end-of-file
         self._procs[worker_id] = proc
-        self._queues[worker_id] = task_q
+        self._conns[worker_id] = conn
         return worker_id
-
-    def __len__(self) -> int:
-        return len(self._procs)
 
     def worker_ids(self) -> List[str]:
         return list(self._procs)
@@ -266,9 +259,11 @@ class LocalFleet:
         proc = self._procs.get(worker_id)
         return proc is not None and proc.is_alive()
 
-    def sentinels(self) -> List[int]:
-        """Process sentinels: each becomes ready when its worker exits."""
-        return [proc.sentinel for proc in self._procs.values()]
+    def waitables(self) -> List[Any]:
+        """Each worker's process sentinel and pipe (ready to read)."""
+        return [p.sentinel for p in self._procs.values()] + list(
+            self._conns.values()
+        )
 
     def pid(self, worker_id: str) -> Optional[int]:
         proc = self._procs.get(worker_id)
@@ -276,7 +271,24 @@ class LocalFleet:
 
     def assign(self, worker_id: str, unit_id: str, kind: str,
                payload: Any, trace: Optional[Dict[str, str]] = None) -> None:
-        self._queues[worker_id].put((unit_id, kind, payload, trace))
+        """Send a task (a dead worker's sentinel reports a failed one)."""
+        try:
+            self._conns[worker_id].send((unit_id, kind, payload, trace))
+        except (KeyError, OSError):
+            pass
+
+    def replies(self) -> List[Tuple[str, tuple]]:
+        """Every ``(worker_id, (unit_id, status, result, obs))`` waiting;
+        a pipe at end-of-file, torn or not, is a dead worker's: dropped."""
+        out = []
+        for worker_id, conn in list(self._conns.items()):
+            try:
+                while conn.poll():
+                    out.append((worker_id, conn.recv()))
+            except (EOFError, OSError):
+                conn.close()
+                del self._conns[worker_id]
+        return out
 
     def discard(self, worker_id: str) -> Optional[str]:
         """Drop a dead worker; respawn a replacement (bounded).
@@ -285,11 +297,11 @@ class LocalFleet:
         is exhausted (a crash-looping environment must not fork-bomb).
         """
         proc = self._procs.pop(worker_id, None)
-        queue = self._queues.pop(worker_id, None)
+        conn = self._conns.pop(worker_id, None)
         if proc is not None:
             proc.join(timeout=0)
-        if queue is not None:
-            queue.close()
+        if conn is not None:
+            conn.close()
         if self._ctx is None or self._respawns >= RESPAWN_LIMIT:
             return None
         self._respawns += 1
@@ -304,19 +316,22 @@ class LocalFleet:
         Returns True when every worker exited on the pill.
         """
         clean = True
-        for worker_id, queue in self._queues.items():
+        for conn in self._conns.values():
             try:
-                queue.put(None)
-            except (OSError, ValueError):
+                conn.send(None)
+            except OSError:
                 pass
-        for worker_id, proc in self._procs.items():
+            # A worker still sending a reply gets EPIPE instead of
+            # blocking on a reader that is gone.
+            conn.close()
+        for proc in self._procs.values():
             proc.join(timeout=timeout)
             if proc.is_alive():
                 clean = False
                 proc.kill()
                 proc.join(timeout=5)
         self._procs.clear()
-        self._queues.clear()
+        self._conns.clear()
         return clean
 
 

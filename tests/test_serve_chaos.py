@@ -401,6 +401,46 @@ class TestRestartRecovery:
         finally:
             assert reopened.drain(timeout=10)
 
+    def test_restart_killed_during_recovery_keeps_the_pending_unit(
+        self, tmp_path
+    ):
+        """Recovery re-dispatches a pending unit under its journaled id
+        and writes nothing first: a restart killed before the unit is
+        handed on leaves it pending for the next start."""
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        spec = SweepSpec(
+            name="recovery-kill",
+            workload={"nodes": 2, "processes_per_node": 4, "seed": 1},
+            methods=("analysis",),
+        )
+        (cell,) = spec.cells()
+        path = store_dir / "serve-journal.jsonl"
+        journal = UnitJournal(path)
+        journal.record_unit(
+            "u-old-0", "cells", [cell.to_dict()], {"mode": "cells"}
+        )
+        journal.close()
+        script = (
+            "import os, sys\n"
+            "from repro.serve import EvaluationService\n"
+            "from repro.serve.supervisor import Supervisor, UnitJournal\n"
+            "def die(*args, **kwargs):\n"
+            "    os._exit(9)\n"
+            "UnitJournal.record_unit = die\n"
+            "Supervisor.submit = die\n"
+            "EvaluationService(sys.argv[1], workers=0)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        restart = subprocess.run(
+            [sys.executable, "-c", script, str(store_dir)],
+            env=env, timeout=60,
+        )
+        assert restart.returncode == 9
+        assert [e["id"] for e in UnitJournal(path).pending()] == ["u-old-0"]
+
 
 # -- bounded queue / backpressure ---------------------------------------------
 
